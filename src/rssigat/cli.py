@@ -129,10 +129,15 @@ def cmd_inject(args) -> int:
     return 0
 
 
-def cmd_transform(args) -> int:
-    dataset = read_dataset(Path(args.input))
+def _read_traces_dataset(path: str) -> list:
+    dataset = read_dataset(Path(path))
     if not dataset:
         raise UsageError("input has no traces")
+    return dataset
+
+
+def cmd_transform(args) -> int:
+    dataset = _read_traces_dataset(args.input)
     schema = TraceSchema(expected_length=dataset[0].trace.length,
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     graphs = transform_many([item.trace for item in dataset], schema,
@@ -152,10 +157,10 @@ def _load_aligned_graphs(dataset, graphs_path, schema):
             raise UsageError(
                 f"{len(graphs)} graphs for {len(dataset)} traces")
         for g, item in zip(graphs, dataset):
-            if g.link_id != item.trace.link_id:
+            if (g.link_id, g.n_nodes) != (item.trace.link_id, item.trace.length):
                 raise UsageError(
-                    f"graph/trace link id mismatch: {g.link_id} vs "
-                    f"{item.trace.link_id}")
+                    f"graph {g.link_id} of {g.n_nodes} nodes does not match "
+                    f"trace {item.trace.link_id} of {item.trace.length} samples")
     else:
         graphs = [transform(item.trace, schema) for item in dataset]
     return [prepare_graph(g) for g in graphs]
@@ -178,7 +183,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    dataset = read_dataset(Path(args.dataset))
+    dataset = _read_traces_dataset(args.dataset)
     cfg = _train_config(args)
     schema = TraceSchema(expected_length=dataset[0].trace.length,
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
@@ -217,7 +222,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    dataset = read_dataset(Path(args.dataset))
+    dataset = _read_traces_dataset(args.dataset)
     schema = TraceSchema(expected_length=dataset[0].trace.length,
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     prepared = _load_aligned_graphs(dataset, args.graphs, schema)

@@ -5,10 +5,10 @@ node (edge weights enter the attention logits as an additive log bias), adds
 a learnable linear projection of the block input, and applies ReLU. A final
 linear head plus sigmoid yields one anomaly probability per time step.
 
-Nodes that share a feature value in a transition-field graph also share
-their in-neighborhood, so the forward pass runs on one representative per
-value class with in-edge multiplicities folded into the attention bias; this
-is exact, not an approximation, and is verified structurally before use.
+The forward pass runs on the rows of a ``TsGraph``: in the value-class
+graph from ``transform`` all nodes of a row share feature and in-edges, so a
+class edge i -> j stands for ``row_sizes[i]`` equal node edges, folded into
+the attention bias as ln(row size). This is exact, not an approximation.
 """
 from __future__ import annotations
 
@@ -116,12 +116,11 @@ class PreparedGraph:
     """Attention-ready form of a TsGraph.
 
     ``node_map`` sends each original node to the row the layers operate on;
-    edges are class-level, sorted by destination, each with an additive
-    attention bias of ln(edge weight) + ln(in-edge multiplicity). Nodes whose
-    class has no self-transition get a weight-1 self loop of multiplicity 1.
+    edges are sorted by destination, each with an additive attention bias of
+    ln(edge weight) + ln(source row size). Rows without a self edge get a
+    weight-1 self loop of multiplicity 1.
     """
 
-    n_input_nodes: int
     n_rows: int
     row_features: Tensor
     node_map: np.ndarray
@@ -130,48 +129,16 @@ class PreparedGraph:
     logit_bias: Tensor
 
 
-def _collapse_classes(graph: TsGraph):
-    """Group nodes by exact feature value if edges are block-consistent."""
-    values, node_map = np.unique(graph.node_features, return_inverse=True)
-    c = values.size
-    if c == graph.n_nodes:
-        return None
-    counts = np.bincount(node_map, minlength=c)
-    e = graph.n_edges
-    if e == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return values, node_map, counts, empty, empty, np.zeros(0)
-    cs = node_map[graph.edge_src].astype(np.int64)
-    cd = node_map[graph.edge_dst].astype(np.int64)
-    key = cs * c + cd
-    order = np.argsort(key, kind="stable")
-    k_sorted = key[order]
-    w_sorted = graph.edge_weights[order]
-    starts = np.flatnonzero(np.r_[True, k_sorted[1:] != k_sorted[:-1]])
-    sizes = np.diff(np.r_[starts, e])
-    bs = k_sorted[starts] // c
-    bd = k_sorted[starts] % c
-    if np.any(sizes != counts[bs] * counts[bd]):
-        return None
-    if np.any(np.maximum.reduceat(w_sorted, starts)
-              != np.minimum.reduceat(w_sorted, starts)):
-        return None
-    return values, node_map, counts, bs, bd, w_sorted[starts]
-
-
 def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
-    collapsed = _collapse_classes(graph) if collapse else None
-    if collapsed is not None:
-        values, node_map, counts, src, dst, weights = collapsed
-        mult = counts[src].astype(np.float64)
-    else:
-        values = graph.node_features
-        node_map = np.arange(graph.n_nodes, dtype=np.int64)
-        src = graph.edge_src.astype(np.int64)
-        dst = graph.edge_dst.astype(np.int64)
-        weights = graph.edge_weights.astype(np.float64)
-        mult = np.ones(src.size)
-    n_rows = values.size
+    """Prepare the graph's rows; ``collapse=False`` first expands it to one
+    row per node, the per-node reference the class rows must reproduce."""
+    if not collapse:
+        graph = graph.expand()
+    n_rows = graph.n_rows
+    src = graph.edge_src.astype(np.int64)
+    dst = graph.edge_dst.astype(np.int64)
+    weights = graph.edge_weights.astype(np.float64)
+    mult = graph.row_sizes[src].astype(np.float64)
     has_self = np.zeros(n_rows, dtype=bool)
     has_self[src[src == dst]] = True
     missing = np.flatnonzero(~has_self)
@@ -182,10 +149,9 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
     order = np.lexsort((src, dst))
     bias = (np.log(weights) + np.log(mult))[order][:, None]
     return PreparedGraph(
-        n_input_nodes=graph.n_nodes,
         n_rows=n_rows,
-        row_features=tc.constant(values[:, None]),
-        node_map=node_map,
+        row_features=tc.constant(graph.row_features[:, None]),
+        node_map=graph.node_map,
         src=src[order],
         dst=dst[order],
         logit_bias=tc.constant(bias),
@@ -220,7 +186,7 @@ def _attention_block(h: Tensor, prep: PreparedGraph, cfg: GatLayerConfig,
 def gat_layer_forward(features: Tensor, graph: TsGraph | PreparedGraph,
                       cfg: GatLayerConfig, params: dict[str, Tensor],
                       prefix: str = "gat1") -> Tensor:
-    """One attention layer over per-node features (no value collapsing)."""
+    """One attention layer over per-node features (the graph is expanded)."""
     prep = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph, collapse=False)
     if features.data.ndim != 2 or features.data.shape != (prep.n_rows, cfg.in_dim):
         raise ModelError(

@@ -1,8 +1,10 @@
 """Time-series to graph transformation via Markov transition fields.
 
 Three steps: quantile-bin the series, estimate the bin-to-bin transition
-matrix from consecutive samples, then expand it to an N x N field whose
-positive entries become weighted directed edges between time steps.
+matrix W from consecutive samples, then emit weighted directed edges. Time
+steps with equal values have equal rows and columns in the N x N field
+M[a, b] = W[bin(a), bin(b)], so ``transform`` builds its value-class graph
+directly; ``TsGraph.expand`` lists one edge per positive field entry.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import numpy as np
 
 from .trace import DEFAULT_SCHEMA, RssiTrace, TraceSchema, normalize
 
-# Largest node count for which the dense N x N field is materialized; larger
-# series go through streaming edge extraction (same edges, no dense matrix).
+# Largest node count for which an N x N field or per-node graph is built.
 DENSE_NODE_CAP = 1024
+GRAPH_FORMAT = "rssigat-graph-v2"
 
 
 class GraphError(Exception):
@@ -97,24 +99,37 @@ class TransitionField:
     M: np.ndarray
     bins: np.ndarray
 
-    def validate(self) -> None:
-        sums = self.W.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= 1e-9):
-            raise GraphError("transition matrix rows must sum to 1")
-        if self.W.min() < 0 or self.W.max() > 1:
-            raise GraphError("transition probabilities must lie in [0, 1]")
-
 
 @dataclass
 class TsGraph:
-    """Directed weighted graph over the time steps of one series."""
+    """Directed weighted graph between rows; time step t is row node_map[t].
 
-    n_nodes: int
-    node_features: np.ndarray
+    An edge i -> j stands for an edge from every node of row i to every node
+    of row j. A per-node graph has ``node_map = arange(N)``.
+    """
+
+    row_features: np.ndarray
+    node_map: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_weights: np.ndarray
     link_id: str | None = None
+
+    @property
+    def n_nodes(self) -> int:
+        return int(self.node_map.size)
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.row_features.size)
+
+    @property
+    def node_features(self) -> np.ndarray:
+        return self.row_features[self.node_map]
+
+    @property
+    def row_sizes(self) -> np.ndarray:
+        return np.bincount(self.node_map, minlength=self.n_rows)
 
     @property
     def n_edges(self) -> int:
@@ -123,19 +138,33 @@ class TsGraph:
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
 
+    def expand(self) -> "TsGraph":
+        """The per-node graph: one edge per positive entry of the field."""
+        if self.n_nodes > DENSE_NODE_CAP:
+            raise GraphError(f"per-node graph capped at {DENSE_NODE_CAP} nodes")
+        rows = np.zeros((self.n_rows, self.n_rows))
+        rows[self.edge_src, self.edge_dst] = self.edge_weights
+        field = rows[np.ix_(self.node_map, self.node_map)]
+        return _graph_from_rows(field, self.node_features,
+                                np.arange(self.n_nodes), self.link_id)
+
     def validate(self) -> None:
         if not (self.edge_src.size == self.edge_dst.size == self.edge_weights.size):
             raise GraphError("edge arrays must have equal length")
-        if self.node_features.shape != (self.n_nodes,):
-            raise GraphError("need one feature per node")
-        if self.edge_weights.size and self.edge_weights.min() <= 0:
-            raise GraphError("edge weights must be positive")
-        if self.edge_src.size:
-            if self.edge_src.max() >= self.n_nodes or self.edge_dst.max() >= self.n_nodes:
-                raise GraphError("edge endpoint out of range")
-            pairs = self.edge_src.astype(np.int64) * self.n_nodes + self.edge_dst
-            if np.unique(pairs).size != pairs.size:
-                raise GraphError("duplicate directed edge")
+        if self.row_features.ndim != 1 or self.node_map.ndim != 1:
+            raise GraphError("row features and node map must be 1-D")
+        if not np.all(np.isfinite(self.row_features)):
+            raise GraphError("row features must be finite")
+        if not np.array_equal(np.unique(self.node_map), np.arange(self.n_rows)):
+            raise GraphError(f"node map must cover rows 0..{self.n_rows - 1}")
+        if not np.all((self.edge_weights > 0) & np.isfinite(self.edge_weights)):
+            raise GraphError("edge weights must be positive and finite")
+        ends = np.r_[self.edge_src, self.edge_dst]
+        if np.any((ends < 0) | (ends >= self.n_rows)):
+            raise GraphError("edge endpoint out of range")
+        pairs = self.edge_src.astype(np.int64) * self.n_rows + self.edge_dst
+        if np.unique(pairs).size != pairs.size:
+            raise GraphError("duplicate directed edge")
 
 
 def mtf(series: np.ndarray, n_bins: int) -> TransitionField:
@@ -153,66 +182,45 @@ def mtf(series: np.ndarray, n_bins: int) -> TransitionField:
     return TransitionField(W=w, M=m, bins=bins)
 
 
-def build_graph(field: TransitionField, features: np.ndarray) -> TsGraph:
-    """One directed edge per positive field entry, weighted by that entry."""
-    features = np.asarray(features, dtype=np.float64)
-    n = field.M.shape[0]
-    if features.shape != (n,):
-        raise GraphError("feature length must match field size")
-    src, dst = np.nonzero(field.M)
+def _graph_from_rows(rows: np.ndarray, row_features: np.ndarray,
+                     node_map: np.ndarray, link_id: str | None = None) -> TsGraph:
+    """One edge per positive entry of ``rows``, in row-major order."""
+    src, dst = np.nonzero(rows)
     return TsGraph(
-        n_nodes=n,
-        node_features=features,
+        row_features=row_features,
+        node_map=node_map.astype(np.int64),
         edge_src=src.astype(np.int64),
         edge_dst=dst.astype(np.int64),
-        edge_weights=field.M[src, dst],
+        edge_weights=rows[src, dst],
+        link_id=link_id,
     )
 
 
-def _stream_edges(w: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge extraction without the dense field, for long series."""
-    n_bins = w.shape[0]
-    members = [np.flatnonzero(bins == b) for b in range(n_bins)]
-    srcs, dsts, wts = [], [], []
-    for i in range(n_bins):
-        for j in range(n_bins):
-            if w[i, j] > 0:
-                a, b = members[i], members[j]
-                srcs.append(np.repeat(a, b.size))
-                dsts.append(np.tile(b, a.size))
-                wts.append(np.full(a.size * b.size, w[i, j]))
-    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64)
-    wt = np.concatenate(wts) if wts else np.zeros(0, dtype=np.float64)
-    order = np.lexsort((dst, src))  # row-major, matching the dense path
-    return src[order], dst[order], wt[order]
+def build_graph(field: TransitionField, features: np.ndarray) -> TsGraph:
+    """One directed edge per positive field entry, weighted by that entry."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape != (field.M.shape[0],):
+        raise GraphError("feature length must match field size")
+    return _graph_from_rows(field.M, features, np.arange(features.size))
 
 
 def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA,
               n_bins: int | None = None) -> TsGraph:
-    """Full series-to-graph pipeline; bin count defaults to the series length."""
+    """Value-class graph of a trace; bin count defaults to the series length.
+
+    Rows are the distinct normalized values in ascending order; class edges
+    are listed in row-major order. Cost is O(N log N + C^2) for C rows.
+    """
     features = normalize(trace, schema)
     n = features.size
     if n < 2:
         raise GraphError("trace must have at least 2 samples")
-    if n_bins is None:
-        n_bins = n
-    if n <= DENSE_NODE_CAP:
-        graph = build_graph(mtf(features, n_bins), features)
-    else:
-        q = fit_quantizer(features, n_bins)
-        bins = q.assign(features)
-        w = transition_matrix(bins, q.n_bins)
-        src, dst, wt = _stream_edges(w, bins)
-        graph = TsGraph(n_nodes=n, node_features=features,
-                        edge_src=src, edge_dst=dst, edge_weights=wt)
-    graph.link_id = trace.link_id
-    return graph
-
-
-def _transform_one(payload) -> TsGraph:
-    trace, schema, n_bins = payload
-    return transform(trace, schema, n_bins)
+    q = fit_quantizer(features, n if n_bins is None else n_bins)
+    w = transition_matrix(q.assign(features), q.n_bins)
+    values, node_map = np.unique(features, return_inverse=True)
+    row_bins = q.assign(values)
+    return _graph_from_rows(w[np.ix_(row_bins, row_bins)], values, node_map,
+                            trace.link_id)
 
 
 def transform_many(traces, schema: TraceSchema = DEFAULT_SCHEMA,
@@ -222,8 +230,8 @@ def transform_many(traces, schema: TraceSchema = DEFAULT_SCHEMA,
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            return pool.map(_transform_one, payloads)
-    return [_transform_one(p) for p in payloads]
+            return pool.starmap(transform, payloads)
+    return [transform(*p) for p in payloads]
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +239,44 @@ def transform_many(traces, schema: TraceSchema = DEFAULT_SCHEMA,
 
 def graph_to_record(graph: TsGraph) -> dict:
     return {
+        "format": GRAPH_FORMAT,
         "link_id": graph.link_id,
-        "n_nodes": graph.n_nodes,
-        "features": graph.node_features.tolist(),
+        "values": graph.row_features.tolist(),
+        "node_map": graph.node_map.tolist(),
         "edges": [[int(s), int(d), float(f"{w:.9g}")]
                   for s, d, w in zip(graph.edge_src, graph.edge_dst,
                                      graph.edge_weights)],
     }
 
 
+def _row_indices(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    if np.any(arr % 1):
+        raise ValueError("row indices must be integers")
+    return arr.astype(np.int64)
+
+
 def graph_from_record(rec: dict) -> TsGraph:
-    edges = rec["edges"]
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    dst = np.array([e[1] for e in edges], dtype=np.int64)
-    wts = np.array([e[2] for e in edges], dtype=np.float64)
-    return TsGraph(
-        n_nodes=int(rec["n_nodes"]),
-        node_features=np.asarray(rec["features"], dtype=np.float64),
-        edge_src=src, edge_dst=dst, edge_weights=wts,
-        link_id=rec.get("link_id"),
-    )
+    if not isinstance(rec, dict) or rec.get("format") != GRAPH_FORMAT:
+        raise GraphError(f"not a {GRAPH_FORMAT} record")
+    try:
+        edges = np.array(rec["edges"], dtype=np.float64).reshape(-1, 3)
+        if edges.shape[0] != len(rec["edges"]):
+            raise ValueError("edges must be [src, dst, weight] triples")
+        graph = TsGraph(
+            row_features=np.array(rec["values"], dtype=np.float64),
+            node_map=_row_indices(rec["node_map"]),
+            edge_src=_row_indices(edges[:, 0]),
+            edge_dst=_row_indices(edges[:, 1]),
+            edge_weights=edges[:, 2],
+            link_id=rec["link_id"],
+        )
+    except KeyError as exc:
+        raise GraphError(f"record lacks key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphError(f"malformed record: {exc}") from None
+    graph.validate()
+    return graph
 
 
 def write_graphs(path, graphs) -> None:
@@ -262,7 +288,10 @@ def write_graphs(path, graphs) -> None:
 def read_graphs(path) -> list[TsGraph]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                out.append(graph_from_record(json.loads(line)))
+                try:
+                    out.append(graph_from_record(json.loads(line)))
+                except (GraphError, json.JSONDecodeError) as exc:
+                    raise GraphError(f"{path}:{lineno}: {exc}") from None
     return out

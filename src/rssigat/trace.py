@@ -37,7 +37,6 @@ class TraceSchema:
     expected_length: int = 300
     rssi_min: float = 0.0
     rssi_max: float = 128.0
-    sample_period_ms: int = 100
 
     def __post_init__(self):
         if self.rssi_min >= self.rssi_max:

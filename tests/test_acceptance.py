@@ -42,7 +42,7 @@ def test_c1_mtf_oracle_equivalence():
         samples = rng.integers(0, 129, size=n).astype(float)
         trace = RssiTrace("t", samples)
         for n_bins in (2, 4, n):
-            graph = transform(trace, schema, n_bins=n_bins)
+            graph = transform(trace, schema, n_bins=n_bins).expand()
             bins, q, w, m, edges = mtf_oracle(samples, schema.rssi_min,
                                               schema.rssi_max, n_bins)
             assert graph.n_nodes == n

@@ -7,7 +7,7 @@ import pytest
 from rssigat.cli import main
 from rssigat.inject import read_dataset
 from rssigat.metrics import EvalReport
-from rssigat.mtf_graph import read_graphs
+from rssigat.mtf_graph import GraphError, read_graphs
 from rssigat.trace import read_traces_csv
 
 
@@ -202,3 +202,55 @@ def test_train_prints_parameter_count(pipeline_dir, tmp_path, capsys):
                 "--epochs", 1, "--seed", 2, "-o", run_dir) == 0
     out = capsys.readouterr().out
     assert "parameter count: 63201" in out
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = {"train": ["train", "--dataset", empty, "-o", tmp_path / "run"],
+            "eval": ["eval", "--run", tmp_path / "run", "--dataset", empty,
+                     "--split", 0]}[command]
+    assert _run(*argv) == 2
+    assert capsys.readouterr().err == "rssigat: error: input has no traces\n"
+
+
+@pytest.mark.parametrize("mutate, code, message", [
+    (lambda r: {"link_id": r["link_id"], "n_nodes": len(r["node_map"]),
+                "features": [r["values"][i] for i in r["node_map"]],
+                "edges": []},
+     1, "not a rssigat-graph-v2 record"),
+    (lambda r: {k: v for k, v in r.items() if k != "edges"},
+     1, "lacks key 'edges'"),
+    (lambda r: {**r, "node_map": [len(r["values"])] + r["node_map"][1:]},
+     1, "node map must cover rows"),
+    (lambda r: {**r, "node_map": [0.5] + r["node_map"][1:]},
+     1, "row indices must be integers"),
+    (lambda r: {**r, "values": [float("nan")] + r["values"][1:]},
+     1, "row features must be finite"),
+    (lambda r: {**r, "edges": [[0, len(r["values"]), 0.5]] + r["edges"][1:]},
+     1, "edge endpoint out of range"),
+    (lambda r: {**r, "edges": [[*r["edges"][0][:2], 0.0]] + r["edges"][1:]},
+     1, "edge weights must be positive"),
+    (lambda r: {**r, "node_map": r["node_map"] + [0]},
+     2, "of 31 nodes does not match trace"),
+], ids=["v1-record", "missing-key", "node-map-range", "node-map-fraction",
+        "nan-value", "edge-range", "zero-weight", "node-count"])
+def test_bad_graph_records_rejected(tmp_path, capsys, mutate, code, message):
+    traces, dataset = tmp_path / "t.csv", tmp_path / "d.jsonl"
+    graphs, bad = tmp_path / "g.jsonl", tmp_path / "bad.jsonl"
+    assert _run("synth", "--count", 4, "--length", 30, "--seed", 1, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--clean", 4, "--seed", 1, "-o", dataset) == 0
+    assert _run("transform", "-i", dataset, "-o", graphs) == 0
+    lines = graphs.read_text().splitlines()
+    lines[1] = json.dumps(mutate(json.loads(lines[1])))
+    bad.write_text("\n".join(lines) + "\n")
+    if code == 1:
+        with pytest.raises(GraphError, match=message):
+            read_graphs(bad)
+    capsys.readouterr()
+    assert _run("train", "--dataset", dataset, "--graphs", bad,
+                "--splits", 2, "--epochs", 1, "-o", tmp_path / "run") == code
+    err = capsys.readouterr().err
+    assert err.startswith("rssigat: error: ") and message in err
+    assert err.count("\n") == 1

@@ -16,8 +16,9 @@ def _graph(n_nodes, edges, features, link_id=None):
     src = np.array([e[0] for e in edges], dtype=np.int64)
     dst = np.array([e[1] for e in edges], dtype=np.int64)
     wts = np.array([e[2] for e in edges], dtype=np.float64)
-    return TsGraph(n_nodes=n_nodes, node_features=np.asarray(features, dtype=float),
-                   edge_src=src, edge_dst=dst, edge_weights=wts, link_id=link_id)
+    return TsGraph(row_features=np.asarray(features, dtype=float),
+                   node_map=np.arange(n_nodes), edge_src=src, edge_dst=dst,
+                   edge_weights=wts, link_id=link_id)
 
 
 def _layer_params(rng, cfg, prefix="gat1"):
@@ -144,10 +145,17 @@ def test_forward_is_deterministic_bitwise():
     assert a.tobytes() == b.tobytes()
 
 
-def test_value_collapse_matches_plain_edges():
+@pytest.mark.parametrize("values", ["repeated", "distinct"])
+@pytest.mark.parametrize("n_bins", [None, 4, 16])
+def test_value_collapse_matches_plain_edges(n_bins, values):
     rng = np.random.default_rng(6)
-    trace = RssiTrace("t", rng.integers(30, 38, size=90).astype(float))
-    graph = transform(trace, TraceSchema(expected_length=90))
+    if values == "repeated":
+        samples = rng.integers(30, 38, size=90).astype(float)
+    else:
+        samples = rng.permutation(np.linspace(10.0, 100.0, 90))
+    graph = transform(RssiTrace("t", samples), TraceSchema(expected_length=90),
+                      n_bins=n_bins)
+    assert graph.n_rows == np.unique(samples).size
     model = build_model(seed=5)
     fast = model_forward(prepare_graph(graph, collapse=True), model).data
     slow = model_forward(prepare_graph(graph, collapse=False), model).data
@@ -155,23 +163,25 @@ def test_value_collapse_matches_plain_edges():
 
 
 def test_collapse_rejected_for_inconsistent_blocks():
-    # two nodes share a value but have different edge structure
+    # a per-node graph is used as given: nodes sharing a value (0 and 2, with
+    # different edges) are never merged into one row
     graph = _graph(3, [(0, 1, 0.5), (2, 1, 0.25), (1, 1, 1.0)], [0.2, 0.4, 0.2])
     prep = prepare_graph(graph, collapse=True)
-    assert prep.n_rows == 3  # fell back to one row per node
+    assert prep.n_rows == 3
 
 
 def test_node_permutation_equivariance():
     rng = np.random.default_rng(8)
     trace = RssiTrace("t", rng.integers(10, 25, size=40).astype(float))
-    graph = transform(trace, TraceSchema(expected_length=40))
+    classes = transform(trace, TraceSchema(expected_length=40))
+    graph = classes.expand()
     model = build_model(seed=2)
-    base = model_forward(graph, model).data[:, 0]
+    base = model_forward(classes, model).data[:, 0]
     perm = rng.permutation(40)
     inv = np.argsort(perm)
     permuted = TsGraph(
-        n_nodes=40,
-        node_features=graph.node_features[perm],
+        row_features=graph.node_features[perm],
+        node_map=np.arange(40),
         edge_src=inv[graph.edge_src],
         edge_dst=inv[graph.edge_dst],
         edge_weights=graph.edge_weights.copy(),

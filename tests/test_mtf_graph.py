@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph, build_graph,
                                fit_quantizer, graph_from_record,
                                graph_to_record, mtf, read_graphs,
-                               transition_matrix, transform, write_graphs,
-                               _stream_edges)
+                               transition_matrix, transform, write_graphs)
 from rssigat.trace import RssiTrace, TraceSchema
 from oracles import mtf_oracle
 
@@ -93,8 +92,10 @@ def test_mtf_constant_series_all_ones():
 def test_constant_series_complete_graph_with_self_loops():
     trace = RssiTrace("t", np.full(5, 0.5))
     graph = transform(trace, TraceSchema(expected_length=5, rssi_min=0.0, rssi_max=1.0))
-    assert graph.n_edges == 25
-    np.testing.assert_array_equal(graph.edge_weights, np.ones(25))
+    assert (graph.n_rows, graph.n_edges) == (1, 1)
+    nodes = graph.expand()
+    assert nodes.n_edges == 25
+    np.testing.assert_array_equal(nodes.edge_weights, np.ones(25))
 
 
 def test_mtf_rejects_too_short_series():
@@ -121,7 +122,7 @@ def test_transform_node_count_and_determinism():
 def test_fig2_sized_trace_builds_30_node_graph():
     rng = np.random.default_rng(11)
     trace = RssiTrace("t", rng.integers(0, 128, size=30).astype(float))
-    graph = transform(trace, TraceSchema(expected_length=30))
+    graph = transform(trace, TraceSchema(expected_length=30)).expand()
     assert graph.n_nodes == 30
     assert 30 <= graph.n_edges <= 900
     graph.validate()
@@ -132,7 +133,7 @@ def test_fig2_sized_trace_builds_30_node_graph():
 
 def _assert_matches_oracle(samples, schema, n_bins):
     trace = RssiTrace("t", np.asarray(samples, dtype=float))
-    graph = transform(trace, schema, n_bins=n_bins)
+    graph = transform(trace, schema, n_bins=n_bins).expand()
     bins, q, w, m, edges = mtf_oracle(samples, schema.rssi_min, schema.rssi_max,
                                       n_bins if n_bins else len(samples))
     assert graph.n_nodes == len(samples)
@@ -198,17 +199,6 @@ def test_transform_is_stateless_across_order():
         np.testing.assert_array_equal(g1.node_features, g2.node_features)
 
 
-def test_streaming_extraction_matches_dense_edges():
-    rng = np.random.default_rng(9)
-    series = rng.integers(0, 10, size=30).astype(float) / 10.0
-    field = mtf(series, n_bins=30)
-    dense = build_graph(field, series)
-    src, dst, wt = _stream_edges(field.W, field.bins)
-    np.testing.assert_array_equal(src, dense.edge_src)
-    np.testing.assert_array_equal(dst, dense.edge_dst)
-    np.testing.assert_array_equal(wt, dense.edge_weights)
-
-
 def test_transform_beyond_dense_cap_streams():
     n = DENSE_NODE_CAP + 76
     trace = RssiTrace("long", np.linspace(0, 100, n))
@@ -218,6 +208,8 @@ def test_transform_beyond_dense_cap_streams():
     # per node (last bin self-loops)
     assert graph.n_edges == n
     graph.validate()
+    with pytest.raises(GraphError):
+        graph.expand()
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +225,7 @@ def test_graph_round_trip_preserves_printed_precision(tmp_path):
     assert loaded.link_id == "rt"
     assert loaded.n_nodes == graph.n_nodes
     np.testing.assert_array_equal(loaded.node_features, graph.node_features)
+    np.testing.assert_array_equal(loaded.node_map, graph.node_map)
     np.testing.assert_array_equal(loaded.edge_src, graph.edge_src)
     printed = np.array([float(f"{w:.9g}") for w in graph.edge_weights])
     np.testing.assert_array_equal(loaded.edge_weights, printed)
@@ -240,10 +233,15 @@ def test_graph_round_trip_preserves_printed_precision(tmp_path):
     path2 = tmp_path / "again.jsonl"
     write_graphs(path2, loaded if isinstance(loaded, list) else [loaded])
     assert path2.read_text() == path.read_text()
+    # a paper-length trace stores its class graph in a few KB
+    long_trace = RssiTrace("long", rng.integers(30, 38, size=300).astype(float))
+    path3 = tmp_path / "long.jsonl"
+    write_graphs(path3, [transform(long_trace, TraceSchema(expected_length=300))])
+    assert path3.stat().st_size < 8 * 1024
 
 
 def test_graph_record_weight_precision():
-    graph = TsGraph(n_nodes=2, node_features=np.array([0.1, 0.9]),
+    graph = TsGraph(row_features=np.array([0.1, 0.9]), node_map=np.arange(2),
                     edge_src=np.array([0]), edge_dst=np.array([1]),
                     edge_weights=np.array([0.123456789123]), link_id="x")
     rec = graph_to_record(graph)
