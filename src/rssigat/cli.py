@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gat_model import load_checkpoint, predict as predict_graph, save_checkpoint
+from .gat_model import (load_checkpoint, predict as predict_graph,
+                        prepare_graph, save_checkpoint)
 from .inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
                      build_dataset, read_dataset, write_dataset)
 from .metrics import EvalReport, anomalous_runs, report_to_csv, report_to_text
@@ -27,7 +28,6 @@ from .train import (TrainConfig, evaluate_split, loss_curves_to_csv,
 from .trace import (SynthesisProfile, TraceSchema, filter_complete,
                     ingest_raw_log, read_traces_csv, synthesize_clean,
                     write_traces_csv)
-from .gat_model import prepare_graph
 
 
 def _sha256(path: Path) -> str:
@@ -261,7 +261,9 @@ def _read_prediction_input(path: Path):
 def cmd_predict(args) -> int:
     model = load_checkpoint(Path(args.checkpoint))
     traces = _read_prediction_input(Path(args.input))
-    schema = TraceSchema(expected_length=traces[0].length if traces else 300,
+    if not traces:
+        raise UsageError("input has no traces")
+    schema = TraceSchema(expected_length=traces[0].length,
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:

@@ -1,8 +1,9 @@
 """Per-node classifier: three attention blocks with linear skip connections.
 
-Each block computes multi-head attention over the incoming edges of every
-node (edge weights enter the attention logits as an additive log bias), adds
-a learnable linear projection of the block input, and applies ReLU. A final
+Each block is dense masked multi-head attention (Velickovic et al. 2018):
+per head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
+ln(edge weight) under the 0/1 edge mask, times the projected rows. It adds a
+learnable linear projection of the block input and applies ReLU. A final
 linear head plus sigmoid yields one anomaly probability per time step.
 
 The forward pass runs on the rows of a ``TsGraph``: in the value-class
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -113,20 +115,27 @@ def build_model(seed: int = 0, in_dim: int = 1, filters: int = 32,
 
 @dataclass
 class PreparedGraph:
-    """Attention-ready form of a TsGraph.
+    """Attention-ready form of a TsGraph as dense C x C matrices.
 
-    ``node_map`` sends each original node to the row the layers operate on;
-    edges are sorted by destination, each with an additive attention bias of
-    ln(edge weight) + ln(source row size). Rows without a self edge get a
-    weight-1 self loop of multiplicity 1.
+    ``node_map`` sends each original node to the row the layers operate on.
+    ``mask[dst, src]`` marks the edges plus every self loop; ``logit_bias``
+    holds ln(edge weight) + ln(source row size) on edges and 0 on the added
+    self loops (weight 1, multiplicity 1).
     """
 
     n_rows: int
     row_features: Tensor
     node_map: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
+    mask: np.ndarray
     logit_bias: Tensor
+
+    @property
+    def src(self) -> np.ndarray:
+        return np.nonzero(self.mask)[1]
+
+    @property
+    def dst(self) -> np.ndarray:
+        return np.nonzero(self.mask)[0]
 
 
 def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
@@ -135,25 +144,16 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
     if not collapse:
         graph = graph.expand()
     n_rows = graph.n_rows
-    src = graph.edge_src.astype(np.int64)
-    dst = graph.edge_dst.astype(np.int64)
-    weights = graph.edge_weights.astype(np.float64)
-    mult = graph.row_sizes[src].astype(np.float64)
-    has_self = np.zeros(n_rows, dtype=bool)
-    has_self[src[src == dst]] = True
-    missing = np.flatnonzero(~has_self)
-    src = np.r_[src, missing]
-    dst = np.r_[dst, missing]
-    weights = np.r_[weights, np.ones(missing.size)]
-    mult = np.r_[mult, np.ones(missing.size)]
-    order = np.lexsort((src, dst))
-    bias = (np.log(weights) + np.log(mult))[order][:, None]
+    src, dst = graph.edge_src, graph.edge_dst
+    mask = np.eye(n_rows, dtype=bool)
+    mask[dst, src] = True
+    bias = np.zeros((n_rows, n_rows))
+    bias[dst, src] = np.log(graph.edge_weights) + np.log(graph.row_sizes[src])
     return PreparedGraph(
         n_rows=n_rows,
         row_features=tc.constant(graph.row_features[:, None]),
         node_map=graph.node_map,
-        src=src[order],
-        dst=dst[order],
+        mask=mask,
         logit_bias=tc.constant(bias),
     )
 
@@ -163,23 +163,20 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
 
 def _attention_block(h: Tensor, prep: PreparedGraph, cfg: GatLayerConfig,
                      params: dict[str, Tensor], prefix: str) -> Tensor:
-    n, f = prep.n_rows, cfg.out_dim_per_head
-    z = tc.matmul(h, params[f"{prefix}.weight"])
-    z3 = tc.reshape(z, (n, cfg.n_heads, f))
-    s_src = tc.sum_last(tc.mul(z3, params[f"{prefix}.att_src"]))
-    s_dst = tc.sum_last(tc.mul(z3, params[f"{prefix}.att_dst"]))
-    logits = tc.add(tc.gather_rows(s_src, prep.src),
-                    tc.gather_rows(s_dst, prep.dst))
+    n, heads, f = prep.n_rows, cfg.n_heads, cfg.out_dim_per_head
+    # z is (heads, rows, f); logits and attention are (heads, dst, src)
+    z = tc.transpose(tc.reshape(tc.matmul(h, params[f"{prefix}.weight"]),
+                                (n, heads, f)), (1, 0, 2))
+    s_dst = tc.matmul(z, tc.reshape(params[f"{prefix}.att_dst"], (heads, f, 1)))
+    s_src = tc.matmul(z, tc.reshape(params[f"{prefix}.att_src"], (heads, f, 1)))
+    logits = tc.add(s_dst, tc.reshape(s_src, (heads, 1, n)))
     logits = tc.leaky_relu(logits, cfg.leaky_slope)
     logits = tc.add(logits, prep.logit_bias)
-    alpha = tc.segment_softmax(logits, prep.dst)
-    messages = tc.mul(tc.reshape(alpha, (prep.src.size, cfg.n_heads, 1)),
-                      tc.gather_rows(z3, prep.src))
-    agg = tc.scatter_add_rows(messages, prep.dst, n)
+    agg = tc.matmul(tc.masked_softmax(logits, prep.mask), z)
     if cfg.head_mode == "concat":
-        out = tc.reshape(agg, (n, cfg.n_heads * f))
+        out = tc.reshape(tc.transpose(agg, (1, 0, 2)), (n, heads * f))
     else:
-        out = tc.mean_axis(agg, 1)
+        out = tc.mean_axis(agg, 0)
     return tc.add(out, params[f"{prefix}.bias"])
 
 
@@ -240,21 +237,43 @@ def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
     return manifest_path, blob_path
 
 
+def _param_shapes(configs: tuple[GatLayerConfig, ...]) -> dict[str, tuple[int, ...]]:
+    """Tensor names and shapes ``build_model`` creates, in creation order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for k, cfg in enumerate(configs, start=1):
+        f = cfg.out_dim_per_head
+        shapes[f"gat{k}.weight"] = (cfg.in_dim, cfg.n_heads * f)
+        shapes[f"gat{k}.att_src"] = (cfg.n_heads, f)
+        shapes[f"gat{k}.att_dst"] = (cfg.n_heads, f)
+        shapes[f"gat{k}.bias"] = (cfg.out_width,)
+        shapes[f"skip{k}.weight"] = (cfg.in_dim, cfg.out_width)
+        shapes[f"skip{k}.bias"] = (cfg.out_width,)
+    shapes["out.weight"] = (configs[-1].out_width, 1)
+    shapes["out.bias"] = (1,)
+    return shapes
+
+
 def load_checkpoint(path) -> GatModel:
     base = Path(path)
     manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
     if manifest.get("format") != "rssigat-checkpoint-v1":
         raise ModelError(f"unrecognized checkpoint format in {base}")
     configs = tuple(GatLayerConfig(**cfg) for cfg in manifest["layers"])
+    if not configs:
+        raise ModelError(f"checkpoint {base} has no layers")
+    expected = list(_param_shapes(configs).items())
+    listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]]
+    for have, want in zip_longest(listed, expected):
+        if have != want:
+            raise ModelError(f"checkpoint tensor {have} does not match "
+                             f"the layers' {want}")
+    sizes = [int(np.prod(shape)) for _, shape in expected]
     raw = base.with_suffix(".bin").read_bytes()
-    params: dict[str, Tensor] = {}
-    offset = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += n * 8
-        params[entry["name"]] = Tensor(arr.astype(np.float64), requires_grad=True)
-    if offset != len(raw):
-        raise ModelError("checkpoint blob size does not match manifest")
+    if len(raw) != 8 * sum(sizes):
+        raise ModelError(f"checkpoint blob has {len(raw)} bytes, "
+                         f"the manifest needs {8 * sum(sizes)}")
+    chunks = np.split(np.frombuffer(raw, dtype="<f8").astype(np.float64),
+                      np.cumsum(sizes)[:-1])
+    params = {name: Tensor(chunk.reshape(shape), requires_grad=True)
+              for (name, shape), chunk in zip(expected, chunks)}
     return GatModel(layer_configs=configs, params=params, seed=manifest["seed"])

@@ -1,9 +1,9 @@
 """Minimal dense float64 tensors with tape-based reverse-mode differentiation.
 
-Just enough machinery for a small message-passing model: matrix products,
-broadcasting elementwise arithmetic, gather/scatter over row indices, and a
-softmax normalised within contiguous index groups. Everything is float64 and
-every op validates that its output is finite.
+Just enough machinery for dense masked graph attention: batched matrix
+products, broadcasting elementwise arithmetic, transposes, a softmax over the
+last axis restricted to a boolean mask, and a row gather. Everything is
+float64 and every op validates that its output is finite.
 """
 from __future__ import annotations
 
@@ -127,14 +127,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # arithmetic
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes {a.data.shape} x {b.data.shape}")
+    """Matrix product with np.matmul semantics: leading dims broadcast."""
     ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul shapes {ad.shape} x {bd.shape}")
+    try:
+        out = ad @ bd
+    except ValueError:
+        raise ShapeError(f"matmul shapes {ad.shape} x {bd.shape}") from None
 
     def grad_fn(g):
-        return g @ bd.T, ad.T @ g
+        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
+                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
-    return _make("matmul", ad @ bd, (a, b), grad_fn)
+    return _make("matmul", out, (a, b), grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -178,6 +184,16 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make("reshape", x.data.reshape(shape), (x,), grad_fn)
 
 
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def grad_fn(g):
+        return (g.transpose(inverse),)
+
+    return _make("transpose", x.data.transpose(axes), (x,), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -188,15 +204,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(shape, float(g)),)
 
     return _make("sum_all", np.asarray(x.data.sum()), (x,), grad_fn)
-
-
-def sum_last(x: Tensor) -> Tensor:
-    shape = x.data.shape
-
-    def grad_fn(g):
-        return (np.broadcast_to(g[..., None], shape).copy(),)
-
-    return _make("sum_last", x.data.sum(axis=-1), (x,), grad_fn)
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
@@ -223,11 +230,13 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     xd = x.data
+    out = slope * xd
+    np.copyto(out, xd, where=xd > 0)
 
     def grad_fn(g):
         return (g * np.where(xd > 0, 1.0, slope),)
 
-    return _make("leaky_relu", np.where(xd > 0, xd, slope * xd), (x,), grad_fn)
+    return _make("leaky_relu", out, (x,), grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -267,22 +276,32 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# indexed ops over rows (axis 0)
+# attention normalisation and row indexing
 
-def _index_add(base: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """base[idx[k]] += vals[k], accumulated in a fixed order."""
-    if idx.size == 0:
-        return base
-    if np.all(idx[1:] >= idx[:-1]):
-        order = None
-        sorted_idx, sorted_vals = idx, vals
-    else:
-        order = np.argsort(idx, kind="stable")
-        sorted_idx, sorted_vals = idx[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-    sums = np.add.reduceat(sorted_vals, starts, axis=0)
-    base[sorted_idx[starts]] += sums
-    return base
+def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis among the entries where the boolean
+    ``mask`` (broadcast against ``x``) is set; every row needs one. Masked-out
+    entries are exactly 0 with zero gradient. Rows are shifted by their largest
+    unmasked value; one buffer of ``x``'s shape holds shift, exp and sums."""
+    mask = np.asarray(mask, dtype=bool)
+    xd = x.data
+    try:
+        full = np.broadcast_to(mask, xd.shape)
+    except ValueError:
+        raise ShapeError(f"masked_softmax mask {mask.shape} does not "
+                         f"broadcast to {xd.shape}") from None
+    if xd.ndim == 0 or not full.any(axis=-1).all():
+        raise ShapeError("masked_softmax needs a set mask entry in every row")
+    y = xd - np.max(xd, axis=-1, keepdims=True, where=full, initial=-np.inf)
+    np.exp(y, out=y, where=full)
+    np.copyto(y, 0.0, where=~mask)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def grad_fn(g):
+        t = g * y
+        return (t - y * t.sum(axis=-1, keepdims=True),)
+
+    return _make("masked_softmax", y, (x,), grad_fn)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -292,60 +311,11 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError("gather_rows index out of range")
 
     def grad_fn(g):
-        return (_index_add(np.zeros(shape), idx, g),)
+        out = np.zeros(shape)
+        np.add.at(out, idx, g)
+        return (out,)
 
     return _make("gather_rows", x.data[idx], (x,), grad_fn)
-
-
-def scatter_add_rows(x: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
-    """Sum rows of ``x`` into ``n_rows`` destination slots given by ``idx``."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.shape != (x.data.shape[0],):
-        raise ShapeError("scatter_add_rows needs one index per row")
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise ShapeError("scatter_add_rows index out of range")
-    out = _index_add(np.zeros((n_rows,) + x.data.shape[1:]), idx, x.data)
-
-    def grad_fn(g):
-        return (g[idx],)
-
-    return _make("scatter_add_rows", out, (x,), grad_fn)
-
-
-def _run_starts(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.flatnonzero(np.r_[True, segments[1:] != segments[:-1]])
-    ids = segments[starts]
-    if np.unique(ids).size != ids.size:
-        raise ShapeError("segments must be grouped (equal ids contiguous)")
-    return starts, ids
-
-
-def segment_softmax(x: Tensor, segments: np.ndarray) -> Tensor:
-    """Softmax over rows, normalised independently within each segment.
-
-    ``segments`` must be grouped: all rows of a segment contiguous. Softmax is
-    computed with per-segment max subtraction so extreme values stay finite.
-    """
-    segments = np.asarray(segments)
-    if segments.shape != (x.data.shape[0],):
-        raise ShapeError("segment_softmax needs one segment id per row")
-    if segments.size == 0:
-        return _make("segment_softmax", x.data.copy(), (x,), lambda g: (g,))
-    starts, _ = _run_starts(segments)
-    counts = np.diff(np.r_[starts, segments.size])
-    rg = np.repeat(np.arange(starts.size), counts)
-    xd = x.data
-    m = np.maximum.reduceat(xd, starts, axis=0)
-    e = np.exp(xd - m[rg])
-    s = np.add.reduceat(e, starts, axis=0)
-    y = e / s[rg]
-
-    def grad_fn(g):
-        t = g * y
-        ts = np.add.reduceat(t, starts, axis=0)
-        return (t - y * ts[rg],)
-
-    return _make("segment_softmax", y, (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

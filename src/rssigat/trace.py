@@ -209,8 +209,8 @@ def write_traces_csv(path, traces: list[RssiTrace]) -> None:
 
 
 def read_traces_csv(path) -> list[RssiTrace]:
-    order: list[str] = []
-    rows: dict[str, list[tuple[int, float]]] = {}
+    """Read a trace CSV; a link's n rows carry the indices 0..n-1 in any order."""
+    rows: dict[str, dict[int, tuple[float, int]]] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "link_id,idx,rssi":
@@ -226,13 +226,17 @@ def read_traces_csv(path) -> list[RssiTrace]:
                 idx, rssi = int(parts[1]), float(parts[2])
             except ValueError:
                 raise ParseError(line_no, f"malformed row {text!r}") from None
-            if parts[0] not in rows:
-                order.append(parts[0])
-                rows[parts[0]] = []
-            rows[parts[0]].append((idx, rssi))
+            link = rows.setdefault(parts[0], {})
+            if idx in link:
+                raise ParseError(line_no, f"link {parts[0]} repeats index {idx}")
+            link[idx] = (rssi, line_no)
     traces = []
-    for link_id in order:
-        pairs = sorted(rows[link_id])
+    for link_id, link in rows.items():
+        n = len(link)
+        for idx, (_, line_no) in link.items():
+            if not 0 <= idx < n:
+                raise ParseError(line_no, f"link {link_id} has {n} rows, "
+                                 f"index {idx} is outside 0..{n - 1}")
         traces.append(RssiTrace(link_id=link_id,
-                                samples=np.array([v for _, v in pairs])))
+                                samples=np.array([link[i][0] for i in range(n)])))
     return traces

@@ -61,8 +61,6 @@ def primitive_cases(rng) -> list:
     checks.append((composed(lambda: tc.sigmoid(x)), x))
 
     checks.append((lambda: tc.sum_all(x), x))
-    r1 = tc.constant(rand(4))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.sum_last(x), r1)), x))
     r3 = tc.constant(rand(3))
     checks.append((lambda: tc.sum_all(tc.mul(tc.mean_axis(x, 0), r3)), x))
 
@@ -70,17 +68,20 @@ def primitive_cases(rng) -> list:
     rg = tc.constant(rand(7, 3))
     checks.append((lambda: tc.sum_all(tc.mul(tc.gather_rows(x, idx), rg)), x))
 
-    vals = tc.Tensor(rand(7, 3), requires_grad=True)
-    rs = tc.constant(rand(4, 3))
-    sorted_idx = np.sort(idx)
-    checks.append((lambda: tc.sum_all(tc.mul(
-        tc.scatter_add_rows(vals, sorted_idx, 4), rs)), vals))
+    batch = tc.Tensor(rand(2, 4, 3), requires_grad=True)
+    rb = tc.constant(rand(2, 4, 5))
+    checks.append((lambda: tc.sum_all(tc.mul(tc.matmul(batch, b), rb)), batch))
 
-    seg_logits = tc.Tensor(rand(6, 2), requires_grad=True)
-    segments = np.sort(rng.integers(0, 3, size=6))
-    rseg = tc.constant(rand(6, 2))
+    rt = tc.constant(rand(3, 2, 4))
     checks.append((lambda: tc.sum_all(tc.mul(
-        tc.segment_softmax(seg_logits, segments), rseg)), seg_logits))
+        tc.transpose(batch, (2, 0, 1)), rt)), batch))
+
+    att_logits = tc.Tensor(rand(2, 4, 4), requires_grad=True)
+    mask = rng.random((4, 4)) < 0.5
+    np.fill_diagonal(mask, True)
+    ratt = tc.constant(rand(2, 4, 4))
+    checks.append((lambda: tc.sum_all(tc.mul(
+        tc.masked_softmax(att_logits, mask), ratt)), att_logits))
 
     return checks
 

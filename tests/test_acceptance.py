@@ -92,8 +92,8 @@ def test_c3_gradient_correctness():
     attempts = run_model_fd_trials(n_trials=20)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"
-    _ok(f"3 gradient-correctness (16 primitives x 20 trials + 20 model "
-        f"trials in {attempts} attempts, {elapsed:.1f}s)")
+    _ok(f"3 gradient-correctness ({len(primitive_cases(rng))} primitive cases "
+        f"x 20 trials + 20 model trials in {attempts} attempts, {elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rssigat.cli import main
+from rssigat.gat_model import build_model, save_checkpoint
 from rssigat.inject import read_dataset
 from rssigat.metrics import EvalReport
 from rssigat.mtf_graph import GraphError, read_graphs
@@ -204,15 +205,20 @@ def test_train_prints_parameter_count(pipeline_dir, tmp_path, capsys):
     assert "parameter count: 63201" in out
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
 def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
+    if command == "predict":
+        save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
     argv = {"train": ["train", "--dataset", empty, "-o", tmp_path / "run"],
             "eval": ["eval", "--run", tmp_path / "run", "--dataset", empty,
-                     "--split", 0]}[command]
+                     "--split", 0],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
+                        "-i", empty, "-o", tmp_path / "pred.jsonl"]}[command]
     assert _run(*argv) == 2
     assert capsys.readouterr().err == "rssigat: error: input has no traces\n"
+    assert not (tmp_path / "pred.jsonl").exists()
 
 
 @pytest.mark.parametrize("mutate, code, message", [

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import rssigat.tensor_core as tc
-from rssigat.gat_model import (GatLayerConfig, GatModel, build_model,
+from rssigat.gat_model import (GatLayerConfig, GatModel, ModelError, build_model,
                                count_parameters, gat_layer_forward,
                                load_checkpoint, model_forward, predict,
                                prepare_graph, save_checkpoint)
@@ -92,14 +94,14 @@ def test_attention_coefficients_sum_to_one_per_destination():
         for p in model.params.values():
             p.requires_grad = True
         model_forward(prep, model)
-    softmax_records = [rec for rec in tape.ops if rec.name == "segment_softmax"]
+    softmax_records = [rec for rec in tape.ops if rec.name == "masked_softmax"]
     assert len(softmax_records) == 3
     for rec in softmax_records:
-        alpha = rec.out.data  # (edges, heads)
-        sums = np.zeros((prep.n_rows, alpha.shape[1]))
-        np.add.at(sums, prep.dst, alpha)
-        occupied = np.unique(prep.dst)
-        np.testing.assert_allclose(sums[occupied], 1.0, atol=1e-9)
+        alpha = rec.out.data  # (heads, destination rows, source rows)
+        assert alpha.shape[1:] == prep.mask.shape
+        np.testing.assert_allclose(np.where(prep.mask, alpha, 0.0).sum(axis=-1),
+                                   1.0, atol=1e-9)
+        assert np.all(alpha[:, ~prep.mask] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +247,24 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     save_checkpoint(tmp_path / "b", model)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_checkpoint_truncated_blob_rejected(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    blob = tmp_path / "ckpt.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(ModelError, match="blob has 505600 bytes, "
+                                         "the manifest needs 505608"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_swapped_shapes_rejected(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    manifest_path = tmp_path / "ckpt.json"
+    manifest = json.loads(manifest_path.read_text())
+    out = next(t for t in manifest["tensors"] if t["name"] == "out.weight")
+    out["shape"] = out["shape"][::-1]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelError, match=r"\('out.weight', \(1, 32\)\) does not "
+                                         r"match the layers' \('out.weight', \(32, 1\)\)"):
+        load_checkpoint(tmp_path / "ckpt")

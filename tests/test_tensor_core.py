@@ -79,59 +79,100 @@ def test_log_clamp_floor():
     np.testing.assert_allclose(grads[x][1], 2.0)
 
 
+def test_batched_matmul_matches_numpy():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((2, 4, 3))
+    b = rng.standard_normal((3, 5))
+    out = tc.matmul(tc.constant(a), tc.constant(b))
+    np.testing.assert_array_equal(out.data, a @ b)
+
+
+def test_batched_matmul_grad_sums_broadcast_batch():
+    rng = np.random.default_rng(4)
+    a_data = rng.standard_normal((2, 4, 3))
+    b = tc.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    _, g = _loss_and_grad(lambda: tc.sum_all(tc.matmul(tc.constant(a_data), b)), b)
+    np.testing.assert_allclose(g, a_data.sum(axis=(0, 1))[:, None] * np.ones((1, 5)),
+                               atol=1e-12)
+
+
+def test_transpose_round_trip():
+    x = tc.constant(np.arange(24.0).reshape(2, 3, 4))
+    out = tc.transpose(x, (1, 2, 0))
+    np.testing.assert_array_equal(out.data, x.data.transpose(1, 2, 0))
+    np.testing.assert_array_equal(tc.transpose(out, (2, 0, 1)).data, x.data)
+
+
 # ---------------------------------------------------------------------------
-# segment softmax
+# masked softmax
 
-def test_segment_softmax_singleton():
-    out = tc.segment_softmax(tc.constant([3.7]), np.array([0]))
-    np.testing.assert_array_equal(out.data, [1.0])
-
-
-def test_segment_softmax_symmetric_pair():
-    out = tc.segment_softmax(tc.constant([0.0, 0.0]), np.array([0, 0]))
-    np.testing.assert_array_equal(out.data, [0.5, 0.5])
+def test_masked_softmax_singleton():
+    out = tc.masked_softmax(tc.constant([[3.7]]), np.array([[True]]))
+    np.testing.assert_array_equal(out.data, [[1.0]])
 
 
-def test_segment_softmax_matches_direct_softmax():
+def test_masked_softmax_symmetric_pair():
+    out = tc.masked_softmax(tc.constant([[0.0, 0.0, 5.0]]),
+                            np.array([[True, True, False]]))
+    np.testing.assert_array_equal(out.data, [[0.5, 0.5, 0.0]])
+
+
+def test_masked_softmax_matches_direct_softmax():
     logits = np.array([1.0, 2.0, 3.0])
-    out = tc.segment_softmax(tc.constant(logits), np.zeros(3, dtype=int))
+    out = tc.masked_softmax(tc.constant(logits[None, :]), np.ones((1, 3), dtype=bool))
     direct = np.exp(logits - logits.max())
     direct /= direct.sum()
-    np.testing.assert_allclose(out.data, direct, rtol=1e-15)
+    np.testing.assert_allclose(out.data[0], direct, rtol=1e-15)
 
 
-def test_segment_softmax_empty():
-    out = tc.segment_softmax(tc.constant(np.zeros(0)), np.zeros(0, dtype=int))
-    assert out.data.size == 0
-
-
-def test_segment_softmax_rejects_ungrouped():
+def test_masked_softmax_rejects_empty_row():
     with pytest.raises(tc.ShapeError):
-        tc.segment_softmax(tc.constant([1.0, 2.0, 3.0]), np.array([0, 1, 0]))
+        tc.masked_softmax(tc.constant(np.zeros((2, 2))),
+                          np.array([[True, False], [False, False]]))
 
 
-def test_segment_softmax_extreme_logits_stay_finite():
-    logits = np.array([1e4, -1e4, 1e4, 0.0])
-    segments = np.array([0, 0, 1, 1])
-    out = tc.segment_softmax(tc.constant(logits), segments)
+def test_masked_softmax_rejects_mask_shape():
+    with pytest.raises(tc.ShapeError):
+        tc.masked_softmax(tc.constant(np.zeros((2, 3))), np.ones((3, 2), dtype=bool))
+
+
+def test_masked_softmax_extreme_logits_stay_finite():
+    logits = np.array([[1e4, -1e4, 1e4, 0.0], [1e300, 1e4, 0.0, -1e300]])
+    mask = np.array([[True, True, False, True], [False, True, True, True]])
+    out = tc.masked_softmax(tc.constant(logits), mask)
     assert np.isfinite(out.data).all()
-    np.testing.assert_allclose(out.data[:2].sum(), 1.0)
-    np.testing.assert_allclose(out.data[2:].sum(), 1.0)
+    np.testing.assert_allclose(out.data.sum(axis=1), 1.0)
+    np.testing.assert_array_equal(out.data[~mask], 0.0)
+
+
+def test_masked_softmax_masked_entries_zero_with_zero_gradient():
+    rng = np.random.default_rng(5)
+    x = tc.Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
+    mask = rng.random((4, 4)) < 0.5
+    np.fill_diagonal(mask, True)
+    weights = tc.constant(rng.standard_normal((3, 4, 4)))
+    with tc.Tape() as tape:
+        out = tc.masked_softmax(x, mask)
+        grads = tc.backward(tc.sum_all(tc.mul(out, weights)), tape)
+    full = np.broadcast_to(mask, x.shape)
+    assert np.all(out.data[~full] == 0.0)
+    assert np.all(grads[x][~full] == 0.0)
+    assert np.all(out.data[full] > 0.0)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.data())
-def test_segment_softmax_sums_and_shift_invariance(data):
+def test_masked_softmax_sums_and_shift_invariance(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    n_segments = data.draw(st.integers(1, 6))
-    sizes = [data.draw(st.integers(1, 5)) for _ in range(n_segments)]
-    segments = np.repeat(np.arange(n_segments), sizes)
-    logits = rng.standard_normal(segments.size)
-    out = tc.segment_softmax(tc.constant(logits), segments).data
-    for s in range(n_segments):
-        np.testing.assert_allclose(out[segments == s].sum(), 1.0, atol=1e-9)
-    shifts = rng.standard_normal(n_segments)
-    shifted = tc.segment_softmax(tc.constant(logits + shifts[segments]), segments).data
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 6))
+    mask = rng.random((rows, cols)) < 0.5
+    mask[np.arange(rows), rng.integers(0, cols, size=rows)] = True
+    logits = rng.standard_normal((2, rows, cols))
+    out = tc.masked_softmax(tc.constant(logits), mask).data
+    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
+    shifts = rng.standard_normal((2, rows, 1))
+    shifted = tc.masked_softmax(tc.constant(logits + shifts), mask).data
     np.testing.assert_allclose(shifted, out, atol=1e-12)
 
 
@@ -158,7 +199,8 @@ def test_inference_without_tape_records_nothing():
     assert out.data.sum() == 3.0  # no tape active, no error
 
 
-def test_scatter_add_unsorted_indices():
-    vals = tc.constant(np.ones((5, 2)))
-    out = tc.scatter_add_rows(vals, np.array([3, 0, 3, 1, 0]), 4)
-    np.testing.assert_array_equal(out.data, [[2, 2], [1, 1], [0, 0], [2, 2]])
+def test_gather_rows_grad_sums_unsorted_repeats():
+    x = tc.Tensor(np.zeros((4, 2)), requires_grad=True)
+    _, g = _loss_and_grad(
+        lambda: tc.sum_all(tc.gather_rows(x, np.array([3, 0, 3, 1, 0]))), x)
+    np.testing.assert_array_equal(g, [[2, 2], [1, 1], [0, 0], [2, 2]])

@@ -191,6 +191,38 @@ def test_traces_csv_rejects_bad_header(tmp_path):
         read_traces_csv(path)
 
 
+def test_traces_csv_rejects_concatenated_files(tmp_path):
+    # two files of 50 and 60 samples for the same link, header dropped from
+    # the second: the repeated index 0 is reported at its line
+    rows = [f"a,{i},40" for i in range(50)] + [f"a,{i},41" for i in range(60)]
+    path = tmp_path / "joined.csv"
+    path.write_text("link_id,idx,rssi\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="line 52: link a repeats index 0"):
+        read_traces_csv(path)
+
+
+@pytest.mark.parametrize("indices", [
+    [0, 1, 3],    # gap: index 2 missing
+    [1, 2, 3],    # does not start at 0
+    [0, 1, -1],   # negative
+])
+def test_traces_csv_rejects_indices_not_0_to_n(tmp_path, indices):
+    path = tmp_path / "gappy.csv"
+    path.write_text("link_id,idx,rssi\n"
+                    + "".join(f"b,{i},30\n" for i in indices))
+    with pytest.raises(ParseError, match="line 4: link b has 3 rows"):
+        read_traces_csv(path)
+
+
+def test_traces_csv_accepts_rows_in_any_order(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("link_id,idx,rssi\nc,2,12\nd,0,5\nc,0,10\nd,1,6\nc,1,11\n")
+    loaded = read_traces_csv(path)
+    assert [t.link_id for t in loaded] == ["c", "d"]
+    np.testing.assert_array_equal(loaded[0].samples, [10, 11, 12])
+    np.testing.assert_array_equal(loaded[1].samples, [5, 6])
+
+
 def test_schema_validation():
     with pytest.raises(SchemaError):
         TraceSchema(rssi_min=10, rssi_max=10)
