@@ -136,6 +136,18 @@ def _read_traces_dataset(path: str) -> list:
     return dataset
 
 
+def _common_length(traces) -> int:
+    """The length every trace shares; names the first trace that differs."""
+    length = traces[0].length
+    for trace in traces:
+        if trace.length != length:
+            raise UsageError(
+                f"trace {trace.link_id} has {trace.length} samples, the first "
+                f"trace {traces[0].link_id} has {length}; all traces must "
+                f"have one length")
+    return length
+
+
 def cmd_transform(args) -> int:
     dataset = _read_traces_dataset(args.input)
     schema = TraceSchema(expected_length=dataset[0].trace.length,
@@ -185,7 +197,7 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     dataset = _read_traces_dataset(args.dataset)
     cfg = _train_config(args)
-    schema = TraceSchema(expected_length=dataset[0].trace.length,
+    schema = TraceSchema(expected_length=_common_length([i.trace for i in dataset]),
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     prepared = _load_aligned_graphs(dataset, args.graphs, schema)
     result = run_cross_validation(dataset, cfg, schema, prepared=prepared,
@@ -223,7 +235,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     dataset = _read_traces_dataset(args.dataset)
-    schema = TraceSchema(expected_length=dataset[0].trace.length,
+    schema = TraceSchema(expected_length=_common_length([i.trace for i in dataset]),
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     prepared = _load_aligned_graphs(dataset, args.graphs, schema)
     splits = json.loads((run_dir / "splits.json").read_text(encoding="utf-8"))
@@ -263,7 +275,7 @@ def cmd_predict(args) -> int:
     traces = _read_prediction_input(Path(args.input))
     if not traces:
         raise UsageError("input has no traces")
-    schema = TraceSchema(expected_length=traces[0].length,
+    schema = TraceSchema(expected_length=_common_length(traces),
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:

@@ -2,9 +2,11 @@
 
 Each block is dense masked multi-head attention (Velickovic et al. 2018):
 per head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
-ln(edge weight) under the 0/1 edge mask, times the projected rows. It adds a
-learnable linear projection of the block input and applies ReLU. A final
-linear head plus sigmoid yields one anomaly probability per time step.
+ln(edge weight) under the 0/1 edge mask, times the projected rows. A block
+is two tape ops, the projection ``tc.matmul`` and the fused
+``tc.graph_attention``. It adds a learnable linear projection of the block
+input (``tc.linear``) and applies ReLU. A final linear head plus sigmoid
+yields one anomaly probability per time step.
 
 The forward pass runs on the rows of a ``TsGraph``: in the value-class
 graph from ``transform`` all nodes of a row share feature and in-edges, so a
@@ -163,21 +165,10 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
 
 def _attention_block(h: Tensor, prep: PreparedGraph, cfg: GatLayerConfig,
                      params: dict[str, Tensor], prefix: str) -> Tensor:
-    n, heads, f = prep.n_rows, cfg.n_heads, cfg.out_dim_per_head
-    # z is (heads, rows, f); logits and attention are (heads, dst, src)
-    z = tc.transpose(tc.reshape(tc.matmul(h, params[f"{prefix}.weight"]),
-                                (n, heads, f)), (1, 0, 2))
-    s_dst = tc.matmul(z, tc.reshape(params[f"{prefix}.att_dst"], (heads, f, 1)))
-    s_src = tc.matmul(z, tc.reshape(params[f"{prefix}.att_src"], (heads, f, 1)))
-    logits = tc.add(s_dst, tc.reshape(s_src, (heads, 1, n)))
-    logits = tc.leaky_relu(logits, cfg.leaky_slope)
-    logits = tc.add(logits, prep.logit_bias)
-    agg = tc.matmul(tc.masked_softmax(logits, prep.mask), z)
-    if cfg.head_mode == "concat":
-        out = tc.reshape(tc.transpose(agg, (1, 0, 2)), (n, heads * f))
-    else:
-        out = tc.mean_axis(agg, 0)
-    return tc.add(out, params[f"{prefix}.bias"])
+    return tc.graph_attention(
+        tc.matmul(h, params[f"{prefix}.weight"]), params[f"{prefix}.att_dst"],
+        params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
+        prep.mask, cfg.leaky_slope, cfg.head_mode)
 
 
 def gat_layer_forward(features: Tensor, graph: TsGraph | PreparedGraph,
@@ -200,11 +191,10 @@ def model_forward(graph: TsGraph | PreparedGraph, model: GatModel) -> Tensor:
         raise ModelError("graph features do not match model input width")
     for k, cfg in enumerate(model.layer_configs, start=1):
         gat = _attention_block(h, prep, cfg, model.params, f"gat{k}")
-        skip = tc.add(tc.matmul(h, model.params[f"skip{k}.weight"]),
-                      model.params[f"skip{k}.bias"])
+        skip = tc.linear(h, model.params[f"skip{k}.weight"],
+                         model.params[f"skip{k}.bias"])
         h = tc.relu(tc.add(gat, skip))
-    logits = tc.add(tc.matmul(h, model.params["out.weight"]),
-                    model.params["out.bias"])
+    logits = tc.linear(h, model.params["out.weight"], model.params["out.bias"])
     probs = tc.sigmoid(logits)
     return tc.gather_rows(probs, prep.node_map)
 

@@ -1,9 +1,12 @@
 """Minimal dense float64 tensors with tape-based reverse-mode differentiation.
 
-Just enough machinery for dense masked graph attention: batched matrix
-products, broadcasting elementwise arithmetic, transposes, a softmax over the
-last axis restricted to a boolean mask, and a row gather. Everything is
-float64 and every op validates that its output is finite.
+Just enough machinery for the model: matrix products, broadcasting
+elementwise arithmetic, a row gather, and two fused ops with hand-derived
+backward passes. ``linear`` is ``x @ w + b``; ``graph_attention`` is a whole
+dense masked multi-head attention block as one tape record. The class graphs
+have ~10 rows, so a step costs numpy dispatch per op far more than FLOPs,
+and fewer, larger ops are what make it fast. Everything is float64 and every
+op validates that its output is finite.
 """
 from __future__ import annotations
 
@@ -175,23 +178,20 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _make("scale", x.data * c, (x,), grad_fn)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = x.data.shape
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` for x (rows, in), w (in, out) and b (out,) as
+    one op. An input that does not require a gradient gets none."""
+    xd, wd, bd = x.data, w.data, b.data
+    if (xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]
+            or bd.shape != wd.shape[1:]):
+        raise ShapeError(f"linear shapes {xd.shape} x {wd.shape} + {bd.shape}")
 
     def grad_fn(g):
-        return (g.reshape(old),)
+        return (g @ wd.T if x.requires_grad else None,
+                xd.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
-    return _make("reshape", x.data.reshape(shape), (x,), grad_fn)
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def grad_fn(g):
-        return (g.transpose(inverse),)
-
-    return _make("transpose", x.data.transpose(axes), (x,), grad_fn)
+    return _make("linear", xd @ wd + bd, (x, w, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +206,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _make("sum_all", np.asarray(x.data.sum()), (x,), grad_fn)
 
 
-def mean_axis(x: Tensor, axis: int) -> Tensor:
-    shape = x.data.shape
-    n = shape[axis]
-
-    def grad_fn(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape) / n,)
-
-    return _make("mean_axis", x.data.mean(axis=axis), (x,), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -226,17 +216,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * (xd > 0),)
 
     return _make("relu", np.maximum(xd, 0.0), (x,), grad_fn)
-
-
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    xd = x.data
-    out = slope * xd
-    np.copyto(out, xd, where=xd > 0)
-
-    def grad_fn(g):
-        return (g * np.where(xd > 0, 1.0, slope),)
-
-    return _make("leaky_relu", out, (x,), grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -276,32 +255,109 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# attention normalisation and row indexing
+# graph attention and row indexing
 
-def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis among the entries where the boolean
-    ``mask`` (broadcast against ``x``) is set; every row needs one. Masked-out
-    entries are exactly 0 with zero gradient. Rows are shifted by their largest
-    unmasked value; one buffer of ``x``'s shape holds shift, exp and sums."""
+def masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``x`` among the entries where the boolean
+    ``mask`` (broadcast against ``x``) is set; every row needs one. A plain
+    numpy helper, not a tape op. Masked-out entries are exactly 0. Rows are
+    shifted by their largest unmasked value, so no -inf is ever formed; one
+    buffer of ``x``'s shape holds shift, exp and sums."""
+    x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    xd = x.data
     try:
-        full = np.broadcast_to(mask, xd.shape)
+        full = np.broadcast_to(mask, x.shape)
     except ValueError:
         raise ShapeError(f"masked_softmax mask {mask.shape} does not "
-                         f"broadcast to {xd.shape}") from None
-    if xd.ndim == 0 or not full.any(axis=-1).all():
+                         f"broadcast to {x.shape}") from None
+    if x.ndim == 0 or not full.any(axis=-1).all():
         raise ShapeError("masked_softmax needs a set mask entry in every row")
-    y = xd - np.max(xd, axis=-1, keepdims=True, where=full, initial=-np.inf)
+    y = x - np.max(x, axis=-1, keepdims=True, where=full, initial=-np.inf)
     np.exp(y, out=y, where=full)
     np.copyto(y, 0.0, where=~mask)
     y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def graph_attention(hw: Tensor, att_dst: Tensor, att_src: Tensor, bias: Tensor,
+                    logit_bias: Tensor, mask: np.ndarray, slope: float,
+                    head_mode: str) -> Tensor:
+    """Dense masked multi-head graph attention over C rows, as one op.
+
+    ``hw`` (C, H*F) holds the projected rows with head h in columns
+    h*F..(h+1)*F; ``att_dst`` and ``att_src`` are (H, F); ``logit_bias`` and
+    the boolean ``mask[dst, src]`` are (C, C). Per head, with z the head's
+    (C, F) slice and s = z @ att::
+
+        alpha = masked_softmax(LeakyReLU(s_dst[:, None] + s_src[None, :])
+                               + logit_bias, mask)
+
+    and the head's output is alpha @ z. Heads are concatenated to (C, H*F)
+    for ``head_mode="concat"`` or averaged to (C, F) for ``"average"``, then
+    ``bias`` is added. The backward is derived by hand; it keeps alpha and
+    the sign of the pre-activation logits, and gives no gradient to an input
+    that does not require one.
+    """
+    if head_mode not in ("concat", "average"):
+        raise TensorError(f"unknown head_mode {head_mode!r}")
+    hd, mask = hw.data, np.asarray(mask, dtype=bool)
+    if att_dst.data.ndim != 2 or att_src.shape != att_dst.shape or hd.ndim != 2:
+        raise ShapeError(f"graph_attention rows {hd.shape}, attention vectors "
+                         f"{att_dst.shape} and {att_src.shape}")
+    heads, f = att_dst.shape
+    n = hd.shape[0]
+    width = heads * f if head_mode == "concat" else f
+    if (hd.shape[1] != heads * f or bias.shape != (width,)
+            or logit_bias.shape != (n, n) or mask.shape != (n, n)):
+        raise ShapeError(
+            f"graph_attention rows {hd.shape}, {heads} heads of {f}, bias "
+            f"{bias.shape}, logit bias {logit_bias.shape}, mask {mask.shape}")
+    z = np.ascontiguousarray(hd.reshape(n, heads, f).transpose(1, 0, 2))
+    # pre-activation logits, LeakyReLU and the bias in one (H, C, C) buffer
+    logits = (z @ att_dst.data.reshape(heads, f, 1)
+              + (z @ att_src.data.reshape(heads, f, 1)).reshape(heads, 1, n))
+    positive = logits > 0
+    np.multiply(logits, slope, out=logits, where=~positive)
+    logits += logit_bias.data
+    _ensure_finite(logits, "graph_attention")
+    alpha = masked_softmax(logits, mask)
+    del logits  # the backward keeps alpha; free the logits before the output
+    agg = alpha @ z
+    if head_mode == "concat":
+        out = agg.transpose(1, 0, 2).reshape(n, width)
+    else:
+        out = agg.mean(axis=0)
+    out += bias.data
 
     def grad_fn(g):
-        t = g * y
-        return (t - y * t.sum(axis=-1, keepdims=True),)
+        if head_mode == "concat":
+            g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
+        else:
+            g_agg = np.broadcast_to(g / heads, (heads, n, f))
+        # one (H, C, C) buffer turns from d/d alpha into d/d logits, then
+        # d/d pre-activation
+        g_pre = g_agg @ z.transpose(0, 2, 1)
+        g_pre *= alpha
+        g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
+        g_logit_bias = g_pre.sum(axis=0) if logit_bias.requires_grad else None
+        np.multiply(g_pre, slope, out=g_pre, where=~positive)
+        g_dst = g_pre.sum(axis=2, keepdims=True)
+        g_src = g_pre.sum(axis=1)[:, :, None]
+        g_hw = None
+        if hw.requires_grad:
+            g_z = alpha.transpose(0, 2, 1) @ g_agg
+            g_z += g_src * att_src.data[:, None, :]
+            g_z += g_dst * att_dst.data[:, None, :]
+            g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
+        zt = z.transpose(0, 2, 1)
+        return (g_hw,
+                (zt @ g_dst)[:, :, 0] if att_dst.requires_grad else None,
+                (zt @ g_src)[:, :, 0] if att_src.requires_grad else None,
+                g.sum(axis=0) if bias.requires_grad else None,
+                g_logit_bias)
 
-    return _make("masked_softmax", y, (x,), grad_fn)
+    return _make("graph_attention", out,
+                 (hw, att_dst, att_src, bias, logit_bias), grad_fn)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -46,7 +46,6 @@ def primitive_cases(rng) -> list:
     checks.append((composed(lambda: tc.sub(x, y)), x))
     checks.append((composed(lambda: tc.mul(x, y)), x))
     checks.append((composed(lambda: tc.scale(x, 1.7)), x))
-    checks.append((composed(lambda: tc.reshape(tc.reshape(x, (2, 6)), (4, 3))), x))
 
     bias = tc.Tensor(rand(3), requires_grad=True)
     checks.append((lambda: tc.sum_all(tc.mul(tc.add(x, bias), r)), bias))
@@ -57,12 +56,9 @@ def primitive_cases(rng) -> list:
     away = tc.Tensor(np.where(np.abs(rand(4, 3)) < 0.1, 0.5, rand(4, 3)),
                      requires_grad=True)
     checks.append((lambda: tc.sum_all(tc.mul(tc.relu(away), r)), away))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.leaky_relu(away, 0.2), r)), away))
     checks.append((composed(lambda: tc.sigmoid(x)), x))
 
     checks.append((lambda: tc.sum_all(x), x))
-    r3 = tc.constant(rand(3))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.mean_axis(x, 0), r3)), x))
 
     idx = rng.integers(0, 4, size=7)
     rg = tc.constant(rand(7, 3))
@@ -72,18 +68,55 @@ def primitive_cases(rng) -> list:
     rb = tc.constant(rand(2, 4, 5))
     checks.append((lambda: tc.sum_all(tc.mul(tc.matmul(batch, b), rb)), batch))
 
-    rt = tc.constant(rand(3, 2, 4))
-    checks.append((lambda: tc.sum_all(tc.mul(
-        tc.transpose(batch, (2, 0, 1)), rt)), batch))
+    w = tc.Tensor(rand(3, 5), requires_grad=True)
+    wb = tc.Tensor(rand(5), requires_grad=True)
+    checks.append((lambda: tc.sum_all(tc.mul(tc.linear(y, w, wb), r2)), w))
+    checks.append((lambda: tc.sum_all(tc.mul(tc.linear(x, w, wb), r2)), x))
+    checks.append((lambda: tc.sum_all(tc.mul(tc.linear(x, w, wb), r2)), wb))
 
-    att_logits = tc.Tensor(rand(2, 4, 4), requires_grad=True)
-    mask = rng.random((4, 4)) < 0.5
-    np.fill_diagonal(mask, True)
-    ratt = tc.constant(rand(2, 4, 4))
-    checks.append((lambda: tc.sum_all(tc.mul(
-        tc.masked_softmax(att_logits, mask), ratt)), att_logits))
-
+    checks += attention_cases(rng, 4, 2, 3, "concat",
+                              ("hw", "att_dst", "att_src", "logit_bias"))
+    checks += attention_cases(rng, 4, 3, 2, "average", ("hw", "bias"))
+    checks += attention_cases(rng, 1, 2, 2, "concat", ("hw",))
     return checks
+
+
+def attention_preactivation(hw, att_dst, att_src) -> np.ndarray:
+    """The LeakyReLU inputs s_dst[i] + s_src[j] of ``tc.graph_attention``,
+    shape (heads, dst, src)."""
+    heads, f = att_dst.shape
+    z = hw.reshape(len(hw), heads, f).transpose(1, 0, 2)
+    return z @ att_dst[:, :, None] + (z @ att_src[:, :, None]).transpose(0, 2, 1)
+
+
+def attention_cases(rng, n, heads, f, head_mode, leaves) -> list:
+    """(loss builder, leaf) pairs for one ``graph_attention`` op on ``n``
+    rows. The mask leaves out one entry when ``n`` > 1; inputs are redrawn
+    until every LeakyReLU input is at least 0.05 from the kink."""
+    mask = rng.random((n, n)) < 0.5
+    np.fill_diagonal(mask, True)
+    if n > 1:
+        mask[0, n - 1] = False
+    while True:
+        hw, att_dst, att_src = (rng.standard_normal((n, heads * f)),
+                                rng.standard_normal((heads, f)),
+                                rng.standard_normal((heads, f)))
+        if np.abs(attention_preactivation(hw, att_dst, att_src)).min() >= 0.05:
+            break
+    width = heads * f if head_mode == "concat" else f
+    t = {"hw": hw, "att_dst": att_dst, "att_src": att_src,
+         "bias": rng.standard_normal(width),
+         "logit_bias": rng.standard_normal((n, n))}
+    t = {name: tc.Tensor(data, requires_grad=name in leaves)
+         for name, data in t.items()}
+    r = tc.constant(rng.standard_normal((n, width)))
+
+    def loss():
+        out = tc.graph_attention(t["hw"], t["att_dst"], t["att_src"], t["bias"],
+                                 t["logit_bias"], mask, 0.2, head_mode)
+        return tc.sum_all(tc.mul(out, r))
+
+    return [(loss, t[name]) for name in leaves]
 
 
 def small_random_model(rng):
@@ -95,15 +128,23 @@ def small_random_model(rng):
     return model
 
 
-def sample_is_smooth(tape, probs, margin: float = 0.01) -> bool:
-    """Central differences need a kink-free neighborhood: no ReLU or
-    LeakyReLU input near zero, no sigmoid output near the log clamp."""
+def sample_is_smooth(tape, probs, mask, margin: float = 0.01) -> bool:
+    """Central differences need a kink-free neighborhood: no ReLU input near
+    zero, no LeakyReLU input near zero on an entry the boolean ``mask[dst,
+    src]`` lets through (masked-out logits cannot reach the loss), no sigmoid
+    output near the log clamp."""
     if probs.data.min() < 1e-9 or probs.data.max() > 1 - 1e-9:
         return False
     for rec in tape.ops:
-        if rec.name in ("relu", "leaky_relu"):
-            if np.abs(rec.inputs[0].data).min() < margin:
-                return False
+        if rec.name == "relu":
+            near = np.abs(rec.inputs[0].data)
+        elif rec.name == "graph_attention":
+            pre = attention_preactivation(*(t.data for t in rec.inputs[:3]))
+            near = np.abs(pre[:, mask])
+        else:
+            continue
+        if near.min() < margin:
+            return False
     return True
 
 
@@ -133,7 +174,7 @@ def run_model_fd_trials(n_trials: int = 20, max_attempts: int = 400) -> int:
             probs = model_forward(prep, model)
             loss = weighted_bce(probs, labels, weights)
             grads = tc.backward(loss, tape)
-        if not sample_is_smooth(tape, probs):
+        if not sample_is_smooth(tape, probs, prep.mask):
             continue
         for name, p in model.params.items():
             numeric = finite_difference_grad(lambda: float(loss_fn().data),

@@ -122,3 +122,49 @@ def dense_gat_oracle(features: np.ndarray, n_nodes: int, edges, cfg,
     else:
         out = np.mean(head_outputs, axis=0)
     return out + bias
+
+
+def attention_block_oracle(h: np.ndarray, mask: np.ndarray,
+                           logit_bias: np.ndarray, cfg, weight: np.ndarray,
+                           att_src: np.ndarray, att_dst: np.ndarray,
+                           bias: np.ndarray) -> np.ndarray:
+    """Dense masked attention over C rows, one destination row at a time.
+
+    Row i attends to the sources j with ``mask[i, j]`` set; their logit is
+    LeakyReLU(att_dst . z_i + att_src . z_j) + ``logit_bias[i, j]``.
+    """
+    f = cfg.out_dim_per_head
+    head_outputs = []
+    for k in range(cfg.n_heads):
+        z = h @ weight[:, k * f:(k + 1) * f]
+        out = np.zeros((len(h), f))
+        for i in range(len(h)):
+            src = np.flatnonzero(mask[i])
+            raw = z[src] @ att_src[k] + z[i] @ att_dst[k]
+            logits = np.where(raw > 0, raw, cfg.leaky_slope * raw) + logit_bias[i, src]
+            e = np.exp(logits - logits.max())
+            out[i] = (e / e.sum()) @ z[src]
+        head_outputs.append(out)
+    if cfg.head_mode == "concat":
+        out = np.concatenate(head_outputs, axis=1)
+    else:
+        out = np.mean(head_outputs, axis=0)
+    return out + bias
+
+
+def model_forward_oracle(row_features: np.ndarray, node_map: np.ndarray,
+                         mask: np.ndarray, logit_bias: np.ndarray, configs,
+                         params: dict) -> np.ndarray:
+    """Per-node probabilities of the three-block model from plain arrays:
+    ``params`` maps the model's tensor names to numpy arrays."""
+    h = row_features
+    for k, cfg in enumerate(configs, start=1):
+        gat = attention_block_oracle(h, mask, logit_bias, cfg,
+                                     params[f"gat{k}.weight"],
+                                     params[f"gat{k}.att_src"],
+                                     params[f"gat{k}.att_dst"],
+                                     params[f"gat{k}.bias"])
+        skip = h @ params[f"skip{k}.weight"] + params[f"skip{k}.bias"]
+        h = np.maximum(gat + skip, 0.0)
+    logits = h @ params["out.weight"] + params["out.bias"]
+    return np.exp(-np.logaddexp(0.0, -logits))[node_map]

@@ -221,6 +221,43 @@ def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "pred.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "predict-csv"])
+def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):
+    for name, length, seed in (("short", 50, 1), ("long", 60, 2)):
+        assert _run("synth", "--count", 4, "--length", length, "--seed", seed,
+                    "-o", tmp_path / f"{name}.csv") == 0
+        assert _run("inject", "-i", tmp_path / f"{name}.csv", "--clean", 4,
+                    "--seed", seed, "-o", tmp_path / f"{name}.jsonl") == 0
+    short = read_dataset(tmp_path / "short.jsonl")
+    long = read_dataset(tmp_path / "long.jsonl")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text((tmp_path / "short.jsonl").read_text()
+                     + (tmp_path / "long.jsonl").read_text())
+    first, differs = short[0].trace.link_id, long[0].trace.link_id
+    if command == "predict-csv":
+        mixed = tmp_path / "mixed.csv"
+        rows = ["link_id,idx,rssi"] + [
+            f"{prefix}{item.trace.link_id},{k},{int(v)}"
+            for prefix, items in (("a-", short), ("b-", long))
+            for item in items for k, v in enumerate(item.trace.samples)]
+        mixed.write_text("\n".join(rows) + "\n")
+        first, differs = "a-" + first, "b-" + differs
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    argv = {"train": ["train", "--dataset", mixed, "-o", tmp_path / "run"],
+            "eval": ["eval", "--run", tmp_path / "run", "--dataset", mixed,
+                     "--split", 0],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
+                        "-i", mixed, "-o", tmp_path / "pred.jsonl"]}
+    argv["predict-csv"] = argv["predict"]
+    capsys.readouterr()
+    assert _run(*argv[command]) == 2
+    assert capsys.readouterr().err == (
+        f"rssigat: error: trace {differs} has 60 samples, the first trace "
+        f"{first} has 50; all traces must have one length\n")
+    assert not (tmp_path / "pred.jsonl").exists()
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("mutate, code, message", [
     (lambda r: {"link_id": r["link_id"], "n_nodes": len(r["node_map"]),
                 "features": [r["values"][i] for i in r["node_map"]],

@@ -10,8 +10,9 @@ from rssigat.gat_model import (GatLayerConfig, GatModel, ModelError, build_model
                                prepare_graph, save_checkpoint)
 from rssigat.mtf_graph import TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
-from oracles import dense_gat_oracle
+from oracles import dense_gat_oracle, model_forward_oracle
 from gradcheck import run_model_fd_trials
+from test_train import _desk_dataset
 
 
 def _graph(n_nodes, edges, features, link_id=None):
@@ -85,6 +86,23 @@ def test_layer_matches_dense_oracle(seed, head_mode):
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+def _attention_coefficients(rec, prep, slope):
+    """Alpha (heads, dst, src) of a recorded ``graph_attention`` op, read
+    through the op itself: with z = I per head and the recorded s_dst, s_src
+    as attention vectors, the logits are unchanged and each head outputs
+    alpha @ I."""
+    hw, att_dst, att_src = (t.data for t in rec.inputs[:3])
+    heads, f = att_dst.shape
+    n = prep.n_rows
+    z = hw.reshape(n, heads, f).transpose(1, 0, 2)
+    s_dst, s_src = ((z @ att[:, :, None])[:, :, 0] for att in (att_dst, att_src))
+    probe = tc.graph_attention(
+        tc.constant(np.tile(np.eye(n), (1, heads))), tc.constant(s_dst),
+        tc.constant(s_src), tc.constant(np.zeros(heads * n)),
+        prep.logit_bias, prep.mask, slope, "concat")
+    return probe.data.reshape(n, heads, n).transpose(1, 0, 2)
+
+
 def test_attention_coefficients_sum_to_one_per_destination():
     trace = RssiTrace("t", np.random.default_rng(0).integers(20, 45, 60).astype(float))
     graph = transform(trace, TraceSchema(expected_length=60))
@@ -94,11 +112,11 @@ def test_attention_coefficients_sum_to_one_per_destination():
         for p in model.params.values():
             p.requires_grad = True
         model_forward(prep, model)
-    softmax_records = [rec for rec in tape.ops if rec.name == "masked_softmax"]
-    assert len(softmax_records) == 3
-    for rec in softmax_records:
-        alpha = rec.out.data  # (heads, destination rows, source rows)
-        assert alpha.shape[1:] == prep.mask.shape
+    attention_records = [rec for rec in tape.ops if rec.name == "graph_attention"]
+    assert len(attention_records) == 3
+    for rec, cfg in zip(attention_records, model.layer_configs):
+        alpha = _attention_coefficients(rec, prep, cfg.leaky_slope)
+        assert alpha.shape == (cfg.n_heads, *prep.mask.shape)
         np.testing.assert_allclose(np.where(prep.mask, alpha, 0.0).sum(axis=-1),
                                    1.0, atol=1e-9)
         assert np.all(alpha[:, ~prep.mask] == 0.0)
@@ -190,6 +208,20 @@ def test_node_permutation_equivariance():
     )
     out = model_forward(permuted, model).data[:, 0]
     np.testing.assert_allclose(out, base[perm], atol=1e-9)
+
+
+@pytest.mark.parametrize("length", [100, 300], ids=["desk", "paper"])
+def test_model_forward_matches_per_destination_oracle(length):
+    dataset, schema = _desk_dataset(n_each=2, n_clean=2, seed=11, length=length)
+    for i, item in enumerate(dataset):
+        prep = prepare_graph(transform(item.trace, schema))
+        model = build_model(seed=i)
+        expected = model_forward_oracle(
+            prep.row_features.data, prep.node_map, prep.mask,
+            prep.logit_bias.data, model.layer_configs,
+            {name: p.data for name, p in model.params.items()})
+        np.testing.assert_allclose(model_forward(prep, model).data, expected,
+                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rssigat.tensor_core as tc
+from rssigat.gat_model import build_model, model_forward
 from rssigat.inject import AnomalyKind, build_dataset
 from rssigat.train import (ClassWeights, SplitError, TrainConfig,
                            TrainingError, class_weights, cross_validate,
@@ -24,6 +25,19 @@ def _desk_dataset(n_each=4, n_clean=12, seed=0, length=40):
     comp[AnomalyKind.NONE] = n_clean
     return build_dataset(clean, comp, params, np.random.default_rng(seed + 1),
                          schema), schema
+
+
+def test_training_step_records_at_most_26_ops():
+    dataset, schema = _desk_dataset(n_each=1, n_clean=0, length=100)
+    item = dataset[0]
+    prep = prepare_dataset([item], schema)[0]
+    model = build_model(seed=0)
+    with tc.Tape() as tape:
+        loss = weighted_bce(model_forward(prep, model), item.labels,
+                            ClassWeights(1.3, 0.8))
+        grads = tc.backward(loss, tape)
+    assert len(tape.ops) <= 26
+    assert set(grads) == set(model.params.values())
 
 
 # ---------------------------------------------------------------------------
