@@ -21,7 +21,7 @@ from .gat_model import (load_checkpoint, predict as predict_graph,
 from .inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
                      build_dataset, read_dataset, write_dataset)
 from .metrics import EvalReport, anomalous_runs, report_to_csv, report_to_text
-from .mtf_graph import read_graphs, transform, transform_many, write_graphs
+from .mtf_graph import read_graphs, transform, write_graphs
 from .seeds import derive_seed
 from .train import (TrainConfig, evaluate_split, loss_curves_to_csv,
                     run_cross_validation)
@@ -103,7 +103,7 @@ def cmd_inject(args) -> int:
     traces = read_traces_csv(Path(args.input))
     if not traces:
         raise UsageError("input has no traces")
-    length = traces[0].length
+    length = _common_length(traces)
     schema = TraceSchema(expected_length=length,
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     if args.each is not None:
@@ -114,8 +114,7 @@ def cmd_inject(args) -> int:
                   AnomalyKind.INSTA_D: args.instad,
                   AnomalyKind.SLOW_D: args.slowd}
     counts[AnomalyKind.NONE] = args.clean
-    params = (InjectionParams() if length == 300
-              else InjectionParams.scaled_to_length(length))
+    params = InjectionParams.scaled_to_length(length)
     rng = np.random.default_rng(derive_seed(args.seed, "inject"))
     dataset = build_dataset(traces, counts, params, rng, schema)
     out = Path(args.out)
@@ -150,10 +149,9 @@ def _common_length(traces) -> int:
 
 def cmd_transform(args) -> int:
     dataset = _read_traces_dataset(args.input)
-    schema = TraceSchema(expected_length=dataset[0].trace.length,
+    schema = TraceSchema(expected_length=_common_length([i.trace for i in dataset]),
                          rssi_min=args.rssi_min, rssi_max=args.rssi_max)
-    graphs = transform_many([item.trace for item in dataset], schema,
-                            n_bins=args.bins, workers=args.workers)
+    graphs = [transform(item.trace, schema, args.bins) for item in dataset]
     out = Path(args.out)
     write_graphs(out, graphs)
     write_manifest(out.with_name(out.name + ".manifest.json"), "transform",
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quantile bins (default: trace length)")
     p.add_argument("--rssi-min", type=float, default=0.0)
     p.add_argument("--rssi-max", type=float, default=128.0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_transform)
 

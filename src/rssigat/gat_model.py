@@ -2,11 +2,11 @@
 
 Each block is dense masked multi-head attention (Velickovic et al. 2018):
 per head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
-ln(edge weight) under the 0/1 edge mask, times the projected rows. A block
-is two tape ops, the projection ``tc.matmul`` and the fused
-``tc.graph_attention``. It adds a learnable linear projection of the block
-input (``tc.linear``) and applies ReLU. A final linear head plus sigmoid
-yields one anomaly probability per time step.
+ln(edge weight) under the 0/1 edge mask, times the projected rows. The
+projection and the attention are one tape op, ``tc.graph_attention``. A
+block adds a learnable linear projection of its input (``tc.linear``) and
+applies ReLU. A final linear head plus sigmoid yields one anomaly
+probability per time step.
 
 The forward pass runs on the rows of a ``TsGraph``: in the value-class
 graph from ``transform`` all nodes of a row share feature and in-edges, so a
@@ -57,10 +57,6 @@ class GatModel:
     layer_configs: tuple[GatLayerConfig, ...]
     params: dict[str, Tensor]
     seed: int
-
-    @property
-    def parameter_count(self) -> int:
-        return count_parameters(self)
 
     @property
     def in_dim(self) -> int:
@@ -166,7 +162,7 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
 def _attention_block(h: Tensor, prep: PreparedGraph, cfg: GatLayerConfig,
                      params: dict[str, Tensor], prefix: str) -> Tensor:
     return tc.graph_attention(
-        tc.matmul(h, params[f"{prefix}.weight"]), params[f"{prefix}.att_dst"],
+        h, params[f"{prefix}.weight"], params[f"{prefix}.att_dst"],
         params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
         prep.mask, cfg.leaky_slope, cfg.head_mode)
 

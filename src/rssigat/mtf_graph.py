@@ -223,17 +223,6 @@ def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA,
                             trace.link_id)
 
 
-def transform_many(traces, schema: TraceSchema = DEFAULT_SCHEMA,
-                   n_bins: int | None = None, workers: int = 1) -> list[TsGraph]:
-    """Transform a batch of traces; order is preserved regardless of workers."""
-    payloads = [(t, schema, n_bins) for t in traces]
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            return pool.starmap(transform, payloads)
-    return [transform(*p) for p in payloads]
-
-
 # ---------------------------------------------------------------------------
 # serialization: one JSON record per line, weights at 9 significant digits
 

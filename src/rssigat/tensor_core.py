@@ -1,12 +1,14 @@
 """Minimal dense float64 tensors with tape-based reverse-mode differentiation.
 
-Just enough machinery for the model: matrix products, broadcasting
-elementwise arithmetic, a row gather, and two fused ops with hand-derived
-backward passes. ``linear`` is ``x @ w + b``; ``graph_attention`` is a whole
-dense masked multi-head attention block as one tape record. The class graphs
-have ~10 rows, so a step costs numpy dispatch per op far more than FLOPs,
-and fewer, larger ops are what make it fast. Everything is float64 and every
-op validates that its output is finite.
+Only the ops the model and its loss record: three fused ops with
+hand-derived backward passes, ReLU, sigmoid and a row gather. ``linear`` is
+``x @ w + b``; ``graph_attention`` is a whole dense masked multi-head
+attention block, projection included, as one tape record; and
+``binary_cross_entropy`` is the class-weighted loss. ``add`` and ``mul``
+take same-shape inputs only; nothing broadcasts. The class graphs have ~10
+rows, so a step costs numpy dispatch per op far more than FLOPs, and fewer,
+larger ops are what make it fast. Everything is float64 and every op
+validates that its output is finite.
 """
 from __future__ import annotations
 
@@ -113,69 +115,31 @@ def _make(name: str, data: np.ndarray,
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape))
-                 if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+def _same_shape(name: str, a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{name} shapes {a.data.shape} and {b.data.shape} differ")
 
 
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with np.matmul semantics: leading dims broadcast."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul shapes {ad.shape} x {bd.shape}")
-    try:
-        out = ad @ bd
-    except ValueError:
-        raise ShapeError(f"matmul shapes {ad.shape} x {bd.shape}") from None
-
-    def grad_fn(g):
-        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
-                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
-
-    return _make("matmul", out, (a, b), grad_fn)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
+
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return g, g
 
     return _make("add", a.data + b.data, (a, b), grad_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make("sub", a.data - b.data, (a, b), grad_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("mul", a, b)
     ad, bd = a.data, b.data
 
     def grad_fn(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return g * bd, g * ad
 
     return _make("mul", ad * bd, (a, b), grad_fn)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def grad_fn(g):
-        return (g * c,)
-
-    return _make("scale", x.data * c, (x,), grad_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -232,26 +196,31 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make("sigmoid", out, (x,), grad_fn)
 
 
-def log(x: Tensor, floor: float = 0.0) -> Tensor:
-    """Natural log; with ``floor`` > 0 the argument is clamped from below.
+LOG_FLOOR = 1e-12
 
-    Gradient is zero wherever the clamp is active.
-    """
-    xd = x.data
-    if floor > 0:
-        clamped = np.maximum(xd, floor)
 
-        def grad_fn(g):
-            return (np.where(xd >= floor, g / clamped, 0.0),)
-
-        return _make("log", np.log(clamped), (x,), grad_fn)
+def binary_cross_entropy(p: Tensor, pos: np.ndarray, neg: np.ndarray) -> Tensor:
+    """-(1/n) * sum(pos * ln p + neg * ln(1 - p)) over the n entries of the
+    probabilities ``p``, as one op; ``pos`` and ``neg`` are constant weights
+    of p's shape. Both log arguments are clamped from below at LOG_FLOOR, and
+    a term whose clamp is active passes no gradient."""
+    pd = p.data
+    if pos.shape != pd.shape or neg.shape != pd.shape:
+        raise ShapeError(f"binary_cross_entropy probabilities {pd.shape}, "
+                         f"weights {pos.shape} and {neg.shape}")
+    c = -1.0 / pd.size
+    q = 1.0 - pd
+    p_clamped = np.maximum(pd, LOG_FLOOR)
+    q_clamped = np.maximum(q, LOG_FLOOR)
+    total = (pos * np.log(p_clamped) + neg * np.log(q_clamped)).sum()
 
     def grad_fn(g):
-        return (g / xd,)
+        k = float(g * c)
+        g_p = np.where(pd >= LOG_FLOOR, k * pos / p_clamped, 0.0)
+        g_q = np.where(q >= LOG_FLOOR, k * neg / q_clamped, 0.0)
+        return (-g_q + g_p,)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(xd)
-    return _make("log", out, (x,), grad_fn)
+    return _make("binary_cross_entropy", np.asarray(total) * c, (p,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +248,15 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return y
 
 
-def graph_attention(hw: Tensor, att_dst: Tensor, att_src: Tensor, bias: Tensor,
-                    logit_bias: Tensor, mask: np.ndarray, slope: float,
-                    head_mode: str) -> Tensor:
+def graph_attention(h: Tensor, weight: Tensor, att_dst: Tensor, att_src: Tensor,
+                    bias: Tensor, logit_bias: Tensor, mask: np.ndarray,
+                    slope: float, head_mode: str) -> Tensor:
     """Dense masked multi-head graph attention over C rows, as one op.
 
-    ``hw`` (C, H*F) holds the projected rows with head h in columns
-    h*F..(h+1)*F; ``att_dst`` and ``att_src`` are (H, F); ``logit_bias`` and
-    the boolean ``mask[dst, src]`` are (C, C). Per head, with z the head's
-    (C, F) slice and s = z @ att::
+    The rows ``h`` (C, D) are projected by ``weight`` (D, H*F) to hw = h @
+    weight, with head h in columns h*F..(h+1)*F; ``att_dst`` and ``att_src``
+    are (H, F); ``logit_bias`` and the boolean ``mask[dst, src]`` are (C, C).
+    Per head, with z the head's (C, F) slice of hw and s = z @ att::
 
         alpha = masked_softmax(LeakyReLU(s_dst[:, None] + s_src[None, :])
                                + logit_bias, mask)
@@ -296,23 +265,25 @@ def graph_attention(hw: Tensor, att_dst: Tensor, att_src: Tensor, bias: Tensor,
     for ``head_mode="concat"`` or averaged to (C, F) for ``"average"``, then
     ``bias`` is added. The backward is derived by hand; it keeps alpha and
     the sign of the pre-activation logits, and gives no gradient to an input
-    that does not require one.
+    that does not require one (the first block's constant rows get none).
     """
     if head_mode not in ("concat", "average"):
         raise TensorError(f"unknown head_mode {head_mode!r}")
-    hd, mask = hw.data, np.asarray(mask, dtype=bool)
-    if att_dst.data.ndim != 2 or att_src.shape != att_dst.shape or hd.ndim != 2:
-        raise ShapeError(f"graph_attention rows {hd.shape}, attention vectors "
-                         f"{att_dst.shape} and {att_src.shape}")
+    hd, wd, mask = h.data, weight.data, np.asarray(mask, dtype=bool)
+    if (hd.ndim != 2 or wd.ndim != 2 or hd.shape[1] != wd.shape[0]
+            or att_dst.data.ndim != 2 or att_src.shape != att_dst.shape):
+        raise ShapeError(f"graph_attention rows {hd.shape}, weight {wd.shape}, "
+                         f"attention vectors {att_dst.shape} and {att_src.shape}")
     heads, f = att_dst.shape
     n = hd.shape[0]
     width = heads * f if head_mode == "concat" else f
-    if (hd.shape[1] != heads * f or bias.shape != (width,)
+    if (wd.shape[1] != heads * f or bias.shape != (width,)
             or logit_bias.shape != (n, n) or mask.shape != (n, n)):
         raise ShapeError(
-            f"graph_attention rows {hd.shape}, {heads} heads of {f}, bias "
+            f"graph_attention weight {wd.shape}, {heads} heads of {f}, bias "
             f"{bias.shape}, logit bias {logit_bias.shape}, mask {mask.shape}")
-    z = np.ascontiguousarray(hd.reshape(n, heads, f).transpose(1, 0, 2))
+    hw = hd @ wd
+    z = np.ascontiguousarray(hw.reshape(n, heads, f).transpose(1, 0, 2))
     # pre-activation logits, LeakyReLU and the bias in one (H, C, C) buffer
     logits = (z @ att_dst.data.reshape(heads, f, 1)
               + (z @ att_src.data.reshape(heads, f, 1)).reshape(heads, 1, n))
@@ -343,21 +314,23 @@ def graph_attention(hw: Tensor, att_dst: Tensor, att_src: Tensor, bias: Tensor,
         np.multiply(g_pre, slope, out=g_pre, where=~positive)
         g_dst = g_pre.sum(axis=2, keepdims=True)
         g_src = g_pre.sum(axis=1)[:, :, None]
-        g_hw = None
-        if hw.requires_grad:
+        g_h = g_weight = None
+        if h.requires_grad or weight.requires_grad:
             g_z = alpha.transpose(0, 2, 1) @ g_agg
             g_z += g_src * att_src.data[:, None, :]
             g_z += g_dst * att_dst.data[:, None, :]
             g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
+            g_h = g_hw @ wd.T if h.requires_grad else None
+            g_weight = hd.T @ g_hw if weight.requires_grad else None
         zt = z.transpose(0, 2, 1)
-        return (g_hw,
+        return (g_h, g_weight,
                 (zt @ g_dst)[:, :, 0] if att_dst.requires_grad else None,
                 (zt @ g_src)[:, :, 0] if att_src.requires_grad else None,
                 g.sum(axis=0) if bias.requires_grad else None,
                 g_logit_bias)
 
     return _make("graph_attention", out,
-                 (hw, att_dst, att_src, bias, logit_bias), grad_fn)
+                 (h, weight, att_dst, att_src, bias, logit_bias), grad_fn)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -120,19 +120,15 @@ def class_weights(train_traces: list[LabeledTrace]) -> ClassWeights:
 
 def weighted_bce(probabilities: Tensor, labels: np.ndarray,
                  weights: ClassWeights) -> Tensor:
-    """Mean binary cross-entropy with per-class weights; log arguments are
-    clamped at 1e-12."""
+    """Mean binary cross-entropy with per-class weights, one tape op
+    (``tc.binary_cross_entropy``); log arguments are clamped at 1e-12."""
     labels = np.asarray(labels, dtype=np.float64)
     n = labels.size
     if probabilities.data.size != n:
         raise tc.ShapeError(f"{probabilities.data.size} probabilities for {n} labels")
     y = labels.reshape(probabilities.data.shape)
-    pos = tc.constant(weights.w_anomalous * y)
-    neg = tc.constant(weights.w_normal * (1.0 - y))
-    log_p = tc.log(probabilities, floor=1e-12)
-    log_q = tc.log(tc.sub(tc.constant(np.ones_like(y)), probabilities), floor=1e-12)
-    total = tc.sum_all(tc.add(tc.mul(pos, log_p), tc.mul(neg, log_q)))
-    return tc.scale(total, -1.0 / n)
+    return tc.binary_cross_entropy(probabilities, weights.w_anomalous * y,
+                                   weights.w_normal * (1.0 - y))
 
 
 class AdamOptimizer:

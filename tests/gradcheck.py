@@ -37,24 +37,12 @@ def primitive_cases(rng) -> list:
     def composed(op):
         return lambda: tc.sum_all(tc.mul(op(), r))
 
-    b = tc.constant(rand(3, 5))
-    r2 = tc.constant(rand(4, 5))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.matmul(x, b), r2)), x))
-
     y = tc.constant(rand(4, 3))
     checks.append((composed(lambda: tc.add(x, y)), x))
-    checks.append((composed(lambda: tc.sub(x, y)), x))
     checks.append((composed(lambda: tc.mul(x, y)), x))
-    checks.append((composed(lambda: tc.scale(x, 1.7)), x))
 
-    bias = tc.Tensor(rand(3), requires_grad=True)
-    checks.append((lambda: tc.sum_all(tc.mul(tc.add(x, bias), r)), bias))
-
-    pos = tc.Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
-    checks.append((lambda: tc.sum_all(tc.mul(tc.log(pos, floor=1e-12), r)), pos))
-
-    away = tc.Tensor(np.where(np.abs(rand(4, 3)) < 0.1, 0.5, rand(4, 3)),
-                     requires_grad=True)
+    near = rand(4, 3)
+    away = tc.Tensor(np.where(np.abs(near) < 0.1, 0.5, near), requires_grad=True)
     checks.append((lambda: tc.sum_all(tc.mul(tc.relu(away), r)), away))
     checks.append((composed(lambda: tc.sigmoid(x)), x))
 
@@ -64,47 +52,54 @@ def primitive_cases(rng) -> list:
     rg = tc.constant(rand(7, 3))
     checks.append((lambda: tc.sum_all(tc.mul(tc.gather_rows(x, idx), rg)), x))
 
-    batch = tc.Tensor(rand(2, 4, 3), requires_grad=True)
-    rb = tc.constant(rand(2, 4, 5))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.matmul(batch, b), rb)), batch))
-
+    r2 = tc.constant(rand(4, 5))
     w = tc.Tensor(rand(3, 5), requires_grad=True)
     wb = tc.Tensor(rand(5), requires_grad=True)
     checks.append((lambda: tc.sum_all(tc.mul(tc.linear(y, w, wb), r2)), w))
     checks.append((lambda: tc.sum_all(tc.mul(tc.linear(x, w, wb), r2)), x))
     checks.append((lambda: tc.sum_all(tc.mul(tc.linear(x, w, wb), r2)), wb))
 
-    checks += attention_cases(rng, 4, 2, 3, "concat",
-                              ("hw", "att_dst", "att_src", "logit_bias"))
-    checks += attention_cases(rng, 4, 3, 2, "average", ("hw", "bias"))
-    checks += attention_cases(rng, 1, 2, 2, "concat", ("hw",))
+    # central differences at FD_STEP are off by about FD_STEP**2 / (3 p**2)
+    # relative to the gradient of ln p, within REL_TOL only from p = 0.1 on
+    probs = tc.Tensor(rng.uniform(0.1, 0.9, size=(6, 1)), requires_grad=True)
+    pos, neg = rng.uniform(0.5, 2.0, size=(2, 6, 1))
+    rs = tc.constant(rand())
+    checks.append((lambda: tc.sum_all(tc.mul(
+        tc.binary_cross_entropy(probs, pos, neg), rs)), probs))
+
+    checks += attention_cases(rng, 4, 3, 2, 3, "concat",
+                              ("h", "weight", "att_dst", "att_src", "logit_bias"))
+    checks += attention_cases(rng, 4, 1, 3, 2, "average", ("weight", "bias"))
+    checks += attention_cases(rng, 1, 2, 2, 2, "concat", ("h", "weight"))
     return checks
 
 
-def attention_preactivation(hw, att_dst, att_src) -> np.ndarray:
+def attention_preactivation(h, weight, att_dst, att_src) -> np.ndarray:
     """The LeakyReLU inputs s_dst[i] + s_src[j] of ``tc.graph_attention``,
     shape (heads, dst, src)."""
     heads, f = att_dst.shape
-    z = hw.reshape(len(hw), heads, f).transpose(1, 0, 2)
+    z = (h @ weight).reshape(len(h), heads, f).transpose(1, 0, 2)
     return z @ att_dst[:, :, None] + (z @ att_src[:, :, None]).transpose(0, 2, 1)
 
 
-def attention_cases(rng, n, heads, f, head_mode, leaves) -> list:
+def attention_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
     """(loss builder, leaf) pairs for one ``graph_attention`` op on ``n``
-    rows. The mask leaves out one entry when ``n`` > 1; inputs are redrawn
-    until every LeakyReLU input is at least 0.05 from the kink."""
+    rows of width ``d``; inputs not in ``leaves`` are constants. The mask
+    leaves out one entry when ``n`` > 1; inputs are redrawn until every
+    LeakyReLU input is at least 0.05 from the kink."""
     mask = rng.random((n, n)) < 0.5
     np.fill_diagonal(mask, True)
     if n > 1:
         mask[0, n - 1] = False
     while True:
-        hw, att_dst, att_src = (rng.standard_normal((n, heads * f)),
-                                rng.standard_normal((heads, f)),
-                                rng.standard_normal((heads, f)))
-        if np.abs(attention_preactivation(hw, att_dst, att_src)).min() >= 0.05:
+        h, weight, att_dst, att_src = (rng.standard_normal((n, d)),
+                                       rng.standard_normal((d, heads * f)),
+                                       rng.standard_normal((heads, f)),
+                                       rng.standard_normal((heads, f)))
+        if np.abs(attention_preactivation(h, weight, att_dst, att_src)).min() >= 0.05:
             break
     width = heads * f if head_mode == "concat" else f
-    t = {"hw": hw, "att_dst": att_dst, "att_src": att_src,
+    t = {"h": h, "weight": weight, "att_dst": att_dst, "att_src": att_src,
          "bias": rng.standard_normal(width),
          "logit_bias": rng.standard_normal((n, n))}
     t = {name: tc.Tensor(data, requires_grad=name in leaves)
@@ -112,8 +107,8 @@ def attention_cases(rng, n, heads, f, head_mode, leaves) -> list:
     r = tc.constant(rng.standard_normal((n, width)))
 
     def loss():
-        out = tc.graph_attention(t["hw"], t["att_dst"], t["att_src"], t["bias"],
-                                 t["logit_bias"], mask, 0.2, head_mode)
+        out = tc.graph_attention(t["h"], t["weight"], t["att_dst"], t["att_src"],
+                                 t["bias"], t["logit_bias"], mask, 0.2, head_mode)
         return tc.sum_all(tc.mul(out, r))
 
     return [(loss, t[name]) for name in leaves]
@@ -139,7 +134,7 @@ def sample_is_smooth(tape, probs, mask, margin: float = 0.01) -> bool:
         if rec.name == "relu":
             near = np.abs(rec.inputs[0].data)
         elif rec.name == "graph_attention":
-            pre = attention_preactivation(*(t.data for t in rec.inputs[:3]))
+            pre = attention_preactivation(*(t.data for t in rec.inputs[:4]))
             near = np.abs(pre[:, mask])
         else:
             continue

@@ -189,13 +189,6 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert "rssigat: error:" in capsys.readouterr().err
 
 
-def test_transform_workers_output_identical(pipeline_dir, tmp_path):
-    out = tmp_path / "g2.jsonl"
-    assert _run("transform", "-i", pipeline_dir / "dataset.jsonl",
-                "--workers", 2, "-o", out) == 0
-    assert out.read_bytes() == (pipeline_dir / "graphs.jsonl").read_bytes()
-
-
 def test_train_prints_parameter_count(pipeline_dir, tmp_path, capsys):
     run_dir = tmp_path / "r2"
     assert _run("train", "--dataset", pipeline_dir / "dataset.jsonl",
@@ -221,7 +214,8 @@ def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "pred.jsonl").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "predict", "predict-csv"])
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "predict-csv",
+                                     "inject", "transform"])
 def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):
     for name, length, seed in (("short", 50, 1), ("long", 60, 2)):
         assert _run("synth", "--count", 4, "--length", length, "--seed", seed,
@@ -234,7 +228,7 @@ def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):
     mixed.write_text((tmp_path / "short.jsonl").read_text()
                      + (tmp_path / "long.jsonl").read_text())
     first, differs = short[0].trace.link_id, long[0].trace.link_id
-    if command == "predict-csv":
+    if command in ("predict-csv", "inject"):
         mixed = tmp_path / "mixed.csv"
         rows = ["link_id,idx,rssi"] + [
             f"{prefix}{item.trace.link_id},{k},{int(v)}"
@@ -247,14 +241,17 @@ def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):
             "eval": ["eval", "--run", tmp_path / "run", "--dataset", mixed,
                      "--split", 0],
             "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
-                        "-i", mixed, "-o", tmp_path / "pred.jsonl"]}
+                        "-i", mixed, "-o", tmp_path / "out.jsonl"],
+            "inject": ["inject", "-i", mixed, "--clean", 8,
+                       "-o", tmp_path / "out.jsonl"],
+            "transform": ["transform", "-i", mixed, "-o", tmp_path / "out.jsonl"]}
     argv["predict-csv"] = argv["predict"]
     capsys.readouterr()
     assert _run(*argv[command]) == 2
     assert capsys.readouterr().err == (
         f"rssigat: error: trace {differs} has 60 samples, the first trace "
         f"{first} has 50; all traces must have one length\n")
-    assert not (tmp_path / "pred.jsonl").exists()
+    assert not (tmp_path / "out.jsonl").exists()
     assert not (tmp_path / "run").exists()
 
 

@@ -91,14 +91,14 @@ def _attention_coefficients(rec, prep, slope):
     through the op itself: with z = I per head and the recorded s_dst, s_src
     as attention vectors, the logits are unchanged and each head outputs
     alpha @ I."""
-    hw, att_dst, att_src = (t.data for t in rec.inputs[:3])
+    h, weight, att_dst, att_src = (t.data for t in rec.inputs[:4])
     heads, f = att_dst.shape
     n = prep.n_rows
-    z = hw.reshape(n, heads, f).transpose(1, 0, 2)
+    z = (h @ weight).reshape(n, heads, f).transpose(1, 0, 2)
     s_dst, s_src = ((z @ att[:, :, None])[:, :, 0] for att in (att_dst, att_src))
     probe = tc.graph_attention(
-        tc.constant(np.tile(np.eye(n), (1, heads))), tc.constant(s_dst),
-        tc.constant(s_src), tc.constant(np.zeros(heads * n)),
+        tc.constant(np.eye(n)), tc.constant(np.tile(np.eye(n), (1, heads))),
+        tc.constant(s_dst), tc.constant(s_src), tc.constant(np.zeros(heads * n)),
         prep.logit_bias, prep.mask, slope, "concat")
     return probe.data.reshape(n, heads, n).transpose(1, 0, 2)
 
