@@ -14,8 +14,7 @@ from .gat_model import (GatLayerConfig, GatModel, build_model, count_parameters,
                         gat_layer_forward, model_forward, predict,
                         save_checkpoint, load_checkpoint)
 from .train import (TrainConfig, ClassWeights, stratified_shuffle_split,
-                    class_weights, weighted_bce, fit, cross_validate,
-                    run_cross_validation)
+                    class_weights, weighted_bce, fit, run_cross_validation)
 from .metrics import (ConfusionCounts, EvalReport, confusion,
                       precision_recall_f1, aggregate, anomalous_runs)
 

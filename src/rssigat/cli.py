@@ -23,8 +23,8 @@ from .inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
 from .metrics import EvalReport, anomalous_runs, report_to_csv, report_to_text
 from .mtf_graph import read_graphs, transform, write_graphs
 from .seeds import derive_seed
-from .train import (TrainConfig, evaluate_split, loss_curves_to_csv,
-                    run_cross_validation)
+from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
+                    loss_curves_to_csv, run_cross_validation)
 from .trace import (SynthesisProfile, TraceSchema, filter_complete,
                     ingest_raw_log, read_traces_csv, synthesize_clean,
                     write_traces_csv)
@@ -177,7 +177,6 @@ def _load_aligned_graphs(dataset, graphs_path, schema):
 
 
 def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     overrides = {}
     for flag, key in (("splits", "n_splits"), ("epochs", "epochs"),
                       ("lr", "learning_rate"), ("optimizer", "optimizer"),
@@ -185,10 +184,12 @@ def _train_config(args) -> TrainConfig:
         value = getattr(args, flag)
         if value is not None:
             overrides[key] = value
-    if overrides:
-        base = cfg.to_dict()
-        base.update(overrides)
-        cfg = TrainConfig(**base)
+    try:
+        cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
+        if overrides:
+            cfg = TrainConfig(**{**cfg.to_dict(), **overrides})
+    except (SplitError, TrainingError) as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 

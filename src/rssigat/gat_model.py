@@ -3,10 +3,14 @@
 Each block is dense masked multi-head attention (Velickovic et al. 2018):
 per head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
 ln(edge weight) under the 0/1 edge mask, times the projected rows. The
-projection and the attention are one tape op, ``tc.graph_attention``. A
-block adds a learnable linear projection of its input (``tc.linear``) and
-applies ReLU. A final linear head plus sigmoid yields one anomaly
-probability per time step.
+projection and the attention are one op, ``tc.graph_attention``. A block
+adds a learnable linear projection of its input (``tc.linear``) and applies
+ReLU. A final linear head plus sigmoid yields one anomaly probability per
+time step.
+
+``model_forward`` keeps the ``back`` closure of each op it calls, and
+``model_backward`` calls them in reverse to get the gradient of every
+parameter; there is no general autodiff engine behind them.
 
 The forward pass runs on the rows of a ``TsGraph``: in the value-class
 graph from ``transform`` all nodes of a row share feature and in-edges, so a
@@ -19,12 +23,12 @@ import json
 from dataclasses import dataclass, asdict
 from itertools import zip_longest
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import tensor_core as tc
 from .mtf_graph import TsGraph
-from .tensor_core import Tensor
 
 
 class ModelError(Exception):
@@ -55,7 +59,7 @@ class GatLayerConfig:
 @dataclass
 class GatModel:
     layer_configs: tuple[GatLayerConfig, ...]
-    params: dict[str, Tensor]
+    params: dict[str, np.ndarray]
     seed: int
 
     @property
@@ -87,24 +91,20 @@ def build_model(seed: int = 0, in_dim: int = 1, filters: int = 32,
         configs.append(cfg)
         prev = cfg.out_width
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for k, cfg in enumerate(configs, start=1):
         f = cfg.out_dim_per_head
-        params[f"gat{k}.weight"] = Tensor(
-            _glorot(rng, (cfg.in_dim, cfg.n_heads * f), cfg.in_dim, f),
-            requires_grad=True)
-        params[f"gat{k}.att_src"] = Tensor(
-            _glorot(rng, (cfg.n_heads, f), f, 1), requires_grad=True)
-        params[f"gat{k}.att_dst"] = Tensor(
-            _glorot(rng, (cfg.n_heads, f), f, 1), requires_grad=True)
-        params[f"gat{k}.bias"] = Tensor(np.zeros(cfg.out_width), requires_grad=True)
-        params[f"skip{k}.weight"] = Tensor(
-            _glorot(rng, (cfg.in_dim, cfg.out_width), cfg.in_dim, cfg.out_width),
-            requires_grad=True)
-        params[f"skip{k}.bias"] = Tensor(np.zeros(cfg.out_width), requires_grad=True)
+        params[f"gat{k}.weight"] = _glorot(rng, (cfg.in_dim, cfg.n_heads * f),
+                                           cfg.in_dim, f)
+        params[f"gat{k}.att_src"] = _glorot(rng, (cfg.n_heads, f), f, 1)
+        params[f"gat{k}.att_dst"] = _glorot(rng, (cfg.n_heads, f), f, 1)
+        params[f"gat{k}.bias"] = np.zeros(cfg.out_width)
+        params[f"skip{k}.weight"] = _glorot(rng, (cfg.in_dim, cfg.out_width),
+                                            cfg.in_dim, cfg.out_width)
+        params[f"skip{k}.bias"] = np.zeros(cfg.out_width)
     last = configs[-1].out_width
-    params["out.weight"] = Tensor(_glorot(rng, (last, 1), last, 1), requires_grad=True)
-    params["out.bias"] = Tensor(np.zeros(1), requires_grad=True)
+    params["out.weight"] = _glorot(rng, (last, 1), last, 1)
+    params["out.bias"] = np.zeros(1)
     return GatModel(layer_configs=tuple(configs), params=params, seed=seed)
 
 
@@ -122,10 +122,10 @@ class PreparedGraph:
     """
 
     n_rows: int
-    row_features: Tensor
+    row_features: np.ndarray
     node_map: np.ndarray
     mask: np.ndarray
-    logit_bias: Tensor
+    logit_bias: np.ndarray
 
     @property
     def src(self) -> np.ndarray:
@@ -149,50 +149,89 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
     bias[dst, src] = np.log(graph.edge_weights) + np.log(graph.row_sizes[src])
     return PreparedGraph(
         n_rows=n_rows,
-        row_features=tc.constant(graph.row_features[:, None]),
+        row_features=np.asarray(graph.row_features, dtype=np.float64)[:, None],
         node_map=graph.node_map,
         mask=mask,
-        logit_bias=tc.constant(bias),
+        logit_bias=bias,
     )
 
 
 # ---------------------------------------------------------------------------
 # forward passes
 
-def _attention_block(h: Tensor, prep: PreparedGraph, cfg: GatLayerConfig,
-                     params: dict[str, Tensor], prefix: str) -> Tensor:
+def _attention_block(h: np.ndarray, prep: PreparedGraph, cfg: GatLayerConfig,
+                     params: dict[str, np.ndarray], prefix: str):
     return tc.graph_attention(
         h, params[f"{prefix}.weight"], params[f"{prefix}.att_dst"],
         params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
         prep.mask, cfg.leaky_slope, cfg.head_mode)
 
 
-def gat_layer_forward(features: Tensor, graph: TsGraph | PreparedGraph,
-                      cfg: GatLayerConfig, params: dict[str, Tensor],
-                      prefix: str = "gat1") -> Tensor:
+def gat_layer_forward(features: np.ndarray, graph: TsGraph | PreparedGraph,
+                      cfg: GatLayerConfig, params: dict[str, np.ndarray],
+                      prefix: str = "gat1") -> np.ndarray:
     """One attention layer over per-node features (the graph is expanded)."""
     prep = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph, collapse=False)
-    if features.data.ndim != 2 or features.data.shape != (prep.n_rows, cfg.in_dim):
+    if features.ndim != 2 or features.shape != (prep.n_rows, cfg.in_dim):
         raise ModelError(
-            f"features {features.data.shape} do not match "
+            f"features {features.shape} do not match "
             f"({prep.n_rows}, {cfg.in_dim})")
-    return _attention_block(features, prep, cfg, params, prefix)
+    return _attention_block(features, prep, cfg, params, prefix)[0]
 
 
-def model_forward(graph: TsGraph | PreparedGraph, model: GatModel) -> Tensor:
-    """Anomaly probability per original node, shape (N, 1)."""
+@dataclass
+class Forward:
+    """One forward pass. ``data`` is the (N, 1) anomaly probability per
+    node. ``blocks`` holds each block's (attention, skip, ReLU) ``back``
+    closures and ``head`` those of the output linear, sigmoid and row
+    gather, for ``model_backward``."""
+
+    data: np.ndarray
+    blocks: list[tuple[Callable, Callable, Callable]]
+    head: tuple[Callable, Callable, Callable]
+
+
+def model_forward(graph: TsGraph | PreparedGraph, model: GatModel) -> Forward:
+    """Anomaly probability per original node, ``.data`` of shape (N, 1)."""
     prep = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph)
     h = prep.row_features
-    if h.data.shape[1] != model.in_dim:
+    if h.shape[1] != model.in_dim:
         raise ModelError("graph features do not match model input width")
+    params = model.params
+    blocks = []
     for k, cfg in enumerate(model.layer_configs, start=1):
-        gat = _attention_block(h, prep, cfg, model.params, f"gat{k}")
-        skip = tc.linear(h, model.params[f"skip{k}.weight"],
-                         model.params[f"skip{k}.bias"])
-        h = tc.relu(tc.add(gat, skip))
-    logits = tc.linear(h, model.params["out.weight"], model.params["out.bias"])
-    probs = tc.sigmoid(logits)
-    return tc.gather_rows(probs, prep.node_map)
+        gat, gat_back = _attention_block(h, prep, cfg, params, f"gat{k}")
+        skip, skip_back = tc.linear(h, params[f"skip{k}.weight"],
+                                    params[f"skip{k}.bias"])
+        total = gat + skip
+        tc.ensure_finite(total, f"block {k} sum")
+        h, relu_back = tc.relu(total)
+        blocks.append((gat_back, skip_back, relu_back))
+    logits, out_back = tc.linear(h, params["out.weight"], params["out.bias"])
+    probs, sigmoid_back = tc.sigmoid(logits)
+    data, gather_back = tc.gather_rows(probs, prep.node_map)
+    return Forward(data, blocks, (out_back, sigmoid_back, gather_back))
+
+
+def model_backward(fwd: Forward, g: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of every parameter, given ``g``, the gradient at
+    ``fwd.data``: the forward's ``back`` closures in reverse order. A block's
+    input gradient is its skip part plus its attention part; the first
+    block's rows are constant and get none."""
+    out_back, sigmoid_back, gather_back = fwd.head
+    grads: dict[str, np.ndarray] = {}
+    g, grads["out.weight"], grads["out.bias"] = out_back(sigmoid_back(gather_back(g)))
+    for k in range(len(fwd.blocks), 0, -1):
+        gat_back, skip_back, relu_back = fwd.blocks[k - 1]
+        g = relu_back(g)
+        g_skip, grads[f"skip{k}.weight"], grads[f"skip{k}.bias"] = \
+            skip_back(g, input_grad=k > 1)
+        (g_gat, grads[f"gat{k}.weight"], grads[f"gat{k}.att_dst"],
+         grads[f"gat{k}.att_src"], grads[f"gat{k}.bias"], _) = \
+            gat_back(g, input_grad=k > 1)
+        if k > 1:
+            g = g_skip + g_gat
+    return grads
 
 
 def predict(graph: TsGraph | PreparedGraph, model: GatModel,
@@ -219,12 +258,12 @@ def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
                              encoding="utf-8")
     with open(blob_path, "wb") as fh:
         for t in model.params.values():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
     return manifest_path, blob_path
 
 
 def _param_shapes(configs: tuple[GatLayerConfig, ...]) -> dict[str, tuple[int, ...]]:
-    """Tensor names and shapes ``build_model`` creates, in creation order."""
+    """Parameter names and shapes ``build_model`` creates, in creation order."""
     shapes: dict[str, tuple[int, ...]] = {}
     for k, cfg in enumerate(configs, start=1):
         f = cfg.out_dim_per_head
@@ -260,6 +299,9 @@ def load_checkpoint(path) -> GatModel:
                          f"the manifest needs {8 * sum(sizes)}")
     chunks = np.split(np.frombuffer(raw, dtype="<f8").astype(np.float64),
                       np.cumsum(sizes)[:-1])
-    params = {name: Tensor(chunk.reshape(shape), requires_grad=True)
-              for (name, shape), chunk in zip(expected, chunks)}
+    params = {}
+    for (name, shape), chunk in zip(expected, chunks):
+        if not np.isfinite(chunk).all():
+            raise ModelError(f"checkpoint tensor {name} has non-finite values")
+        params[name] = chunk.reshape(shape)
     return GatModel(layer_configs=configs, params=params, seed=manifest["seed"])

@@ -2,10 +2,14 @@
 
 Traces are split 80:20 with per-kind stratification, one fresh model is
 trained per split (one graph per gradient step), and per-class metrics are
-pooled over each split's held-out points, then averaged across splits.
+pooled over each split's held-out points, then averaged across splits. A
+step is ``loss_and_grads`` (``model_forward``, ``weighted_bce`` and
+``model_backward`` from the loss's gradient) and an optimizer update of the
+parameter arrays in place.
 """
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -14,12 +18,11 @@ import numpy as np
 
 from . import tensor_core as tc
 from .gat_model import GatModel, PreparedGraph, build_model, count_parameters, \
-    model_forward, prepare_graph
+    model_backward, model_forward, prepare_graph
 from .inject import LabeledTrace
 from .metrics import EvalReport, SplitMetrics, aggregate, split_metrics
 from .mtf_graph import transform
 from .seeds import derive_seed
-from .tensor_core import Tensor
 from .trace import DEFAULT_SCHEMA, TraceSchema
 
 
@@ -44,10 +47,14 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        if self.n_splits < 1:
+            raise SplitError("n_splits must be >= 1")
         if not 0 < self.test_fraction < 1:
             raise SplitError("test_fraction must be in (0, 1)")
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainingError("learning_rate must be finite and > 0")
         if self.optimizer not in ("adam", "sgd"):
             raise TrainingError(f"unknown optimizer {self.optimizer!r}")
 
@@ -67,7 +74,12 @@ class TrainConfig:
             if key not in fields:
                 raise TrainingError(f"config line {line_no}: unknown key {key!r}")
             kind = fields[key].type
-            values[key] = raw if kind == "str" else int(raw) if kind == "int" else float(raw)
+            try:
+                values[key] = (raw if kind == "str" else int(raw) if kind == "int"
+                               else float(raw))
+            except ValueError:
+                raise TrainingError(f"config line {line_no}: {key} must be "
+                                    f"{kind}, got {raw!r}") from None
         return cls(**values)
 
     def to_dict(self) -> dict:
@@ -118,58 +130,69 @@ def class_weights(train_traces: list[LabeledTrace]) -> ClassWeights:
                         w_normal=total / (2.0 * n_norm))
 
 
-def weighted_bce(probabilities: Tensor, labels: np.ndarray,
-                 weights: ClassWeights) -> Tensor:
-    """Mean binary cross-entropy with per-class weights, one tape op
-    (``tc.binary_cross_entropy``); log arguments are clamped at 1e-12."""
+def weighted_bce(probabilities: np.ndarray, labels: np.ndarray,
+                 weights: ClassWeights):
+    """Mean binary cross-entropy with per-class weights, as ``(loss, back)``
+    from ``tc.binary_cross_entropy``; log arguments are clamped at 1e-12."""
     labels = np.asarray(labels, dtype=np.float64)
     n = labels.size
-    if probabilities.data.size != n:
-        raise tc.ShapeError(f"{probabilities.data.size} probabilities for {n} labels")
-    y = labels.reshape(probabilities.data.shape)
+    if probabilities.size != n:
+        raise tc.ShapeError(f"{probabilities.size} probabilities for {n} labels")
+    y = labels.reshape(probabilities.shape)
     return tc.binary_cross_entropy(probabilities, weights.w_anomalous * y,
                                    weights.w_normal * (1.0 - y))
 
 
+def loss_and_grads(prep: PreparedGraph, labels: np.ndarray,
+                   weights: ClassWeights,
+                   model: GatModel) -> tuple[float, dict[str, np.ndarray]]:
+    """One graph's loss and the gradient of every parameter. The forward's
+    ``back`` closures, and the intermediate arrays they hold, are freed on
+    return, before the optimizer allocates its temporaries; keeping them
+    alive through the update measured ~10% slower steps."""
+    fwd = model_forward(prep, model)
+    loss, loss_back = weighted_bce(fwd.data, labels, weights)
+    return float(loss), model_backward(fwd, loss_back(1.0))
+
+
 class AdamOptimizer:
-    def __init__(self, params: dict[str, Tensor], lr: float,
+    """Adam over named parameter arrays, updated in place; ``step`` takes a
+    gradient for every parameter name."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
 
-    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         scale = self.lr * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
         for name, p in self.params.items():
-            g = grads.get(p)
-            if g is None:
-                continue
+            g = grads[name]
             m = self.m[name]
             v = self.v[name]
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.data -= scale * m / (np.sqrt(v) + self.eps)
+            p -= scale * m / (np.sqrt(v) + self.eps)
 
 
 class SgdOptimizer:
-    def __init__(self, params: dict[str, Tensor], lr: float):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
 
-    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
-        for p in self.params.values():
-            g = grads.get(p)
-            if g is not None:
-                p.data -= self.lr * g
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        for name, p in self.params.items():
+            p -= self.lr * grads[name]
 
 
-def _make_optimizer(cfg: TrainConfig, params: dict[str, Tensor]):
+def _make_optimizer(cfg: TrainConfig, params: dict[str, np.ndarray]):
     if cfg.optimizer == "adam":
         return AdamOptimizer(params, lr=cfg.learning_rate)
     return SgdOptimizer(params, lr=cfg.learning_rate)
@@ -214,21 +237,15 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
         order = order_rng.permutation(len(dataset))
         epoch_loss = 0.0
         for i in order:
-            with tc.Tape() as tape:
-                try:
-                    probs = model_forward(prepared[i], model)
-                    loss = weighted_bce(probs, dataset[i].labels, weights)
-                except tc.NonFiniteError as exc:
-                    raise TrainingError(f"training diverged: {exc}",
-                                        epoch=epoch) from exc
-                grads = tc.backward(loss, tape)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError("training diverged: non-finite loss",
-                                    epoch=epoch)
+            try:
+                loss, grads = loss_and_grads(prepared[i], dataset[i].labels,
+                                             weights, model)
+            except tc.NonFiniteError as exc:
+                raise TrainingError(f"training diverged: {exc}",
+                                    epoch=epoch) from exc
             optimizer.step(grads)
             steps += 1
-            epoch_loss += value
+            epoch_loss += loss
         loss_curve.append(epoch_loss / len(dataset))
     return FitResult(model=model, loss_curve=loss_curve, weights=weights,
                      steps=steps)
@@ -288,11 +305,6 @@ def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
                        config=cfg.to_dict())
     return CrossValResult(report=report, models=models, loss_curves=curves,
                           splits=splits)
-
-
-def cross_validate(dataset: list[LabeledTrace], cfg: TrainConfig,
-                   schema: TraceSchema = DEFAULT_SCHEMA) -> EvalReport:
-    return run_cross_validation(dataset, cfg, schema).report
 
 
 def loss_curves_to_csv(curves: list[list[float]]) -> str:

@@ -7,65 +7,70 @@ import rssigat.tensor_core as tc
 from rssigat.gat_model import build_model, model_forward, prepare_graph
 from rssigat.mtf_graph import transform
 from rssigat.trace import RssiTrace, TraceSchema
-from rssigat.train import ClassWeights, weighted_bce
+from rssigat.train import ClassWeights, loss_and_grads
 from oracles import finite_difference_grad, max_rel_err
 
 REL_TOL = 1e-4
 FD_STEP = 1e-3
 
 
-def check_case(build_loss, leaf: tc.Tensor) -> None:
-    with tc.Tape() as tape:
-        loss = build_loss()
-        grads = tc.backward(loss, tape)
-    numeric = finite_difference_grad(lambda: float(build_loss().data),
-                                     leaf.data, step=FD_STEP)
-    err = max_rel_err(grads[leaf], numeric)
+def check_case(loss_and_grad, leaf: np.ndarray) -> None:
+    """``loss_and_grad()`` gives a scalar loss and its gradient at ``leaf``
+    by an op's ``back``; ``leaf`` is perturbed in place for the numeric one."""
+    _, grad = loss_and_grad()
+    numeric = finite_difference_grad(lambda: loss_and_grad()[0], leaf,
+                                     step=FD_STEP)
+    err = max_rel_err(grad, numeric)
     assert err < REL_TOL, f"gradient mismatch: rel err {err:.2e}"
 
 
+def projected(op, args, leaf: int, r):
+    """(loss_and_grad, leaf array) for the loss sum(r * op(*args)[0]), whose
+    gradient at the op's output is ``r``. ``leaf`` indexes ``args`` and, for
+    an op with several inputs, the tuple its ``back`` returns."""
+    def loss_and_grad():
+        out, back = op(*args)
+        grads = back(r)
+        return (float(np.sum(out * r)),
+                grads[leaf] if isinstance(grads, tuple) else grads)
+
+    return loss_and_grad, args[leaf]
+
+
 def primitive_cases(rng) -> list:
-    """One randomized (loss builder, leaf) pair per differentiable primitive."""
+    """One randomized (loss_and_grad, leaf) pair per differentiable input of
+    each op."""
     checks = []
 
     def rand(*shape):
         return rng.standard_normal(shape)
 
-    x = tc.Tensor(rand(4, 3), requires_grad=True)
-    r = tc.constant(rand(4, 3))
-
-    def composed(op):
-        return lambda: tc.sum_all(tc.mul(op(), r))
-
-    y = tc.constant(rand(4, 3))
-    checks.append((composed(lambda: tc.add(x, y)), x))
-    checks.append((composed(lambda: tc.mul(x, y)), x))
+    x = rand(4, 3)
+    r = rand(4, 3)
+    y = rand(4, 3)
 
     near = rand(4, 3)
-    away = tc.Tensor(np.where(np.abs(near) < 0.1, 0.5, near), requires_grad=True)
-    checks.append((lambda: tc.sum_all(tc.mul(tc.relu(away), r)), away))
-    checks.append((composed(lambda: tc.sigmoid(x)), x))
-
-    checks.append((lambda: tc.sum_all(x), x))
+    away = np.where(np.abs(near) < 0.1, 0.5, near)
+    checks.append(projected(tc.relu, (away,), 0, r))
+    checks.append(projected(tc.sigmoid, (x,), 0, r))
 
     idx = rng.integers(0, 4, size=7)
-    rg = tc.constant(rand(7, 3))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.gather_rows(x, idx), rg)), x))
+    rg = rand(7, 3)
+    checks.append(projected(tc.gather_rows, (x, idx), 0, rg))
 
-    r2 = tc.constant(rand(4, 5))
-    w = tc.Tensor(rand(3, 5), requires_grad=True)
-    wb = tc.Tensor(rand(5), requires_grad=True)
-    checks.append((lambda: tc.sum_all(tc.mul(tc.linear(y, w, wb), r2)), w))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.linear(x, w, wb), r2)), x))
-    checks.append((lambda: tc.sum_all(tc.mul(tc.linear(x, w, wb), r2)), wb))
+    r2 = rand(4, 5)
+    w = rand(3, 5)
+    wb = rand(5)
+    checks.append(projected(tc.linear, (y, w, wb), 1, r2))
+    checks.append(projected(tc.linear, (x, w, wb), 0, r2))
+    checks.append(projected(tc.linear, (x, w, wb), 2, r2))
 
     # central differences at FD_STEP are off by about FD_STEP**2 / (3 p**2)
     # relative to the gradient of ln p, within REL_TOL only from p = 0.1 on
-    probs = tc.Tensor(rng.uniform(0.1, 0.9, size=(6, 1)), requires_grad=True)
+    probs = rng.uniform(0.1, 0.9, size=(6, 1))
     pos, neg = rng.uniform(0.5, 2.0, size=(2, 6, 1))
-    rs = tc.constant(rand())
-    checks.append((lambda: tc.sum_all(tc.mul(
-        tc.binary_cross_entropy(probs, pos, neg), rs)), probs))
+    rs = rand()
+    checks.append(projected(tc.binary_cross_entropy, (probs, pos, neg), 0, rs))
 
     checks += attention_cases(rng, 4, 3, 2, 3, "concat",
                               ("h", "weight", "att_dst", "att_src", "logit_bias"))
@@ -82,11 +87,14 @@ def attention_preactivation(h, weight, att_dst, att_src) -> np.ndarray:
     return z @ att_dst[:, :, None] + (z @ att_src[:, :, None]).transpose(0, 2, 1)
 
 
+ATTENTION_INPUTS = ("h", "weight", "att_dst", "att_src", "bias", "logit_bias")
+
+
 def attention_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
-    """(loss builder, leaf) pairs for one ``graph_attention`` op on ``n``
-    rows of width ``d``; inputs not in ``leaves`` are constants. The mask
-    leaves out one entry when ``n`` > 1; inputs are redrawn until every
-    LeakyReLU input is at least 0.05 from the kink."""
+    """(loss_and_grad, leaf) pairs for one ``graph_attention`` op on ``n``
+    rows of width ``d``, one per input named in ``leaves``. The mask leaves
+    out one entry when ``n`` > 1; inputs are redrawn until every LeakyReLU
+    input is at least 0.05 from the kink."""
     mask = rng.random((n, n)) < 0.5
     np.fill_diagonal(mask, True)
     if n > 1:
@@ -99,19 +107,11 @@ def attention_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
         if np.abs(attention_preactivation(h, weight, att_dst, att_src)).min() >= 0.05:
             break
     width = heads * f if head_mode == "concat" else f
-    t = {"h": h, "weight": weight, "att_dst": att_dst, "att_src": att_src,
-         "bias": rng.standard_normal(width),
-         "logit_bias": rng.standard_normal((n, n))}
-    t = {name: tc.Tensor(data, requires_grad=name in leaves)
-         for name, data in t.items()}
-    r = tc.constant(rng.standard_normal((n, width)))
-
-    def loss():
-        out = tc.graph_attention(t["h"], t["weight"], t["att_dst"], t["att_src"],
-                                 t["bias"], t["logit_bias"], mask, 0.2, head_mode)
-        return tc.sum_all(tc.mul(out, r))
-
-    return [(loss, t[name]) for name in leaves]
+    args = (h, weight, att_dst, att_src, rng.standard_normal(width),
+            rng.standard_normal((n, n)), mask, 0.2, head_mode)
+    r = rng.standard_normal((n, width))
+    return [projected(tc.graph_attention, args, ATTENTION_INPUTS.index(name), r)
+            for name in leaves]
 
 
 def small_random_model(rng):
@@ -119,27 +119,32 @@ def small_random_model(rng):
     pre-activations spread away from the ReLU kinks."""
     model = build_model(seed=0, filters=2, heads=(2, 2, 2))
     for p in model.params.values():
-        p.data[...] = rng.standard_normal(p.data.shape)
+        p[...] = rng.standard_normal(p.shape)
     return model
 
 
-def sample_is_smooth(tape, probs, mask, margin: float = 0.01) -> bool:
+def sample_is_smooth(prep, model, probs, margin: float = 0.01) -> bool:
     """Central differences need a kink-free neighborhood: no ReLU input near
-    zero, no LeakyReLU input near zero on an entry the boolean ``mask[dst,
-    src]`` lets through (masked-out logits cannot reach the loss), no sigmoid
-    output near the log clamp."""
-    if probs.data.min() < 1e-9 or probs.data.max() > 1 - 1e-9:
+    zero, no LeakyReLU input near zero on an entry the boolean
+    ``prep.mask[dst, src]`` lets through (masked-out logits cannot reach the
+    loss), no sigmoid output near the log clamp. Each block's inputs come
+    from re-running the ops."""
+    if probs.min() < 1e-9 or probs.max() > 1 - 1e-9:
         return False
-    for rec in tape.ops:
-        if rec.name == "relu":
-            near = np.abs(rec.inputs[0].data)
-        elif rec.name == "graph_attention":
-            pre = attention_preactivation(*(t.data for t in rec.inputs[:4]))
-            near = np.abs(pre[:, mask])
-        else:
-            continue
-        if near.min() < margin:
+    h = prep.row_features
+    for k, cfg in enumerate(model.layer_configs, start=1):
+        p = {name: model.params[f"gat{k}.{name}"]
+             for name in ("weight", "att_dst", "att_src", "bias")}
+        pre = attention_preactivation(h, p["weight"], p["att_dst"], p["att_src"])
+        gat = tc.graph_attention(h, p["weight"], p["att_dst"], p["att_src"],
+                                 p["bias"], prep.logit_bias, prep.mask,
+                                 cfg.leaky_slope, cfg.head_mode)[0]
+        skip = tc.linear(h, model.params[f"skip{k}.weight"],
+                         model.params[f"skip{k}.bias"])[0]
+        relu_input = gat + skip
+        if min(np.abs(pre[:, prep.mask]).min(), np.abs(relu_input).min()) < margin:
             return False
+        h = np.maximum(relu_input, 0.0)
     return True
 
 
@@ -163,18 +168,14 @@ def run_model_fd_trials(n_trials: int = 20, max_attempts: int = 400) -> int:
         weights = ClassWeights(1.3, 0.8)
 
         def loss_fn():
-            return weighted_bce(model_forward(prep, model), labels, weights)
+            return loss_and_grads(prep, labels, weights, model)[0]
 
-        with tc.Tape() as tape:
-            probs = model_forward(prep, model)
-            loss = weighted_bce(probs, labels, weights)
-            grads = tc.backward(loss, tape)
-        if not sample_is_smooth(tape, probs, prep.mask):
+        _, grads = loss_and_grads(prep, labels, weights, model)
+        if not sample_is_smooth(prep, model, model_forward(prep, model).data):
             continue
         for name, p in model.params.items():
-            numeric = finite_difference_grad(lambda: float(loss_fn().data),
-                                             p.data, step=FD_STEP)
-            err = max_rel_err(grads[p], numeric)
+            numeric = finite_difference_grad(loss_fn, p, step=FD_STEP)
+            err = max_rel_err(grads[name], numeric)
             assert err < REL_TOL, f"{name}: rel err {err:.2e}"
         passed += 1
     return attempt

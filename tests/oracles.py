@@ -62,7 +62,7 @@ def mtf_oracle(samples, rssi_min: float, rssi_max: float, n_bins: int):
 
 def finite_difference_grad(loss_fn, data: np.ndarray, step: float = 1e-3) -> np.ndarray:
     """Central finite differences of a scalar function, perturbing ``data``
-    (a live tensor buffer) one element at a time."""
+    (a live array the loss reads) one element at a time."""
     grad = np.zeros_like(data)
     flat = data.ravel()
     grad_flat = grad.ravel()

@@ -214,6 +214,25 @@ def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "pred.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--splits", 0], "n_splits must be >= 1"),
+    (["--lr", "nan"], "learning_rate must be finite and > 0"),
+    (["--config", "{cfg}"], "config line 1: epochs must be int, got 'abc'"),
+], ids=["zero-splits", "nan-lr", "config-not-int"])
+def test_bad_train_config_is_usage_error(tmp_path, capsys, flags, message):
+    assert _run("synth", "--count", 4, "--length", 50, "-o",
+                tmp_path / "traces.csv") == 0
+    assert _run("inject", "-i", tmp_path / "traces.csv", "--clean", 4,
+                "-o", tmp_path / "dataset.jsonl") == 0
+    (tmp_path / "train.cfg").write_text("epochs=abc\n")
+    flags = [str(f).format(cfg=tmp_path / "train.cfg") for f in flags]
+    capsys.readouterr()
+    assert _run("train", "--dataset", tmp_path / "dataset.jsonl", *flags,
+                "-o", tmp_path / "run") == 2
+    assert capsys.readouterr().err == f"rssigat: error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "predict", "predict-csv",
                                      "inject", "transform"])
 def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):

@@ -27,14 +27,10 @@ def _graph(n_nodes, edges, features, link_id=None):
 def _layer_params(rng, cfg, prefix="gat1"):
     f = cfg.out_dim_per_head
     return {
-        f"{prefix}.weight": tc.Tensor(rng.standard_normal((cfg.in_dim, cfg.n_heads * f)),
-                                      requires_grad=True),
-        f"{prefix}.att_src": tc.Tensor(rng.standard_normal((cfg.n_heads, f)),
-                                       requires_grad=True),
-        f"{prefix}.att_dst": tc.Tensor(rng.standard_normal((cfg.n_heads, f)),
-                                       requires_grad=True),
-        f"{prefix}.bias": tc.Tensor(rng.standard_normal(cfg.out_width),
-                                    requires_grad=True),
+        f"{prefix}.weight": rng.standard_normal((cfg.in_dim, cfg.n_heads * f)),
+        f"{prefix}.att_src": rng.standard_normal((cfg.n_heads, f)),
+        f"{prefix}.att_dst": rng.standard_normal((cfg.n_heads, f)),
+        f"{prefix}.bias": rng.standard_normal(cfg.out_width),
     }
 
 
@@ -45,11 +41,11 @@ def test_single_node_self_loop_gives_projection():
     cfg = GatLayerConfig(in_dim=1, out_dim_per_head=3, n_heads=1)
     rng = np.random.default_rng(0)
     params = _layer_params(rng, cfg)
-    params["gat1.bias"] = tc.Tensor(np.zeros(3), requires_grad=True)
+    params["gat1.bias"] = np.zeros(3)
     graph = _graph(1, [(0, 0, 1.0)], [0.7])
-    out = gat_layer_forward(tc.constant([[0.7]]), graph, cfg, params)
-    expected = np.array([[0.7]]) @ params["gat1.weight"].data
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    out = gat_layer_forward(np.array([[0.7]]), graph, cfg, params)
+    expected = np.array([[0.7]]) @ params["gat1.weight"]
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_two_symmetric_nodes_get_identical_outputs():
@@ -57,9 +53,9 @@ def test_two_symmetric_nodes_get_identical_outputs():
     rng = np.random.default_rng(1)
     params = _layer_params(rng, cfg)
     graph = _graph(2, [(0, 1, 0.5), (1, 0, 0.5)], [0.3, 0.3])
-    feats = tc.constant([[0.3, 0.6], [0.3, 0.6]])
+    feats = np.array([[0.3, 0.6], [0.3, 0.6]])
     out = gat_layer_forward(feats, graph, cfg, params)
-    np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-12)
+    np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
 @pytest.mark.parametrize("head_mode", ["concat", "average"])
@@ -77,30 +73,26 @@ def test_layer_matches_dense_oracle(seed, head_mode):
                 edges.append((a, b, float(rng.uniform(0.05, 1.0))))
     features = rng.standard_normal((n, 2))
     graph = _graph(n, edges, features[:, 0])
-    out = gat_layer_forward(tc.constant(features), graph, cfg, params)
+    out = gat_layer_forward(features, graph, cfg, params)
     expected = dense_gat_oracle(features, n, edges, cfg,
-                                params["gat1.weight"].data,
-                                params["gat1.att_src"].data,
-                                params["gat1.att_dst"].data,
-                                params["gat1.bias"].data)
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+                                params["gat1.weight"], params["gat1.att_src"],
+                                params["gat1.att_dst"], params["gat1.bias"])
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
-def _attention_coefficients(rec, prep, slope):
-    """Alpha (heads, dst, src) of a recorded ``graph_attention`` op, read
-    through the op itself: with z = I per head and the recorded s_dst, s_src
-    as attention vectors, the logits are unchanged and each head outputs
+def _attention_coefficients(h, weight, att_dst, att_src, prep, slope):
+    """Alpha (heads, dst, src) of ``graph_attention`` on the rows ``h``, read
+    through the op itself: with z = I per head and the rows' s_dst, s_src as
+    attention vectors, the logits are unchanged and each head outputs
     alpha @ I."""
-    h, weight, att_dst, att_src = (t.data for t in rec.inputs[:4])
     heads, f = att_dst.shape
     n = prep.n_rows
     z = (h @ weight).reshape(n, heads, f).transpose(1, 0, 2)
     s_dst, s_src = ((z @ att[:, :, None])[:, :, 0] for att in (att_dst, att_src))
-    probe = tc.graph_attention(
-        tc.constant(np.eye(n)), tc.constant(np.tile(np.eye(n), (1, heads))),
-        tc.constant(s_dst), tc.constant(s_src), tc.constant(np.zeros(heads * n)),
-        prep.logit_bias, prep.mask, slope, "concat")
-    return probe.data.reshape(n, heads, n).transpose(1, 0, 2)
+    probe, _ = tc.graph_attention(
+        np.eye(n), np.tile(np.eye(n), (1, heads)), s_dst, s_src,
+        np.zeros(heads * n), prep.logit_bias, prep.mask, slope, "concat")
+    return probe.reshape(n, heads, n).transpose(1, 0, 2)
 
 
 def test_attention_coefficients_sum_to_one_per_destination():
@@ -108,18 +100,18 @@ def test_attention_coefficients_sum_to_one_per_destination():
     graph = transform(trace, TraceSchema(expected_length=60))
     prep = prepare_graph(graph)
     model = build_model(seed=3)
-    with tc.Tape() as tape:
-        for p in model.params.values():
-            p.requires_grad = True
-        model_forward(prep, model)
-    attention_records = [rec for rec in tape.ops if rec.name == "graph_attention"]
-    assert len(attention_records) == 3
-    for rec, cfg in zip(attention_records, model.layer_configs):
-        alpha = _attention_coefficients(rec, prep, cfg.leaky_slope)
+    p = model.params
+    assert len(model.layer_configs) == 3
+    h = prep.row_features  # each block's input rows, by re-running the ops
+    for k, cfg in enumerate(model.layer_configs, start=1):
+        alpha = _attention_coefficients(h, p[f"gat{k}.weight"], p[f"gat{k}.att_dst"],
+                                        p[f"gat{k}.att_src"], prep, cfg.leaky_slope)
         assert alpha.shape == (cfg.n_heads, *prep.mask.shape)
         np.testing.assert_allclose(np.where(prep.mask, alpha, 0.0).sum(axis=-1),
                                    1.0, atol=1e-9)
         assert np.all(alpha[:, ~prep.mask] == 0.0)
+        gat = gat_layer_forward(h, prep, cfg, p, f"gat{k}")
+        h = np.maximum(gat + h @ p[f"skip{k}.weight"] + p[f"skip{k}.bias"], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,7 @@ def test_model_forward_lengths_and_range():
 def test_all_zero_parameters_give_half():
     model = build_model(seed=0)
     for p in model.params.values():
-        p.data[...] = 0.0
+        p[...] = 0.0
     trace = RssiTrace("t", np.arange(2, 22, dtype=float))
     probs = model_forward(transform(trace, TraceSchema(expected_length=20)), model)
     np.testing.assert_array_equal(probs.data, np.full((20, 1), 0.5))
@@ -217,9 +209,8 @@ def test_model_forward_matches_per_destination_oracle(length):
         prep = prepare_graph(transform(item.trace, schema))
         model = build_model(seed=i)
         expected = model_forward_oracle(
-            prep.row_features.data, prep.node_map, prep.mask,
-            prep.logit_bias.data, model.layer_configs,
-            {name: p.data for name, p in model.params.items()})
+            prep.row_features, prep.node_map, prep.mask, prep.logit_bias,
+            model.layer_configs, model.params)
         np.testing.assert_allclose(model_forward(prep, model).data, expected,
                                    rtol=0, atol=1e-12)
 
@@ -228,8 +219,7 @@ def test_model_forward_matches_per_destination_oracle(length):
 # parameter counting
 
 def test_count_parameters_tiny_case():
-    params = {"w": tc.Tensor(np.zeros((2, 3)), requires_grad=True),
-              "b": tc.Tensor(np.zeros(3), requires_grad=True)}
+    params = {"w": np.zeros((2, 3)), "b": np.zeros(3)}
     model = GatModel(layer_configs=(GatLayerConfig(in_dim=2),), params=params, seed=0)
     assert count_parameters(model) == 9
 
@@ -269,8 +259,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     after = model_forward(graph, loaded).data
     assert before.tobytes() == after.tobytes()
     for name in model.params:
-        np.testing.assert_array_equal(model.params[name].data,
-                                      loaded.params[name].data)
+        np.testing.assert_array_equal(model.params[name], loaded.params[name])
 
 
 def test_checkpoint_write_is_deterministic(tmp_path):
@@ -299,4 +288,15 @@ def test_checkpoint_swapped_shapes_rejected(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ModelError, match=r"\('out.weight', \(1, 32\)\) does not "
                                          r"match the layers' \('out.weight', \(32, 1\)\)"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_non_finite_value_rejected(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    blob = tmp_path / "ckpt.bin"
+    values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+    values[-2] = np.nan  # the last entry of out.weight
+    blob.write_bytes(values.tobytes())
+    with pytest.raises(ModelError, match="checkpoint tensor out.weight has "
+                                         "non-finite values"):
         load_checkpoint(tmp_path / "ckpt")
