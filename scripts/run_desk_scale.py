@@ -2,8 +2,10 @@
 """End-to-end desk-scale experiment through the CLI.
 
 Synthesizes 600 clean traces of length 100, injects 60 anomalies of each
-kind, transforms to graphs, runs 5-split cross-validated training, and
-predicts on the dataset. Everything lands under --out (default runs/desk).
+kind, writes their class graphs to graphs.jsonl for inspection, runs 5-split
+cross-validated training (which builds the same graphs from the dataset),
+and predicts on the dataset. Everything lands under --out (default
+runs/desk).
 """
 import argparse
 import sys
@@ -24,7 +26,7 @@ def run(out_dir: Path, seed: int, splits: int, epochs: int) -> int:
         ["inject", "-i", str(traces), "--each", "60", "--clean", "360",
          "--seed", str(seed + 1), "-o", str(dataset)],
         ["transform", "-i", str(dataset), "-o", str(graphs)],
-        ["train", "--dataset", str(dataset), "--graphs", str(graphs),
+        ["train", "--dataset", str(dataset),
          "--splits", str(splits), "--epochs", str(epochs),
          "--seed", str(seed + 2), "-o", str(run_dir)],
         ["predict", "--checkpoint", str(run_dir / "checkpoint_0"),

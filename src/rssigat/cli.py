@@ -16,15 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gat_model import (load_checkpoint, predict as predict_graph,
-                        prepare_graph, save_checkpoint)
+from .gat_model import load_checkpoint, predict as predict_graph, save_checkpoint
 from .inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
                      build_dataset, read_dataset, write_dataset)
 from .metrics import EvalReport, anomalous_runs, report_to_csv, report_to_text
-from .mtf_graph import read_graphs, transform, write_graphs
+from .mtf_graph import transform, write_graphs
 from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
-                    loss_curves_to_csv, run_cross_validation)
+                    loss_curves_to_csv, prepare_dataset, run_cross_validation)
 from .trace import (SynthesisProfile, TraceSchema, filter_complete,
                     ingest_raw_log, read_traces_csv, synthesize_clean,
                     write_traces_csv)
@@ -53,16 +52,42 @@ def write_manifest(path: Path, command: str, config: dict, seed,
                           encoding="utf-8")
 
 
+def _add_schema_flags(parser, length=True):
+    """``--rssi-min``/``--rssi-max``, and ``--length`` for the commands that
+    make traces; the others take the length from their input."""
+    if length:
+        parser.add_argument("--length", type=int, default=300,
+                            help="samples per trace")
+    parser.add_argument("--rssi-min", type=float, default=0.0)
+    parser.add_argument("--rssi-max", type=float, default=128.0)
+
+
 def _schema_from_args(args) -> TraceSchema:
     return TraceSchema(expected_length=args.length,
                        rssi_min=args.rssi_min, rssi_max=args.rssi_max)
 
 
-def _add_schema_flags(parser, default_length=300):
-    parser.add_argument("--length", type=int, default=default_length,
-                        help="samples per trace")
-    parser.add_argument("--rssi-min", type=float, default=0.0)
-    parser.add_argument("--rssi-max", type=float, default=128.0)
+def _input_schema(args, traces) -> TraceSchema:
+    """Schema of the input traces: the length they all share and the
+    ``--rssi-min``/``--rssi-max`` bounds. Empty input and a trace of another
+    length are usage errors; the latter names the first trace that differs."""
+    if not traces:
+        raise UsageError("input has no traces")
+    length = traces[0].length
+    for trace in traces:
+        if trace.length != length:
+            raise UsageError(
+                f"trace {trace.link_id} has {trace.length} samples, the first "
+                f"trace {traces[0].link_id} has {length}; all traces must "
+                f"have one length")
+    return TraceSchema(expected_length=length,
+                       rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+
+
+def _read_labeled(args, path: str):
+    """A dataset file and its schema (see ``_input_schema``)."""
+    dataset = read_dataset(Path(path))
+    return dataset, _input_schema(args, [item.trace for item in dataset])
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +126,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_inject(args) -> int:
     traces = read_traces_csv(Path(args.input))
-    if not traces:
-        raise UsageError("input has no traces")
-    length = _common_length(traces)
-    schema = TraceSchema(expected_length=length,
-                         rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+    schema = _input_schema(args, traces)
+    length = schema.expected_length
     if args.each is not None:
         counts = {kind: args.each for kind in ANOMALOUS_KINDS}
     else:
@@ -128,52 +150,15 @@ def cmd_inject(args) -> int:
     return 0
 
 
-def _read_traces_dataset(path: str) -> list:
-    dataset = read_dataset(Path(path))
-    if not dataset:
-        raise UsageError("input has no traces")
-    return dataset
-
-
-def _common_length(traces) -> int:
-    """The length every trace shares; names the first trace that differs."""
-    length = traces[0].length
-    for trace in traces:
-        if trace.length != length:
-            raise UsageError(
-                f"trace {trace.link_id} has {trace.length} samples, the first "
-                f"trace {traces[0].link_id} has {length}; all traces must "
-                f"have one length")
-    return length
-
-
 def cmd_transform(args) -> int:
-    dataset = _read_traces_dataset(args.input)
-    schema = TraceSchema(expected_length=_common_length([i.trace for i in dataset]),
-                         rssi_min=args.rssi_min, rssi_max=args.rssi_max)
-    graphs = [transform(item.trace, schema, args.bins) for item in dataset]
+    dataset, schema = _read_labeled(args, args.input)
+    graphs = [transform(item.trace, schema) for item in dataset]
     out = Path(args.out)
     write_graphs(out, graphs)
     write_manifest(out.with_name(out.name + ".manifest.json"), "transform",
-                   {"bins": args.bins}, None, [Path(args.input)], [out])
+                   {}, None, [Path(args.input)], [out])
     print(f"wrote {len(graphs)} graphs to {out}")
     return 0
-
-
-def _load_aligned_graphs(dataset, graphs_path, schema):
-    if graphs_path:
-        graphs = read_graphs(Path(graphs_path))
-        if len(graphs) != len(dataset):
-            raise UsageError(
-                f"{len(graphs)} graphs for {len(dataset)} traces")
-        for g, item in zip(graphs, dataset):
-            if (g.link_id, g.n_nodes) != (item.trace.link_id, item.trace.length):
-                raise UsageError(
-                    f"graph {g.link_id} of {g.n_nodes} nodes does not match "
-                    f"trace {item.trace.link_id} of {item.trace.length} samples")
-    else:
-        graphs = [transform(item.trace, schema) for item in dataset]
-    return [prepare_graph(g) for g in graphs]
 
 
 def _train_config(args) -> TrainConfig:
@@ -193,14 +178,18 @@ def _train_config(args) -> TrainConfig:
     return cfg
 
 
+def _write_reports(run_dir: Path, report: EvalReport) -> list[Path]:
+    """``report.txt`` and ``report.csv`` of a run, rendered from ``report``."""
+    paths = [run_dir / "report.txt", run_dir / "report.csv"]
+    for path, render in zip(paths, (report_to_text, report_to_csv)):
+        path.write_text(render(report), encoding="utf-8")
+    return paths
+
+
 def cmd_train(args) -> int:
-    dataset = _read_traces_dataset(args.dataset)
+    dataset, schema = _read_labeled(args, args.dataset)
     cfg = _train_config(args)
-    schema = TraceSchema(expected_length=_common_length([i.trace for i in dataset]),
-                         rssi_min=args.rssi_min, rssi_max=args.rssi_max)
-    prepared = _load_aligned_graphs(dataset, args.graphs, schema)
-    result = run_cross_validation(dataset, cfg, schema, prepared=prepared,
-                                  workers=args.workers)
+    result = run_cross_validation(dataset, cfg, schema, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -215,14 +204,10 @@ def cmd_train(args) -> int:
                            encoding="utf-8")
     report_json = out_dir / "report.json"
     report_json.write_text(result.report.to_json(), encoding="utf-8")
-    report_txt = out_dir / "report.txt"
-    report_txt.write_text(report_to_text(result.report), encoding="utf-8")
-    report_csv = out_dir / "report.csv"
-    report_csv.write_text(report_to_csv(result.report), encoding="utf-8")
-    outputs.extend([splits_path, curves_path, report_json, report_txt, report_csv])
-    inputs = [Path(args.dataset)] + ([Path(args.graphs)] if args.graphs else [])
+    outputs.extend([splits_path, curves_path, report_json,
+                    *_write_reports(out_dir, result.report)])
     write_manifest(out_dir / "manifest.json", "train", cfg.to_dict(),
-                   cfg.seed, inputs, outputs)
+                   cfg.seed, [Path(args.dataset)], outputs)
     avg = result.report.averages
     print(f"parameter count: {result.report.parameter_count}")
     print(f"anomalous F1 {avg['anomalous'].f1:.4f}, "
@@ -233,18 +218,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    dataset = _read_traces_dataset(args.dataset)
-    schema = TraceSchema(expected_length=_common_length([i.trace for i in dataset]),
-                         rssi_min=args.rssi_min, rssi_max=args.rssi_max)
-    prepared = _load_aligned_graphs(dataset, args.graphs, schema)
+    dataset, schema = _read_labeled(args, args.dataset)
     splits = json.loads((run_dir / "splits.json").read_text(encoding="utf-8"))
     if not 0 <= args.split < len(splits):
         raise UsageError(f"--split must be in [0, {len(splits) - 1}]")
     model = load_checkpoint(run_dir / f"checkpoint_{args.split}")
     stored = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
-    threshold = float(stored.config.get("threshold", 0.5))
+    threshold = TrainConfig(**stored.config).threshold
     test_idx = np.asarray(splits[args.split]["test"])
-    metrics = evaluate_split(model, dataset, prepared, test_idx, threshold)
+    metrics = evaluate_split(model, dataset, prepare_dataset(dataset, schema),
+                             test_idx, threshold)
     payload = {
         "split": args.split,
         "anomalous": vars(metrics.anomalous),
@@ -270,12 +253,11 @@ def _read_prediction_input(path: Path):
 
 
 def cmd_predict(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise UsageError("--threshold must be in [0, 1]")
     model = load_checkpoint(Path(args.checkpoint))
     traces = _read_prediction_input(Path(args.input))
-    if not traces:
-        raise UsageError("input has no traces")
-    schema = TraceSchema(expected_length=_common_length(traces),
-                         rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+    schema = _input_schema(args, traces)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         for trace in traces:
@@ -298,13 +280,10 @@ def cmd_predict(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     report = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
-    text = report_to_text(report)
-    (run_dir / "report.txt").write_text(text, encoding="utf-8")
-    (run_dir / "report.csv").write_text(report_to_csv(report), encoding="utf-8")
+    outputs = _write_reports(run_dir, report)
     write_manifest(run_dir / "report.manifest.json", "report", {}, None,
-                   [run_dir / "report.json"],
-                   [run_dir / "report.txt", run_dir / "report.csv"])
-    print(text, end="")
+                   [run_dir / "report.json"], outputs)
+    print(report_to_text(report), end="")
     return 0
 
 
@@ -346,24 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--each", type=int, default=None,
                    help="set every anomaly kind to this count")
     p.add_argument("--clean", type=int, default=0)
-    p.add_argument("--rssi-min", type=float, default=0.0)
-    p.add_argument("--rssi-max", type=float, default=128.0)
+    _add_schema_flags(p, length=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("transform", help="turn traces into transition-field graphs")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--bins", type=int, default=None,
-                   help="quantile bins (default: trace length)")
-    p.add_argument("--rssi-min", type=float, default=0.0)
-    p.add_argument("--rssi-max", type=float, default=128.0)
+    _add_schema_flags(p, length=False)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("train", help="cross-validated training")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--graphs", default=None)
     p.add_argument("--splits", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -371,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--rssi-min", type=float, default=0.0)
-    p.add_argument("--rssi-max", type=float, default=128.0)
+    _add_schema_flags(p, length=False)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -380,10 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="re-evaluate one split from checkpoints")
     p.add_argument("--run", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--graphs", default=None)
     p.add_argument("--split", type=int, required=True)
-    p.add_argument("--rssi-min", type=float, default=0.0)
-    p.add_argument("--rssi-max", type=float, default=128.0)
+    _add_schema_flags(p, length=False)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -391,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--rssi-min", type=float, default=0.0)
-    p.add_argument("--rssi-max", type=float, default=128.0)
+    _add_schema_flags(p, length=False)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -77,6 +77,26 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _param_table(configs) -> list[tuple]:
+    """(name, shape, fans) of every parameter, in creation order: a weight
+    is drawn Glorot-uniform for its (fan_in, fan_out), and ``None`` marks a
+    bias, which starts at zero."""
+    table = []
+    for k, cfg in enumerate(configs, start=1):
+        f, width = cfg.out_dim_per_head, cfg.out_width
+        table += [
+            (f"gat{k}.weight", (cfg.in_dim, cfg.n_heads * f), (cfg.in_dim, f)),
+            (f"gat{k}.att_src", (cfg.n_heads, f), (f, 1)),
+            (f"gat{k}.att_dst", (cfg.n_heads, f), (f, 1)),
+            (f"gat{k}.bias", (width,), None),
+            (f"skip{k}.weight", (cfg.in_dim, width), (cfg.in_dim, width)),
+            (f"skip{k}.bias", (width,), None),
+        ]
+    last = configs[-1].out_width
+    return table + [("out.weight", (last, 1), (last, 1)),
+                    ("out.bias", (1,), None)]
+
+
 def build_model(seed: int = 0, in_dim: int = 1, filters: int = 32,
                 heads: tuple[int, ...] = (4, 4, 6),
                 leaky_slope: float = 0.2) -> GatModel:
@@ -91,20 +111,9 @@ def build_model(seed: int = 0, in_dim: int = 1, filters: int = 32,
         configs.append(cfg)
         prev = cfg.out_width
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for k, cfg in enumerate(configs, start=1):
-        f = cfg.out_dim_per_head
-        params[f"gat{k}.weight"] = _glorot(rng, (cfg.in_dim, cfg.n_heads * f),
-                                           cfg.in_dim, f)
-        params[f"gat{k}.att_src"] = _glorot(rng, (cfg.n_heads, f), f, 1)
-        params[f"gat{k}.att_dst"] = _glorot(rng, (cfg.n_heads, f), f, 1)
-        params[f"gat{k}.bias"] = np.zeros(cfg.out_width)
-        params[f"skip{k}.weight"] = _glorot(rng, (cfg.in_dim, cfg.out_width),
-                                            cfg.in_dim, cfg.out_width)
-        params[f"skip{k}.bias"] = np.zeros(cfg.out_width)
-    last = configs[-1].out_width
-    params["out.weight"] = _glorot(rng, (last, 1), last, 1)
-    params["out.bias"] = np.zeros(1)
+    params = {name: np.zeros(shape) if fans is None
+              else _glorot(rng, shape, *fans)
+              for name, shape, fans in _param_table(configs)}
     return GatModel(layer_configs=tuple(configs), params=params, seed=seed)
 
 
@@ -262,22 +271,6 @@ def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
     return manifest_path, blob_path
 
 
-def _param_shapes(configs: tuple[GatLayerConfig, ...]) -> dict[str, tuple[int, ...]]:
-    """Parameter names and shapes ``build_model`` creates, in creation order."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    for k, cfg in enumerate(configs, start=1):
-        f = cfg.out_dim_per_head
-        shapes[f"gat{k}.weight"] = (cfg.in_dim, cfg.n_heads * f)
-        shapes[f"gat{k}.att_src"] = (cfg.n_heads, f)
-        shapes[f"gat{k}.att_dst"] = (cfg.n_heads, f)
-        shapes[f"gat{k}.bias"] = (cfg.out_width,)
-        shapes[f"skip{k}.weight"] = (cfg.in_dim, cfg.out_width)
-        shapes[f"skip{k}.bias"] = (cfg.out_width,)
-    shapes["out.weight"] = (configs[-1].out_width, 1)
-    shapes["out.bias"] = (1,)
-    return shapes
-
-
 def load_checkpoint(path) -> GatModel:
     base = Path(path)
     manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
@@ -286,7 +279,7 @@ def load_checkpoint(path) -> GatModel:
     configs = tuple(GatLayerConfig(**cfg) for cfg in manifest["layers"])
     if not configs:
         raise ModelError(f"checkpoint {base} has no layers")
-    expected = list(_param_shapes(configs).items())
+    expected = [(name, shape) for name, shape, _ in _param_table(configs)]
     listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]]
     for have, want in zip_longest(listed, expected):
         if have != want:

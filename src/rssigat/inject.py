@@ -15,10 +15,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .trace import DEFAULT_SCHEMA, ConfigError, RssiTrace, TraceSchema
+from .trace import (DEFAULT_SCHEMA, ConfigError, RssiTrace, TraceError,
+                    TraceSchema)
 
 
 class CapacityError(Exception):
+    pass
+
+
+class DatasetError(Exception):
     pass
 
 
@@ -134,8 +139,19 @@ class LabeledTrace:
             raise ConfigError("need one label per sample")
 
     def validate(self) -> None:
-        marked = np.zeros(self.trace.length, dtype=np.int8)
-        marked[self.descriptor.anomalous_indices(self.trace.length)] = 1
+        n = self.trace.length
+        desc = self.descriptor
+        if desc.kind != self.kind.value:
+            raise ConfigError("descriptor kind disagrees with kind")
+        if not all(type(v) is int and 0 <= v <= n
+                   for v in (desc.onset, desc.duration) if v is not None):
+            raise ConfigError(f"descriptor onset and duration must be "
+                              f"integers in [0, {n}]")
+        idx = desc.anomalous_indices(n)
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise ConfigError("descriptor indices out of range")
+        marked = np.zeros(n, dtype=np.int8)
+        marked[idx] = 1
         if not np.array_equal(marked, self.labels):
             raise ConfigError("labels disagree with descriptor")
         if (self.kind is AnomalyKind.NONE) != bool(self.labels.sum() == 0):
@@ -303,20 +319,31 @@ def labeled_to_record(item: LabeledTrace) -> dict:
 
 
 def labeled_from_record(rec: dict) -> LabeledTrace:
-    desc = rec["descriptor"]
-    descriptor = AnomalyDescriptor(
-        kind=desc["kind"],
-        onset=desc.get("onset"),
-        duration=desc.get("duration"),
-        slope=desc.get("slope"),
-        indices=tuple(desc["indices"]) if "indices" in desc else None,
-    )
-    return LabeledTrace(
-        trace=RssiTrace(rec["link_id"], np.asarray(rec["samples"], dtype=np.float64)),
-        labels=np.asarray(rec["labels"], dtype=np.int8),
-        kind=AnomalyKind(rec["kind"]),
-        descriptor=descriptor,
-    )
+    """A record back as a validated ``LabeledTrace``, or DatasetError."""
+    try:
+        desc = rec["descriptor"]
+        descriptor = AnomalyDescriptor(
+            kind=desc["kind"],
+            onset=desc.get("onset"),
+            duration=desc.get("duration"),
+            slope=desc.get("slope"),
+            indices=tuple(desc["indices"]) if "indices" in desc else None,
+        )
+        item = LabeledTrace(
+            trace=RssiTrace(rec["link_id"],
+                            np.asarray(rec["samples"], dtype=np.float64)),
+            labels=np.asarray(rec["labels"], dtype=np.int8),
+            kind=AnomalyKind(rec["kind"]),
+            descriptor=descriptor,
+        )
+        item.validate()
+    except KeyError as exc:
+        raise DatasetError(f"record lacks key {exc}") from None
+    except TraceError as exc:
+        raise DatasetError(str(exc)) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"malformed record: {exc}") from None
+    return item
 
 
 def write_dataset(path, items: list[LabeledTrace]) -> None:
@@ -326,9 +353,13 @@ def write_dataset(path, items: list[LabeledTrace]) -> None:
 
 
 def read_dataset(path) -> list[LabeledTrace]:
+    """Every record of a dataset file; DatasetError names ``path:line``."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                out.append(labeled_from_record(json.loads(line)))
+                try:
+                    out.append(labeled_from_record(json.loads(line)))
+                except (DatasetError, json.JSONDecodeError) as exc:
+                    raise DatasetError(f"{path}:{lineno}: {exc}") from None
     return out

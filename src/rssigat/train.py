@@ -57,6 +57,8 @@ class TrainConfig:
             raise TrainingError("learning_rate must be finite and > 0")
         if self.optimizer not in ("adam", "sgd"):
             raise TrainingError(f"unknown optimizer {self.optimizer!r}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise TrainingError("threshold must be in [0, 1]")
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -199,10 +201,10 @@ def _make_optimizer(cfg: TrainConfig, params: dict[str, np.ndarray]):
 
 
 def prepare_dataset(dataset: list[LabeledTrace],
-                    schema: TraceSchema = DEFAULT_SCHEMA,
-                    n_bins: int | None = None) -> list[PreparedGraph]:
-    return [prepare_graph(transform(item.trace, schema, n_bins))
-            for item in dataset]
+                    schema: TraceSchema = DEFAULT_SCHEMA) -> list[PreparedGraph]:
+    """The prepared class graph of every trace, with ``transform``'s default
+    bins, as ``predict`` builds them."""
+    return [prepare_graph(transform(item.trace, schema)) for item in dataset]
 
 
 @dataclass
@@ -214,18 +216,16 @@ class FitResult:
 
 
 def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
-        prepared: list[PreparedGraph] | None = None,
-        weights: ClassWeights | None = None,
-        schema: TraceSchema = DEFAULT_SCHEMA) -> FitResult:
-    """Train one model on the given traces, one graph per gradient step.
+        prepared: list[PreparedGraph],
+        weights: ClassWeights | None = None) -> FitResult:
+    """Train one model on the given traces, one graph per gradient step;
+    ``prepared[i]`` is the class graph of ``dataset[i]``.
 
     Deterministic for fixed (dataset, model_seed, cfg). Raises TrainingError
     with the epoch index if the loss leaves the finite range.
     """
     if not dataset:
         raise TrainingError("dataset is empty")
-    if prepared is None:
-        prepared = prepare_dataset(dataset, schema)
     if weights is None:
         weights = class_weights(dataset)
     model = build_model(seed=model_seed)
@@ -284,11 +284,9 @@ def _run_single_split(args) -> tuple[int, SplitMetrics, GatModel, list[float]]:
 
 def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
                          schema: TraceSchema = DEFAULT_SCHEMA,
-                         prepared: list[PreparedGraph] | None = None,
                          workers: int = 1) -> CrossValResult:
     """Train one model per stratified shuffle split and aggregate metrics."""
-    if prepared is None:
-        prepared = prepare_dataset(dataset, schema)
+    prepared = prepare_dataset(dataset, schema)
     splits = stratified_shuffle_split(dataset, cfg)
     payloads = [(k, dataset, prepared, train_idx, test_idx, cfg)
                 for k, (train_idx, test_idx) in enumerate(splits)]

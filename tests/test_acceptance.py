@@ -151,10 +151,11 @@ def desk_run():
     composition[AnomalyKind.NONE] = 360
     dataset = build_dataset(clean, composition, params,
                             np.random.default_rng(202), DESK_SCHEMA)
-    prepared = prepare_dataset(dataset, DESK_SCHEMA)
     cfg = TrainConfig(n_splits=5, seed=11)
-    result = run_cross_validation(dataset, cfg, DESK_SCHEMA, prepared=prepared)
-    return dataset, prepared, cfg, result, time.perf_counter() - started
+    result = run_cross_validation(dataset, cfg, DESK_SCHEMA)
+    elapsed = time.perf_counter() - started
+    return (dataset, prepare_dataset(dataset, DESK_SCHEMA), cfg, result,
+            elapsed)
 
 
 def test_c6_desk_scale_learning(desk_run):
@@ -211,9 +212,8 @@ def _pipeline(root, monkeypatch):
     assert cli_main(["inject", "-i", "traces.csv", "--each", "3", "--clean", "28",
                      "--seed", "6", "-o", "dataset.jsonl"]) == 0
     assert cli_main(["transform", "-i", "dataset.jsonl", "-o", "graphs.jsonl"]) == 0
-    assert cli_main(["train", "--dataset", "dataset.jsonl", "--graphs",
-                     "graphs.jsonl", "--splits", "2", "--epochs", "3",
-                     "--seed", "7", "-o", "run"]) == 0
+    assert cli_main(["train", "--dataset", "dataset.jsonl", "--splits", "2",
+                     "--epochs", "3", "--seed", "7", "-o", "run"]) == 0
     files = ["traces.csv", "dataset.jsonl", "graphs.jsonl",
              "run/checkpoint_0.json", "run/checkpoint_0.bin",
              "run/checkpoint_1.json", "run/checkpoint_1.bin",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rssigat.cli import main
 from rssigat.gat_model import build_model, save_checkpoint
 from rssigat.inject import read_dataset
-from rssigat.metrics import EvalReport
+from rssigat.metrics import EvalReport, split_metrics
 from rssigat.mtf_graph import GraphError, read_graphs
 from rssigat.trace import read_traces_csv
 
@@ -32,9 +33,8 @@ def pipeline_dir(tmp_path):
     assert _run("inject", "-i", traces, "--each", 3, "--clean", 24,
                 "--seed", 3, "-o", dataset) == 0
     assert _run("transform", "-i", dataset, "-o", graphs) == 0
-    assert _run("train", "--dataset", dataset, "--graphs", graphs,
-                "--splits", 2, "--epochs", 2, "--seed", 1,
-                "-o", run_dir) == 0
+    assert _run("train", "--dataset", dataset, "--splits", 2, "--epochs", 2,
+                "--seed", 1, "-o", run_dir) == 0
     return tmp_path
 
 
@@ -118,7 +118,7 @@ def test_train_outputs(pipeline_dir, capsys):
 def test_eval_reproduces_stored_split_metrics(pipeline_dir):
     run_dir = pipeline_dir / "run"
     assert _run("eval", "--run", run_dir, "--dataset", pipeline_dir / "dataset.jsonl",
-                "--graphs", pipeline_dir / "graphs.jsonl", "--split", 0) == 0
+                "--split", 0) == 0
     payload = json.loads((run_dir / "eval_split_0.json").read_text())
     report = EvalReport.from_json((run_dir / "report.json").read_text())
     stored = report.per_split[0]
@@ -133,6 +133,22 @@ def test_eval_rejects_bad_split(pipeline_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_bad_stored_threshold(pipeline_dir, capsys):
+    run_dir = pipeline_dir / "nan_run"
+    run_dir.mkdir()
+    for name in ("splits.json", "checkpoint_0.json", "checkpoint_0.bin"):
+        (run_dir / name).write_bytes((pipeline_dir / "run" / name).read_bytes())
+    report = json.loads((pipeline_dir / "run" / "report.json").read_text())
+    report["config"]["threshold"] = float("nan")
+    (run_dir / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert _run("eval", "--run", run_dir, "--dataset",
+                pipeline_dir / "dataset.jsonl", "--split", 0) == 1
+    assert capsys.readouterr().err == \
+        "rssigat: error: threshold must be in [0, 1]\n"
+    assert not (run_dir / "eval_split_0.json").exists()
+
+
 def test_predict_output_lengths_and_runs(pipeline_dir):
     out = pipeline_dir / "pred.jsonl"
     assert _run("predict", "--checkpoint", pipeline_dir / "run" / "checkpoint_0",
@@ -144,6 +160,31 @@ def test_predict_output_lengths_and_runs(pipeline_dir):
         assert len(rec["labels"]) == item.trace.length
         for start, length in rec["runs"]:
             assert all(rec["labels"][start:start + length])
+
+
+def test_predict_eval_and_report_agree_on_split_0(pipeline_dir):
+    """Pooled over split 0's test traces, predict's labels give the metrics
+    eval and train stored: all three commands see the same class graphs."""
+    run_dir = pipeline_dir / "run"
+    dataset_path = pipeline_dir / "dataset.jsonl"
+    out = pipeline_dir / "pred_split0.jsonl"
+    assert _run("predict", "--checkpoint", run_dir / "checkpoint_0",
+                "-i", dataset_path, "-o", out) == 0
+    assert _run("eval", "--run", run_dir, "--dataset", dataset_path,
+                "--split", 0) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    dataset = read_dataset(dataset_path)
+    test_idx = json.loads((run_dir / "splits.json").read_text())[0]["test"]
+    metrics = split_metrics(
+        np.concatenate([records[i]["labels"] for i in test_idx]).astype(bool),
+        np.concatenate([dataset[i].labels for i in test_idx]).astype(bool))
+    payload = json.loads((run_dir / "eval_split_0.json").read_text())
+    stored = EvalReport.from_json((run_dir / "report.json").read_text()).per_split[0]
+    assert metrics == stored
+    assert {"anomalous": vars(metrics.anomalous),
+            "non_anomalous": vars(metrics.non_anomalous),
+            "zero_division": metrics.zero_division} == \
+        {k: payload[k] for k in ("anomalous", "non_anomalous", "zero_division")}
 
 
 def test_predict_accepts_trace_csv(pipeline_dir):
@@ -165,22 +206,10 @@ def test_train_config_file_flags_take_precedence(pipeline_dir, tmp_path):
     cfg_file.write_text("epochs=1\nn_splits=2\nseed=1\n")
     run_dir = tmp_path / "run2"
     assert _run("train", "--dataset", pipeline_dir / "dataset.jsonl",
-                "--graphs", pipeline_dir / "graphs.jsonl",
                 "--config", cfg_file, "--epochs", 2, "-o", run_dir) == 0
     report = EvalReport.from_json((run_dir / "report.json").read_text())
     assert report.config["epochs"] == 2  # flag overrides file
     assert report.config["n_splits"] == 2
-
-
-def test_graph_trace_mismatch_rejected(pipeline_dir, tmp_path, capsys):
-    other = tmp_path / "other.jsonl"
-    lines = (pipeline_dir / "graphs.jsonl").read_text().splitlines()
-    other.write_text("\n".join(lines[:10]) + "\n")
-    code = _run("train", "--dataset", pipeline_dir / "dataset.jsonl",
-                "--graphs", other, "--splits", 2, "--epochs", 1,
-                "-o", tmp_path / "r")
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_input_fails_cleanly(tmp_path, capsys):
@@ -192,8 +221,7 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
 def test_train_prints_parameter_count(pipeline_dir, tmp_path, capsys):
     run_dir = tmp_path / "r2"
     assert _run("train", "--dataset", pipeline_dir / "dataset.jsonl",
-                "--graphs", pipeline_dir / "graphs.jsonl", "--splits", 2,
-                "--epochs", 1, "--seed", 2, "-o", run_dir) == 0
+                "--splits", 2, "--epochs", 1, "--seed", 2, "-o", run_dir) == 0
     out = capsys.readouterr().out
     assert "parameter count: 63201" in out
 
@@ -218,7 +246,10 @@ def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
     (["--splits", 0], "n_splits must be >= 1"),
     (["--lr", "nan"], "learning_rate must be finite and > 0"),
     (["--config", "{cfg}"], "config line 1: epochs must be int, got 'abc'"),
-], ids=["zero-splits", "nan-lr", "config-not-int"])
+    (["--threshold", "nan"], "threshold must be in [0, 1]"),
+    (["--threshold", 7], "threshold must be in [0, 1]"),
+], ids=["zero-splits", "nan-lr", "config-not-int", "nan-threshold",
+        "threshold-above-1"])
 def test_bad_train_config_is_usage_error(tmp_path, capsys, flags, message):
     assert _run("synth", "--count", 4, "--length", 50, "-o",
                 tmp_path / "traces.csv") == 0
@@ -230,6 +261,53 @@ def test_bad_train_config_is_usage_error(tmp_path, capsys, flags, message):
     assert _run("train", "--dataset", tmp_path / "dataset.jsonl", *flags,
                 "-o", tmp_path / "run") == 2
     assert capsys.readouterr().err == f"rssigat: error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
+def test_predict_bad_threshold_is_usage_error(tmp_path, capsys, threshold):
+    assert _run("synth", "--count", 4, "--length", 50, "-o",
+                tmp_path / "traces.csv") == 0
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    capsys.readouterr()
+    assert _run("predict", "--checkpoint", tmp_path / "ckpt",
+                "--threshold", threshold, "-i", tmp_path / "traces.csv",
+                "-o", tmp_path / "pred.jsonl") == 2
+    assert capsys.readouterr().err == \
+        "rssigat: error: --threshold must be in [0, 1]\n"
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda rec: json.dumps({k: v for k, v in rec.items() if k != "descriptor"}),
+     "record lacks key 'descriptor'"),
+    (lambda rec: "not json",
+     "Expecting value: line 1 column 1 (char 0)"),
+    (lambda rec: json.dumps({**rec, "labels": [1] + rec["labels"][1:]}),
+     "labels disagree with descriptor"),
+], ids=["missing-key", "not-json", "labels-disagree"])
+@pytest.mark.parametrize("command", ["train", "eval", "transform", "predict"])
+def test_bad_dataset_record_is_one_line_error(tmp_path, capsys, mutate,
+                                              message, command):
+    assert _run("synth", "--count", 4, "--length", 30, "--seed", 1,
+                "-o", tmp_path / "t.csv") == 0
+    assert _run("inject", "-i", tmp_path / "t.csv", "--clean", 4, "--seed", 1,
+                "-o", tmp_path / "d.jsonl") == 0
+    lines = (tmp_path / "d.jsonl").read_text().splitlines()
+    lines[2] = mutate(json.loads(lines[2]))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    argv = {"train": ["train", "--dataset", bad, "-o", tmp_path / "run"],
+            "eval": ["eval", "--run", tmp_path / "run", "--dataset", bad,
+                     "--split", 0],
+            "transform": ["transform", "-i", bad, "-o", tmp_path / "out.jsonl"],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
+                        "-i", bad, "-o", tmp_path / "out.jsonl"]}[command]
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    assert capsys.readouterr().err == f"rssigat: error: {bad}:3: {message}\n"
+    assert not (tmp_path / "out.jsonl").exists()
     assert not (tmp_path / "run").exists()
 
 
@@ -274,28 +352,26 @@ def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("mutate, code, message", [
+@pytest.mark.parametrize("mutate, message", [
     (lambda r: {"link_id": r["link_id"], "n_nodes": len(r["node_map"]),
                 "features": [r["values"][i] for i in r["node_map"]],
                 "edges": []},
-     1, "not a rssigat-graph-v2 record"),
+     "not a rssigat-graph-v2 record"),
     (lambda r: {k: v for k, v in r.items() if k != "edges"},
-     1, "lacks key 'edges'"),
+     "lacks key 'edges'"),
     (lambda r: {**r, "node_map": [len(r["values"])] + r["node_map"][1:]},
-     1, "node map must cover rows"),
+     "node map must cover rows"),
     (lambda r: {**r, "node_map": [0.5] + r["node_map"][1:]},
-     1, "row indices must be integers"),
+     "row indices must be integers"),
     (lambda r: {**r, "values": [float("nan")] + r["values"][1:]},
-     1, "row features must be finite"),
+     "row features must be finite"),
     (lambda r: {**r, "edges": [[0, len(r["values"]), 0.5]] + r["edges"][1:]},
-     1, "edge endpoint out of range"),
+     "edge endpoint out of range"),
     (lambda r: {**r, "edges": [[*r["edges"][0][:2], 0.0]] + r["edges"][1:]},
-     1, "edge weights must be positive"),
-    (lambda r: {**r, "node_map": r["node_map"] + [0]},
-     2, "of 31 nodes does not match trace"),
+     "edge weights must be positive"),
 ], ids=["v1-record", "missing-key", "node-map-range", "node-map-fraction",
-        "nan-value", "edge-range", "zero-weight", "node-count"])
-def test_bad_graph_records_rejected(tmp_path, capsys, mutate, code, message):
+        "nan-value", "edge-range", "zero-weight"])
+def test_bad_graph_records_rejected(tmp_path, mutate, message):
     traces, dataset = tmp_path / "t.csv", tmp_path / "d.jsonl"
     graphs, bad = tmp_path / "g.jsonl", tmp_path / "bad.jsonl"
     assert _run("synth", "--count", 4, "--length", 30, "--seed", 1, "-o", traces) == 0
@@ -304,12 +380,6 @@ def test_bad_graph_records_rejected(tmp_path, capsys, mutate, code, message):
     lines = graphs.read_text().splitlines()
     lines[1] = json.dumps(mutate(json.loads(lines[1])))
     bad.write_text("\n".join(lines) + "\n")
-    if code == 1:
-        with pytest.raises(GraphError, match=message):
-            read_graphs(bad)
-    capsys.readouterr()
-    assert _run("train", "--dataset", dataset, "--graphs", bad,
-                "--splits", 2, "--epochs", 1, "-o", tmp_path / "run") == code
-    err = capsys.readouterr().err
-    assert err.startswith("rssigat: error: ") and message in err
-    assert err.count("\n") == 1
+    where = re.escape(f"{bad}:2: ")
+    with pytest.raises(GraphError, match=f"^{where}.*{re.escape(message)}"):
+        read_graphs(bad)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssigat.inject import (AnomalyKind, CapacityError, InjectionParams,
-                            build_dataset, inject_instad, inject_slowd,
-                            inject_suddend, inject_suddenr, labeled_to_record,
+from rssigat.inject import (AnomalyKind, CapacityError, DatasetError,
+                            InjectionParams, build_dataset, inject_instad,
+                            inject_slowd, inject_suddend, inject_suddenr,
+                            labeled_from_record, labeled_to_record,
                             read_dataset, write_dataset)
 from rssigat.trace import ConfigError, RssiTrace, TraceSchema, synthesize_clean
 
@@ -260,3 +261,53 @@ def test_labeled_record_has_descriptor_fields():
     rec = labeled_to_record(out)
     assert rec["kind"] == "SlowD"
     assert set(rec["descriptor"]) == {"kind", "onset", "duration", "slope"}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12)
+_RECORD = labeled_to_record(inject_suddenr(_flat_trace(n=60),
+                                           InjectionParams.scaled_to_length(60),
+                                           rng=_rng(4)))
+_FIELDS = sorted(_RECORD) + [
+    f"descriptor.{k}" for k in ("kind", "onset", "duration", "slope", "indices")]
+
+
+def _mutated(changes: dict) -> dict:
+    """The valid record with the named fields replaced; ``descriptor.<key>``
+    names a descriptor field."""
+    rec = {**_RECORD, "descriptor": dict(_RECORD["descriptor"])}
+    for field, value in changes.items():
+        if "." in field:
+            rec["descriptor"][field.partition(".")[2]] = value
+    rec.update((k, v) for k, v in changes.items() if "." not in k)
+    return rec
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON | st.dictionaries(st.sampled_from(_FIELDS),
+                               _JSON | st.integers(-10**12, 10**12),
+                               max_size=3).map(_mutated))
+def test_labeled_from_record_raises_only_dataset_error(rec):
+    """Arbitrary JSON, or a valid record with some fields replaced by
+    arbitrary values, either reads back or raises DatasetError."""
+    try:
+        item = labeled_from_record(rec)
+    except DatasetError:
+        return
+    assert item.labels.shape == (item.trace.length,)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"kind": "SlowD"}, "descriptor kind disagrees with kind"),
+    ({"descriptor.onset": -1}, "onset and duration must be integers in"),
+    ({"descriptor.duration": 10**12}, "onset and duration must be integers in"),
+    ({"descriptor.indices": [60]}, "descriptor indices out of range"),
+    ({"descriptor.indices": [-1]}, "descriptor indices out of range"),
+    ({"labels": [1] * 60}, "labels disagree with descriptor"),
+])
+def test_labeled_from_record_rejects_inconsistent_record(changes, message):
+    with pytest.raises(DatasetError, match=message):
+        labeled_from_record(_mutated(changes))

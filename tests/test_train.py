@@ -175,6 +175,11 @@ def test_config_validation():
     for lr in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(TrainingError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
+    for threshold in (-0.1, 1.5, float("nan"), float("inf")):
+        with pytest.raises(TrainingError, match="threshold"):
+            TrainConfig(threshold=threshold)
+    assert TrainConfig(threshold=0.0).threshold == 0.0
+    assert TrainConfig(threshold=1.0).threshold == 1.0
 
 
 def test_config_from_file(tmp_path):
@@ -216,7 +221,7 @@ def test_fit_loss_decreases_on_smoke_set():
 
 def test_fit_empty_dataset_rejected():
     with pytest.raises(TrainingError):
-        fit([], model_seed=0, cfg=TrainConfig(epochs=1))
+        fit([], model_seed=0, cfg=TrainConfig(epochs=1), prepared=[])
 
 
 def test_fit_sgd_also_trains():
