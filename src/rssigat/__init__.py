@@ -8,11 +8,10 @@ from .trace import (TraceSchema, RssiTrace, RawLinkLog, SynthesisProfile,
 from .inject import (AnomalyKind, InjectionParams, LabeledTrace,
                      inject_suddend, inject_suddenr, inject_instad,
                      inject_slowd, build_dataset)
-from .mtf_graph import (Quantizer, TransitionField, TsGraph, fit_quantizer,
-                        transition_matrix, mtf, build_graph, transform)
+from .mtf_graph import (Quantizer, TsGraph, fit_quantizer, transition_matrix,
+                        transform)
 from .gat_model import (GatLayerConfig, GatModel, build_model, count_parameters,
-                        gat_layer_forward, model_forward, predict,
-                        save_checkpoint, load_checkpoint)
+                        model_forward, predict, save_checkpoint, load_checkpoint)
 from .train import (TrainConfig, ClassWeights, stratified_shuffle_split,
                     class_weights, weighted_bce, fit, run_cross_validation)
 from .metrics import (ConfusionCounts, EvalReport, confusion,

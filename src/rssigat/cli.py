@@ -24,9 +24,9 @@ from .mtf_graph import transform, write_graphs
 from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
                     loss_curves_to_csv, prepare_dataset, run_cross_validation)
-from .trace import (SynthesisProfile, TraceSchema, filter_complete,
-                    ingest_raw_log, read_traces_csv, synthesize_clean,
-                    write_traces_csv)
+from .trace import (SchemaError, SynthesisProfile, TraceSchema,
+                    filter_complete, ingest_raw_log, read_traces_csv,
+                    synthesize_clean, write_traces_csv)
 
 
 def _sha256(path: Path) -> str:
@@ -69,19 +69,25 @@ def _schema_from_args(args) -> TraceSchema:
 
 def _input_schema(args, traces) -> TraceSchema:
     """Schema of the input traces: the length they all share and the
-    ``--rssi-min``/``--rssi-max`` bounds. Empty input and a trace of another
-    length are usage errors; the latter names the first trace that differs."""
+    ``--rssi-min``/``--rssi-max`` bounds. Empty input, a trace of another
+    length and a sample outside the bounds are usage errors that name the
+    first trace at fault."""
     if not traces:
         raise UsageError("input has no traces")
     length = traces[0].length
+    schema = TraceSchema(expected_length=length,
+                         rssi_min=args.rssi_min, rssi_max=args.rssi_max)
     for trace in traces:
         if trace.length != length:
             raise UsageError(
                 f"trace {trace.link_id} has {trace.length} samples, the first "
                 f"trace {traces[0].link_id} has {length}; all traces must "
                 f"have one length")
-    return TraceSchema(expected_length=length,
-                       rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+        try:
+            trace.validate(schema)
+        except SchemaError as exc:
+            raise UsageError(str(exc)) from None
+    return schema
 
 
 def _read_labeled(args, path: str):
@@ -225,9 +231,9 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(run_dir / f"checkpoint_{args.split}")
     stored = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
     threshold = TrainConfig(**stored.config).threshold
-    test_idx = np.asarray(splits[args.split]["test"])
-    metrics = evaluate_split(model, dataset, prepare_dataset(dataset, schema),
-                             test_idx, threshold)
+    items = [dataset[i] for i in splits[args.split]["test"]]
+    metrics = evaluate_split(model, items, prepare_dataset(items, schema),
+                             threshold)
     payload = {
         "split": args.split,
         "anomalous": vars(metrics.anomalous),

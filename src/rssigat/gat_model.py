@@ -12,10 +12,11 @@ time step.
 ``model_backward`` calls them in reverse to get the gradient of every
 parameter; there is no general autodiff engine behind them.
 
-The forward pass runs on the rows of a ``TsGraph``: in the value-class
-graph from ``transform`` all nodes of a row share feature and in-edges, so a
-class edge i -> j stands for ``row_sizes[i]`` equal node edges, folded into
-the attention bias as ln(row size). This is exact, not an approximation.
+The forward pass runs on the rows of a ``TsGraph``, through its C x C
+``weights``: in the value-class graph from ``transform`` all nodes of a row
+share feature and in-edges, so a class edge i -> j stands for
+``row_sizes[i]`` equal node edges, folded into the attention bias as
+ln(row size). This is exact, not an approximation.
 """
 from __future__ import annotations
 
@@ -151,11 +152,12 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
     if not collapse:
         graph = graph.expand()
     n_rows = graph.n_rows
-    src, dst = graph.edge_src, graph.edge_dst
+    weights = graph.weights.T
+    dst, src = np.nonzero(weights > 0)
     mask = np.eye(n_rows, dtype=bool)
     mask[dst, src] = True
     bias = np.zeros((n_rows, n_rows))
-    bias[dst, src] = np.log(graph.edge_weights) + np.log(graph.row_sizes[src])
+    bias[dst, src] = np.log(weights[dst, src]) + np.log(graph.row_sizes[src])
     return PreparedGraph(
         n_rows=n_rows,
         row_features=np.asarray(graph.row_features, dtype=np.float64)[:, None],
@@ -167,26 +169,6 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
 
 # ---------------------------------------------------------------------------
 # forward passes
-
-def _attention_block(h: np.ndarray, prep: PreparedGraph, cfg: GatLayerConfig,
-                     params: dict[str, np.ndarray], prefix: str):
-    return tc.graph_attention(
-        h, params[f"{prefix}.weight"], params[f"{prefix}.att_dst"],
-        params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
-        prep.mask, cfg.leaky_slope, cfg.head_mode)
-
-
-def gat_layer_forward(features: np.ndarray, graph: TsGraph | PreparedGraph,
-                      cfg: GatLayerConfig, params: dict[str, np.ndarray],
-                      prefix: str = "gat1") -> np.ndarray:
-    """One attention layer over per-node features (the graph is expanded)."""
-    prep = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph, collapse=False)
-    if features.ndim != 2 or features.shape != (prep.n_rows, cfg.in_dim):
-        raise ModelError(
-            f"features {features.shape} do not match "
-            f"({prep.n_rows}, {cfg.in_dim})")
-    return _attention_block(features, prep, cfg, params, prefix)[0]
-
 
 @dataclass
 class Forward:
@@ -200,16 +182,18 @@ class Forward:
     head: tuple[Callable, Callable, Callable]
 
 
-def model_forward(graph: TsGraph | PreparedGraph, model: GatModel) -> Forward:
+def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
     """Anomaly probability per original node, ``.data`` of shape (N, 1)."""
-    prep = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph)
     h = prep.row_features
     if h.shape[1] != model.in_dim:
         raise ModelError("graph features do not match model input width")
     params = model.params
     blocks = []
     for k, cfg in enumerate(model.layer_configs, start=1):
-        gat, gat_back = _attention_block(h, prep, cfg, params, f"gat{k}")
+        gat, gat_back = tc.graph_attention(
+            h, params[f"gat{k}.weight"], params[f"gat{k}.att_dst"],
+            params[f"gat{k}.att_src"], params[f"gat{k}.bias"],
+            prep.logit_bias, prep.mask, cfg.leaky_slope, cfg.head_mode)
         skip, skip_back = tc.linear(h, params[f"skip{k}.weight"],
                                     params[f"skip{k}.bias"])
         total = gat + skip
@@ -243,9 +227,9 @@ def model_backward(fwd: Forward, g: np.ndarray) -> dict[str, np.ndarray]:
     return grads
 
 
-def predict(graph: TsGraph | PreparedGraph, model: GatModel,
+def predict(graph: TsGraph, model: GatModel,
             threshold: float = 0.5) -> np.ndarray:
-    probs = model_forward(graph, model).data[:, 0]
+    probs = model_forward(prepare_graph(graph), model).data[:, 0]
     return (probs >= threshold).astype(np.int8)
 
 

@@ -66,17 +66,24 @@ class InjectionParams:
         if self.slowd_duration_range[0] < 1 or self.suddenr_duration_range[0] < 1:
             raise ConfigError("durations must be >= 1")
 
-    def validate_for_length(self, n: int) -> None:
-        if self.suddend_onset_range[1] > n:
+    def check_fits(self, kind: AnomalyKind, n: int) -> None:
+        """ConfigError unless every ``kind`` injection fits n samples."""
+        if kind is AnomalyKind.SUDDEN_D and self.suddend_onset_range[1] > n:
             raise ConfigError("SuddenD onset range exceeds trace length")
-        if self.suddenr_onset_range[1] - 1 + self.suddenr_duration_range[1] > n:
+        if kind is AnomalyKind.SUDDEN_R and (self.suddenr_onset_range[1] - 1
+                                             + self.suddenr_duration_range[1] > n):
             raise ConfigError("SuddenR onset+duration can exceed trace length")
-        if self.slowd_onset_range[1] - 1 + self.slowd_duration_range[1] > n:
+        if kind is AnomalyKind.SLOW_D and (self.slowd_onset_range[1] - 1
+                                           + self.slowd_duration_range[1] > n):
             raise ConfigError("SlowD onset+duration can exceed trace length")
-        if self.instad_fraction <= 0:
+        if kind is AnomalyKind.INSTA_D and self.instad_fraction <= 0:
             raise ConfigError("instad_fraction must be positive")
-        if round(self.instad_fraction * n) < 1:
+        if kind is AnomalyKind.INSTA_D and round(self.instad_fraction * n) < 1:
             raise ConfigError("instad_fraction too small for this trace length")
+
+    def validate_for_length(self, n: int) -> None:
+        for kind in ANOMALOUS_KINDS:
+            self.check_fits(kind, n)
 
     @classmethod
     def scaled_to_length(cls, n: int) -> "InjectionParams":
@@ -169,8 +176,7 @@ def inject_suddend(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
     """Permanent drop: everything from a drawn onset to the end goes to the floor."""
     rng = rng if rng is not None else np.random.default_rng()
     n = trace.length
-    if params.suddend_onset_range[1] > n:
-        raise ConfigError("SuddenD onset range exceeds trace length")
+    params.check_fits(AnomalyKind.SUDDEN_D, n)
     onset = _draw_ordinal(rng, params.suddend_onset_range)
     samples = trace.samples.copy()
     samples[onset:] = params.drop_floor
@@ -188,8 +194,7 @@ def inject_suddenr(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
     """Drop for a bounded window, after which the original values resume."""
     rng = rng if rng is not None else np.random.default_rng()
     n = trace.length
-    if params.suddenr_onset_range[1] - 1 + params.suddenr_duration_range[1] > n:
-        raise ConfigError("SuddenR window can exceed trace length")
+    params.check_fits(AnomalyKind.SUDDEN_R, n)
     onset = _draw_ordinal(rng, params.suddenr_onset_range)
     duration = int(rng.integers(params.suddenr_duration_range[0],
                                 params.suddenr_duration_range[1] + 1))
@@ -209,11 +214,8 @@ def inject_instad(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
     """Single-sample drops at round(fraction * length) distinct indices."""
     rng = rng if rng is not None else np.random.default_rng()
     n = trace.length
-    if params.instad_fraction <= 0:
-        raise ConfigError("instad_fraction must be positive")
+    params.check_fits(AnomalyKind.INSTA_D, n)
     k = int(round(params.instad_fraction * n))
-    if k < 1:
-        raise ConfigError("instad_fraction too small for this trace length")
     idx = np.sort(rng.choice(n, size=k, replace=False))
     samples = trace.samples.copy()
     samples[idx] = params.drop_floor
@@ -233,8 +235,7 @@ def inject_slowd(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
     """
     rng = rng if rng is not None else np.random.default_rng()
     n = trace.length
-    if params.slowd_onset_range[1] - 1 + params.slowd_duration_range[1] > n:
-        raise ConfigError("SlowD window can exceed trace length")
+    params.check_fits(AnomalyKind.SLOW_D, n)
     onset = _draw_ordinal(rng, params.slowd_onset_range)
     duration = int(rng.integers(params.slowd_duration_range[0],
                                 params.slowd_duration_range[1] + 1))

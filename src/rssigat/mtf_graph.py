@@ -1,10 +1,11 @@
 """Time-series to graph transformation via Markov transition fields.
 
 Three steps: quantile-bin the series, estimate the bin-to-bin transition
-matrix W from consecutive samples, then emit weighted directed edges. Time
-steps with equal values have equal rows and columns in the N x N field
-M[a, b] = W[bin(a), bin(b)], so ``transform`` builds its value-class graph
-directly; ``TsGraph.expand`` lists one edge per positive field entry.
+matrix W from consecutive samples, then keep W's entries between the bins
+the series' values fall in. Time steps with equal values have equal rows and
+columns in the N x N field M[a, b] = W[bin(a), bin(b)], so ``transform``
+builds its value-class graph directly: one row per distinct value, weighted
+by the C x C block of W. ``TsGraph.expand`` gives M itself.
 """
 from __future__ import annotations
 
@@ -92,27 +93,17 @@ def transition_matrix(bins: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 @dataclass
-class TransitionField:
-    """Bin transition matrix W plus its N x N expansion M over time steps."""
-
-    W: np.ndarray
-    M: np.ndarray
-    bins: np.ndarray
-
-
-@dataclass
 class TsGraph:
     """Directed weighted graph between rows; time step t is row node_map[t].
 
-    An edge i -> j stands for an edge from every node of row i to every node
-    of row j. A per-node graph has ``node_map = arange(N)``.
+    ``weights`` is C x C for C rows, and ``weights[i, j] > 0`` is the edge
+    i -> j: an edge from every node of row i to every node of row j. A
+    per-node graph has ``node_map = arange(N)``.
     """
 
     row_features: np.ndarray
     node_map: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    edge_weights: np.ndarray
+    weights: np.ndarray
     link_id: str | None = None
 
     @property
@@ -131,85 +122,51 @@ class TsGraph:
     def row_sizes(self) -> np.ndarray:
         return np.bincount(self.node_map, minlength=self.n_rows)
 
+    # the edge list, in row-major order
+    @property
+    def edge_src(self) -> np.ndarray:
+        return np.nonzero(self.weights)[0]
+
+    @property
+    def edge_dst(self) -> np.ndarray:
+        return np.nonzero(self.weights)[1]
+
+    @property
+    def edge_weights(self) -> np.ndarray:
+        return self.weights[np.nonzero(self.weights)]
+
     @property
     def n_edges(self) -> int:
-        return int(self.edge_src.size)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
+        return int(np.count_nonzero(self.weights))
 
     def expand(self) -> "TsGraph":
-        """The per-node graph: one edge per positive entry of the field."""
+        """The per-node graph, whose weights are the N x N field."""
         if self.n_nodes > DENSE_NODE_CAP:
             raise GraphError(f"per-node graph capped at {DENSE_NODE_CAP} nodes")
-        rows = np.zeros((self.n_rows, self.n_rows))
-        rows[self.edge_src, self.edge_dst] = self.edge_weights
-        field = rows[np.ix_(self.node_map, self.node_map)]
-        return _graph_from_rows(field, self.node_features,
-                                np.arange(self.n_nodes), self.link_id)
+        return TsGraph(self.node_features, np.arange(self.n_nodes),
+                       self.weights[np.ix_(self.node_map, self.node_map)],
+                       self.link_id)
 
     def validate(self) -> None:
-        if not (self.edge_src.size == self.edge_dst.size == self.edge_weights.size):
-            raise GraphError("edge arrays must have equal length")
         if self.row_features.ndim != 1 or self.node_map.ndim != 1:
             raise GraphError("row features and node map must be 1-D")
+        if self.weights.shape != (self.n_rows, self.n_rows):
+            raise GraphError(f"weights must be {self.n_rows} x {self.n_rows}")
         if not np.all(np.isfinite(self.row_features)):
             raise GraphError("row features must be finite")
         if not np.array_equal(np.unique(self.node_map), np.arange(self.n_rows)):
             raise GraphError(f"node map must cover rows 0..{self.n_rows - 1}")
-        if not np.all((self.edge_weights > 0) & np.isfinite(self.edge_weights)):
-            raise GraphError("edge weights must be positive and finite")
-        ends = np.r_[self.edge_src, self.edge_dst]
-        if np.any((ends < 0) | (ends >= self.n_rows)):
-            raise GraphError("edge endpoint out of range")
-        pairs = self.edge_src.astype(np.int64) * self.n_rows + self.edge_dst
-        if np.unique(pairs).size != pairs.size:
-            raise GraphError("duplicate directed edge")
-
-
-def mtf(series: np.ndarray, n_bins: int) -> TransitionField:
-    """Dense Markov transition field: M[a, b] = W[bin(a), bin(b)]."""
-    series = np.asarray(series, dtype=np.float64)
-    if series.size < 2:
-        raise GraphError("series must have at least 2 samples")
-    if series.size > DENSE_NODE_CAP:
-        raise GraphError(
-            f"dense field capped at {DENSE_NODE_CAP} nodes; use transform()")
-    q = fit_quantizer(series, n_bins)
-    bins = q.assign(series)
-    w = transition_matrix(bins, q.n_bins)
-    m = w[np.ix_(bins, bins)]
-    return TransitionField(W=w, M=m, bins=bins)
-
-
-def _graph_from_rows(rows: np.ndarray, row_features: np.ndarray,
-                     node_map: np.ndarray, link_id: str | None = None) -> TsGraph:
-    """One edge per positive entry of ``rows``, in row-major order."""
-    src, dst = np.nonzero(rows)
-    return TsGraph(
-        row_features=row_features,
-        node_map=node_map.astype(np.int64),
-        edge_src=src.astype(np.int64),
-        edge_dst=dst.astype(np.int64),
-        edge_weights=rows[src, dst],
-        link_id=link_id,
-    )
-
-
-def build_graph(field: TransitionField, features: np.ndarray) -> TsGraph:
-    """One directed edge per positive field entry, weighted by that entry."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (field.M.shape[0],):
-        raise GraphError("feature length must match field size")
-    return _graph_from_rows(field.M, features, np.arange(features.size))
+        if not np.all((self.weights >= 0) & np.isfinite(self.weights)):
+            raise GraphError("edge weights must be non-negative and finite")
 
 
 def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA,
               n_bins: int | None = None) -> TsGraph:
     """Value-class graph of a trace; bin count defaults to the series length.
 
-    Rows are the distinct normalized values in ascending order; class edges
-    are listed in row-major order. Cost is O(N log N + C^2) for C rows.
+    Rows are the distinct normalized values in ascending order, and the
+    weights are W restricted to the rows' bins. Cost is O(N log N + C^2) for
+    C rows.
     """
     features = normalize(trace, schema)
     n = features.size
@@ -219,22 +176,23 @@ def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA,
     w = transition_matrix(q.assign(features), q.n_bins)
     values, node_map = np.unique(features, return_inverse=True)
     row_bins = q.assign(values)
-    return _graph_from_rows(w[np.ix_(row_bins, row_bins)], values, node_map,
-                            trace.link_id)
+    return TsGraph(values, node_map, w[np.ix_(row_bins, row_bins)],
+                   trace.link_id)
 
 
 # ---------------------------------------------------------------------------
 # serialization: one JSON record per line, weights at 9 significant digits
 
 def graph_to_record(graph: TsGraph) -> dict:
+    src, dst = np.nonzero(graph.weights)
     return {
         "format": GRAPH_FORMAT,
         "link_id": graph.link_id,
         "values": graph.row_features.tolist(),
         "node_map": graph.node_map.tolist(),
-        "edges": [[int(s), int(d), float(f"{w:.9g}")]
-                  for s, d, w in zip(graph.edge_src, graph.edge_dst,
-                                     graph.edge_weights)],
+        "edges": [[s, d, float(f"{w:.9g}")]
+                  for s, d, w in zip(src.tolist(), dst.tolist(),
+                                     graph.weights[src, dst].tolist())],
     }
 
 
@@ -246,24 +204,32 @@ def _row_indices(values) -> np.ndarray:
 
 
 def graph_from_record(rec: dict) -> TsGraph:
+    """A record back as a ``TsGraph``; the edge triples are checked before
+    they are scattered into the weights."""
     if not isinstance(rec, dict) or rec.get("format") != GRAPH_FORMAT:
         raise GraphError(f"not a {GRAPH_FORMAT} record")
     try:
         edges = np.array(rec["edges"], dtype=np.float64).reshape(-1, 3)
         if edges.shape[0] != len(rec["edges"]):
             raise ValueError("edges must be [src, dst, weight] triples")
-        graph = TsGraph(
-            row_features=np.array(rec["values"], dtype=np.float64),
-            node_map=_row_indices(rec["node_map"]),
-            edge_src=_row_indices(edges[:, 0]),
-            edge_dst=_row_indices(edges[:, 1]),
-            edge_weights=edges[:, 2],
-            link_id=rec["link_id"],
-        )
+        src, dst, w = _row_indices(edges[:, 0]), _row_indices(edges[:, 1]), edges[:, 2]
+        values = np.array(rec["values"], dtype=np.float64)
+        node_map = _row_indices(rec["node_map"])
+        link_id = rec["link_id"]
     except KeyError as exc:
         raise GraphError(f"record lacks key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise GraphError(f"malformed record: {exc}") from None
+    n = values.size
+    if not np.all((w > 0) & np.isfinite(w)):
+        raise GraphError("edge weights must be positive and finite")
+    if np.any((np.r_[src, dst] < 0) | (np.r_[src, dst] >= n)):
+        raise GraphError("edge endpoint out of range")
+    if np.unique(src * n + dst).size != src.size:
+        raise GraphError("duplicate directed edge")
+    weights = np.zeros((n, n))
+    weights[src, dst] = w
+    graph = TsGraph(values, node_map, weights, link_id)
     graph.validate()
     return graph
 

@@ -251,15 +251,14 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
                      steps=steps)
 
 
-def evaluate_split(model: GatModel, dataset: list[LabeledTrace],
-                   prepared: list[PreparedGraph], indices: np.ndarray,
+def evaluate_split(model: GatModel, items: list[LabeledTrace],
+                   prepared: list[PreparedGraph],
                    threshold: float = 0.5) -> SplitMetrics:
-    """Pool predictions over every point of the given traces."""
-    preds, truths = [], []
-    for i in indices:
-        probs = model_forward(prepared[i], model).data[:, 0]
-        preds.append(probs >= threshold)
-        truths.append(dataset[i].labels.astype(bool))
+    """Pool predictions over every point of the given traces;
+    ``prepared[i]`` is the class graph of ``items[i]``."""
+    preds = [model_forward(prep, model).data[:, 0] >= threshold
+             for prep in prepared]
+    truths = [item.labels.astype(bool) for item in items]
     return split_metrics(np.concatenate(preds), np.concatenate(truths))
 
 
@@ -273,11 +272,11 @@ class CrossValResult:
 
 def _run_single_split(args) -> tuple[int, SplitMetrics, GatModel, list[float]]:
     k, dataset, prepared, train_idx, test_idx, cfg = args
-    train_subset = [dataset[i] for i in train_idx]
-    result = fit(train_subset, model_seed=derive_seed(cfg.seed, "model", k),
-                 cfg=cfg, prepared=[prepared[i] for i in train_idx],
-                 weights=class_weights(train_subset))
-    metrics = evaluate_split(result.model, dataset, prepared, test_idx,
+    result = fit([dataset[i] for i in train_idx],
+                 model_seed=derive_seed(cfg.seed, "model", k), cfg=cfg,
+                 prepared=[prepared[i] for i in train_idx])
+    metrics = evaluate_split(result.model, [dataset[i] for i in test_idx],
+                             [prepared[i] for i in test_idx],
                              threshold=cfg.threshold)
     return k, metrics, result.model, result.loss_curve
 

@@ -16,7 +16,7 @@ from rssigat.gat_model import build_model, count_parameters, model_forward, \
     prepare_graph
 from rssigat.inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
                             build_dataset, read_dataset)
-from rssigat.mtf_graph import build_graph, mtf, transform
+from rssigat.mtf_graph import transform
 from rssigat.trace import RssiTrace, TraceSchema, synthesize_clean
 from rssigat.train import TrainConfig, prepare_dataset, run_cross_validation
 from gradcheck import primitive_cases, check_case, run_model_fd_trials
@@ -67,16 +67,17 @@ def test_c1_mtf_oracle_equivalence():
 # criterion 2: hand-worked field for [1, 1, 2, 2], Q = 2
 
 def test_c2_hand_worked_mtf_case():
-    field = mtf(np.array([1.0, 1.0, 2.0, 2.0]), n_bins=2)
-    np.testing.assert_array_equal(field.W, [[0.5, 0.5], [0.0, 1.0]])
-    np.testing.assert_array_equal(field.M, [
+    graph = transform(RssiTrace("t", np.array([1.0, 1.0, 2.0, 2.0])),
+                      TraceSchema(expected_length=4), n_bins=2)
+    np.testing.assert_array_equal(graph.weights, [[0.5, 0.5], [0.0, 1.0]])
+    nodes = graph.expand()
+    np.testing.assert_array_equal(nodes.weights, [
         [0.5, 0.5, 0.5, 0.5],
         [0.5, 0.5, 0.5, 0.5],
         [0.0, 0.0, 1.0, 1.0],
         [0.0, 0.0, 1.0, 1.0],
     ])
-    graph = build_graph(field, np.array([1.0, 1.0, 2.0, 2.0]))
-    assert graph.n_edges == 12
+    assert nodes.n_edges == 12
     _ok("2 hand-worked-mtf-case (W, M exact; 12 directed edges)")
 
 

@@ -9,7 +9,7 @@ from rssigat.cli import main
 from rssigat.gat_model import build_model, save_checkpoint
 from rssigat.inject import read_dataset
 from rssigat.metrics import EvalReport, split_metrics
-from rssigat.mtf_graph import GraphError, read_graphs
+from rssigat.mtf_graph import GraphError, read_graphs, transform
 from rssigat.trace import read_traces_csv
 
 
@@ -124,6 +124,26 @@ def test_eval_reproduces_stored_split_metrics(pipeline_dir):
     stored = report.per_split[0]
     assert payload["anomalous"] == vars(stored.anomalous)
     assert payload["non_anomalous"] == vars(stored.non_anomalous)
+
+
+def test_eval_transforms_only_the_test_split(pipeline_dir, monkeypatch):
+    import rssigat.train
+    calls = []
+
+    def counting_transform(*args, **kwargs):
+        calls.append(args[0].link_id)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(rssigat.train, "transform", counting_transform)
+    run_dir = pipeline_dir / "run"
+    assert _run("eval", "--run", run_dir, "--dataset", pipeline_dir / "dataset.jsonl",
+                "--split", 1, "-o", pipeline_dir / "eval1.json") == 0
+    dataset = read_dataset(pipeline_dir / "dataset.jsonl")
+    test_idx = json.loads((run_dir / "splits.json").read_text())[1]["test"]
+    assert calls == [dataset[i].trace.link_id for i in test_idx]
+    payload = json.loads((pipeline_dir / "eval1.json").read_text())
+    stored = EvalReport.from_json((run_dir / "report.json").read_text()).per_split[1]
+    assert payload["anomalous"] == vars(stored.anomalous)
 
 
 def test_eval_rejects_bad_split(pipeline_dir, capsys):
@@ -350,6 +370,37 @@ def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):
         f"{first} has 50; all traces must have one length\n")
     assert not (tmp_path / "out.jsonl").exists()
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["inject", "transform", "train", "eval",
+                                     "predict"])
+def test_out_of_range_sample_is_usage_error(tmp_path, capsys, command):
+    """A sample outside ``--rssi-min``/``--rssi-max`` stops every command that
+    reads traces before it writes anything."""
+    assert _run("synth", "--count", 6, "--length", 30, "--seed", 1,
+                "-o", tmp_path / "t.csv") == 0
+    rows = ["synth-00003,7,120" if row.startswith("synth-00003,7,") else row
+            for row in (tmp_path / "t.csv").read_text().splitlines()]
+    (tmp_path / "t.csv").write_text("\n".join(rows) + "\n")
+    assert _run("inject", "-i", tmp_path / "t.csv", "--clean", 6, "--seed", 1,
+                "-o", tmp_path / "d.jsonl") == 0
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    out = tmp_path / "out"
+    data = tmp_path / ("t.csv" if command == "inject" else "d.jsonl")
+    argv = {"inject": ["inject", "-i", data, "--clean", 6, "-o", out],
+            "transform": ["transform", "-i", data, "-o", out],
+            "train": ["train", "--dataset", data, "-o", out],
+            "eval": ["eval", "--run", tmp_path / "run", "--dataset", data,
+                     "--split", 0, "-o", out],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
+                        "-i", data, "-o", out]}[command]
+    capsys.readouterr()
+    assert _run(*argv, "--rssi-max", 100) == 2
+    assert capsys.readouterr().err == \
+        "rssigat: error: trace synth-00003: sample outside [0.0, 100.0]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ckpt.bin", "ckpt.json", "d.jsonl", "d.jsonl.manifest.json", "t.csv",
+        "t.csv.manifest.json"]
 
 
 @pytest.mark.parametrize("mutate, message", [

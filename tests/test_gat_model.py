@@ -5,9 +5,8 @@ import pytest
 
 import rssigat.tensor_core as tc
 from rssigat.gat_model import (GatLayerConfig, GatModel, ModelError, build_model,
-                               count_parameters, gat_layer_forward,
-                               load_checkpoint, model_forward, predict,
-                               prepare_graph, save_checkpoint)
+                               count_parameters, load_checkpoint, model_forward,
+                               predict, prepare_graph, save_checkpoint)
 from rssigat.mtf_graph import TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
 from oracles import dense_gat_oracle, model_forward_oracle
@@ -16,12 +15,21 @@ from test_train import _desk_dataset
 
 
 def _graph(n_nodes, edges, features, link_id=None):
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    dst = np.array([e[1] for e in edges], dtype=np.int64)
-    wts = np.array([e[2] for e in edges], dtype=np.float64)
+    weights = np.zeros((n_nodes, n_nodes))
+    for src, dst, wt in edges:
+        weights[src, dst] = wt
     return TsGraph(row_features=np.asarray(features, dtype=float),
-                   node_map=np.arange(n_nodes), edge_src=src, edge_dst=dst,
-                   edge_weights=wts, link_id=link_id)
+                   node_map=np.arange(n_nodes), weights=weights,
+                   link_id=link_id)
+
+
+def _layer_forward(features, graph, cfg, params, prefix="gat1"):
+    """One attention layer over per-node features (the graph is expanded)."""
+    prep = prepare_graph(graph, collapse=False)
+    return tc.graph_attention(
+        features, params[f"{prefix}.weight"], params[f"{prefix}.att_dst"],
+        params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
+        prep.mask, cfg.leaky_slope, cfg.head_mode)[0]
 
 
 def _layer_params(rng, cfg, prefix="gat1"):
@@ -43,7 +51,7 @@ def test_single_node_self_loop_gives_projection():
     params = _layer_params(rng, cfg)
     params["gat1.bias"] = np.zeros(3)
     graph = _graph(1, [(0, 0, 1.0)], [0.7])
-    out = gat_layer_forward(np.array([[0.7]]), graph, cfg, params)
+    out = _layer_forward(np.array([[0.7]]), graph, cfg, params)
     expected = np.array([[0.7]]) @ params["gat1.weight"]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -54,7 +62,7 @@ def test_two_symmetric_nodes_get_identical_outputs():
     params = _layer_params(rng, cfg)
     graph = _graph(2, [(0, 1, 0.5), (1, 0, 0.5)], [0.3, 0.3])
     feats = np.array([[0.3, 0.6], [0.3, 0.6]])
-    out = gat_layer_forward(feats, graph, cfg, params)
+    out = _layer_forward(feats, graph, cfg, params)
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -73,7 +81,7 @@ def test_layer_matches_dense_oracle(seed, head_mode):
                 edges.append((a, b, float(rng.uniform(0.05, 1.0))))
     features = rng.standard_normal((n, 2))
     graph = _graph(n, edges, features[:, 0])
-    out = gat_layer_forward(features, graph, cfg, params)
+    out = _layer_forward(features, graph, cfg, params)
     expected = dense_gat_oracle(features, n, edges, cfg,
                                 params["gat1.weight"], params["gat1.att_src"],
                                 params["gat1.att_dst"], params["gat1.bias"])
@@ -110,7 +118,10 @@ def test_attention_coefficients_sum_to_one_per_destination():
         np.testing.assert_allclose(np.where(prep.mask, alpha, 0.0).sum(axis=-1),
                                    1.0, atol=1e-9)
         assert np.all(alpha[:, ~prep.mask] == 0.0)
-        gat = gat_layer_forward(h, prep, cfg, p, f"gat{k}")
+        gat, _ = tc.graph_attention(
+            h, p[f"gat{k}.weight"], p[f"gat{k}.att_dst"], p[f"gat{k}.att_src"],
+            p[f"gat{k}.bias"], prep.logit_bias, prep.mask, cfg.leaky_slope,
+            cfg.head_mode)
         h = np.maximum(gat + h @ p[f"skip{k}.weight"] + p[f"skip{k}.bias"], 0.0)
 
 
@@ -122,7 +133,7 @@ def test_model_forward_lengths_and_range():
     trace = RssiTrace("t", rng.integers(10, 50, size=300).astype(float))
     graph = transform(trace, TraceSchema(expected_length=300))
     model = build_model(seed=0)
-    probs = model_forward(graph, model)
+    probs = model_forward(prepare_graph(graph), model)
     assert probs.data.shape == (300, 1)
     assert probs.data.min() > 0.0 and probs.data.max() < 1.0
 
@@ -132,7 +143,8 @@ def test_all_zero_parameters_give_half():
     for p in model.params.values():
         p[...] = 0.0
     trace = RssiTrace("t", np.arange(2, 22, dtype=float))
-    probs = model_forward(transform(trace, TraceSchema(expected_length=20)), model)
+    graph = transform(trace, TraceSchema(expected_length=20))
+    probs = model_forward(prepare_graph(graph), model)
     np.testing.assert_array_equal(probs.data, np.full((20, 1), 0.5))
 
 
@@ -140,7 +152,7 @@ def test_predict_thresholds():
     model = build_model(seed=1)
     trace = RssiTrace("t", np.arange(10, 40, dtype=float))
     graph = transform(trace, TraceSchema(expected_length=30))
-    probs = model_forward(graph, model).data[:, 0]
+    probs = model_forward(prepare_graph(graph), model).data[:, 0]
     np.testing.assert_array_equal(predict(graph, model, threshold=0.0), np.ones(30))
     labels = predict(graph, model, threshold=0.5)
     np.testing.assert_array_equal(labels, (probs >= 0.5).astype(np.int8))
@@ -152,8 +164,8 @@ def test_forward_is_deterministic_bitwise():
     trace = RssiTrace("t", rng.integers(0, 128, size=80).astype(float))
     graph = transform(trace, TraceSchema(expected_length=80))
     model = build_model(seed=9)
-    a = model_forward(graph, model).data
-    b = model_forward(graph, model).data
+    a = model_forward(prepare_graph(graph), model).data
+    b = model_forward(prepare_graph(graph), model).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -188,17 +200,14 @@ def test_node_permutation_equivariance():
     classes = transform(trace, TraceSchema(expected_length=40))
     graph = classes.expand()
     model = build_model(seed=2)
-    base = model_forward(classes, model).data[:, 0]
+    base = model_forward(prepare_graph(classes), model).data[:, 0]
     perm = rng.permutation(40)
-    inv = np.argsort(perm)
     permuted = TsGraph(
         row_features=graph.node_features[perm],
         node_map=np.arange(40),
-        edge_src=inv[graph.edge_src],
-        edge_dst=inv[graph.edge_dst],
-        edge_weights=graph.edge_weights.copy(),
+        weights=graph.weights[np.ix_(perm, perm)],
     )
-    out = model_forward(permuted, model).data[:, 0]
+    out = model_forward(prepare_graph(permuted), model).data[:, 0]
     np.testing.assert_allclose(out, base[perm], atol=1e-9)
 
 
@@ -252,11 +261,11 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(1)
     trace = RssiTrace("t", rng.integers(5, 60, size=50).astype(float))
     graph = transform(trace, TraceSchema(expected_length=50))
-    before = model_forward(graph, model).data
+    before = model_forward(prepare_graph(graph), model).data
     save_checkpoint(tmp_path / "ckpt", model)
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.seed == 31
-    after = model_forward(graph, loaded).data
+    after = model_forward(prepare_graph(graph), loaded).data
     assert before.tobytes() == after.tobytes()
     for name in model.params:
         np.testing.assert_array_equal(model.params[name], loaded.params[name])

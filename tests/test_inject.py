@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +238,25 @@ def test_scaled_params_fit_short_traces():
 def test_params_validate_for_length_rejects_overflow():
     with pytest.raises(ConfigError):
         InjectionParams().validate_for_length(100)
+
+
+@pytest.mark.parametrize("inject, change, message", [
+    (inject_suddend, {"suddend_onset_range": (67, 101)},
+     "SuddenD onset range exceeds"),
+    (inject_suddenr, {"suddenr_duration_range": (2, 100)},
+     "SuddenR onset+duration can exceed"),
+    (inject_slowd, {"slowd_duration_range": (50, 100)},
+     "SlowD onset+duration can exceed"),
+    (inject_instad, {"instad_fraction": 0.001}, "instad_fraction too small"),
+], ids=["SuddenD", "SuddenR", "SlowD", "InstaD"])
+def test_injector_and_params_reject_a_window_alike(inject, change, message):
+    """Each injector refuses a window that cannot fit with the message
+    ``validate_for_length`` gives for it."""
+    params = replace(InjectionParams.scaled_to_length(100), **change)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        params.validate_for_length(100)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        inject(_flat_trace(n=100), params, _rng(0))
 
 
 def test_dataset_round_trip_bit_exact(tmp_path):

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph, build_graph,
+from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph,
                                fit_quantizer, graph_from_record,
-                               graph_to_record, mtf, read_graphs,
+                               graph_to_record, read_graphs,
                                transition_matrix, transform, write_graphs)
-from rssigat.trace import RssiTrace, TraceSchema
+from rssigat.trace import RssiTrace, TraceError, TraceSchema, normalize
 from oracles import mtf_oracle
-
-UNIT = TraceSchema(expected_length=4, rssi_min=0.0, rssi_max=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -70,23 +68,25 @@ def test_transition_matrix_dead_row_gets_self_transition():
 # field and graph
 
 def test_mtf_worked_example():
-    field = mtf(np.array([1.0, 1.0, 2.0, 2.0]), n_bins=2)
-    np.testing.assert_array_equal(field.W, [[0.5, 0.5], [0.0, 1.0]])
+    graph = transform(RssiTrace("t", np.array([1.0, 1.0, 2.0, 2.0])),
+                      TraceSchema(expected_length=4), n_bins=2)
+    np.testing.assert_array_equal(graph.weights, [[0.5, 0.5], [0.0, 1.0]])
     expected_m = np.array([
         [0.5, 0.5, 0.5, 0.5],
         [0.5, 0.5, 0.5, 0.5],
         [0.0, 0.0, 1.0, 1.0],
         [0.0, 0.0, 1.0, 1.0],
     ])
-    np.testing.assert_array_equal(field.M, expected_m)
-    graph = build_graph(field, np.array([1.0, 1.0, 2.0, 2.0]))
-    assert graph.n_edges == 12
-    graph.validate()
+    nodes = graph.expand()
+    np.testing.assert_array_equal(nodes.weights, expected_m)
+    assert nodes.n_edges == 12
+    nodes.validate()
 
 
 def test_mtf_constant_series_all_ones():
-    field = mtf(np.full(6, 2.0), n_bins=6)
-    np.testing.assert_array_equal(field.M, np.ones((6, 6)))
+    graph = transform(RssiTrace("t", np.full(6, 2.0)),
+                      TraceSchema(expected_length=6), n_bins=6)
+    np.testing.assert_array_equal(graph.expand().weights, np.ones((6, 6)))
 
 
 def test_constant_series_complete_graph_with_self_loops():
@@ -99,13 +99,9 @@ def test_constant_series_complete_graph_with_self_loops():
 
 
 def test_mtf_rejects_too_short_series():
-    with pytest.raises(GraphError):
-        mtf(np.array([1.0]), 1)
-
-
-def test_mtf_rejects_above_dense_cap():
-    with pytest.raises(GraphError):
-        mtf(np.arange(DENSE_NODE_CAP + 1, dtype=float), 4)
+    # a one-sample series is refused as a trace, so no field is built for it
+    with pytest.raises(TraceError, match="length >= 2"):
+        transform(RssiTrace("t", np.array([1.0])), TraceSchema())
 
 
 def test_transform_node_count_and_determinism():
@@ -166,11 +162,15 @@ def test_row_stochastic_for_any_series(values, n_bins):
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.integers(0, 60), min_size=2, max_size=25))
 def test_edge_weights_are_the_nonzero_field_entries(values):
-    series = np.array(values, dtype=float) / 60.0
-    field = mtf(series, n_bins=len(values))
-    graph = build_graph(field, series)
-    expected = np.sort(field.M[field.M > 0])
-    np.testing.assert_array_equal(np.sort(graph.edge_weights), expected)
+    trace = RssiTrace("t", np.array(values, dtype=float))
+    schema = TraceSchema(expected_length=len(values), rssi_max=60.0)
+    series = normalize(trace, schema)
+    q = fit_quantizer(series, len(values))
+    bins = q.assign(series)
+    field = transition_matrix(bins, q.n_bins)[np.ix_(bins, bins)]
+    nodes = transform(trace, schema).expand()
+    np.testing.assert_array_equal(nodes.weights, field)
+    np.testing.assert_array_equal(nodes.edge_weights, field[field > 0])
 
 
 @settings(deadline=None, max_examples=30)
@@ -242,9 +242,16 @@ def test_graph_round_trip_preserves_printed_precision(tmp_path):
 
 def test_graph_record_weight_precision():
     graph = TsGraph(row_features=np.array([0.1, 0.9]), node_map=np.arange(2),
-                    edge_src=np.array([0]), edge_dst=np.array([1]),
-                    edge_weights=np.array([0.123456789123]), link_id="x")
+                    weights=np.array([[0.0, 0.123456789123], [0.0, 0.0]]),
+                    link_id="x")
     rec = graph_to_record(graph)
     assert rec["edges"][0][2] == float("0.123456789")  # 9 significant digits
     back = graph_from_record(rec)
-    assert back.edges() == [(0, 1)]
+    assert list(zip(back.edge_src, back.edge_dst)) == [(0, 1)]
+
+
+def test_graph_record_duplicate_edge_rejected():
+    rec = {"format": "rssigat-graph-v2", "link_id": "x", "values": [0.1, 0.9],
+           "node_map": [0, 1], "edges": [[0, 1, 0.5], [0, 1, 0.25]]}
+    with pytest.raises(GraphError, match="duplicate directed edge"):
+        graph_from_record(rec)
