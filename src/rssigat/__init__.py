@@ -6,8 +6,7 @@ from .trace import (TraceSchema, RssiTrace, RawLinkLog, SynthesisProfile,
                     DEFAULT_SCHEMA, ingest_raw_log, filter_complete,
                     synthesize_clean, normalize)
 from .inject import (AnomalyKind, InjectionParams, LabeledTrace,
-                     inject_suddend, inject_suddenr, inject_instad,
-                     inject_slowd, build_dataset)
+                     inject_anomaly, build_dataset)
 from .mtf_graph import (Quantizer, TsGraph, fit_quantizer, transition_matrix,
                         transform)
 from .gat_model import (GatLayerConfig, GatModel, build_model, count_parameters,

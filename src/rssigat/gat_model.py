@@ -47,8 +47,13 @@ class GatLayerConfig:
     def __post_init__(self):
         if self.head_mode not in ("concat", "average"):
             raise ModelError(f"unknown head_mode {self.head_mode!r}")
-        if self.in_dim < 1 or self.out_dim_per_head < 1 or self.n_heads < 1:
-            raise ModelError("layer dimensions must be >= 1")
+        dims = (self.in_dim, self.out_dim_per_head, self.n_heads)
+        if not all(isinstance(d, (int, np.integer)) and type(d) is not bool
+                   and d >= 1 for d in dims):
+            raise ModelError("layer dimensions must be integers >= 1")
+        if not (isinstance(self.leaky_slope, (int, float))
+                and np.isfinite(self.leaky_slope)):
+            raise ModelError("leaky_slope must be a finite number")
 
     @property
     def out_width(self) -> int:
@@ -256,15 +261,23 @@ def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
 
 
 def load_checkpoint(path) -> GatModel:
+    """The model saved at ``path``; ModelError if its manifest is malformed
+    or disagrees with its blob."""
     base = Path(path)
-    manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
-    if manifest.get("format") != "rssigat-checkpoint-v1":
-        raise ModelError(f"unrecognized checkpoint format in {base}")
-    configs = tuple(GatLayerConfig(**cfg) for cfg in manifest["layers"])
+    try:
+        manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+        if manifest.get("format") != "rssigat-checkpoint-v1":
+            raise ModelError(f"unrecognized checkpoint format in {base}")
+        configs = tuple(GatLayerConfig(**cfg) for cfg in manifest["layers"])
+        listed = [(entry["name"], tuple(entry["shape"]))
+                  for entry in manifest["tensors"]]
+        seed = manifest["seed"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"malformed checkpoint manifest {base}: "
+                         f"{type(exc).__name__}: {exc}") from None
     if not configs:
         raise ModelError(f"checkpoint {base} has no layers")
     expected = [(name, shape) for name, shape, _ in _param_table(configs)]
-    listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]]
     for have, want in zip_longest(listed, expected):
         if have != want:
             raise ModelError(f"checkpoint tensor {have} does not match "
@@ -281,4 +294,4 @@ def load_checkpoint(path) -> GatModel:
         if not np.isfinite(chunk).all():
             raise ModelError(f"checkpoint tensor {name} has non-finite values")
         params[name] = chunk.reshape(shape)
-    return GatModel(layer_configs=configs, params=params, seed=manifest["seed"])
+    return GatModel(layer_configs=configs, params=params, seed=seed)

@@ -2,14 +2,19 @@
 
 Four anomaly kinds are supported: a permanent sudden drop (SuddenD), a sudden
 drop with recovery (SuddenR), isolated single-sample drops (InstaD), and a
-gradual linear decline (SlowD). Index ranges are configured as 1-based
-ordinals ("the 200th sample") and converted to 0-based indices when drawn;
-both ends are inclusive.
+gradual linear decline (SlowD). ``draw_descriptor`` draws one injection into
+an ``AnomalyDescriptor``, whose ``anomalous_indices`` are the points it marks;
+``inject_anomaly`` applies it: drops go to the schema's ``rssi_min``, SlowD
+declines clamped to the schema's bounds. A ``LabeledTrace`` derives its kind
+and labels from its descriptor, so only records read from outside are
+checked for agreement. Index ranges are configured as 1-based ordinals ("the
+200th sample") and converted to 0-based indices when drawn; both ends are
+inclusive.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -51,7 +56,6 @@ class InjectionParams:
     slowd_onset_range: tuple[int, int] = (1, 20)
     slowd_duration_range: tuple[int, int] = (150, 180)
     slowd_slope_range: tuple[float, float] = (0.5, 1.5)
-    drop_floor: float = 0.0
 
     def __post_init__(self):
         for name in ("suddend_onset_range", "suddenr_onset_range",
@@ -105,13 +109,9 @@ class InjectionParams:
             slowd_onset_range=scale_range(base.slowd_onset_range),
             slowd_duration_range=scale_range(base.slowd_duration_range),
             slowd_slope_range=base.slowd_slope_range,
-            drop_floor=base.drop_floor,
         )
         params.validate_for_length(n)
         return params
-
-
-DEFAULT_PARAMS = InjectionParams()
 
 
 @dataclass(frozen=True)
@@ -135,142 +135,73 @@ class AnomalyDescriptor:
 
 @dataclass
 class LabeledTrace:
+    """A trace and the anomaly injected into it. ``kind`` and the per-point
+    ``labels`` are derived from the descriptor when the object is built."""
+
     trace: RssiTrace
-    labels: np.ndarray
-    kind: AnomalyKind
     descriptor: AnomalyDescriptor
+    kind: AnomalyKind = field(init=False)
+    labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.labels.shape != (self.trace.length,):
-            raise ConfigError("need one label per sample")
-
-    def validate(self) -> None:
-        n = self.trace.length
-        desc = self.descriptor
-        if desc.kind != self.kind.value:
-            raise ConfigError("descriptor kind disagrees with kind")
-        if not all(type(v) is int and 0 <= v <= n
-                   for v in (desc.onset, desc.duration) if v is not None):
-            raise ConfigError(f"descriptor onset and duration must be "
-                              f"integers in [0, {n}]")
-        idx = desc.anomalous_indices(n)
-        if idx.size and not (0 <= idx.min() and idx.max() < n):
-            raise ConfigError("descriptor indices out of range")
-        marked = np.zeros(n, dtype=np.int8)
-        marked[idx] = 1
-        if not np.array_equal(marked, self.labels):
-            raise ConfigError("labels disagree with descriptor")
-        if (self.kind is AnomalyKind.NONE) != bool(self.labels.sum() == 0):
-            raise ConfigError("kind None must mean all-zero labels")
+        self.kind = AnomalyKind(self.descriptor.kind)
+        self.labels = np.zeros(self.trace.length, dtype=np.int8)
+        self.labels[self.descriptor.anomalous_indices(self.trace.length)] = 1
 
 
-def _draw_ordinal(rng: np.random.Generator, ordinal_range: tuple[int, int]) -> int:
-    """Uniform draw over an inclusive 1-based ordinal range, as 0-based index."""
-    return int(rng.integers(ordinal_range[0], ordinal_range[1] + 1)) - 1
+def _draw_inclusive(rng: np.random.Generator, bounds: tuple[int, int]) -> int:
+    return int(rng.integers(bounds[0], bounds[1] + 1))
 
 
-def inject_suddend(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
+def draw_descriptor(kind: AnomalyKind, n: int, params: InjectionParams,
+                    rng: np.random.Generator) -> AnomalyDescriptor:
+    """Draw everything random about one ``kind`` injection into n samples.
+    Onsets are drawn as 1-based ordinals and stored as 0-based indices."""
+    params.check_fits(kind, n)
+    if kind is AnomalyKind.SUDDEN_D:
+        onset = _draw_inclusive(rng, params.suddend_onset_range) - 1
+        return AnomalyDescriptor(kind.value, onset=onset, duration=n - onset)
+    if kind is AnomalyKind.SUDDEN_R:
+        onset = _draw_inclusive(rng, params.suddenr_onset_range) - 1
+        return AnomalyDescriptor(
+            kind.value, onset=onset,
+            duration=_draw_inclusive(rng, params.suddenr_duration_range))
+    if kind is AnomalyKind.INSTA_D:
+        k = int(round(params.instad_fraction * n))
+        idx = np.sort(rng.choice(n, size=k, replace=False))
+        return AnomalyDescriptor(kind.value, indices=tuple(int(i) for i in idx))
+    if kind is AnomalyKind.SLOW_D:
+        onset = _draw_inclusive(rng, params.slowd_onset_range) - 1
+        duration = _draw_inclusive(rng, params.slowd_duration_range)
+        slope = float(rng.uniform(*params.slowd_slope_range))
+        return AnomalyDescriptor(kind.value, onset=onset, duration=duration,
+                                 slope=slope)
+    return AnomalyDescriptor(kind.value)
+
+
+def inject_anomaly(trace: RssiTrace, kind: AnomalyKind,
+                   params: InjectionParams = InjectionParams(),
                    rng: np.random.Generator | None = None,
                    schema: TraceSchema = DEFAULT_SCHEMA) -> LabeledTrace:
-    """Permanent drop: everything from a drawn onset to the end goes to the floor."""
+    """A copy of ``trace`` with one drawn ``kind`` anomaly. A drop sets the
+    marked samples to ``schema.rssi_min``; SlowD declines them linearly,
+    sample(x) <- clip(sample(x) - slope * (x - onset), schema bounds)."""
     rng = rng if rng is not None else np.random.default_rng()
-    n = trace.length
-    params.check_fits(AnomalyKind.SUDDEN_D, n)
-    onset = _draw_ordinal(rng, params.suddend_onset_range)
+    desc = draw_descriptor(kind, trace.length, params, rng)
+    x = desc.anomalous_indices(trace.length)
     samples = trace.samples.copy()
-    samples[onset:] = params.drop_floor
-    labels = np.zeros(n, dtype=np.int8)
-    labels[onset:] = 1
-    desc = AnomalyDescriptor(kind=AnomalyKind.SUDDEN_D.value, onset=onset,
-                             duration=n - onset)
-    return LabeledTrace(RssiTrace(trace.link_id, samples), labels,
-                        AnomalyKind.SUDDEN_D, desc)
-
-
-def inject_suddenr(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
-                   rng: np.random.Generator | None = None,
-                   schema: TraceSchema = DEFAULT_SCHEMA) -> LabeledTrace:
-    """Drop for a bounded window, after which the original values resume."""
-    rng = rng if rng is not None else np.random.default_rng()
-    n = trace.length
-    params.check_fits(AnomalyKind.SUDDEN_R, n)
-    onset = _draw_ordinal(rng, params.suddenr_onset_range)
-    duration = int(rng.integers(params.suddenr_duration_range[0],
-                                params.suddenr_duration_range[1] + 1))
-    samples = trace.samples.copy()
-    samples[onset:onset + duration] = params.drop_floor
-    labels = np.zeros(n, dtype=np.int8)
-    labels[onset:onset + duration] = 1
-    desc = AnomalyDescriptor(kind=AnomalyKind.SUDDEN_R.value, onset=onset,
-                             duration=duration)
-    return LabeledTrace(RssiTrace(trace.link_id, samples), labels,
-                        AnomalyKind.SUDDEN_R, desc)
-
-
-def inject_instad(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
-                  rng: np.random.Generator | None = None,
-                  schema: TraceSchema = DEFAULT_SCHEMA) -> LabeledTrace:
-    """Single-sample drops at round(fraction * length) distinct indices."""
-    rng = rng if rng is not None else np.random.default_rng()
-    n = trace.length
-    params.check_fits(AnomalyKind.INSTA_D, n)
-    k = int(round(params.instad_fraction * n))
-    idx = np.sort(rng.choice(n, size=k, replace=False))
-    samples = trace.samples.copy()
-    samples[idx] = params.drop_floor
-    labels = np.zeros(n, dtype=np.int8)
-    labels[idx] = 1
-    desc = AnomalyDescriptor(kind=AnomalyKind.INSTA_D.value,
-                             indices=tuple(int(i) for i in idx))
-    return LabeledTrace(RssiTrace(trace.link_id, samples), labels,
-                        AnomalyKind.INSTA_D, desc)
-
-
-def inject_slowd(trace: RssiTrace, params: InjectionParams = DEFAULT_PARAMS,
-                 rng: np.random.Generator | None = None,
-                 schema: TraceSchema = DEFAULT_SCHEMA) -> LabeledTrace:
-    """Linear decline over a drawn window:
-    sample(x) <- clamp(sample(x) + min(0, -slope * (x - onset)), schema bounds).
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    n = trace.length
-    params.check_fits(AnomalyKind.SLOW_D, n)
-    onset = _draw_ordinal(rng, params.slowd_onset_range)
-    duration = int(rng.integers(params.slowd_duration_range[0],
-                                params.slowd_duration_range[1] + 1))
-    slope = float(rng.uniform(params.slowd_slope_range[0],
-                              params.slowd_slope_range[1]))
-    samples = trace.samples.copy()
-    x = np.arange(onset, onset + duration)
-    offset = np.minimum(0.0, -slope * (x - onset))
-    samples[x] = np.clip(samples[x] + offset, schema.rssi_min, schema.rssi_max)
-    labels = np.zeros(n, dtype=np.int8)
-    labels[x] = 1
-    desc = AnomalyDescriptor(kind=AnomalyKind.SLOW_D.value, onset=onset,
-                             duration=duration, slope=slope)
-    return LabeledTrace(RssiTrace(trace.link_id, samples), labels,
-                        AnomalyKind.SLOW_D, desc)
-
-
-_INJECTORS = {
-    AnomalyKind.SUDDEN_D: inject_suddend,
-    AnomalyKind.SUDDEN_R: inject_suddenr,
-    AnomalyKind.INSTA_D: inject_instad,
-    AnomalyKind.SLOW_D: inject_slowd,
-}
-
-
-def _as_clean(trace: RssiTrace) -> LabeledTrace:
-    return LabeledTrace(RssiTrace(trace.link_id, trace.samples.copy()),
-                        np.zeros(trace.length, dtype=np.int8),
-                        AnomalyKind.NONE,
-                        AnomalyDescriptor(kind=AnomalyKind.NONE.value))
+    if desc.slope is None:
+        samples[x] = schema.rssi_min
+    else:
+        offset = np.minimum(0.0, -desc.slope * (x - desc.onset))
+        samples[x] = np.clip(samples[x] + offset, schema.rssi_min,
+                             schema.rssi_max)
+    return LabeledTrace(RssiTrace(trace.link_id, samples), desc)
 
 
 def build_dataset(clean: list[RssiTrace],
                   composition: Mapping[AnomalyKind, int],
-                  params: InjectionParams = DEFAULT_PARAMS,
+                  params: InjectionParams = InjectionParams(),
                   rng: np.random.Generator | None = None,
                   schema: TraceSchema = DEFAULT_SCHEMA) -> list[LabeledTrace]:
     """Assemble a labeled dataset with the requested per-kind counts.
@@ -292,13 +223,8 @@ def build_dataset(clean: list[RssiTrace],
     for kind in (*ANOMALOUS_KINDS, AnomalyKind.NONE):
         kinds.extend([kind] * counts[kind])
     child_rngs = rng.spawn(total)
-    out: list[LabeledTrace] = []
-    for i, kind in enumerate(kinds):
-        src = clean[source_order[i]]
-        if kind is AnomalyKind.NONE:
-            out.append(_as_clean(src))
-        else:
-            out.append(_INJECTORS[kind](src, params, child_rngs[i], schema))
+    out = [inject_anomaly(clean[source_order[i]], kind, params, child_rngs[i],
+                          schema) for i, kind in enumerate(kinds)]
     shuffle = rng.permutation(total)
     return [out[j] for j in shuffle]
 
@@ -320,7 +246,9 @@ def labeled_to_record(item: LabeledTrace) -> dict:
 
 
 def labeled_from_record(rec: dict) -> LabeledTrace:
-    """A record back as a validated ``LabeledTrace``, or DatasetError."""
+    """A record back as a ``LabeledTrace``, or DatasetError. Its ``kind`` and
+    ``labels`` must be the ones its descriptor gives, and an anomalous
+    descriptor must mark at least one point."""
     try:
         desc = rec["descriptor"]
         descriptor = AnomalyDescriptor(
@@ -330,20 +258,34 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
             slope=desc.get("slope"),
             indices=tuple(desc["indices"]) if "indices" in desc else None,
         )
-        item = LabeledTrace(
-            trace=RssiTrace(rec["link_id"],
-                            np.asarray(rec["samples"], dtype=np.float64)),
-            labels=np.asarray(rec["labels"], dtype=np.int8),
-            kind=AnomalyKind(rec["kind"]),
-            descriptor=descriptor,
-        )
-        item.validate()
+        trace = RssiTrace(rec["link_id"],
+                          np.asarray(rec["samples"], dtype=np.float64))
+        labels = np.asarray(rec["labels"], dtype=np.int8)
+        kind = AnomalyKind(rec["kind"])
+        n = trace.length
+        if labels.shape != (n,):
+            raise DatasetError("need one label per sample")
+        if descriptor.kind != kind.value:
+            raise DatasetError("descriptor kind disagrees with kind")
+        if not all(type(v) is int and 0 <= v <= n
+                   for v in (descriptor.onset, descriptor.duration)
+                   if v is not None):
+            raise DatasetError(f"descriptor onset and duration must be "
+                               f"integers in [0, {n}]")
+        idx = descriptor.anomalous_indices(n)
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise DatasetError("descriptor indices out of range")
+        item = LabeledTrace(trace, descriptor)
     except KeyError as exc:
         raise DatasetError(f"record lacks key {exc}") from None
     except TraceError as exc:
         raise DatasetError(str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"malformed record: {exc}") from None
+    if not np.array_equal(item.labels, labels):
+        raise DatasetError("labels disagree with descriptor")
+    if kind is not AnomalyKind.NONE and not labels.any():
+        raise DatasetError("kind None must mean all-zero labels")
     return item
 
 

@@ -170,8 +170,6 @@ def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA,
     """
     features = normalize(trace, schema)
     n = features.size
-    if n < 2:
-        raise GraphError("trace must have at least 2 samples")
     q = fit_quantizer(features, n if n_bins is None else n_bins)
     w = transition_matrix(q.assign(features), q.n_bins)
     values, node_map = np.unique(features, return_inverse=True)

@@ -127,15 +127,6 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA) -> list[RawLink
     return logs
 
 
-def write_raw_logs(logs: list[RawLinkLog]) -> str:
-    out = []
-    for log in logs:
-        out.append(f"# link {log.link_id} noise={log.noise_level}")
-        for seq, rssi in log.records:
-            out.append(f"{seq},{_fmt_value(rssi)}")
-    return "\n".join(out) + "\n"
-
-
 def filter_complete(logs: list[RawLinkLog],
                     schema: TraceSchema = DEFAULT_SCHEMA) -> list[RssiTrace]:
     """Keep only links whose sequence numbers form a gap-free run of the

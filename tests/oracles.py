@@ -168,3 +168,14 @@ def model_forward_oracle(row_features: np.ndarray, node_map: np.ndarray,
         h = np.maximum(gat + skip, 0.0)
     logits = h @ params["out.weight"] + params["out.bias"]
     return np.exp(-np.logaddexp(0.0, -logits))[node_map]
+
+
+def write_raw_logs(logs) -> str:
+    """Raw link logs as text in the format ``trace.ingest_raw_log`` reads."""
+    out = []
+    for log in logs:
+        out.append(f"# link {log.link_id} noise={log.noise_level}")
+        for seq, rssi in log.records:
+            value = float(rssi)
+            out.append(f"{seq},{int(value) if value.is_integer() else repr(value)}")
+    return "\n".join(out) + "\n"

@@ -92,6 +92,22 @@ def test_inject_capacity_error(tmp_path, capsys):
     assert "rssigat: error:" in capsys.readouterr().err
 
 
+def test_inject_drops_land_on_rssi_min(tmp_path):
+    """A dataset injected under ``--rssi-min`` is within those bounds: its
+    drops sit at the floor, and ``transform`` accepts it."""
+    traces, dataset = tmp_path / "t.csv", tmp_path / "d.jsonl"
+    assert _run("synth", "--count", 10, "--length", 60, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--rssi-min", 10, "--each", 1,
+                "--clean", 6, "-o", dataset) == 0
+    assert _run("transform", "-i", dataset, "--rssi-min", 10,
+                "-o", tmp_path / "g.jsonl") == 0
+    drops = [item for item in read_dataset(dataset)
+             if item.kind.value in ("SuddenD", "SuddenR", "InstaD")]
+    assert len(drops) == 3
+    for item in drops:
+        assert np.all(item.trace.samples[item.labels == 1] == 10.0)
+
+
 def test_transform_counts_and_node_lengths(pipeline_dir):
     graphs = read_graphs(pipeline_dir / "graphs.jsonl")
     dataset = read_dataset(pipeline_dir / "dataset.jsonl")

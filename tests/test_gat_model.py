@@ -1,7 +1,9 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
 from rssigat.gat_model import (GatLayerConfig, GatModel, ModelError, build_model,
@@ -11,6 +13,7 @@ from rssigat.mtf_graph import TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
 from oracles import dense_gat_oracle, model_forward_oracle
 from gradcheck import run_model_fd_trials
+from test_inject import _JSON
 from test_train import _desk_dataset
 
 
@@ -309,3 +312,95 @@ def test_checkpoint_non_finite_value_rejected(tmp_path):
     with pytest.raises(ModelError, match="checkpoint tensor out.weight has "
                                          "non-finite values"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A saved default model's path and its manifest."""
+    base = tmp_path_factory.mktemp("ckpt") / "ckpt"
+    save_checkpoint(base, build_model(seed=0))
+    return base, json.loads(base.with_suffix(".json").read_text())
+
+
+def _load_with_manifest(base, text):
+    base.with_suffix(".json").write_text(text)
+    return load_checkpoint(base)
+
+
+def _edited(manifest, edit):
+    manifest = copy.deepcopy(manifest)
+    edit(manifest)
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("text, message", [
+    (lambda m: _edited(m, lambda m: m.pop("layers")), "KeyError: 'layers'"),
+    (lambda m: _edited(m, lambda m: m["layers"].__setitem__(0, 7)),
+     "TypeError"),
+    (lambda m: _edited(m, lambda m: m["layers"][0].update(depth=2)),
+     "TypeError.*'depth'"),
+    (lambda m: _edited(m, lambda m: m["layers"][0].update(in_dim="1")),
+     "layer dimensions must be integers >= 1"),
+    (lambda m: _edited(m, lambda m: m["layers"][0].update(in_dim=True)),
+     "layer dimensions must be integers >= 1"),
+    (lambda m: _edited(m, lambda m: m["tensors"][0].pop("shape")),
+     "KeyError: 'shape'"),
+    (lambda m: json.dumps([m]), "AttributeError"),
+    (lambda m: "{not json", "JSONDecodeError"),
+], ids=["no layers", "non-dict layer", "unknown layer key", "string in_dim",
+        "boolean in_dim", "tensor without shape", "list manifest", "not JSON"])
+def test_malformed_manifest_is_model_error(saved_checkpoint, text, message):
+    base, manifest = saved_checkpoint
+    with pytest.raises(ModelError, match=message):
+        _load_with_manifest(base, text(manifest))
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, and for each object one new key."""
+    if isinstance(value, dict):
+        yield prefix + ("extra",)
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_DELETE = "<delete>"
+
+
+def _replaced(manifest, changes):
+    """The manifest with the value at each path replaced, or the entry deleted
+    for ``_DELETE``; a path that an earlier change cut off is skipped."""
+    manifest = copy.deepcopy(manifest)
+    for path, value in changes:
+        parent = manifest
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return manifest
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_load_checkpoint_raises_only_model_error(saved_checkpoint, data):
+    """Arbitrary text, arbitrary JSON, or a valid manifest with some fields
+    replaced or deleted either loads or raises ModelError."""
+    base, manifest = saved_checkpoint
+    change = st.tuples(st.sampled_from(list(_paths(manifest))),
+                       _JSON | st.integers(-10**12, 10**12) | st.just(_DELETE))
+    text = data.draw(st.text(max_size=20)
+                     | _JSON.map(json.dumps)
+                     | st.lists(change, min_size=1, max_size=3).map(
+                         lambda changes: json.dumps(_replaced(manifest, changes))))
+    try:
+        model = _load_with_manifest(base, text)
+    except ModelError:
+        return
+    assert count_parameters(model) == 505608 // 8

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssigat.inject import (AnomalyKind, CapacityError, DatasetError,
-                            InjectionParams, build_dataset, inject_instad,
-                            inject_slowd, inject_suddend, inject_suddenr,
-                            labeled_from_record, labeled_to_record,
-                            read_dataset, write_dataset)
+from rssigat.inject import (ANOMALOUS_KINDS, AnomalyKind, CapacityError,
+                            DatasetError, InjectionParams, build_dataset,
+                            inject_anomaly, labeled_from_record,
+                            labeled_to_record, read_dataset, write_dataset)
 from rssigat.trace import ConfigError, RssiTrace, TraceSchema, synthesize_clean
 
 SCHEMA = TraceSchema(expected_length=300)
@@ -23,24 +22,32 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _reads_back(out):
+    """``out`` survives the record round trip, whose reader checks kind and
+    labels against the descriptor."""
+    back = labeled_from_record(labeled_to_record(out))
+    assert back.kind is out.kind
+    np.testing.assert_array_equal(back.labels, out.labels)
+
+
 # ---------------------------------------------------------------------------
 # SuddenD
 
 def test_suddend_labels_tail():
-    out = inject_suddend(_flat_trace(), rng=_rng(1))
+    out = inject_anomaly(_flat_trace(), AnomalyKind.SUDDEN_D, rng=_rng(1))
     onset = out.descriptor.onset
     assert 199 <= onset <= 279  # [200th, 280th] as 0-based indices
     assert out.labels.sum() == 300 - onset
     assert np.all(out.trace.samples[onset:] == 0.0)
     assert np.all(out.trace.samples[:onset] == 80.0)
-    out.validate()
+    _reads_back(out)
 
 
 def test_suddend_onset_histogram_covers_range():
     counts = np.zeros(300, dtype=int)
     rng = _rng(42)
     for _ in range(1000):
-        out = inject_suddend(_flat_trace(), rng=rng)
+        out = inject_anomaly(_flat_trace(), AnomalyKind.SUDDEN_D, rng=rng)
         counts[out.descriptor.onset] += 1
     hit = np.flatnonzero(counts)
     assert hit.min() == 199 and hit.max() == 279
@@ -53,14 +60,14 @@ def test_suddend_onset_histogram_covers_range():
 
 def test_suddend_rejects_short_trace():
     with pytest.raises(ConfigError):
-        inject_suddend(_flat_trace(n=100), rng=_rng(0))
+        inject_anomaly(_flat_trace(n=100), AnomalyKind.SUDDEN_D, rng=_rng(0))
 
 
 # ---------------------------------------------------------------------------
 # SuddenR
 
 def test_suddenr_window_and_recovery():
-    out = inject_suddenr(_flat_trace(), rng=_rng(3))
+    out = inject_anomaly(_flat_trace(), AnomalyKind.SUDDEN_R, rng=_rng(3))
     d = out.descriptor
     assert 24 <= d.onset <= 274
     assert 5 <= d.duration <= 20
@@ -68,20 +75,20 @@ def test_suddenr_window_and_recovery():
     assert np.all(out.trace.samples[window] == 0.0)
     assert out.trace.samples[d.onset + d.duration] == 80.0  # recovery
     assert out.labels.sum() == d.duration
-    out.validate()
+    _reads_back(out)
 
 
 def test_suddenr_duration_always_in_range():
     rng = _rng(17)
     for _ in range(200):
-        out = inject_suddenr(_flat_trace(), rng=rng)
+        out = inject_anomaly(_flat_trace(), AnomalyKind.SUDDEN_R, rng=rng)
         assert 5 <= out.descriptor.duration <= 20
 
 
 def test_suddenr_fixed_window_labels():
     params = InjectionParams(suddenr_onset_range=(101, 101),
                              suddenr_duration_range=(5, 5))
-    out = inject_suddenr(_flat_trace(), params, _rng(0))
+    out = inject_anomaly(_flat_trace(), AnomalyKind.SUDDEN_R, params, _rng(0))
     np.testing.assert_array_equal(np.flatnonzero(out.labels), np.arange(100, 105))
 
 
@@ -89,7 +96,7 @@ def test_suddenr_fixed_window_labels():
 # InstaD
 
 def test_instad_exact_count_and_distinct():
-    out = inject_instad(_flat_trace(), rng=_rng(5))
+    out = inject_anomaly(_flat_trace(), AnomalyKind.INSTA_D, rng=_rng(5))
     idx = np.asarray(out.descriptor.indices)
     assert idx.size == 3  # round(0.01 * 300)
     assert np.unique(idx).size == idx.size
@@ -98,12 +105,13 @@ def test_instad_exact_count_and_distinct():
     mask[idx] = False
     assert np.all(out.trace.samples[mask] == 80.0)
     assert np.all(out.trace.samples[idx] == 0.0)
-    out.validate()
+    _reads_back(out)
 
 
 def test_instad_rejects_nonpositive_fraction():
     with pytest.raises(ConfigError):
-        inject_instad(_flat_trace(), InjectionParams(instad_fraction=0.0), _rng(0))
+        inject_anomaly(_flat_trace(), AnomalyKind.INSTA_D,
+                       InjectionParams(instad_fraction=0.0), _rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +122,13 @@ def test_slowd_formula_hand_case():
     params = InjectionParams(slowd_onset_range=(11, 11),
                              slowd_duration_range=(150, 150),
                              slowd_slope_range=(1.0, 1.0))
-    out = inject_slowd(_flat_trace(80.0), params, _rng(2))
+    out = inject_anomaly(_flat_trace(80.0), AnomalyKind.SLOW_D, params, _rng(2))
     d = out.descriptor
     assert d.onset == 10 and d.slope == 1.0
     assert out.trace.samples[15] == 75.0
     assert out.trace.samples[10] == 80.0  # x = onset: offset min(0, 0) = 0
     assert out.labels[10] == 1  # still labeled anomalous
-    out.validate()
+    _reads_back(out)
 
 
 def test_slowd_clamps_at_floor():
@@ -128,7 +136,7 @@ def test_slowd_clamps_at_floor():
     params = InjectionParams(slowd_onset_range=(6, 6),
                              slowd_duration_range=(150, 150),
                              slowd_slope_range=(1.5, 1.5))
-    out = inject_slowd(_flat_trace(40.0), params, _rng(2))
+    out = inject_anomaly(_flat_trace(40.0), AnomalyKind.SLOW_D, params, _rng(2))
     assert out.trace.samples[100] == 0.0  # 40 - 142.5 clamped to schema floor
     assert out.trace.samples[4] == 40.0
 
@@ -136,7 +144,7 @@ def test_slowd_clamps_at_floor():
 def test_slowd_draw_ranges():
     rng = _rng(23)
     for _ in range(100):
-        out = inject_slowd(_flat_trace(), rng=rng)
+        out = inject_anomaly(_flat_trace(), AnomalyKind.SLOW_D, rng=rng)
         d = out.descriptor
         assert 0 <= d.onset <= 19
         assert 150 <= d.duration <= 180
@@ -148,13 +156,11 @@ def test_slowd_draw_ranges():
 # shared injector properties
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(0, 2**31 - 1), st.sampled_from(["SuddenD", "SuddenR", "InstaD", "SlowD"]))
-def test_injection_properties(seed, kind_name):
-    injector = {"SuddenD": inject_suddend, "SuddenR": inject_suddenr,
-                "InstaD": inject_instad, "SlowD": inject_slowd}[kind_name]
+@given(st.integers(0, 2**31 - 1), st.sampled_from(ANOMALOUS_KINDS))
+def test_injection_properties(seed, kind):
     base = synthesize_clean(1, SCHEMA, np.random.default_rng(seed % 1000))[0]
-    out = injector(base, rng=np.random.default_rng(seed))
-    out.validate()
+    out = inject_anomaly(base, kind, rng=np.random.default_rng(seed))
+    _reads_back(out)
     # unlabeled points are untouched
     clean_mask = out.labels == 0
     np.testing.assert_array_equal(out.trace.samples[clean_mask],
@@ -163,17 +169,29 @@ def test_injection_properties(seed, kind_name):
     assert out.trace.samples.min() >= SCHEMA.rssi_min
     assert out.trace.samples.max() <= SCHEMA.rssi_max
     # determinism
-    again = injector(base, rng=np.random.default_rng(seed))
+    again = inject_anomaly(base, kind, rng=np.random.default_rng(seed))
     np.testing.assert_array_equal(out.trace.samples, again.trace.samples)
     np.testing.assert_array_equal(out.labels, again.labels)
 
 
+@pytest.mark.parametrize("kind", [AnomalyKind.SUDDEN_D, AnomalyKind.SUDDEN_R,
+                                  AnomalyKind.INSTA_D], ids=lambda k: k.value)
+def test_drops_land_on_the_schema_floor(kind):
+    schema = TraceSchema(expected_length=300, rssi_min=10.0)
+    out = inject_anomaly(_flat_trace(), kind, rng=_rng(6), schema=schema)
+    marked = out.labels == 1
+    assert marked.any()
+    assert np.all(out.trace.samples[marked] == 10.0)
+    assert np.all(out.trace.samples[~marked] == 80.0)
+    out.trace.validate(schema)
+
+
 def test_suddend_unchanged_before_onset_suddenr_outside_window():
     base = synthesize_clean(1, SCHEMA, _rng(9))[0]
-    sd = inject_suddend(base, rng=_rng(1))
+    sd = inject_anomaly(base, AnomalyKind.SUDDEN_D, rng=_rng(1))
     np.testing.assert_array_equal(sd.trace.samples[:sd.descriptor.onset],
                                   base.samples[:sd.descriptor.onset])
-    sr = inject_suddenr(base, rng=_rng(1))
+    sr = inject_anomaly(base, AnomalyKind.SUDDEN_R, rng=_rng(1))
     outside = sr.labels == 0
     np.testing.assert_array_equal(sr.trace.samples[outside], base.samples[outside])
 
@@ -240,23 +258,24 @@ def test_params_validate_for_length_rejects_overflow():
         InjectionParams().validate_for_length(100)
 
 
-@pytest.mark.parametrize("inject, change, message", [
-    (inject_suddend, {"suddend_onset_range": (67, 101)},
+@pytest.mark.parametrize("kind, change, message", [
+    (AnomalyKind.SUDDEN_D, {"suddend_onset_range": (67, 101)},
      "SuddenD onset range exceeds"),
-    (inject_suddenr, {"suddenr_duration_range": (2, 100)},
+    (AnomalyKind.SUDDEN_R, {"suddenr_duration_range": (2, 100)},
      "SuddenR onset+duration can exceed"),
-    (inject_slowd, {"slowd_duration_range": (50, 100)},
+    (AnomalyKind.SLOW_D, {"slowd_duration_range": (50, 100)},
      "SlowD onset+duration can exceed"),
-    (inject_instad, {"instad_fraction": 0.001}, "instad_fraction too small"),
+    (AnomalyKind.INSTA_D, {"instad_fraction": 0.001},
+     "instad_fraction too small"),
 ], ids=["SuddenD", "SuddenR", "SlowD", "InstaD"])
-def test_injector_and_params_reject_a_window_alike(inject, change, message):
-    """Each injector refuses a window that cannot fit with the message
+def test_injector_and_params_reject_a_window_alike(kind, change, message):
+    """The injector refuses a window that cannot fit with the message
     ``validate_for_length`` gives for it."""
     params = replace(InjectionParams.scaled_to_length(100), **change)
     with pytest.raises(ConfigError, match=re.escape(message)):
         params.validate_for_length(100)
     with pytest.raises(ConfigError, match=re.escape(message)):
-        inject(_flat_trace(n=100), params, _rng(0))
+        inject_anomaly(_flat_trace(n=100), kind, params, _rng(0))
 
 
 def test_dataset_round_trip_bit_exact(tmp_path):
@@ -279,7 +298,7 @@ def test_dataset_round_trip_bit_exact(tmp_path):
 
 
 def test_labeled_record_has_descriptor_fields():
-    out = inject_slowd(_flat_trace(), rng=_rng(12))
+    out = inject_anomaly(_flat_trace(), AnomalyKind.SLOW_D, rng=_rng(12))
     rec = labeled_to_record(out)
     assert rec["kind"] == "SlowD"
     assert set(rec["descriptor"]) == {"kind", "onset", "duration", "slope"}
@@ -290,9 +309,9 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=5), inner, max_size=4),
     max_leaves=12)
-_RECORD = labeled_to_record(inject_suddenr(_flat_trace(n=60),
-                                           InjectionParams.scaled_to_length(60),
-                                           rng=_rng(4)))
+_RECORD = labeled_to_record(inject_anomaly(
+    _flat_trace(n=60), AnomalyKind.SUDDEN_R,
+    InjectionParams.scaled_to_length(60), rng=_rng(4)))
 _FIELDS = sorted(_RECORD) + [
     f"descriptor.{k}" for k in ("kind", "onset", "duration", "slope", "indices")]
 
@@ -329,6 +348,8 @@ def test_labeled_from_record_raises_only_dataset_error(rec):
     ({"descriptor.indices": [60]}, "descriptor indices out of range"),
     ({"descriptor.indices": [-1]}, "descriptor indices out of range"),
     ({"labels": [1] * 60}, "labels disagree with descriptor"),
+    ({"descriptor.duration": 0, "labels": [0] * 60},
+     "kind None must mean all-zero labels"),
 ])
 def test_labeled_from_record_rejects_inconsistent_record(changes, message):
     with pytest.raises(DatasetError, match=message):

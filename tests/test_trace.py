@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from rssigat.trace import (ConfigError, ParseError, RawLinkLog, RssiTrace,
                            SchemaError, SynthesisProfile, TraceSchema,
                            filter_complete, ingest_raw_log, normalize,
-                           read_traces_csv, synthesize_clean, write_raw_logs,
-                           write_traces_csv)
+                           read_traces_csv, synthesize_clean, write_traces_csv)
+from oracles import write_raw_logs
 
 
 def _raw_text(link_id, seqs, rssis, noise="0"):
