@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
                     loss_curves_to_csv, prepare_dataset, run_cross_validation)
 from .trace import (SchemaError, SynthesisProfile, TraceSchema,
-                    filter_complete, ingest_raw_log, read_traces_csv,
+                    filter_complete, ingest_raw_log, open_utf8, read_traces_csv,
                     synthesize_clean, write_traces_csv)
 
 
@@ -120,7 +121,8 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     schema = _schema_from_args(args)
     source = Path(args.input)
-    logs = ingest_raw_log(source.read_text(encoding="utf-8"), schema)
+    with open_utf8(source) as fh:
+        logs = ingest_raw_log(fh, schema)
     traces = filter_complete(logs, schema)
     out = Path(args.out)
     write_traces_csv(out, traces)
@@ -167,23 +169,6 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
-    overrides = {}
-    for flag, key in (("splits", "n_splits"), ("epochs", "epochs"),
-                      ("lr", "learning_rate"), ("optimizer", "optimizer"),
-                      ("seed", "seed"), ("threshold", "threshold")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = value
-    try:
-        cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-        if overrides:
-            cfg = TrainConfig(**{**cfg.to_dict(), **overrides})
-    except (SplitError, TrainingError) as exc:
-        raise UsageError(str(exc)) from None
-    return cfg
-
-
 def _write_reports(run_dir: Path, report: EvalReport) -> list[Path]:
     """``report.txt`` and ``report.csv`` of a run, rendered from ``report``."""
     paths = [run_dir / "report.txt", run_dir / "report.csv"]
@@ -193,8 +178,15 @@ def _write_reports(run_dir: Path, report: EvalReport) -> list[Path]:
 
 
 def cmd_train(args) -> int:
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     dataset, schema = _read_labeled(args, args.dataset)
-    cfg = _train_config(args)
+    try:
+        cfg = TrainConfig(n_splits=args.splits, epochs=args.epochs,
+                          learning_rate=args.lr, seed=args.seed,
+                          threshold=args.threshold)
+    except (SplitError, TrainingError) as exc:
+        raise UsageError(str(exc)) from None
     result = run_cross_validation(dataset, cfg, schema, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,7 +204,7 @@ def cmd_train(args) -> int:
     report_json.write_text(result.report.to_json(), encoding="utf-8")
     outputs.extend([splits_path, curves_path, report_json,
                     *_write_reports(out_dir, result.report)])
-    write_manifest(out_dir / "manifest.json", "train", cfg.to_dict(),
+    write_manifest(out_dir / "manifest.json", "train", asdict(cfg),
                    cfg.seed, [Path(args.dataset)], outputs)
     avg = result.report.averages
     print(f"parameter count: {result.report.parameter_count}")
@@ -230,7 +222,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--split must be in [0, {len(splits) - 1}]")
     model = load_checkpoint(run_dir / f"checkpoint_{args.split}")
     stored = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
-    threshold = TrainConfig(**stored.config).threshold
+    threshold = TrainConfig(threshold=stored.config["threshold"]).threshold
     items = [dataset[i] for i in splits[args.split]["test"]]
     metrics = evaluate_split(model, items, prepare_dataset(items, schema),
                              threshold)
@@ -251,7 +243,7 @@ def cmd_eval(args) -> int:
 
 
 def _read_prediction_input(path: Path):
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         first = fh.readline().strip()
     if first == "link_id,idx,rssi":
         return read_traces_csv(path)
@@ -344,13 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="cross-validated training")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--splits", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--splits", type=int, default=TrainConfig.n_splits)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--threshold", type=float, default=TrainConfig.threshold)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     _add_schema_flags(p, length=False)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--out", required=True)

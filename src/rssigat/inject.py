@@ -14,6 +14,7 @@ inclusive.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -272,9 +273,14 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
                    if v is not None):
             raise DatasetError(f"descriptor onset and duration must be "
                                f"integers in [0, {n}]")
+        if not all(type(i) is int for i in descriptor.indices or ()):
+            raise DatasetError("descriptor indices must be integers")
         idx = descriptor.anomalous_indices(n)
         if idx.size and not (0 <= idx.min() and idx.max() < n):
             raise DatasetError("descriptor indices out of range")
+        if kind is AnomalyKind.SLOW_D and not (
+                type(descriptor.slope) is float and math.isfinite(descriptor.slope)):
+            raise DatasetError("SlowD descriptor slope must be a finite float")
         item = LabeledTrace(trace, descriptor)
     except KeyError as exc:
         raise DatasetError(f"record lacks key {exc}") from None
@@ -298,11 +304,11 @@ def write_dataset(path, items: list[LabeledTrace]) -> None:
 def read_dataset(path) -> list[LabeledTrace]:
     """Every record of a dataset file; DatasetError names ``path:line``."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    out.append(labeled_from_record(json.loads(line)))
-                except (DatasetError, json.JSONDecodeError) as exc:
+                    out.append(labeled_from_record(json.loads(line.decode("utf-8"))))
+                except (DatasetError, ValueError, RecursionError) as exc:
                     raise DatasetError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -196,7 +196,7 @@ def graph_to_record(graph: TsGraph) -> dict:
 
 def _row_indices(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
-    if np.any(arr % 1):
+    if not np.all((arr % 1 == 0) & (np.abs(arr) < 2**53)):
         raise ValueError("row indices must be integers")
     return arr.astype(np.int64)
 
@@ -240,11 +240,11 @@ def write_graphs(path, graphs) -> None:
 
 def read_graphs(path) -> list[TsGraph]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    out.append(graph_from_record(json.loads(line)))
-                except (GraphError, json.JSONDecodeError) as exc:
+                    out.append(graph_from_record(json.loads(line.decode("utf-8"))))
+                except (GraphError, ValueError, RecursionError) as exc:
                     raise GraphError(f"{path}:{lineno}: {exc}") from None
     return out

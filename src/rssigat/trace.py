@@ -7,6 +7,7 @@ header ``link_id,idx,rssi``.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,20 @@ def normalize(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA) -> np.ndar
     return (trace.samples - schema.rssi_min) / (schema.rssi_max - schema.rssi_min)
 
 
+@contextmanager
+def open_utf8(path):
+    """``path`` opened as UTF-8 text. Bytes that are not UTF-8 raise
+    ParseError naming the path and the first line that holds them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # a line that is not UTF-8 loses bytes
+            line_no = next((n for n, raw in enumerate(fh, start=1)
+                            if raw.decode("utf-8", "ignore").encode() != raw), 0)
+        raise ParseError(line_no, f"{path} is not UTF-8 text") from None
+
+
 # ---------------------------------------------------------------------------
 # trace CSV: header line then one row per sample
 
@@ -202,7 +217,7 @@ def write_traces_csv(path, traces: list[RssiTrace]) -> None:
 def read_traces_csv(path) -> list[RssiTrace]:
     """Read a trace CSV; a link's n rows carry the indices 0..n-1 in any order."""
     rows: dict[str, dict[int, tuple[float, int]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().strip()
         if header != "link_id,idx,rssi":
             raise ParseError(1, f"unexpected header {header!r}")

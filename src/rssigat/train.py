@@ -4,7 +4,7 @@ Traces are split 80:20 with per-kind stratification, one fresh model is
 trained per split (one graph per gradient step), and per-class metrics are
 pooled over each split's held-out points, then averaged across splits. A
 step is ``loss_and_grads`` (``model_forward``, ``weighted_bce`` and
-``model_backward`` from the loss's gradient) and an optimizer update of the
+``model_backward`` from the loss's gradient) and an Adam update of the
 parameter arrays in place.
 """
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +23,9 @@ from .metrics import EvalReport, SplitMetrics, aggregate, split_metrics
 from .mtf_graph import transform
 from .seeds import derive_seed
 from .trace import DEFAULT_SCHEMA, TraceSchema
+
+
+TEST_FRACTION = 0.2  # share of each stratum held out per split
 
 
 class SplitError(Exception):
@@ -39,53 +41,20 @@ class TrainingError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     n_splits: int = 10
-    test_fraction: float = 0.2
     epochs: int = 50
     learning_rate: float = 3e-3
-    optimizer: str = "adam"
     seed: int = 0
     threshold: float = 0.5
 
     def __post_init__(self):
         if self.n_splits < 1:
             raise SplitError("n_splits must be >= 1")
-        if not 0 < self.test_fraction < 1:
-            raise SplitError("test_fraction must be in (0, 1)")
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise TrainingError("learning_rate must be finite and > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise TrainingError("threshold must be in [0, 1]")
-
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        """Flat key=value text; unknown keys are rejected."""
-        values = {}
-        fields = cls.__dataclass_fields__
-        for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise TrainingError(f"config line {line_no}: expected key=value")
-            key, _, raw = text.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in fields:
-                raise TrainingError(f"config line {line_no}: unknown key {key!r}")
-            kind = fields[key].type
-            try:
-                values[key] = (raw if kind == "str" else int(raw) if kind == "int"
-                               else float(raw))
-            except ValueError:
-                raise TrainingError(f"config line {line_no}: {key} must be "
-                                    f"{kind}, got {raw!r}") from None
-        return cls(**values)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -112,7 +81,7 @@ def stratified_shuffle_split(dataset: list[LabeledTrace],
         for kind in sorted(strata):
             members = np.asarray(strata[kind])
             perm = rng.permutation(members)
-            n_test = int(round(len(members) * cfg.test_fraction))
+            n_test = int(round(len(members) * TEST_FRACTION))
             n_test = min(max(n_test, 1), len(members) - 1)
             test.extend(perm[:n_test])
             train.extend(perm[n_test:])
@@ -158,20 +127,19 @@ def loss_and_grads(prep: PreparedGraph, labels: np.ndarray,
 
 
 class AdamOptimizer:
-    """Adam over named parameter arrays, updated in place; ``step`` takes a
-    gradient for every parameter name."""
+    """Adam (beta1 0.9, beta2 0.999, eps 1e-8) over named parameter arrays,
+    updated in place; ``step`` takes a gradient for every parameter name."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         scale = self.lr * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
         for name, p in self.params.items():
             g = grads[name]
@@ -181,23 +149,7 @@ class AdamOptimizer:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p -= scale * m / (np.sqrt(v) + self.eps)
-
-
-class SgdOptimizer:
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
-        self.params = params
-        self.lr = lr
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
-            p -= self.lr * grads[name]
-
-
-def _make_optimizer(cfg: TrainConfig, params: dict[str, np.ndarray]):
-    if cfg.optimizer == "adam":
-        return AdamOptimizer(params, lr=cfg.learning_rate)
-    return SgdOptimizer(params, lr=cfg.learning_rate)
+            p -= scale * m / (np.sqrt(v) + 1e-8)
 
 
 def prepare_dataset(dataset: list[LabeledTrace],
@@ -211,13 +163,11 @@ def prepare_dataset(dataset: list[LabeledTrace],
 class FitResult:
     model: GatModel
     loss_curve: list[float]
-    weights: ClassWeights
     steps: int = 0
 
 
 def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
-        prepared: list[PreparedGraph],
-        weights: ClassWeights | None = None) -> FitResult:
+        prepared: list[PreparedGraph]) -> FitResult:
     """Train one model on the given traces, one graph per gradient step;
     ``prepared[i]`` is the class graph of ``dataset[i]``.
 
@@ -226,10 +176,9 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
     """
     if not dataset:
         raise TrainingError("dataset is empty")
-    if weights is None:
-        weights = class_weights(dataset)
+    weights = class_weights(dataset)
     model = build_model(seed=model_seed)
-    optimizer = _make_optimizer(cfg, model.params)
+    optimizer = AdamOptimizer(model.params, lr=cfg.learning_rate)
     order_rng = np.random.default_rng([cfg.seed, 1162261467, model_seed])
     loss_curve: list[float] = []
     steps = 0
@@ -247,8 +196,7 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
             steps += 1
             epoch_loss += loss
         loss_curve.append(epoch_loss / len(dataset))
-    return FitResult(model=model, loss_curve=loss_curve, weights=weights,
-                     steps=steps)
+    return FitResult(model=model, loss_curve=loss_curve, steps=steps)
 
 
 def evaluate_split(model: GatModel, items: list[LabeledTrace],
@@ -299,7 +247,7 @@ def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
     models = [r[2] for r in results]
     curves = [r[3] for r in results]
     report = aggregate(per_split, parameter_count=count_parameters(models[0]),
-                       config=cfg.to_dict())
+                       config=asdict(cfg))
     return CrossValResult(report=report, models=models, loss_curves=curves,
                           splits=splits)
 

@@ -142,6 +142,43 @@ def test_eval_reproduces_stored_split_metrics(pipeline_dir):
     assert payload["non_anomalous"] == vars(stored.non_anomalous)
 
 
+def test_eval_reads_a_run_with_the_old_config_keys(pipeline_dir):
+    """A run whose report.json config still holds ``optimizer`` and
+    ``test_fraction`` evaluates to the same payload as the current run."""
+    run_dir, old_dir = pipeline_dir / "run", pipeline_dir / "old_run"
+    old_dir.mkdir()
+    for name in ("splits.json", "checkpoint_0.json", "checkpoint_0.bin"):
+        (old_dir / name).write_bytes((run_dir / name).read_bytes())
+    report = json.loads((run_dir / "report.json").read_text())
+    config = report["config"]
+    report["config"] = {"n_splits": config["n_splits"], "test_fraction": 0.2,
+                        "epochs": config["epochs"],
+                        "learning_rate": config["learning_rate"],
+                        "optimizer": "adam", "seed": config["seed"],
+                        "threshold": config["threshold"]}
+    (old_dir / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    dataset = pipeline_dir / "dataset.jsonl"
+    assert _run("eval", "--run", run_dir, "--dataset", dataset, "--split", 0,
+                "-o", pipeline_dir / "new.json") == 0
+    assert _run("eval", "--run", old_dir, "--dataset", dataset, "--split", 0,
+                "-o", pipeline_dir / "old.json") == 0
+    assert (pipeline_dir / "old.json").read_bytes() == \
+        (pipeline_dir / "new.json").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--config", "train.cfg"],
+                                   ["--optimizer", "sgd"]],
+                         ids=["config", "optimizer"])
+def test_train_rejects_removed_flags(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        _run("train", "--dataset", tmp_path / "dataset.jsonl", *flags,
+             "-o", tmp_path / "run")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_transforms_only_the_test_split(pipeline_dir, monkeypatch):
     import rssigat.train
     calls = []
@@ -237,17 +274,6 @@ def test_report_rerenders(pipeline_dir, capsys):
     assert "anomalous" in out and "trainable parameters" in out
 
 
-def test_train_config_file_flags_take_precedence(pipeline_dir, tmp_path):
-    cfg_file = tmp_path / "train.cfg"
-    cfg_file.write_text("epochs=1\nn_splits=2\nseed=1\n")
-    run_dir = tmp_path / "run2"
-    assert _run("train", "--dataset", pipeline_dir / "dataset.jsonl",
-                "--config", cfg_file, "--epochs", 2, "-o", run_dir) == 0
-    report = EvalReport.from_json((run_dir / "report.json").read_text())
-    assert report.config["epochs"] == 2  # flag overrides file
-    assert report.config["n_splits"] == 2
-
-
 def test_missing_input_fails_cleanly(tmp_path, capsys):
     code = _run("transform", "-i", tmp_path / "nope.jsonl", "-o", tmp_path / "g")
     assert code == 1
@@ -281,18 +307,17 @@ def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("flags, message", [
     (["--splits", 0], "n_splits must be >= 1"),
     (["--lr", "nan"], "learning_rate must be finite and > 0"),
-    (["--config", "{cfg}"], "config line 1: epochs must be int, got 'abc'"),
     (["--threshold", "nan"], "threshold must be in [0, 1]"),
     (["--threshold", 7], "threshold must be in [0, 1]"),
-], ids=["zero-splits", "nan-lr", "config-not-int", "nan-threshold",
-        "threshold-above-1"])
+    (["--workers", 0], "--workers must be >= 1"),
+    (["--workers", -2], "--workers must be >= 1"),
+], ids=["zero-splits", "nan-lr", "nan-threshold", "threshold-above-1",
+        "zero-workers", "negative-workers"])
 def test_bad_train_config_is_usage_error(tmp_path, capsys, flags, message):
     assert _run("synth", "--count", 4, "--length", 50, "-o",
                 tmp_path / "traces.csv") == 0
     assert _run("inject", "-i", tmp_path / "traces.csv", "--clean", 4,
                 "-o", tmp_path / "dataset.jsonl") == 0
-    (tmp_path / "train.cfg").write_text("epochs=abc\n")
-    flags = [str(f).format(cfg=tmp_path / "train.cfg") for f in flags]
     capsys.readouterr()
     assert _run("train", "--dataset", tmp_path / "dataset.jsonl", *flags,
                 "-o", tmp_path / "run") == 2
@@ -450,3 +475,39 @@ def test_bad_graph_records_rejected(tmp_path, mutate, message):
     where = re.escape(f"{bad}:2: ")
     with pytest.raises(GraphError, match=f"^{where}.*{re.escape(message)}"):
         read_graphs(bad)
+
+
+_DECODE_ERROR = ("'utf-8' codec can't decode byte 0xff in position 0: "
+                 "invalid start byte")
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("ingest", b"# link a noise=0\n0,40\n\xff,41\n",
+     "line 3: {path} is not UTF-8 text"),
+    ("inject", b"link_id,idx,rssi\na,0,40\n\xff,1,41\n",
+     "line 3: {path} is not UTF-8 text"),
+    ("predict", b"\xfflink_id,idx,rssi\n", "line 1: {path} is not UTF-8 text"),
+    ("transform", b"\xff\n", "{path}:1: " + _DECODE_ERROR),
+    ("train", b"\xff\n", "{path}:1: " + _DECODE_ERROR),
+    ("eval", b"\xff\n", "{path}:1: " + _DECODE_ERROR),
+], ids=["ingest", "inject", "predict", "transform", "train", "eval"])
+def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, content,
+                                          message):
+    """Bytes that are not UTF-8 in any input end in one line that names the
+    file, and nothing is written."""
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(content)
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    out = tmp_path / "out"
+    argv = {"ingest": ["ingest", "-i", bad, "--length", 2, "-o", out],
+            "inject": ["inject", "-i", bad, "--clean", 1, "-o", out],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
+                        "-i", bad, "-o", out],
+            "transform": ["transform", "-i", bad, "-o", out],
+            "train": ["train", "--dataset", bad, "-o", out],
+            "eval": ["eval", "--run", out, "--dataset", bad, "--split", 0]}
+    capsys.readouterr()
+    assert _run(*argv[command]) == 1
+    assert capsys.readouterr().err == \
+        f"rssigat: error: {message.format(path=bad)}\n"
+    assert not out.exists()

@@ -13,7 +13,7 @@ from rssigat.mtf_graph import TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
 from oracles import dense_gat_oracle, model_forward_oracle
 from gradcheck import run_model_fd_trials
-from test_inject import _JSON
+from fuzzing import JSON_VALUES, changed_records
 from test_train import _desk_dataset
 
 
@@ -355,50 +355,15 @@ def test_malformed_manifest_is_model_error(saved_checkpoint, text, message):
         _load_with_manifest(base, text(manifest))
 
 
-def _paths(value, prefix=()):
-    """Every path into a JSON value, and for each object one new key."""
-    if isinstance(value, dict):
-        yield prefix + ("extra",)
-    children = (value.items() if isinstance(value, dict)
-                else enumerate(value) if isinstance(value, list) else ())
-    for key, child in children:
-        yield prefix + (key,)
-        yield from _paths(child, prefix + (key,))
-
-
-_DELETE = "<delete>"
-
-
-def _replaced(manifest, changes):
-    """The manifest with the value at each path replaced, or the entry deleted
-    for ``_DELETE``; a path that an earlier change cut off is skipped."""
-    manifest = copy.deepcopy(manifest)
-    for path, value in changes:
-        parent = manifest
-        try:
-            for key in path[:-1]:
-                parent = parent[key]
-            if value == _DELETE:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = value
-        except (KeyError, IndexError, TypeError):
-            pass
-    return manifest
-
-
 @settings(deadline=None, max_examples=300)
 @given(data=st.data())
 def test_load_checkpoint_raises_only_model_error(saved_checkpoint, data):
     """Arbitrary text, arbitrary JSON, or a valid manifest with some fields
     replaced or deleted either loads or raises ModelError."""
     base, manifest = saved_checkpoint
-    change = st.tuples(st.sampled_from(list(_paths(manifest))),
-                       _JSON | st.integers(-10**12, 10**12) | st.just(_DELETE))
     text = data.draw(st.text(max_size=20)
-                     | _JSON.map(json.dumps)
-                     | st.lists(change, min_size=1, max_size=3).map(
-                         lambda changes: json.dumps(_replaced(manifest, changes))))
+                     | JSON_VALUES.map(json.dumps)
+                     | changed_records(manifest).map(json.dumps))
     try:
         model = _load_with_manifest(base, text)
     except ModelError:

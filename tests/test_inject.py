@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from rssigat.inject import (ANOMALOUS_KINDS, AnomalyKind, CapacityError,
                             inject_anomaly, labeled_from_record,
                             labeled_to_record, read_dataset, write_dataset)
 from rssigat.trace import ConfigError, RssiTrace, TraceSchema, synthesize_clean
+from fuzzing import JSON_VALUES
 
 SCHEMA = TraceSchema(expected_length=300)
 
@@ -304,11 +306,6 @@ def test_labeled_record_has_descriptor_fields():
     assert set(rec["descriptor"]) == {"kind", "onset", "duration", "slope"}
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
-    max_leaves=12)
 _RECORD = labeled_to_record(inject_anomaly(
     _flat_trace(n=60), AnomalyKind.SUDDEN_R,
     InjectionParams.scaled_to_length(60), rng=_rng(4)))
@@ -328,8 +325,8 @@ def _mutated(changes: dict) -> dict:
 
 
 @settings(deadline=None, max_examples=300)
-@given(_JSON | st.dictionaries(st.sampled_from(_FIELDS),
-                               _JSON | st.integers(-10**12, 10**12),
+@given(JSON_VALUES | st.dictionaries(st.sampled_from(_FIELDS),
+                               JSON_VALUES | st.integers(-10**12, 10**12),
                                max_size=3).map(_mutated))
 def test_labeled_from_record_raises_only_dataset_error(rec):
     """Arbitrary JSON, or a valid record with some fields replaced by
@@ -341,6 +338,13 @@ def test_labeled_from_record_raises_only_dataset_error(rec):
     assert item.labels.shape == (item.trace.length,)
 
 
+# the SuddenR record turned into a well-formed InstaD record marking sample 2,
+# or into a SlowD record (SlowD marks the same onset..onset+duration window)
+_INSTAD = {"kind": "InstaD", "labels": [0, 0, 1] + [0] * 57,
+           "descriptor": {"kind": "InstaD", "indices": [2]}}
+_SLOWD = {"kind": "SlowD", "descriptor.kind": "SlowD", "descriptor.slope": 0.5}
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"kind": "SlowD"}, "descriptor kind disagrees with kind"),
     ({"descriptor.onset": -1}, "onset and duration must be integers in"),
@@ -350,7 +354,28 @@ def test_labeled_from_record_raises_only_dataset_error(rec):
     ({"labels": [1] * 60}, "labels disagree with descriptor"),
     ({"descriptor.duration": 0, "labels": [0] * 60},
      "kind None must mean all-zero labels"),
+    (_INSTAD | {"descriptor": {"kind": "InstaD", "indices": [2.7]}},
+     "descriptor indices must be integers"),
+    (_INSTAD | {"descriptor": {"kind": "InstaD", "indices": [True, 2]}},
+     "descriptor indices must be integers"),
+    (_SLOWD | {"descriptor.slope": "steep"},
+     "SlowD descriptor slope must be a finite float"),
+    (_SLOWD | {"descriptor.slope": True},
+     "SlowD descriptor slope must be a finite float"),
+    (_SLOWD | {"descriptor.slope": float("nan")},
+     "SlowD descriptor slope must be a finite float"),
 ])
 def test_labeled_from_record_rejects_inconsistent_record(changes, message):
     with pytest.raises(DatasetError, match=message):
         labeled_from_record(_mutated(changes))
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"\n", "maximum recursion depth exceeded"),
+], ids=["not-utf8", "too-deep"])
+def test_read_dataset_names_the_bad_line(tmp_path, line, message):
+    path = tmp_path / "dataset.jsonl"
+    path.write_bytes(json.dumps(_RECORD).encode() + b"\n" + line)
+    with pytest.raises(DatasetError, match=re.escape(f"{path}:2: {message}")):
+        read_dataset(path)

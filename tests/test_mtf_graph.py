@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph,
                                transition_matrix, transform, write_graphs)
 from rssigat.trace import RssiTrace, TraceError, TraceSchema, normalize
 from oracles import mtf_oracle
+from fuzzing import JSON_VALUES, changed_records
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +259,33 @@ def test_graph_record_duplicate_edge_rejected():
            "node_map": [0, 1], "edges": [[0, 1, 0.5], [0, 1, 0.25]]}
     with pytest.raises(GraphError, match="duplicate directed edge"):
         graph_from_record(rec)
+
+
+_RECORD = graph_to_record(transform(
+    RssiTrace("fuzz", np.array([40, 41, 40, 39, 12, 12, 40, 41], dtype=float)),
+    TraceSchema(expected_length=8)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(JSON_VALUES | changed_records(_RECORD))
+def test_graph_from_record_raises_only_graph_error(rec):
+    """Arbitrary JSON, or a valid record with some values replaced, deleted
+    or added, either reads back or raises GraphError."""
+    try:
+        graph = graph_from_record(rec)
+    except GraphError:
+        return
+    assert graph.weights.shape == (graph.n_rows, graph.n_rows)
+    assert graph.node_map.max() < graph.n_rows
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"\n", "maximum recursion depth exceeded"),
+], ids=["not-utf8", "too-deep"])
+def test_read_graphs_names_the_bad_line(tmp_path, line, message):
+    path = tmp_path / "graphs.jsonl"
+    path.write_bytes(json.dumps(_RECORD).encode() + b"\n" + line)
+    with pytest.raises(GraphError, match=re.escape(f"{path}:2: {message}")):
+        read_graphs(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rssigat.trace import (ConfigError, ParseError, RawLinkLog, RssiTrace,
-                           SchemaError, SynthesisProfile, TraceSchema,
+                           SchemaError, SynthesisProfile, TraceError, TraceSchema,
                            filter_complete, ingest_raw_log, normalize,
                            read_traces_csv, synthesize_clean, write_traces_csv)
 from oracles import write_raw_logs
@@ -228,3 +228,50 @@ def test_schema_validation():
         TraceSchema(rssi_min=10, rssi_max=10)
     with pytest.raises(SchemaError):
         TraceSchema(expected_length=1)
+
+
+# ---------------------------------------------------------------------------
+# garbage in: only the module's typed errors escape
+
+_LINES = st.lists(st.text(max_size=12) | st.sampled_from(
+    ["# link a noise=0", "# link b noise=x", "0,40", "1,41", "1,nan",
+     "a,0,40", "a,1,-3", "b,0,1e999", "link_id,idx,rssi"]), max_size=8)
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "traces.csv"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(st.binary(max_size=64)
+       | _LINES.map(lambda lines: "\n".join(lines).encode())
+       | _LINES.map(lambda lines: "\n".join(["link_id,idx,rssi", *lines]).encode())
+       | st.tuples(_LINES, st.binary(min_size=1, max_size=3)).map(
+           lambda t: ("link_id,idx,rssi\na,0,40\n" + "\n".join(t[0])).encode()
+           + t[1]))
+def test_read_traces_csv_raises_only_trace_error(fuzz_csv, content):
+    """Arbitrary bytes, or a trace CSV with arbitrary rows, either read back
+    or raise a TraceError."""
+    fuzz_csv.write_bytes(content)
+    try:
+        traces = read_traces_csv(fuzz_csv)
+    except TraceError:
+        return
+    assert all(t.samples.ndim == 1 and t.length >= 2 for t in traces)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(st.text(max_size=64) | _LINES.map("\n".join))
+def test_ingest_raw_log_raises_only_trace_error(text):
+    """Arbitrary text, or arbitrary lines among link headers and records,
+    either parses or raises a TraceError."""
+    try:
+        logs = ingest_raw_log(text)
+    except TraceError:
+        return
+    for log in logs:
+        seqs = [seq for seq, _ in log.records]
+        assert seqs == sorted(set(seqs))
