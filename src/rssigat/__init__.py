@@ -7,8 +7,7 @@ from .trace import (TraceSchema, RssiTrace, RawLinkLog, SynthesisProfile,
                     synthesize_clean, normalize)
 from .inject import (AnomalyKind, InjectionParams, LabeledTrace,
                      inject_anomaly, build_dataset)
-from .mtf_graph import (Quantizer, TsGraph, fit_quantizer, transition_matrix,
-                        transform)
+from .mtf_graph import TsGraph, transform
 from .gat_model import (GatLayerConfig, GatModel, build_model, count_parameters,
                         model_forward, predict, save_checkpoint, load_checkpoint)
 from .train import (TrainConfig, ClassWeights, stratified_shuffle_split,

@@ -214,10 +214,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_splits(path: Path, n_traces: int) -> list[dict]:
+    """A run's split records: a list of ``{"train", "test"}`` lists of trace
+    indices in [0, n_traces). Anything else is a SplitError naming the file."""
+    def is_indices(idx):
+        return isinstance(idx, list) and all(
+            type(i) is int and 0 <= i < n_traces for i in idx)
+    try:
+        splits = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError):
+        splits = None
+    if not (isinstance(splits, list) and all(
+            isinstance(rec, dict) and rec.keys() == {"train", "test"}
+            and all(map(is_indices, rec.values())) for rec in splits)):
+        raise SplitError(f"{path}: not a list of {{\"train\", \"test\"}} lists "
+                         f"of trace indices in [0, {n_traces})")
+    return splits
+
+
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     dataset, schema = _read_labeled(args, args.dataset)
-    splits = json.loads((run_dir / "splits.json").read_text(encoding="utf-8"))
+    splits = _read_splits(run_dir / "splits.json", len(dataset))
     if not 0 <= args.split < len(splits):
         raise UsageError(f"--split must be in [0, {len(splits) - 1}]")
     model = load_checkpoint(run_dir / f"checkpoint_{args.split}")
@@ -342,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=TrainConfig.threshold)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     _add_schema_flags(p, length=False)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes to train splits on, at most one per split")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 

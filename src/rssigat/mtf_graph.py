@@ -1,11 +1,15 @@
 """Time-series to graph transformation via Markov transition fields.
 
-Three steps: quantile-bin the series, estimate the bin-to-bin transition
-matrix W from consecutive samples, then keep W's entries between the bins
-the series' values fall in. Time steps with equal values have equal rows and
-columns in the N x N field M[a, b] = W[bin(a), bin(b)], so ``transform``
-builds its value-class graph directly: one row per distinct value, weighted
-by the C x C block of W. ``TsGraph.expand`` gives M itself.
+``transform`` makes one row per distinct normalized value (a value class)
+and weights the edge i -> j by the share of steps leaving class i that land
+in class j. This is the paper's Markov transition field at one quantile bin
+per time step (Q = N): each quantile edge at k/N lies between the order
+statistics k-1 and k, so every distinct value has a bin of its own and the
+bins are the value classes. Test c1 checks this against a brute-force
+quantile binner. (Samples a few ulps apart are the one exception: a binner's
+rounded edge can land on one and merge the two, while here each keeps its
+row.) Time steps with equal values have equal rows and columns in the N x N
+field, so ``TsGraph.expand`` gives the field itself.
 """
 from __future__ import annotations
 
@@ -23,73 +27,6 @@ GRAPH_FORMAT = "rssigat-graph-v2"
 
 class GraphError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Quantizer:
-    """Value-to-bin assignment derived from empirical quantiles.
-
-    ``bin_edges`` are strictly increasing; a value's bin is the number of
-    edges strictly below it. Edges that would delimit empty bins on the
-    fitted series are collapsed, so ``n_bins`` can be smaller than requested.
-    """
-
-    bin_edges: np.ndarray
-    n_bins: int
-
-    def assign(self, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.bin_edges, np.asarray(values, dtype=np.float64),
-                               side="left").astype(np.int64)
-
-
-def fit_quantizer(series: np.ndarray, n_bins: int) -> Quantizer:
-    """Fit quantile bin edges at k/Q, k = 1..Q-1, on the given series.
-
-    Quantiles use linear interpolation between order statistics:
-    h = (k/Q) * (n-1), edge = sorted[floor(h)] + frac * (sorted[floor(h)+1]
-    - sorted[floor(h)]). Duplicate edges and edges that separate no samples
-    are dropped.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    if series.size == 0:
-        raise GraphError("cannot fit a quantizer on an empty series")
-    if n_bins < 1:
-        raise GraphError("n_bins must be >= 1")
-    srt = np.sort(series)
-    n = srt.size
-    ks = np.arange(1, n_bins)
-    h = (ks / n_bins) * (n - 1)
-    lo = np.floor(h).astype(np.intp)
-    frac = h - lo
-    hi = np.minimum(lo + 1, n - 1)
-    edges = srt[lo] + frac * (srt[hi] - srt[lo])
-    edges = np.unique(edges)
-    # drop edges bounding bins no sample falls in
-    raw = np.searchsorted(edges, series, side="left")
-    occupied = np.unique(raw)
-    edges = edges[occupied[1:] - 1] if occupied.size > 1 else edges[:0]
-    return Quantizer(bin_edges=edges, n_bins=int(occupied.size))
-
-
-def transition_matrix(bins: np.ndarray, n_bins: int) -> np.ndarray:
-    """Row-stochastic matrix of consecutive-step bin transition frequencies.
-
-    Rows without any observed outgoing transition get a self-transition of 1
-    so every row still sums to one.
-    """
-    bins = np.asarray(bins, dtype=np.int64)
-    if bins.size and bins.max() >= n_bins:
-        raise GraphError("bin index out of range")
-    counts = np.zeros((n_bins, n_bins), dtype=np.float64)
-    if bins.size >= 2:
-        np.add.at(counts, (bins[:-1], bins[1:]), 1.0)
-    totals = counts.sum(axis=1)
-    w = np.zeros_like(counts)
-    nonzero = totals > 0
-    w[nonzero] = counts[nonzero] / totals[nonzero, None]
-    for i in np.flatnonzero(~nonzero):
-        w[i, i] = 1.0
-    return w
 
 
 @dataclass
@@ -160,21 +97,19 @@ class TsGraph:
             raise GraphError("edge weights must be non-negative and finite")
 
 
-def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA,
-              n_bins: int | None = None) -> TsGraph:
-    """Value-class graph of a trace; bin count defaults to the series length.
-
-    Rows are the distinct normalized values in ascending order, and the
-    weights are W restricted to the rows' bins. Cost is O(N log N + C^2) for
-    C rows.
+def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA) -> TsGraph:
+    """Value-class graph of a trace: rows are the distinct normalized values
+    in ascending order, weighted by the row-normalized counts of consecutive
+    steps between them. A row without an outgoing transition (the last
+    sample's value, when it occurs nowhere else) gets a self-transition of 1.
+    Cost is O(N log N + C^2) for C rows.
     """
-    features = normalize(trace, schema)
-    n = features.size
-    q = fit_quantizer(features, n if n_bins is None else n_bins)
-    w = transition_matrix(q.assign(features), q.n_bins)
-    values, node_map = np.unique(features, return_inverse=True)
-    row_bins = q.assign(values)
-    return TsGraph(values, node_map, w[np.ix_(row_bins, row_bins)],
+    values, node_map = np.unique(normalize(trace, schema), return_inverse=True)
+    c = values.size
+    counts = np.bincount(node_map[:-1] * c + node_map[1:],
+                         minlength=c * c).reshape(c, c)
+    counts[np.diag(counts.sum(axis=1) == 0)] = 1
+    return TsGraph(values, node_map, counts / counts.sum(axis=1, keepdims=True),
                    trace.link_id)
 
 

@@ -232,11 +232,13 @@ def _run_single_split(args) -> tuple[int, SplitMetrics, GatModel, list[float]]:
 def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
                          schema: TraceSchema = DEFAULT_SCHEMA,
                          workers: int = 1) -> CrossValResult:
-    """Train one model per stratified shuffle split and aggregate metrics."""
+    """Train one model per stratified shuffle split and aggregate metrics,
+    on up to ``workers`` processes (never more than there are splits)."""
     prepared = prepare_dataset(dataset, schema)
     splits = stratified_shuffle_split(dataset, cfg)
     payloads = [(k, dataset, prepared, train_idx, test_idx, cfg)
                 for k, (train_idx, test_idx) in enumerate(splits)]
+    workers = min(workers, len(splits))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_single_split, payloads)

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written with explicit loops and dense
-matrices, sharing no code with the package under test beyond the quantile
-definition both sides document (linear interpolation between order
-statistics).
+matrices, sharing no code with the package under test. ``mtf_oracle`` bins
+by quantiles (linear interpolation between order statistics), as the
+Markov transition field is defined; the package counts transitions between
+value classes, which are those bins at one bin per sample.
 """
 from __future__ import annotations
 

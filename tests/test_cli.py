@@ -222,6 +222,28 @@ def test_eval_rejects_bad_stored_threshold(pipeline_dir, capsys):
     assert not (run_dir / "eval_split_0.json").exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda splits: [{"train": splits[0]["train"]}],
+    lambda splits: [{"train": [], "test": [36]}],
+    lambda splits: [{"train": [], "test": [-1]}],
+    lambda splits: [{"train": [True], "test": [0]}],
+    lambda splits: [{"train": [], "test": [0.0]}],
+    lambda splits: {},
+], ids=["missing-test", "past-the-end", "negative", "boolean", "float",
+        "top-level-object"])
+def test_eval_rejects_bad_splits_file(pipeline_dir, capsys, edit):
+    run_dir = pipeline_dir / "run"
+    path = run_dir / "splits.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert _run("eval", "--run", run_dir, "--dataset",
+                pipeline_dir / "dataset.jsonl", "--split", 0) == 1
+    assert capsys.readouterr().err == (
+        f"rssigat: error: {path}: not a list of {{\"train\", \"test\"}} lists "
+        f"of trace indices in [0, 36)\n")
+    assert not list(run_dir.glob("eval_split_*"))
+
+
 def test_predict_output_lengths_and_runs(pipeline_dir):
     out = pipeline_dir / "pred.jsonl"
     assert _run("predict", "--checkpoint", pipeline_dir / "run" / "checkpoint_0",

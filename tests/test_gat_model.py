@@ -173,15 +173,13 @@ def test_forward_is_deterministic_bitwise():
 
 
 @pytest.mark.parametrize("values", ["repeated", "distinct"])
-@pytest.mark.parametrize("n_bins", [None, 4, 16])
-def test_value_collapse_matches_plain_edges(n_bins, values):
+def test_value_collapse_matches_plain_edges(values):
     rng = np.random.default_rng(6)
     if values == "repeated":
         samples = rng.integers(30, 38, size=90).astype(float)
     else:
         samples = rng.permutation(np.linspace(10.0, 100.0, 90))
-    graph = transform(RssiTrace("t", samples), TraceSchema(expected_length=90),
-                      n_bins=n_bins)
+    graph = transform(RssiTrace("t", samples), TraceSchema(expected_length=90))
     assert graph.n_rows == np.unique(samples).size
     model = build_model(seed=5)
     fast = model_forward(prepare_graph(graph, collapse=True), model).data

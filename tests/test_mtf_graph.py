@@ -6,66 +6,80 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph,
-                               fit_quantizer, graph_from_record,
-                               graph_to_record, read_graphs,
-                               transition_matrix, transform, write_graphs)
-from rssigat.trace import RssiTrace, TraceError, TraceSchema, normalize
+                               graph_from_record, graph_to_record,
+                               read_graphs, transform, write_graphs)
+from rssigat.trace import RssiTrace, TraceError, TraceSchema
 from oracles import mtf_oracle
 from fuzzing import JSON_VALUES, changed_records
 
 
 # ---------------------------------------------------------------------------
-# quantizer
+# quantile bins of the oracle: at one bin per sample they are the value classes
+
+def _oracle_bins(samples, n_bins):
+    bins, q, *_ = mtf_oracle(samples, 0.0, 128.0, n_bins)
+    return bins, q
+
 
 def test_quantizer_constant_series_single_bin():
-    q = fit_quantizer(np.full(10, 3.3), n_bins=7)
-    assert q.n_bins == 1
-    assert q.bin_edges.size == 0
-    np.testing.assert_array_equal(q.assign(np.full(10, 3.3)), np.zeros(10))
+    assert _oracle_bins(np.full(10, 3.3), 7) == ([0] * 10, 1)
 
 
 def test_quantizer_median_split():
-    q = fit_quantizer(np.array([1.0, 2.0, 3.0, 4.0]), n_bins=2)
-    np.testing.assert_array_equal(q.bin_edges, [2.5])
-    np.testing.assert_array_equal(q.assign([1, 2, 3, 4]), [0, 0, 1, 1])
+    assert _oracle_bins([1.0, 2.0, 3.0, 4.0], 2) == ([0, 0, 1, 1], 2)
 
 
 def test_quantizer_full_resolution_on_increasing_series():
     series = np.arange(12, dtype=float)
-    q = fit_quantizer(series, n_bins=12)
-    assert q.n_bins == 12
-    np.testing.assert_array_equal(q.assign(series), np.arange(12))
+    assert _oracle_bins(series, 12) == (list(range(12)), 12)
+    graph = transform(RssiTrace("t", series), TraceSchema(expected_length=12))
+    np.testing.assert_array_equal(graph.node_map, np.arange(12))
 
 
 def test_quantizer_drops_empty_bins_between_ties():
     # two values, four requested bins: interpolated cuts delimit empty bins
-    q = fit_quantizer(np.array([0.0, 0.0, 1.0, 1.0]), n_bins=4)
-    assert q.n_bins == 2
-    np.testing.assert_array_equal(q.assign([0.0, 0.0, 1.0, 1.0]), [0, 0, 1, 1])
+    assert _oracle_bins([0.0, 0.0, 1.0, 1.0], 4) == ([0, 0, 1, 1], 2)
 
 
 # ---------------------------------------------------------------------------
-# transition matrix
+# transition matrix: the weights between value classes
+
+def _weights(samples):
+    samples = np.asarray(samples, dtype=float)
+    return transform(RssiTrace("t", samples),
+                     TraceSchema(expected_length=samples.size)).weights
+
 
 def test_transition_matrix_hand_counted():
-    w = transition_matrix(np.array([0, 0, 1, 1]), 2)
-    np.testing.assert_array_equal(w, [[0.5, 0.5], [0.0, 1.0]])
+    np.testing.assert_array_equal(_weights([1, 1, 2, 2]), [[0.5, 0.5], [0.0, 1.0]])
 
 
 def test_transition_matrix_single_bin():
-    np.testing.assert_array_equal(transition_matrix(np.zeros(5, dtype=int), 1), [[1.0]])
+    np.testing.assert_array_equal(_weights(np.full(5, 7.0)), [[1.0]])
 
 
 def test_transition_matrix_alternating():
-    w = transition_matrix(np.array([0, 1, 0, 1, 0]), 2)
-    np.testing.assert_array_equal(w, [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(_weights([3, 9, 3, 9, 3]), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_transition_matrix_dead_row_gets_self_transition():
-    # bin 2 only occupied at the last step: no outgoing transitions
-    w = transition_matrix(np.array([0, 1, 2]), 3)
+    # the top value only occurs at the last step: no outgoing transitions
+    w = _weights([1, 2, 3])
     assert w[2, 2] == 1.0
     np.testing.assert_allclose(w.sum(axis=1), np.ones(3))
+
+
+def test_ulp_close_values_keep_their_own_rows():
+    # a quantile cut between 40 and the next double rounds onto a sample and
+    # would merge the two into one bin; each value is a class of its own
+    close = np.nextafter(40.0, np.inf)
+    graph = transform(RssiTrace("t", np.array([40.0, close, 60.0, 60.0])),
+                      TraceSchema(expected_length=4))
+    np.testing.assert_array_equal(graph.row_features * 128, [40.0, close, 60.0])
+    np.testing.assert_array_equal(graph.node_map, [0, 1, 2, 2])
+    np.testing.assert_array_equal(graph.weights, [[0.0, 1.0, 0.0],
+                                                  [0.0, 0.0, 1.0],
+                                                  [0.0, 0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +87,7 @@ def test_transition_matrix_dead_row_gets_self_transition():
 
 def test_mtf_worked_example():
     graph = transform(RssiTrace("t", np.array([1.0, 1.0, 2.0, 2.0])),
-                      TraceSchema(expected_length=4), n_bins=2)
+                      TraceSchema(expected_length=4))
     np.testing.assert_array_equal(graph.weights, [[0.5, 0.5], [0.0, 1.0]])
     expected_m = np.array([
         [0.5, 0.5, 0.5, 0.5],
@@ -89,7 +103,7 @@ def test_mtf_worked_example():
 
 def test_mtf_constant_series_all_ones():
     graph = transform(RssiTrace("t", np.full(6, 2.0)),
-                      TraceSchema(expected_length=6), n_bins=6)
+                      TraceSchema(expected_length=6))
     np.testing.assert_array_equal(graph.expand().weights, np.ones((6, 6)))
 
 
@@ -131,15 +145,18 @@ def test_fig2_sized_trace_builds_30_node_graph():
 # ---------------------------------------------------------------------------
 # oracle equivalence and properties
 
-def _assert_matches_oracle(samples, schema, n_bins):
+def _assert_matches_oracle(samples, schema):
     trace = RssiTrace("t", np.asarray(samples, dtype=float))
-    graph = transform(trace, schema, n_bins=n_bins).expand()
+    graph = transform(trace, schema)
     bins, q, w, m, edges = mtf_oracle(samples, schema.rssi_min, schema.rssi_max,
-                                      n_bins if n_bins else len(samples))
-    assert graph.n_nodes == len(samples)
-    assert [(s, d) for s, d, _ in edges] == list(zip(graph.edge_src.tolist(),
-                                                     graph.edge_dst.tolist()))
-    np.testing.assert_allclose(graph.edge_weights,
+                                      len(samples))
+    assert graph.node_map.tolist() == bins
+    assert graph.n_rows == q
+    nodes = graph.expand()
+    assert nodes.n_nodes == len(samples)
+    assert [(s, d) for s, d, _ in edges] == list(zip(nodes.edge_src.tolist(),
+                                                     nodes.edge_dst.tolist()))
+    np.testing.assert_allclose(nodes.edge_weights,
                                np.array([wt for _, _, wt in edges]), atol=1e-12)
 
 
@@ -148,31 +165,24 @@ def test_transform_matches_bruteforce_oracle_sample():
     schema = TraceSchema(expected_length=50)
     for _ in range(25):
         n = int(rng.integers(3, 51))
-        samples = rng.integers(0, 129, size=n).astype(float)
-        for n_bins in (2, 4, n):
-            _assert_matches_oracle(samples, schema, n_bins)
+        _assert_matches_oracle(rng.integers(0, 129, size=n).astype(float), schema)
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.integers(0, 128), min_size=2, max_size=40),
-       st.integers(1, 40))
-def test_row_stochastic_for_any_series(values, n_bins):
-    q = fit_quantizer(np.array(values, dtype=float), n_bins)
-    w = transition_matrix(q.assign(np.array(values, dtype=float)), q.n_bins)
-    np.testing.assert_allclose(w.sum(axis=1), np.ones(q.n_bins), atol=1e-9)
+@given(st.lists(st.integers(0, 128), min_size=2, max_size=40))
+def test_row_stochastic_for_any_series(values):
+    w = _weights(values)
+    np.testing.assert_allclose(w.sum(axis=1), np.ones(len(w)), atol=1e-9)
     assert w.min() >= 0 and w.max() <= 1
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.lists(st.integers(0, 60), min_size=2, max_size=25))
+@given(st.lists(st.integers(0, 120).map(lambda v: v / 2), min_size=2, max_size=25))
 def test_edge_weights_are_the_nonzero_field_entries(values):
-    trace = RssiTrace("t", np.array(values, dtype=float))
     schema = TraceSchema(expected_length=len(values), rssi_max=60.0)
-    series = normalize(trace, schema)
-    q = fit_quantizer(series, len(values))
-    bins = q.assign(series)
-    field = transition_matrix(bins, q.n_bins)[np.ix_(bins, bins)]
-    nodes = transform(trace, schema).expand()
+    *_, m, _ = mtf_oracle(values, schema.rssi_min, schema.rssi_max, len(values))
+    field = np.array(m)
+    nodes = transform(RssiTrace("t", np.array(values)), schema).expand()
     np.testing.assert_array_equal(nodes.weights, field)
     np.testing.assert_array_equal(nodes.edge_weights, field[field > 0])
 
@@ -182,13 +192,11 @@ def test_edge_weights_are_the_nonzero_field_entries(values):
        st.integers(1, 9), st.integers(1, 5))
 def test_positive_affine_rescale_leaves_structure_unchanged(values, a, b):
     base = np.array(values, dtype=float)
-    scaled = a * base + b
-    q1 = fit_quantizer(base, len(values))
-    q2 = fit_quantizer(scaled, len(values))
-    np.testing.assert_array_equal(q1.assign(base), q2.assign(scaled))
-    w1 = transition_matrix(q1.assign(base), q1.n_bins)
-    w2 = transition_matrix(q2.assign(scaled), q2.n_bins)
-    np.testing.assert_array_equal(w1, w2)
+    schema = TraceSchema(expected_length=base.size, rssi_max=1024.0)
+    g1 = transform(RssiTrace("t", base), schema)
+    g2 = transform(RssiTrace("t", a * base + b), schema)
+    np.testing.assert_array_equal(g1.node_map, g2.node_map)
+    np.testing.assert_array_equal(g1.weights, g2.weights)
 
 
 def test_transform_is_stateless_across_order():
@@ -208,8 +216,8 @@ def test_transform_beyond_dense_cap_streams():
     trace = RssiTrace("long", np.linspace(0, 100, n))
     graph = transform(trace, TraceSchema(expected_length=n, rssi_min=0, rssi_max=128))
     assert graph.n_nodes == n
-    # strictly increasing series: each step feeds the next bin, so one edge
-    # per node (last bin self-loops)
+    # strictly increasing series: each step feeds the next value, so one edge
+    # per node (the last value self-loops)
     assert graph.n_edges == n
     graph.validate()
     with pytest.raises(GraphError):

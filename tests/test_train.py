@@ -242,6 +242,32 @@ def test_cross_validate_workers_match_sequential():
             assert m1.params[name].tobytes() == m2.params[name].tobytes()
 
 
+@pytest.mark.parametrize("workers, processes", [(8, 2), (2, 2), (1, None)])
+def test_cross_validate_starts_no_more_processes_than_splits(
+        monkeypatch, workers, processes):
+    import rssigat.train
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(rssigat.train.multiprocessing, "Pool", InProcessPool)
+    dataset, schema = _desk_dataset(n_each=2, n_clean=8, seed=11)
+    cfg = TrainConfig(n_splits=2, epochs=1, seed=4)
+    run_cross_validation(dataset, cfg, schema, workers=workers)
+    assert started == ([] if processes is None else [processes])
+
+
 def test_loss_curves_csv_layout():
     text = loss_curves_to_csv([[0.5, 0.25], [0.75]])
     lines = text.strip().splitlines()
