@@ -20,7 +20,8 @@ from . import __version__
 from .gat_model import load_checkpoint, predict as predict_graph, save_checkpoint
 from .inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
                      build_dataset, read_dataset, write_dataset)
-from .metrics import EvalReport, anomalous_runs, report_to_csv, report_to_text
+from .metrics import (EvalReport, MetricsError, anomalous_runs, report_to_csv,
+                      report_to_text)
 from .mtf_graph import transform, write_graphs
 from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
@@ -232,6 +233,21 @@ def _read_splits(path: Path, n_traces: int) -> list[dict]:
     return splits
 
 
+def _read_report(run_dir: Path) -> EvalReport:
+    """A run's stored report, whose threshold must be in [0, 1]. Anything
+    else is a MetricsError naming the file."""
+    path = run_dir / "report.json"
+    try:
+        report = EvalReport.from_json(path.read_text(encoding="utf-8"))
+        TrainConfig(threshold=report.config["threshold"])
+    except KeyError as exc:
+        raise MetricsError(f"{path}: lacks key {exc}") from None
+    except (ValueError, TypeError, AttributeError, RecursionError,
+            TrainingError) as exc:
+        raise MetricsError(f"{path}: {exc}") from None
+    return report
+
+
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     dataset, schema = _read_labeled(args, args.dataset)
@@ -239,8 +255,7 @@ def cmd_eval(args) -> int:
     if not 0 <= args.split < len(splits):
         raise UsageError(f"--split must be in [0, {len(splits) - 1}]")
     model = load_checkpoint(run_dir / f"checkpoint_{args.split}")
-    stored = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
-    threshold = TrainConfig(threshold=stored.config["threshold"]).threshold
+    threshold = _read_report(run_dir).config["threshold"]
     items = [dataset[i] for i in splits[args.split]["test"]]
     metrics = evaluate_split(model, items, prepare_dataset(items, schema),
                              threshold)
@@ -295,7 +310,7 @@ def cmd_predict(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    report = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
+    report = _read_report(run_dir)
     outputs = _write_reports(run_dir, report)
     write_manifest(run_dir / "report.manifest.json", "report", {}, None,
                    [run_dir / "report.json"], outputs)

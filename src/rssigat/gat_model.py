@@ -1,9 +1,10 @@
 """Per-node classifier: three attention blocks with linear skip connections.
 
-Each block is dense masked multi-head attention (Velickovic et al. 2018):
+Each block is dense multi-head graph attention (Velickovic et al. 2018):
 per head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
-ln(edge weight) under the 0/1 edge mask, times the projected rows. The
-projection and the attention are one op, ``tc.graph_attention``. A block
+``logit_bias[i, j]``, times the projected rows. The bias is ln(edge weight)
+on the edges and -inf off them, so the softmax gives non-edges exactly 0.
+The projection and the attention are one op, ``tc.graph_attention``. A block
 adds a learnable linear projection of its input (``tc.linear``) and applies
 ReLU. A final linear head plus sigmoid yields one anomaly probability per
 time step.
@@ -131,24 +132,19 @@ class PreparedGraph:
     """Attention-ready form of a TsGraph as dense C x C matrices.
 
     ``node_map`` sends each original node to the row the layers operate on.
-    ``mask[dst, src]`` marks the edges plus every self loop; ``logit_bias``
-    holds ln(edge weight) + ln(source row size) on edges and 0 on the added
-    self loops (weight 1, multiplicity 1).
+    ``logit_bias[dst, src]`` is ln(edge weight) + ln(source row size) on the
+    edges, 0 on the added self loops (weight 1, multiplicity 1) and -inf
+    elsewhere.
     """
 
     n_rows: int
     row_features: np.ndarray
     node_map: np.ndarray
-    mask: np.ndarray
     logit_bias: np.ndarray
 
     @property
     def src(self) -> np.ndarray:
-        return np.nonzero(self.mask)[1]
-
-    @property
-    def dst(self) -> np.ndarray:
-        return np.nonzero(self.mask)[0]
+        return np.nonzero(np.isfinite(self.logit_bias))[1]
 
 
 def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
@@ -156,18 +152,14 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
     row per node, the per-node reference the class rows must reproduce."""
     if not collapse:
         graph = graph.expand()
-    n_rows = graph.n_rows
-    weights = graph.weights.T
-    dst, src = np.nonzero(weights > 0)
-    mask = np.eye(n_rows, dtype=bool)
-    mask[dst, src] = True
-    bias = np.zeros((n_rows, n_rows))
-    bias[dst, src] = np.log(weights[dst, src]) + np.log(graph.row_sizes[src])
+    with np.errstate(divide="ignore"):  # ln 0 = -inf off the edges
+        bias = np.log(graph.weights.T) + np.log(graph.row_sizes)
+    loops = np.diagonal(bias)
+    np.fill_diagonal(bias, np.where(loops == -np.inf, 0.0, loops))
     return PreparedGraph(
-        n_rows=n_rows,
+        n_rows=graph.n_rows,
         row_features=np.asarray(graph.row_features, dtype=np.float64)[:, None],
         node_map=graph.node_map,
-        mask=mask,
         logit_bias=bias,
     )
 
@@ -198,7 +190,7 @@ def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
         gat, gat_back = tc.graph_attention(
             h, params[f"gat{k}.weight"], params[f"gat{k}.att_dst"],
             params[f"gat{k}.att_src"], params[f"gat{k}.bias"],
-            prep.logit_bias, prep.mask, cfg.leaky_slope, cfg.head_mode)
+            prep.logit_bias, cfg.leaky_slope, cfg.head_mode)
         skip, skip_back = tc.linear(h, params[f"skip{k}.weight"],
                                     params[f"skip{k}.bias"])
         total = gat + skip

@@ -129,11 +129,18 @@ def graph_to_record(graph: TsGraph) -> dict:
     }
 
 
-def _row_indices(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if not np.all((arr % 1 == 0) & (np.abs(arr) < 2**53)):
+def _row_indices(arr: np.ndarray) -> np.ndarray:
+    # the range test first: inf % 1 would warn
+    if not (np.all(np.abs(arr) < 2**53) and np.all(arr % 1 == 0)):
         raise ValueError("row indices must be integers")
     return arr.astype(np.int64)
+
+
+def _numbers(seq) -> np.ndarray:
+    """A JSON list of ints and floats, not strings or booleans, as float64."""
+    if not (isinstance(seq, list) and {*map(type, seq)} <= {int, float}):
+        raise ValueError("values, node_map and edges must be lists of numbers")
+    return np.array(seq, dtype=np.float64)
 
 
 def graph_from_record(rec: dict) -> TsGraph:
@@ -142,13 +149,17 @@ def graph_from_record(rec: dict) -> TsGraph:
     if not isinstance(rec, dict) or rec.get("format") != GRAPH_FORMAT:
         raise GraphError(f"not a {GRAPH_FORMAT} record")
     try:
-        edges = np.array(rec["edges"], dtype=np.float64).reshape(-1, 3)
-        if edges.shape[0] != len(rec["edges"]):
+        edges = rec["edges"]
+        if not (isinstance(edges, list)
+                and all(isinstance(e, list) and len(e) == 3 for e in edges)):
             raise ValueError("edges must be [src, dst, weight] triples")
+        edges = _numbers([x for e in edges for x in e]).reshape(-1, 3)
         src, dst, w = _row_indices(edges[:, 0]), _row_indices(edges[:, 1]), edges[:, 2]
-        values = np.array(rec["values"], dtype=np.float64)
-        node_map = _row_indices(rec["node_map"])
+        values = _numbers(rec["values"])
+        node_map = _row_indices(_numbers(rec["node_map"]))
         link_id = rec["link_id"]
+        if not (link_id is None or isinstance(link_id, str)):
+            raise ValueError("link_id must be a string or null")
     except KeyError as exc:
         raise GraphError(f"record lacks key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

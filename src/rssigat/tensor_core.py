@@ -7,11 +7,11 @@ There is no tape and no graph of tensors: ``gat_model.model_backward``
 calls the ``back`` closures of a forward pass in reverse order.
 
 The ops are three fused ones, ReLU, sigmoid and a row gather. ``linear`` is
-``x @ w + b``; ``graph_attention`` is a whole dense masked multi-head
-attention block, projection included; and ``binary_cross_entropy`` is the
-class-weighted loss. Nothing broadcasts. The class graphs have ~10 rows, so
-a step costs numpy dispatch per op far more than FLOPs, and fewer, larger
-ops are what make it fast.
+``x @ w + b``; ``graph_attention`` is a whole dense multi-head attention
+block, projection included, whose -inf logit bias entries are the non-edges;
+and ``binary_cross_entropy`` is the class-weighted loss. Nothing broadcasts.
+The class graphs have ~10 rows, so a step costs numpy dispatch per op far
+more than FLOPs, and fewer, larger ops are what make it fast.
 """
 from __future__ import annotations
 
@@ -107,53 +107,30 @@ def binary_cross_entropy(p: np.ndarray, pos: np.ndarray, neg: np.ndarray):
 # ---------------------------------------------------------------------------
 # graph attention and row indexing
 
-def masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of ``x`` among the entries where the boolean
-    ``mask`` (broadcast against ``x``) is set; every row needs one. A plain
-    numpy helper, not an op with a backward. Masked-out entries are exactly
-    0. Rows are shifted by their largest unmasked value, so no -inf is ever
-    formed; one buffer of ``x``'s shape holds shift, exp and sums."""
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    try:
-        full = np.broadcast_to(mask, x.shape)
-    except ValueError:
-        raise ShapeError(f"masked_softmax mask {mask.shape} does not "
-                         f"broadcast to {x.shape}") from None
-    if x.ndim == 0 or not full.any(axis=-1).all():
-        raise ShapeError("masked_softmax needs a set mask entry in every row")
-    y = x - np.max(x, axis=-1, keepdims=True, where=full, initial=-np.inf)
-    np.exp(y, out=y, where=full)
-    np.copyto(y, 0.0, where=~mask)
-    y /= y.sum(axis=-1, keepdims=True)
-    return y
-
-
 def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
                     att_src: np.ndarray, bias: np.ndarray,
-                    logit_bias: np.ndarray, mask: np.ndarray,
-                    slope: float, head_mode: str):
-    """Dense masked multi-head graph attention over C rows, as one op.
+                    logit_bias: np.ndarray, slope: float, head_mode: str):
+    """Dense multi-head graph attention over C rows, as one op.
 
     The rows ``h`` (C, D) are projected by ``weight`` (D, H*F) to hw = h @
     weight, with head h in columns h*F..(h+1)*F; ``att_dst`` and ``att_src``
-    are (H, F); ``logit_bias`` and the boolean ``mask[dst, src]`` are (C, C).
-    Per head, with z the head's (C, F) slice of hw and s = z @ att::
+    are (H, F); ``logit_bias[dst, src]`` is (C, C), -inf where src is not a
+    neighbour of dst, and each row needs a finite entry. Per head, with z the
+    head's (C, F) slice of hw and s = z @ att::
 
-        alpha = masked_softmax(LeakyReLU(s_dst[:, None] + s_src[None, :])
-                               + logit_bias, mask)
+        alpha = softmax(LeakyReLU(s_dst[:, None] + s_src[None, :])
+                        + logit_bias)
 
-    and the head's output is alpha @ z. Heads are concatenated to (C, H*F)
-    for ``head_mode="concat"`` or averaged to (C, F) for ``"average"``, then
-    ``bias`` is added. The backward is derived by hand; it keeps alpha and
-    the sign of the pre-activation logits. ``back(g)`` returns the
-    gradients of (h, weight, att_dst, att_src, bias, logit_bias); with
-    ``input_grad=False`` the first is None and not computed, for the first
-    block's constant rows.
+    over each row, exactly 0 on the -inf entries, and the head's output is
+    alpha @ z. Heads are concatenated to (C, H*F) for ``head_mode="concat"``
+    or averaged to (C, F) for ``"average"``, then ``bias`` is added. The
+    backward is derived by hand; it keeps alpha and the sign of the
+    pre-activation logits. ``back(g)`` returns the gradients of (h, weight,
+    att_dst, att_src, bias, logit_bias); with ``input_grad=False`` the first
+    is None and not computed, for the first block's constant rows.
     """
     if head_mode not in ("concat", "average"):
         raise OpError(f"unknown head_mode {head_mode!r}")
-    mask = np.asarray(mask, dtype=bool)
     if (h.ndim != 2 or weight.ndim != 2 or h.shape[1] != weight.shape[0]
             or att_dst.ndim != 2 or att_src.shape != att_dst.shape):
         raise ShapeError(f"graph_attention rows {h.shape}, weight {weight.shape}, "
@@ -162,21 +139,27 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     n = h.shape[0]
     width = heads * f if head_mode == "concat" else f
     if (weight.shape[1] != heads * f or bias.shape != (width,)
-            or logit_bias.shape != (n, n) or mask.shape != (n, n)):
+            or logit_bias.shape != (n, n)):
         raise ShapeError(
             f"graph_attention weight {weight.shape}, {heads} heads of {f}, bias "
-            f"{bias.shape}, logit bias {logit_bias.shape}, mask {mask.shape}")
+            f"{bias.shape}, logit bias {logit_bias.shape}")
     hw = h @ weight
     z = np.ascontiguousarray(hw.reshape(n, heads, f).transpose(1, 0, 2))
-    # pre-activation logits, LeakyReLU and the bias in one (H, C, C) buffer
+    # pre-activation logits, LeakyReLU, the bias and the row softmax in one
+    # (H, C, C) buffer; exp(-inf) makes the non-edges' alpha exactly 0
     logits = (z @ att_dst.reshape(heads, f, 1)
               + (z @ att_src.reshape(heads, f, 1)).reshape(heads, 1, n))
     positive = logits > 0
     np.multiply(logits, slope, out=logits, where=~positive)
-    logits += logit_bias
     ensure_finite(logits, "graph_attention")
-    alpha = masked_softmax(logits, mask)
-    del logits  # the backward keeps alpha; free the logits before the output
+    logits += logit_bias
+    top = logits.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ShapeError("graph_attention needs a finite logit bias entry "
+                         "in every row")
+    logits -= top
+    alpha = np.exp(logits, out=logits)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
     agg = alpha @ z
     if head_mode == "concat":
         out = agg.transpose(1, 0, 2).reshape(n, width)

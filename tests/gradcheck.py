@@ -92,13 +92,14 @@ ATTENTION_INPUTS = ("h", "weight", "att_dst", "att_src", "bias", "logit_bias")
 
 def attention_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
     """(loss_and_grad, leaf) pairs for one ``graph_attention`` op on ``n``
-    rows of width ``d``, one per input named in ``leaves``. The mask leaves
-    out one entry when ``n`` > 1; inputs are redrawn until every LeakyReLU
-    input is at least 0.05 from the kink."""
-    mask = rng.random((n, n)) < 0.5
-    np.fill_diagonal(mask, True)
+    rows of width ``d``, one per input named in ``leaves``. The logit bias is
+    -inf off a random edge set that leaves out one entry when ``n`` > 1;
+    inputs are redrawn until every LeakyReLU input is at least 0.05 from the
+    kink."""
+    edges = rng.random((n, n)) < 0.5
+    np.fill_diagonal(edges, True)
     if n > 1:
-        mask[0, n - 1] = False
+        edges[0, n - 1] = False
     while True:
         h, weight, att_dst, att_src = (rng.standard_normal((n, d)),
                                        rng.standard_normal((d, heads * f)),
@@ -108,7 +109,8 @@ def attention_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
             break
     width = heads * f if head_mode == "concat" else f
     args = (h, weight, att_dst, att_src, rng.standard_normal(width),
-            rng.standard_normal((n, n)), mask, 0.2, head_mode)
+            np.where(edges, rng.standard_normal((n, n)), -np.inf), 0.2,
+            head_mode)
     r = rng.standard_normal((n, width))
     return [projected(tc.graph_attention, args, ATTENTION_INPUTS.index(name), r)
             for name in leaves]
@@ -125,24 +127,24 @@ def small_random_model(rng):
 
 def sample_is_smooth(prep, model, probs, margin: float = 0.01) -> bool:
     """Central differences need a kink-free neighborhood: no ReLU input near
-    zero, no LeakyReLU input near zero on an entry the boolean
-    ``prep.mask[dst, src]`` lets through (masked-out logits cannot reach the
-    loss), no sigmoid output near the log clamp. Each block's inputs come
-    from re-running the ops."""
+    zero, no LeakyReLU input near zero on an edge, where ``prep.logit_bias``
+    is finite (the -inf entries cannot reach the loss), no sigmoid output
+    near the log clamp. Each block's inputs come from re-running the ops."""
     if probs.min() < 1e-9 or probs.max() > 1 - 1e-9:
         return False
     h = prep.row_features
+    edges = np.isfinite(prep.logit_bias)
     for k, cfg in enumerate(model.layer_configs, start=1):
         p = {name: model.params[f"gat{k}.{name}"]
              for name in ("weight", "att_dst", "att_src", "bias")}
         pre = attention_preactivation(h, p["weight"], p["att_dst"], p["att_src"])
         gat = tc.graph_attention(h, p["weight"], p["att_dst"], p["att_src"],
-                                 p["bias"], prep.logit_bias, prep.mask,
+                                 p["bias"], prep.logit_bias,
                                  cfg.leaky_slope, cfg.head_mode)[0]
         skip = tc.linear(h, model.params[f"skip{k}.weight"],
                          model.params[f"skip{k}.bias"])[0]
         relu_input = gat + skip
-        if min(np.abs(pre[:, prep.mask]).min(), np.abs(relu_input).min()) < margin:
+        if min(np.abs(pre[:, edges]).min(), np.abs(relu_input).min()) < margin:
             return False
         h = np.maximum(relu_input, 0.0)
     return True

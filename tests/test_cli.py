@@ -218,8 +218,30 @@ def test_eval_rejects_bad_stored_threshold(pipeline_dir, capsys):
     assert _run("eval", "--run", run_dir, "--dataset",
                 pipeline_dir / "dataset.jsonl", "--split", 0) == 1
     assert capsys.readouterr().err == \
-        "rssigat: error: threshold must be in [0, 1]\n"
+        f"rssigat: error: {run_dir / 'report.json'}: threshold must be in [0, 1]\n"
     assert not (run_dir / "eval_split_0.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("text, message", [
+    (lambda report: "not JSON", "Expecting value: line 1 column 1 (char 0)"),
+    (lambda report: json.dumps({**report, "config": {}}),
+     "lacks key 'threshold'"),
+    (lambda report: json.dumps(
+        {**report, "config": {**report["config"], "threshold": 1.5}}),
+     "threshold must be in [0, 1]"),
+], ids=["not-json", "missing-threshold", "threshold-above-one"])
+def test_bad_report_file_is_named(pipeline_dir, capsys, command, text, message):
+    run_dir = pipeline_dir / "run"
+    path = run_dir / "report.json"
+    path.write_text(text(json.loads(path.read_text())))
+    files = sorted(run_dir.iterdir())
+    args = {"eval": ("--dataset", pipeline_dir / "dataset.jsonl", "--split", 0),
+            "report": ()}[command]
+    capsys.readouterr()
+    assert _run(command, "--run", run_dir, *args) == 1
+    assert capsys.readouterr().err == f"rssigat: error: {path}: {message}\n"
+    assert sorted(run_dir.iterdir()) == files
 
 
 @pytest.mark.parametrize("edit", [
@@ -483,8 +505,16 @@ def test_out_of_range_sample_is_usage_error(tmp_path, capsys, command):
      "edge endpoint out of range"),
     (lambda r: {**r, "edges": [[*r["edges"][0][:2], 0.0]] + r["edges"][1:]},
      "edge weights must be positive"),
+    (lambda r: {**r, "node_map": ["0"] + r["node_map"][1:]},
+     "values, node_map and edges must be lists of numbers"),
+    (lambda r: {**r, "values": [True] + r["values"][1:]},
+     "values, node_map and edges must be lists of numbers"),
+    (lambda r: {**r, "edges": [[*r["edges"][0][:2], True]] + r["edges"][1:]},
+     "values, node_map and edges must be lists of numbers"),
+    (lambda r: {**r, "link_id": 1}, "link_id must be a string or null"),
 ], ids=["v1-record", "missing-key", "node-map-range", "node-map-fraction",
-        "nan-value", "edge-range", "zero-weight"])
+        "nan-value", "edge-range", "zero-weight", "string-node-map",
+        "boolean-value", "boolean-weight", "numeric-link-id"])
 def test_bad_graph_records_rejected(tmp_path, mutate, message):
     traces, dataset = tmp_path / "t.csv", tmp_path / "d.jsonl"
     graphs, bad = tmp_path / "g.jsonl", tmp_path / "bad.jsonl"

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def _layer_forward(features, graph, cfg, params, prefix="gat1"):
     return tc.graph_attention(
         features, params[f"{prefix}.weight"], params[f"{prefix}.att_dst"],
         params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
-        prep.mask, cfg.leaky_slope, cfg.head_mode)[0]
+        cfg.leaky_slope, cfg.head_mode)[0]
 
 
 def _layer_params(rng, cfg, prefix="gat1"):
@@ -102,7 +103,7 @@ def _attention_coefficients(h, weight, att_dst, att_src, prep, slope):
     s_dst, s_src = ((z @ att[:, :, None])[:, :, 0] for att in (att_dst, att_src))
     probe, _ = tc.graph_attention(
         np.eye(n), np.tile(np.eye(n), (1, heads)), s_dst, s_src,
-        np.zeros(heads * n), prep.logit_bias, prep.mask, slope, "concat")
+        np.zeros(heads * n), prep.logit_bias, slope, "concat")
     return probe.reshape(n, heads, n).transpose(1, 0, 2)
 
 
@@ -113,19 +114,38 @@ def test_attention_coefficients_sum_to_one_per_destination():
     model = build_model(seed=3)
     p = model.params
     assert len(model.layer_configs) == 3
+    edges = np.isfinite(prep.logit_bias)
     h = prep.row_features  # each block's input rows, by re-running the ops
     for k, cfg in enumerate(model.layer_configs, start=1):
         alpha = _attention_coefficients(h, p[f"gat{k}.weight"], p[f"gat{k}.att_dst"],
                                         p[f"gat{k}.att_src"], prep, cfg.leaky_slope)
-        assert alpha.shape == (cfg.n_heads, *prep.mask.shape)
-        np.testing.assert_allclose(np.where(prep.mask, alpha, 0.0).sum(axis=-1),
+        assert alpha.shape == (cfg.n_heads, *edges.shape)
+        np.testing.assert_allclose(np.where(edges, alpha, 0.0).sum(axis=-1),
                                    1.0, atol=1e-9)
-        assert np.all(alpha[:, ~prep.mask] == 0.0)
+        assert np.all(alpha[:, ~edges] == 0.0)
         gat, _ = tc.graph_attention(
             h, p[f"gat{k}.weight"], p[f"gat{k}.att_dst"], p[f"gat{k}.att_src"],
-            p[f"gat{k}.bias"], prep.logit_bias, prep.mask, cfg.leaky_slope,
-            cfg.head_mode)
+            p[f"gat{k}.bias"], prep.logit_bias, cfg.leaky_slope, cfg.head_mode)
         h = np.maximum(gat + h @ p[f"skip{k}.weight"] + p[f"skip{k}.bias"], 0.0)
+
+
+def test_prepare_graph_bias_is_log_weight_and_row_size_on_edges():
+    # rows of 2, 2 and 1 nodes; row 0 has a self-transition, rows 1 and 2
+    # get added self loops
+    graph = TsGraph(row_features=np.array([0.1, 0.2, 0.3]),
+                    node_map=np.array([0, 1, 0, 2, 1]),
+                    weights=np.array([[0.25, 0.75, 0.0],
+                                      [0.0, 0.0, 1.0],
+                                      [0.4, 0.6, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prep = prepare_graph(graph)
+    ln = np.log
+    expected = np.array([[ln(0.25) + ln(2), -np.inf, ln(0.4) + ln(1)],
+                         [ln(0.75) + ln(2), 0.0, ln(0.6) + ln(1)],
+                         [-np.inf, ln(1.0) + ln(2), 0.0]])
+    np.testing.assert_array_equal(prep.logit_bias, expected)
+    np.testing.assert_array_equal(prep.src, [0, 2, 0, 1, 2, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +239,8 @@ def test_model_forward_matches_per_destination_oracle(length):
         prep = prepare_graph(transform(item.trace, schema))
         model = build_model(seed=i)
         expected = model_forward_oracle(
-            prep.row_features, prep.node_map, prep.mask, prep.logit_bias,
+            prep.row_features, prep.node_map, np.isfinite(prep.logit_bias),
+            prep.logit_bias,
             model.layer_configs, model.params)
         np.testing.assert_allclose(model_forward(prep, model).data, expected,
                                    rtol=0, atol=1e-12)

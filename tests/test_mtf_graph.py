@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph,
                                graph_from_record, graph_to_record,
@@ -277,6 +277,7 @@ _RECORD = graph_to_record(transform(
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, max_examples=300)
 @given(JSON_VALUES | changed_records(_RECORD))
+@example({**_RECORD, "node_map": [float("inf")] + _RECORD["node_map"][1:]})
 def test_graph_from_record_raises_only_graph_error(rec):
     """Arbitrary JSON, or a valid record with some values replaced, deleted
     or added, either reads back or raises GraphError."""

@@ -89,21 +89,16 @@ def _attention_inputs(rng, n, heads, f):
 def test_graph_attention_rejects_bad_inputs():
     rng = np.random.default_rng(8)
     h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
-    mask = np.ones((3, 3), dtype=bool)
-    no_source = np.eye(3, dtype=bool)
-    no_source[1, 1] = False
     ones = np.ones((3, 4))
-    for args in ((h, weight, att_dst, att_src, bias, logit_bias,
-                  np.ones((3, 2), dtype=bool)),
-                 (h, weight, att_dst, att_src, bias, logit_bias, no_source),
-                 (h, weight, att_dst, att_src, np.zeros(2), logit_bias, mask),
-                 (h, weight, np.zeros((2, 3)), att_src, bias, logit_bias, mask),
-                 (h, ones, att_dst, att_src, bias, logit_bias, mask),
-                 (ones, weight, att_dst, att_src, bias, logit_bias, mask)):
+    for args in ((h, weight, att_dst, att_src, bias, logit_bias[:, :2]),
+                 (h, weight, att_dst, att_src, np.zeros(2), logit_bias),
+                 (h, weight, np.zeros((2, 3)), att_src, bias, logit_bias),
+                 (h, ones, att_dst, att_src, bias, logit_bias),
+                 (ones, weight, att_dst, att_src, bias, logit_bias)):
         with pytest.raises(tc.ShapeError):
             tc.graph_attention(*args, 0.2, "concat")
     with pytest.raises(tc.OpError, match="head_mode"):
-        tc.graph_attention(h, weight, att_dst, att_src, bias, logit_bias, mask,
+        tc.graph_attention(h, weight, att_dst, att_src, bias, logit_bias,
                            0.2, "sum")
 
 
@@ -111,9 +106,10 @@ def test_graph_attention_projects_rows():
     # identity rows with hw as the weight form the same hw, bit for bit
     rng = np.random.default_rng(9)
     h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 4, 2, 3)
-    mask = rng.random((4, 4)) < 0.5
-    np.fill_diagonal(mask, True)
-    args = (att_dst, att_src, bias, logit_bias, mask, 0.2, "concat")
+    edges = rng.random((4, 4)) < 0.5
+    np.fill_diagonal(edges, True)
+    args = (att_dst, att_src, bias, np.where(edges, logit_bias, -np.inf), 0.2,
+            "concat")
     out, _ = tc.graph_attention(h, weight, *args)
     probe, _ = tc.graph_attention(np.eye(4), h @ weight, *args)
     np.testing.assert_array_equal(out, probe)
@@ -125,12 +121,11 @@ def test_graph_attention_projection_gradients():
     rng = np.random.default_rng(11)
     n = 4
     h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, n, 2, 3)
-    mask = np.ones((n, n), dtype=bool)
     r = rng.standard_normal((n, 6))
 
     def back_of(rows, w):
         return tc.graph_attention(rows, w, att_dst, att_src, bias, logit_bias,
-                                  mask, 0.2, "concat")[1]
+                                  0.2, "concat")[1]
 
     g_hw = back_of(np.eye(n), h @ weight)(r)[1]
     back = back_of(h, weight)
@@ -150,89 +145,94 @@ def test_graph_attention_non_finite_logits_trip_error():
     with np.errstate(over="ignore"), \
             pytest.raises(tc.NonFiniteError, match="graph_attention"):
         tc.graph_attention(big, np.ones((1, 4)), ones, ones, bias,
-                           logit_bias, np.ones((3, 3), dtype=bool), 0.2, "concat")
+                           logit_bias, 0.2, "concat")
 
 
 # ---------------------------------------------------------------------------
-# masked softmax
+# the attention softmax, read through the op: with identity rows and weight,
+# z = I per head, and each head's output is its alpha (heads, dst, src)
 
-def test_masked_softmax_singleton():
-    out = tc.masked_softmax(np.array([[3.7]]), np.array([[True]]))
-    np.testing.assert_array_equal(out, [[1.0]])
+def _alpha(logit_bias, att_dst=None, att_src=None):
+    """Alpha of ``graph_attention`` on identity rows; zero attention vectors,
+    the default, make the logits the bias itself."""
+    n = len(logit_bias)
+    att_dst = np.zeros((1, n)) if att_dst is None else att_dst
+    att_src = np.zeros((1, n)) if att_src is None else att_src
+    heads = len(att_dst)
+    out, _ = tc.graph_attention(np.eye(n), np.tile(np.eye(n), (1, heads)),
+                                att_dst, att_src, np.zeros(heads * n),
+                                logit_bias, 0.2, "concat")
+    return out.reshape(n, heads, n).transpose(1, 0, 2)
 
 
-def test_masked_softmax_symmetric_pair():
-    out = tc.masked_softmax(np.array([[0.0, 0.0, 5.0]]),
-                            np.array([[True, True, False]]))
-    np.testing.assert_array_equal(out, [[0.5, 0.5, 0.0]])
+def test_attention_singleton():
+    np.testing.assert_array_equal(_alpha(np.array([[3.7]])), [[[1.0]]])
 
 
-def test_masked_softmax_matches_direct_softmax():
+def test_attention_symmetric_pair():
+    bias = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(_alpha(bias)[0, 0], [0.5, 0.5, 0.0])
+
+
+def test_attention_matches_direct_softmax():
     logits = np.array([1.0, 2.0, 3.0])
-    out = tc.masked_softmax(logits[None, :], np.ones((1, 3), dtype=bool))
     direct = np.exp(logits - logits.max())
     direct /= direct.sum()
-    np.testing.assert_allclose(out[0], direct, rtol=1e-15)
+    out = _alpha(np.tile(logits, (3, 1)))
+    np.testing.assert_allclose(out[0, 0], direct, rtol=1e-15)
 
 
-def test_masked_softmax_rejects_empty_row():
-    with pytest.raises(tc.ShapeError):
-        tc.masked_softmax(np.zeros((2, 2)),
-                          np.array([[True, False], [False, False]]))
+def test_attention_rejects_a_row_without_finite_bias():
+    bias = np.array([[0.0, -np.inf], [-np.inf, -np.inf]])
+    with pytest.raises(tc.ShapeError, match="finite logit bias entry"):
+        _alpha(bias)
 
 
-def test_masked_softmax_rejects_mask_shape():
-    with pytest.raises(tc.ShapeError):
-        tc.masked_softmax(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
-
-
-def test_masked_softmax_extreme_logits_stay_finite():
-    logits = np.array([[1e4, -1e4, 1e4, 0.0], [1e300, 1e4, 0.0, -1e300]])
-    mask = np.array([[True, True, False, True], [False, True, True, True]])
-    out = tc.masked_softmax(logits, mask)
+def test_attention_extreme_logits_stay_finite():
+    bias = np.array([[1e4, -1e4, -np.inf, 0.0], [-np.inf, 1e4, 0.0, -1e300],
+                     [1e300, -np.inf, 0.0, -1e300], [0.0, 0.0, 0.0, 0.0]])
+    out = _alpha(bias)[0]
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out.sum(axis=1), 1.0)
-    np.testing.assert_array_equal(out[~mask], 0.0)
+    np.testing.assert_array_equal(out[np.isinf(bias)], 0.0)
 
 
-def test_masked_softmax_masked_entries_zero_with_zero_gradient():
-    # Through the fused op: with z = I per head (F = C rows) and the logits'
-    # s_dst, s_src given as attention vectors, each head's output is alpha.
+def test_attention_off_edges_zero_with_zero_gradient():
+    # with the logits' s_dst, s_src given as attention vectors
     rng = np.random.default_rng(5)
     n, heads = 4, 3
-    mask = rng.random((n, n)) < 0.5
-    np.fill_diagonal(mask, True)
-    mask[0, n - 1] = False
+    edges = rng.random((n, n)) < 0.5
+    np.fill_diagonal(edges, True)
+    edges[0, n - 1] = False
     rows, weight = np.eye(n), np.tile(np.eye(n), (1, heads))
     att_dst, att_src = (rng.standard_normal((heads, n)) for _ in range(2))
-    logit_bias = rng.standard_normal((n, n))
+    logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
     weights = rng.standard_normal((n, heads * n))
     out, back = tc.graph_attention(rows, weight, att_dst, att_src,
-                                   np.zeros(heads * n), logit_bias, mask, 0.2,
+                                   np.zeros(heads * n), logit_bias, 0.2,
                                    "concat")
     g_logit_bias = back(weights)[5]
     alpha = out.reshape(n, heads, n).transpose(1, 0, 2)
-    full = np.broadcast_to(mask, alpha.shape)
+    full = np.broadcast_to(edges, alpha.shape)
     assert np.all(alpha[~full] == 0.0)
     assert np.all(alpha[full] > 0.0)
     np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.all(g_logit_bias[~mask] == 0.0)
-    assert np.any(g_logit_bias[mask] != 0.0)
+    assert np.all(g_logit_bias[~edges] == 0.0)
+    assert np.any(g_logit_bias[edges] != 0.0)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.data())
-def test_masked_softmax_sums_and_shift_invariance(data):
+def test_attention_sums_and_row_shift_invariance(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = data.draw(st.integers(1, 6))
-    cols = data.draw(st.integers(1, 6))
-    mask = rng.random((rows, cols)) < 0.5
-    mask[np.arange(rows), rng.integers(0, cols, size=rows)] = True
-    logits = rng.standard_normal((2, rows, cols))
-    out = tc.masked_softmax(logits, mask)
+    n = data.draw(st.integers(1, 6))
+    edges = rng.random((n, n)) < 0.5
+    edges[np.arange(n), rng.integers(0, n, size=n)] = True
+    bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
+    att_dst, att_src = rng.standard_normal((2, 2, n))
+    out = _alpha(bias, att_dst, att_src)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
-    shifts = rng.standard_normal((2, rows, 1))
-    shifted = tc.masked_softmax(logits + shifts, mask)
+    shifted = _alpha(bias + rng.standard_normal((n, 1)), att_dst, att_src)
     np.testing.assert_allclose(shifted, out, atol=1e-12)
 
 
@@ -252,12 +252,11 @@ def test_gradient_accumulates_over_reuse():
     rng = np.random.default_rng(12)
     h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 4, 2, 3)
     skip_w, skip_b = rng.standard_normal((2, 6)), rng.standard_normal(6)
-    mask = np.ones((4, 4), dtype=bool)
     r = rng.standard_normal((4, 6))
 
     def loss_and_grad():
         gat, gat_back = tc.graph_attention(h, weight, att_dst, att_src, bias,
-                                           logit_bias, mask, 0.2, "concat")
+                                           logit_bias, 0.2, "concat")
         skip, skip_back = tc.linear(h, skip_w, skip_b)
         return (float(np.sum((gat + skip) * r)),
                 skip_back(r)[0] + gat_back(r)[0])
