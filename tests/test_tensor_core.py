@@ -90,8 +90,7 @@ def test_graph_attention_rejects_bad_inputs():
     rng = np.random.default_rng(8)
     h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
     ones = np.ones((3, 4))
-    for args in ((h, weight, att_dst, att_src, bias, logit_bias[:, :2]),
-                 (h, weight, att_dst, att_src, np.zeros(2), logit_bias),
+    for args in ((h, weight, att_dst, att_src, np.zeros(2), logit_bias),
                  (h, weight, np.zeros((2, 3)), att_src, bias, logit_bias),
                  (h, ones, att_dst, att_src, bias, logit_bias),
                  (ones, weight, att_dst, att_src, bias, logit_bias)):
@@ -186,6 +185,14 @@ def test_attention_rejects_a_row_without_finite_bias():
     bias = np.array([[0.0, -np.inf], [-np.inf, -np.inf]])
     with pytest.raises(tc.ShapeError, match="finite logit bias entry"):
         _alpha(bias)
+
+
+def test_attention_rejects_bias_shape():
+    rng = np.random.default_rng(8)
+    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
+    with pytest.raises(tc.ShapeError, match=r"logit bias \(3, 2\)"):
+        tc.graph_attention(h, weight, att_dst, att_src, bias,
+                           logit_bias[:, :2], 0.2, "concat")
 
 
 def test_attention_extreme_logits_stay_finite():
