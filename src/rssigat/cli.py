@@ -104,16 +104,20 @@ def cmd_synth(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     schema = _schema_from_args(args)
-    profile = SynthesisProfile(baseline_range=(args.baseline_min, args.baseline_max),
-                               jitter=args.jitter)
+    lo, hi = args.baseline_min, args.baseline_max
+    if not schema.rssi_min <= lo <= hi <= schema.rssi_max:
+        raise UsageError(
+            f"--baseline-min/--baseline-max [{lo}, {hi}] must be an ordered "
+            f"range inside --rssi-min/--rssi-max "
+            f"[{schema.rssi_min}, {schema.rssi_max}]")
+    profile = SynthesisProfile(baseline_range=(lo, hi), jitter=args.jitter)
     rng = np.random.default_rng(derive_seed(args.seed, "synth"))
     traces = synthesize_clean(args.count, schema, rng, profile)
     out = Path(args.out)
     write_traces_csv(out, traces)
     write_manifest(out.with_name(out.name + ".manifest.json"), "synth",
                    {"count": args.count, "length": args.length,
-                    "baseline": [args.baseline_min, args.baseline_max],
-                    "jitter": args.jitter},
+                    "baseline": [lo, hi], "jitter": args.jitter},
                    args.seed, [], [out])
     print(f"wrote {len(traces)} traces to {out}")
     return 0
@@ -134,9 +138,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    traces = read_traces_csv(Path(args.input))
-    schema = _input_schema(args, traces)
-    length = schema.expected_length
     if args.each is not None:
         counts = {kind: args.each for kind in ANOMALOUS_KINDS}
     else:
@@ -145,6 +146,12 @@ def cmd_inject(args) -> int:
                   AnomalyKind.INSTA_D: args.instad,
                   AnomalyKind.SLOW_D: args.slowd}
     counts[AnomalyKind.NONE] = args.clean
+    if not any(counts.values()):
+        raise UsageError("the composition is empty: give --each, --clean "
+                         "or a per-kind count above 0")
+    traces = read_traces_csv(Path(args.input))
+    schema = _input_schema(args, traces)
+    length = schema.expected_length
     params = InjectionParams.scaled_to_length(length)
     rng = np.random.default_rng(derive_seed(args.seed, "inject"))
     dataset = build_dataset(traces, counts, params, rng, schema)

@@ -7,6 +7,7 @@ header ``link_id,idx,rssi``.
 from __future__ import annotations
 
 import io
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -202,24 +203,76 @@ def open_utf8(path):
 # ---------------------------------------------------------------------------
 # trace CSV: header line then one row per sample
 
-def _fmt_value(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+_CSV_HEADER = "link_id,idx,rssi"
+_CSV_ROW = np.dtype([("link_id", object), ("idx", np.int64), ("rssi", np.float64)])
 
 
 def write_traces_csv(path, traces: list[RssiTrace]) -> None:
+    """Write traces as CSV, one ``write`` per trace. An integral sample
+    prints as an integer, any other as its shortest round-tripping repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("link_id,idx,rssi\n")
+        fh.write(_CSV_HEADER + "\n")
         for t in traces:
-            for i, v in enumerate(t.samples):
-                fh.write(f"{t.link_id},{i},{_fmt_value(v)}\n")
+            fh.write("".join([f"{t.link_id},{i},{int(v) if v.is_integer() else v!r}\n"
+                              for i, v in enumerate(t.samples.tolist())]))
 
 
 def read_traces_csv(path) -> list[RssiTrace]:
-    """Read a trace CSV; a link's n rows carry the indices 0..n-1 in any order."""
+    """Read a trace CSV; a link's n >= 2 rows carry the indices 0..n-1 in any
+    order. Well-formed files are parsed in bulk; any other file is re-read
+    line by line, which names the first line at fault."""
+    traces = _read_traces_csv_in_bulk(path)
+    return traces if traces is not None else _read_traces_csv_by_line(path)
+
+
+def _read_traces_csv_in_bulk(path) -> list[RssiTrace] | None:
+    """The traces of a well-formed trace CSV, parsed by numpy's C reader in
+    chunks of ~4 MB; None for a file that it, or the index check, rejects.
+    Only each chunk's link-id runs are looked up, so a link's rows cost no
+    Python work once its id is known."""
+    code_of: dict[str, int] = {}
+    codes, idx, rssi = [], [], []
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            if fh.readline().strip() != _CSV_HEADER:
+                return None
+            while lines := fh.readlines(1 << 22):
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                                  dtype=_CSV_ROW)
+                if not rows.size:
+                    continue
+                # the line reader strips each line, so "  a,0,1" is link "a"
+                ids = rows["link_id"]
+                heads = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+                run_codes = [code_of.setdefault(ids[h].lstrip(), len(code_of))
+                             for h in heads]
+                codes.append(np.repeat(run_codes, np.diff(heads, append=ids.size)))
+                idx.append(rows["idx"].copy())
+                rssi.append(rows["rssi"].copy())
+    except ValueError:  # loadtxt's malformed rows, and UnicodeDecodeError
+        return None
+    if not codes:
+        return []
+    codes, idx, rssi = (np.concatenate(a) for a in (codes, idx, rssi))
+    order = np.lexsort((idx, codes))
+    counts = np.bincount(codes)
+    expected = np.arange(idx.size)
+    expected -= np.repeat(np.cumsum(counts) - counts, counts)
+    if counts.min() < 2 or not np.array_equal(idx[order], expected):
+        return None
+    samples = np.split(rssi[order], np.cumsum(counts)[:-1])
+    return [RssiTrace(link_id=link_id, samples=s)
+            for link_id, s in zip(code_of, samples)]
+
+
+def _read_traces_csv_by_line(path) -> list[RssiTrace]:
+    """Read a trace CSV one line at a time, raising ParseError at the first
+    line at fault."""
     rows: dict[str, dict[int, tuple[float, int]]] = {}
     with open_utf8(path) as fh:
         header = fh.readline().strip()
-        if header != "link_id,idx,rssi":
+        if header != _CSV_HEADER:
             raise ParseError(1, f"unexpected header {header!r}")
         for line_no, line in enumerate(fh, start=2):
             text = line.strip()
@@ -239,6 +292,10 @@ def read_traces_csv(path) -> list[RssiTrace]:
     traces = []
     for link_id, link in rows.items():
         n = len(link)
+        if n < 2:
+            (_, line_no), = link.values()
+            raise ParseError(line_no, f"link {link_id} has 1 row, "
+                             f"a trace needs at least 2")
         for idx, (_, line_no) in link.items():
             if not 0 <= idx < n:
                 raise ParseError(line_no, f"link {link_id} has {n} rows, "

@@ -61,6 +61,20 @@ def test_synth_count_zero_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [
+    ("--baseline-min", 200, "--baseline-max", 300),  # above --rssi-max
+    ("--baseline-min", 5, "--rssi-min", 10),         # below --rssi-min
+    ("--baseline-min", 50, "--baseline-max", 40),    # reversed
+])
+def test_synth_baseline_outside_bounds_is_usage_error(tmp_path, capsys, bounds):
+    """A baseline range the bounds would clip away writes nothing."""
+    out = tmp_path / "x.csv"
+    code = _run("synth", "--count", 3, "--length", 30, *bounds, "-o", out)
+    assert code == 2
+    assert "--baseline-min/--baseline-max" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ingest_round_trip(tmp_path):
     raw = tmp_path / "raw.log"
     lines = ["# link a noise=0"] + [f"{i},{40 + (i % 3)}" for i in range(30)]
@@ -90,6 +104,17 @@ def test_inject_capacity_error(tmp_path, capsys):
                 "-o", tmp_path / "d.jsonl")
     assert code == 1
     assert "rssigat: error:" in capsys.readouterr().err
+
+
+def test_inject_empty_composition_is_usage_error(tmp_path, capsys):
+    traces = tmp_path / "t.csv"
+    _run("synth", "--count", 3, "--length", 50, "--seed", 1, "-o", traces)
+    before = sorted(tmp_path.iterdir())
+    code = _run("inject", "-i", traces, "--each", 0, "--clean", 0,
+                "-o", tmp_path / "d.jsonl")
+    assert code == 2
+    assert "composition is empty" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_inject_drops_land_on_rssi_min(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rssigat.trace import (ConfigError, ParseError, RawLinkLog, RssiTrace,
                            SchemaError, SynthesisProfile, TraceError, TraceSchema,
+                           _read_traces_csv_by_line, _read_traces_csv_in_bulk,
                            filter_complete, ingest_raw_log, normalize,
                            read_traces_csv, synthesize_clean, write_traces_csv)
 from oracles import write_raw_logs
@@ -221,6 +222,127 @@ def test_traces_csv_accepts_rows_in_any_order(tmp_path):
     assert [t.link_id for t in loaded] == ["c", "d"]
     np.testing.assert_array_equal(loaded[0].samples, [10, 11, 12])
     np.testing.assert_array_equal(loaded[1].samples, [5, 6])
+
+
+def test_traces_csv_rejects_one_row_link(tmp_path):
+    path = tmp_path / "single.csv"
+    path.write_text("link_id,idx,rssi\na,0,1\na,1,2\nb,0,5\n")
+    with pytest.raises(ParseError, match="line 4: link b has 1 row"):
+        read_traces_csv(path)
+
+
+def test_traces_csv_writes_exact_text(tmp_path):
+    """Integral values print as integers (so -0.0 loses its sign), others
+    as their shortest round-tripping repr."""
+    path = tmp_path / "edge.csv"
+    values = [-0.0, 2.0**53, 1e16, 1e17, 0.1 + 0.2, 5e-324, 1e300,
+              np.inf, np.nan]
+    write_traces_csv(path, [RssiTrace("w", np.array(values))])
+    assert path.read_text().splitlines() == [
+        "link_id,idx,rssi",
+        "w,0,0",
+        "w,1,9007199254740992",
+        "w,2,10000000000000000",
+        "w,3,100000000000000000",
+        "w,4,0.30000000000000004",
+        "w,5,5e-324",
+        "w,6,1000000000000000052504760255204420248704468581108159154915854115"
+        "511802457988908195786371375080447864043704443832883878176942523235360"
+        "430575644792184786706982848387200926575803737830233794788090059368953"
+        "234970799945081119038967640880074652742780142494579258788820056842838"
+        "115669472196386865459400540160",
+        "w,7,inf",
+        "w,8,nan",
+    ]
+
+
+def test_traces_csv_link_straddles_chunks(tmp_path):
+    """A file of several read chunks, with link b across the first chunk
+    boundary and link a's last rows after it, is read in bulk."""
+    n = 200_000
+    a_rows = "".join(f"a,{i},40.5\n" for i in range(n))
+    b_rows = "".join(f"b,{i},{i % 97}\n" for i in range(n))
+    head = "link_id,idx,rssi\n" + a_rows
+    assert len(head) < 1 << 22 < len(head) + len(b_rows)
+    path = tmp_path / "big.csv"
+    path.write_text(head + b_rows + "".join(f"a,{i},7\n" for i in range(n, n + 3)))
+    bulk = _read_traces_csv_in_bulk(path)
+    assert bulk is not None
+    assert [t.link_id for t in bulk] == ["a", "b"]
+    np.testing.assert_array_equal(bulk[0].samples, [40.5] * n + [7.0] * 3)
+    np.testing.assert_array_equal(bulk[1].samples, np.arange(n) % 97)
+    assert _outcome(read_traces_csv, path) == _outcome(_read_traces_csv_by_line, path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_traces_csv_blank_body_reads_empty_without_warning(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("link_id,idx,rssi\n\n\n")
+    assert read_traces_csv(path) == []
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: link ids and sample bytes, or the
+    exception's type and message."""
+    try:
+        traces = read(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+    return [(t.link_id, t.samples.tobytes()) for t in traces]
+
+
+# link ids that one reader could split differently: whitespace around them
+_IDS = st.sampled_from(["a", "b", " a", "a ", "\tb", ""])
+_NUMBERS = st.integers(0, 128).map(str) | st.floats().map(repr)
+_ODD_VALUES = st.sampled_from(["-0", "+.5", " 3 ", "1.", "1e999", "-nan",
+                               "infinity", "-Infinity", "1_0", "١", "٣.٥",
+                               "0x10", "junk", ""])
+_EXTRA_LINES = st.text(max_size=6) | st.sampled_from(
+    ["", "   ", "\t", "a,1", "a,0,1,2", ",,", "a,0,1 2", "b,-1,3"])
+
+
+def _odd_indices(i):
+    """``i`` as only Python's ``int`` spells it, or as neither reader
+    does, or another index."""
+    return st.sampled_from([f"+{i}", f" {i} ", f"0{i}", f"0_{i}",
+                            chr(0x660 + i), f"{i}.0", str(i + 3)])
+
+
+@st.composite
+def _csv_bodies(draw):
+    """A trace CSV of up to three links of 1-4 rows, shuffled, with up to
+    two fields spelled oddly and up to two extra lines. An id that strips to
+    another link's id repeats its indices."""
+    rows = [[link_id, i, str(i), draw(_NUMBERS)]
+            for link_id in draw(st.lists(_IDS, max_size=3, unique=True))
+            for i in range(draw(st.sampled_from([2, 3, 4, 1])))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row[2] = draw(_odd_indices(row[1]))
+        else:
+            row[3] = draw(_ODD_VALUES)
+    lines = draw(st.permutations([f"{r[0]},{r[2]},{r[3]}" for r in rows]))
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                             _EXTRA_LINES), max_size=2)):
+        lines.insert(pos, line)
+    end = draw(st.sampled_from(["", "\n"]))
+    return "link_id,idx,rssi\n" + "\n".join(lines) + end
+
+
+@pytest.fixture(scope="module")
+def diff_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("diff") / "traces.csv"
+
+
+@settings(deadline=None, max_examples=400)
+@given(_csv_bodies())
+def test_read_traces_csv_matches_line_reader(diff_csv, body):
+    """The bulk reader, with its fall-back, gives what the line reader
+    gives: the same traces, or the same error at the same line."""
+    diff_csv.write_bytes(body.encode())
+    assert _outcome(read_traces_csv, diff_csv) == \
+        _outcome(_read_traces_csv_by_line, diff_csv)
 
 
 def test_schema_validation():
