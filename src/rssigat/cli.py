@@ -26,7 +26,7 @@ from .mtf_graph import transform, write_graphs
 from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
                     loss_curves_to_csv, prepare_dataset, run_cross_validation)
-from .trace import (SchemaError, SynthesisProfile, TraceSchema,
+from .trace import (ConfigError, SchemaError, SynthesisProfile, TraceSchema,
                     filter_complete, ingest_raw_log, open_utf8, read_traces_csv,
                     synthesize_clean, write_traces_csv)
 
@@ -64,9 +64,15 @@ def _add_schema_flags(parser, length=True):
     parser.add_argument("--rssi-max", type=float, default=128.0)
 
 
-def _schema_from_args(args) -> TraceSchema:
-    return TraceSchema(expected_length=args.length,
-                       rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+def _schema(args, length: int) -> TraceSchema:
+    """The schema of ``length`` samples within the ``--rssi-min``/
+    ``--rssi-max`` bounds; a schema the flags make invalid is a usage
+    error."""
+    try:
+        return TraceSchema(expected_length=length,
+                           rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+    except SchemaError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _input_schema(args, traces) -> TraceSchema:
@@ -77,8 +83,7 @@ def _input_schema(args, traces) -> TraceSchema:
     if not traces:
         raise UsageError("input has no traces")
     length = traces[0].length
-    schema = TraceSchema(expected_length=length,
-                         rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+    schema = _schema(args, length)
     for trace in traces:
         if trace.length != length:
             raise UsageError(
@@ -103,14 +108,17 @@ def _read_labeled(args, path: str):
 def cmd_synth(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    schema = _schema_from_args(args)
+    schema = _schema(args, args.length)
     lo, hi = args.baseline_min, args.baseline_max
     if not schema.rssi_min <= lo <= hi <= schema.rssi_max:
         raise UsageError(
             f"--baseline-min/--baseline-max [{lo}, {hi}] must be an ordered "
             f"range inside --rssi-min/--rssi-max "
             f"[{schema.rssi_min}, {schema.rssi_max}]")
-    profile = SynthesisProfile(baseline_range=(lo, hi), jitter=args.jitter)
+    try:
+        profile = SynthesisProfile(baseline_range=(lo, hi), jitter=args.jitter)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
     rng = np.random.default_rng(derive_seed(args.seed, "synth"))
     traces = synthesize_clean(args.count, schema, rng, profile)
     out = Path(args.out)
@@ -124,11 +132,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    schema = _schema_from_args(args)
+    schema = _schema(args, args.length)
     source = Path(args.input)
     with open_utf8(source) as fh:
         logs = ingest_raw_log(fh, schema)
     traces = filter_complete(logs, schema)
+    if not traces:
+        raise UsageError(f"{source}: none of its {len(logs)} links has "
+                         f"--length {args.length} samples without a gap")
     out = Path(args.out)
     write_traces_csv(out, traces)
     write_manifest(out.with_name(out.name + ".manifest.json"), "ingest",
@@ -146,6 +157,9 @@ def cmd_inject(args) -> int:
                   AnomalyKind.INSTA_D: args.instad,
                   AnomalyKind.SLOW_D: args.slowd}
     counts[AnomalyKind.NONE] = args.clean
+    if min(counts.values()) < 0:
+        raise UsageError("--each, --clean and the per-kind counts must be "
+                         ">= 0")
     if not any(counts.values()):
         raise UsageError("the composition is empty: give --each, --clean "
                          "or a per-kind count above 0")

@@ -7,9 +7,9 @@ an ``AnomalyDescriptor``, whose ``anomalous_indices`` are the points it marks;
 ``inject_anomaly`` applies it: drops go to the schema's ``rssi_min``, SlowD
 declines clamped to the schema's bounds. A ``LabeledTrace`` derives its kind
 and labels from its descriptor, so only records read from outside are
-checked for agreement. Index ranges are configured as 1-based ordinals ("the
-200th sample") and converted to 0-based indices when drawn; both ends are
-inclusive.
+checked for agreement. The ranges are the paper's 1-based ordinals ("the
+200th sample") in a 300-sample trace; ``InjectionParams`` rescales them to
+the trace's length, and draws are converted to 0-based indices.
 """
 from __future__ import annotations
 
@@ -44,75 +44,47 @@ class AnomalyKind(str, Enum):
 ANOMALOUS_KINDS = (AnomalyKind.SUDDEN_D, AnomalyKind.SUDDEN_R,
                    AnomalyKind.INSTA_D, AnomalyKind.SLOW_D)
 
-# ordinal ranges below were designed for 300-sample traces
+# The paper's ranges, designed for REFERENCE_LENGTH-sample traces: onsets and
+# durations as 1-based ordinals, both ends inclusive, then the SlowD slope
+# and the share of samples InstaD drops.
 REFERENCE_LENGTH = 300
+SUDDEND_ONSET = (200, 280)
+SUDDENR_ONSET = (25, 275)
+SUDDENR_DURATION = (5, 20)
+SLOWD_ONSET = (1, 20)
+SLOWD_DURATION = (150, 180)
+SLOWD_SLOPE = (0.5, 1.5)
+INSTAD_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
 class InjectionParams:
-    suddend_onset_range: tuple[int, int] = (200, 280)
-    suddenr_onset_range: tuple[int, int] = (25, 275)
-    suddenr_duration_range: tuple[int, int] = (5, 20)
-    instad_fraction: float = 0.01
-    slowd_onset_range: tuple[int, int] = (1, 20)
-    slowd_duration_range: tuple[int, int] = (150, 180)
-    slowd_slope_range: tuple[float, float] = (0.5, 1.5)
+    """The reference ranges scaled to traces of ``length`` samples. Each
+    scaled range is non-empty and starts at 1 or later, and InstaD drops at
+    least one sample, so every window fits a trace of that length."""
+
+    length: int = REFERENCE_LENGTH
 
     def __post_init__(self):
-        for name in ("suddend_onset_range", "suddenr_onset_range",
-                     "suddenr_duration_range", "slowd_onset_range",
-                     "slowd_duration_range", "slowd_slope_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigError(f"{name} is empty: {lo} > {hi}")
-        if self.suddend_onset_range[0] < 1 or self.suddenr_onset_range[0] < 1 \
-                or self.slowd_onset_range[0] < 1:
-            raise ConfigError("onset ordinals are 1-based and must be >= 1")
-        if self.slowd_duration_range[0] < 1 or self.suddenr_duration_range[0] < 1:
-            raise ConfigError("durations must be >= 1")
-
-    def check_fits(self, kind: AnomalyKind, n: int) -> None:
-        """ConfigError unless every ``kind`` injection fits n samples."""
-        if kind is AnomalyKind.SUDDEN_D and self.suddend_onset_range[1] > n:
-            raise ConfigError("SuddenD onset range exceeds trace length")
-        if kind is AnomalyKind.SUDDEN_R and (self.suddenr_onset_range[1] - 1
-                                             + self.suddenr_duration_range[1] > n):
-            raise ConfigError("SuddenR onset+duration can exceed trace length")
-        if kind is AnomalyKind.SLOW_D and (self.slowd_onset_range[1] - 1
-                                           + self.slowd_duration_range[1] > n):
-            raise ConfigError("SlowD onset+duration can exceed trace length")
-        if kind is AnomalyKind.INSTA_D and self.instad_fraction <= 0:
-            raise ConfigError("instad_fraction must be positive")
-        if kind is AnomalyKind.INSTA_D and round(self.instad_fraction * n) < 1:
-            raise ConfigError("instad_fraction too small for this trace length")
-
-    def validate_for_length(self, n: int) -> None:
-        for kind in ANOMALOUS_KINDS:
-            self.check_fits(kind, n)
+        if self.length < 2:
+            raise ConfigError("length must be >= 2")
 
     @classmethod
     def scaled_to_length(cls, n: int) -> "InjectionParams":
-        """Rescale the reference ordinal ranges proportionally to length n."""
-        s = n / REFERENCE_LENGTH
-        base = cls()
+        """The same as ``InjectionParams(n)``."""
+        return cls(n)
 
-        def scale_range(rng_pair, minimum=1):
-            lo = max(minimum, round(rng_pair[0] * s))
-            hi = max(lo, round(rng_pair[1] * s))
-            return (lo, hi)
+    def scaled(self, reference: tuple[int, int]) -> tuple[int, int]:
+        """A reference ordinal range rescaled proportionally to ``length``."""
+        s = self.length / REFERENCE_LENGTH
+        lo = max(1, round(reference[0] * s))
+        return lo, max(lo, round(reference[1] * s))
 
-        params = cls(
-            suddend_onset_range=scale_range(base.suddend_onset_range),
-            suddenr_onset_range=scale_range(base.suddenr_onset_range),
-            suddenr_duration_range=scale_range(base.suddenr_duration_range),
-            # keep the reference fraction but never below one dropped sample
-            instad_fraction=max(base.instad_fraction, 1.0 / n),
-            slowd_onset_range=scale_range(base.slowd_onset_range),
-            slowd_duration_range=scale_range(base.slowd_duration_range),
-            slowd_slope_range=base.slowd_slope_range,
-        )
-        params.validate_for_length(n)
-        return params
+    @property
+    def instad_count(self) -> int:
+        """Samples InstaD drops: the reference share, at least one."""
+        n = self.length
+        return int(round(max(INSTAD_FRACTION, 1.0 / n) * n))
 
 
 @dataclass(frozen=True)
@@ -156,25 +128,27 @@ def _draw_inclusive(rng: np.random.Generator, bounds: tuple[int, int]) -> int:
 
 def draw_descriptor(kind: AnomalyKind, n: int, params: InjectionParams,
                     rng: np.random.Generator) -> AnomalyDescriptor:
-    """Draw everything random about one ``kind`` injection into n samples.
-    Onsets are drawn as 1-based ordinals and stored as 0-based indices."""
-    params.check_fits(kind, n)
+    """Draw everything random about one ``kind`` injection into n samples,
+    which must be ``params.length``. Onsets are drawn as 1-based ordinals and
+    stored as 0-based indices."""
+    if params.length != n:
+        raise ConfigError(f"injection params are for {params.length}-sample "
+                          f"traces, the trace has {n} samples")
     if kind is AnomalyKind.SUDDEN_D:
-        onset = _draw_inclusive(rng, params.suddend_onset_range) - 1
+        onset = _draw_inclusive(rng, params.scaled(SUDDEND_ONSET)) - 1
         return AnomalyDescriptor(kind.value, onset=onset, duration=n - onset)
     if kind is AnomalyKind.SUDDEN_R:
-        onset = _draw_inclusive(rng, params.suddenr_onset_range) - 1
+        onset = _draw_inclusive(rng, params.scaled(SUDDENR_ONSET)) - 1
         return AnomalyDescriptor(
             kind.value, onset=onset,
-            duration=_draw_inclusive(rng, params.suddenr_duration_range))
+            duration=_draw_inclusive(rng, params.scaled(SUDDENR_DURATION)))
     if kind is AnomalyKind.INSTA_D:
-        k = int(round(params.instad_fraction * n))
-        idx = np.sort(rng.choice(n, size=k, replace=False))
+        idx = np.sort(rng.choice(n, size=params.instad_count, replace=False))
         return AnomalyDescriptor(kind.value, indices=tuple(int(i) for i in idx))
     if kind is AnomalyKind.SLOW_D:
-        onset = _draw_inclusive(rng, params.slowd_onset_range) - 1
-        duration = _draw_inclusive(rng, params.slowd_duration_range)
-        slope = float(rng.uniform(*params.slowd_slope_range))
+        onset = _draw_inclusive(rng, params.scaled(SLOWD_ONSET)) - 1
+        duration = _draw_inclusive(rng, params.scaled(SLOWD_DURATION))
+        slope = float(rng.uniform(*SLOWD_SLOPE))
         return AnomalyDescriptor(kind.value, onset=onset, duration=duration,
                                  slope=slope)
     return AnomalyDescriptor(kind.value)

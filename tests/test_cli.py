@@ -117,6 +117,43 @@ def test_inject_empty_composition_is_usage_error(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+_COUNTS_MESSAGE = "--each, --clean and the per-kind counts must be >= 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--count", 3, "--jitter", -1], "jitter must be >= 0"),
+    (["synth", "--count", 3, "--length", 1], "expected_length must be >= 2"),
+    (["ingest", "-i", "{raw}", "--length", 1], "expected_length must be >= 2"),
+    (["ingest", "-i", "{raw}", "--length", 30],
+     "{raw}: none of its 1 links has --length 30 samples without a gap"),
+    (["synth", "--count", 3, "--rssi-min", 10, "--rssi-max", 5],
+     "rssi_min must be below rssi_max"),
+    (["inject", "-i", "{traces}", "--each", 1, "--rssi-min", 10,
+      "--rssi-max", 5], "rssi_min must be below rssi_max"),
+    (["inject", "-i", "{traces}", "--each", -1, "--clean", 2], _COUNTS_MESSAGE),
+    # checked before the input is read
+    (["inject", "-i", "{missing}", "--suddend", -3, "--clean", 1],
+     _COUNTS_MESSAGE),
+], ids=["synth-jitter", "synth-length", "ingest-length", "ingest-no-link",
+        "synth-bounds", "inject-bounds", "inject-each",
+        "inject-suddend-missing-input"])
+def test_bad_flag_is_usage_error(tmp_path, capsys, argv, message):
+    """A flag value the schema, the synthesis profile or the composition
+    rejects, or an ``--length`` no ingested link has, exits 2 with one line
+    and writes nothing."""
+    paths = {"{traces}": tmp_path / "traces.csv", "{raw}": tmp_path / "raw.log",
+             "{missing}": tmp_path / "missing.csv"}
+    assert _run("synth", "--count", 4, "--length", 30,
+                "-o", paths["{traces}"]) == 0
+    paths["{raw}"].write_text("# link a noise=0\n0,40\n1,41\n")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert _run(*[paths.get(a, a) for a in argv], "-o", tmp_path / "out") == 2
+    message = message.replace("{raw}", str(paths["{raw}"]))
+    assert capsys.readouterr().err == f"rssigat: error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_inject_drops_land_on_rssi_min(tmp_path):
     """A dataset injected under ``--rssi-min`` is within those bounds: its
     drops sit at the floor, and ``transform`` accepts it."""

@@ -1,15 +1,16 @@
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssigat.inject import (ANOMALOUS_KINDS, AnomalyKind, CapacityError,
-                            DatasetError, InjectionParams, build_dataset,
-                            inject_anomaly, labeled_from_record,
-                            labeled_to_record, read_dataset, write_dataset)
+from rssigat.inject import (ANOMALOUS_KINDS, SLOWD_DURATION, SLOWD_ONSET,
+                            SUDDEND_ONSET, SUDDENR_DURATION, SUDDENR_ONSET,
+                            AnomalyKind, CapacityError, DatasetError,
+                            InjectionParams, build_dataset, inject_anomaly,
+                            labeled_from_record, labeled_to_record,
+                            read_dataset, write_dataset)
 from rssigat.trace import ConfigError, RssiTrace, TraceSchema, synthesize_clean
 from fuzzing import JSON_VALUES
 
@@ -22,6 +23,20 @@ def _flat_trace(value=80.0, n=300, link="t"):
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _window_applied(base, d, schema=SCHEMA):
+    """The window ``d.onset .. d.onset + d.duration - 1`` of ``base`` and the
+    samples ``d`` gives by hand: the window drops to the floor, or for SlowD
+    declines as clip(x - slope * (t - onset)); the rest is left as it was."""
+    t = np.arange(base.length)
+    window = (t >= d.onset) & (t < d.onset + d.duration)
+    if d.slope is None:
+        inside = np.full(base.length, schema.rssi_min)
+    else:
+        inside = np.clip(base.samples - d.slope * (t - d.onset),
+                         schema.rssi_min, schema.rssi_max)
+    return window, np.where(window, inside, base.samples)
 
 
 def _reads_back(out):
@@ -88,10 +103,11 @@ def test_suddenr_duration_always_in_range():
 
 
 def test_suddenr_fixed_window_labels():
-    params = InjectionParams(suddenr_onset_range=(101, 101),
-                             suddenr_duration_range=(5, 5))
-    out = inject_anomaly(_flat_trace(), AnomalyKind.SUDDEN_R, params, _rng(0))
-    np.testing.assert_array_equal(np.flatnonzero(out.labels), np.arange(100, 105))
+    base = synthesize_clean(1, SCHEMA, _rng(9))[0]
+    out = inject_anomaly(base, AnomalyKind.SUDDEN_R, rng=_rng(0))
+    window, expected = _window_applied(base, out.descriptor)
+    np.testing.assert_array_equal(out.labels, window)
+    np.testing.assert_array_equal(out.trace.samples, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -110,37 +126,31 @@ def test_instad_exact_count_and_distinct():
     _reads_back(out)
 
 
-def test_instad_rejects_nonpositive_fraction():
-    with pytest.raises(ConfigError):
-        inject_anomaly(_flat_trace(), AnomalyKind.INSTA_D,
-                       InjectionParams(instad_fraction=0.0), _rng(0))
-
-
 # ---------------------------------------------------------------------------
 # SlowD
 
 def test_slowd_formula_hand_case():
-    # slope 1, onset index 10: sample at x=15 drops by exactly 5
-    params = InjectionParams(slowd_onset_range=(11, 11),
-                             slowd_duration_range=(150, 150),
-                             slowd_slope_range=(1.0, 1.0))
-    out = inject_anomaly(_flat_trace(80.0), AnomalyKind.SLOW_D, params, _rng(2))
+    out = inject_anomaly(_flat_trace(80.0), AnomalyKind.SLOW_D, rng=_rng(2))
     d = out.descriptor
-    assert d.onset == 10 and d.slope == 1.0
-    assert out.trace.samples[15] == 75.0
-    assert out.trace.samples[10] == 80.0  # x = onset: offset min(0, 0) = 0
-    assert out.labels[10] == 1  # still labeled anomalous
+    window, expected = _window_applied(_flat_trace(80.0), d)
+    np.testing.assert_array_equal(out.labels, window)
+    np.testing.assert_array_equal(out.trace.samples, expected)
+    # five samples past the onset the decline is 5 * slope
+    assert out.trace.samples[d.onset + 5] == 80.0 - 5 * d.slope
+    assert out.trace.samples[d.onset] == 80.0  # x = onset: offset 0
+    assert out.labels[d.onset] == 1  # still labeled anomalous
     _reads_back(out)
 
 
 def test_slowd_clamps_at_floor():
-    # slope 1.5 from onset 5: by x=100 the drop exceeds the signal range
-    params = InjectionParams(slowd_onset_range=(6, 6),
-                             slowd_duration_range=(150, 150),
-                             slowd_slope_range=(1.5, 1.5))
-    out = inject_anomaly(_flat_trace(40.0), AnomalyKind.SLOW_D, params, _rng(2))
-    assert out.trace.samples[100] == 0.0  # 40 - 142.5 clamped to schema floor
-    assert out.trace.samples[4] == 40.0
+    # a slope >= 0.5 over >= 150 samples declines more than 40
+    base = _flat_trace(40.0)
+    out = inject_anomaly(base, AnomalyKind.SLOW_D, rng=_rng(2))
+    window, expected = _window_applied(base, out.descriptor)
+    np.testing.assert_array_equal(out.labels, window)
+    np.testing.assert_array_equal(out.trace.samples, expected)
+    floor = out.trace.samples == SCHEMA.rssi_min
+    assert floor.any() and np.all(window[floor])
 
 
 def test_slowd_draw_ranges():
@@ -248,36 +258,34 @@ def test_build_dataset_deterministic():
 
 def test_scaled_params_fit_short_traces():
     params = InjectionParams.scaled_to_length(100)
-    params.validate_for_length(100)
-    assert params.suddend_onset_range == (67, 93)
-    assert params.suddenr_duration_range == (2, 7)
-    assert params.slowd_duration_range == (50, 60)
-    assert params.instad_fraction == 0.01
+    assert params == InjectionParams(100)
+    assert params.scaled(SUDDEND_ONSET) == (67, 93)
+    assert params.scaled(SUDDENR_DURATION) == (2, 7)
+    assert params.scaled(SLOWD_DURATION) == (50, 60)
+    assert params.instad_count == 1  # the reference 1% of 100
 
 
-def test_params_validate_for_length_rejects_overflow():
-    with pytest.raises(ConfigError):
-        InjectionParams().validate_for_length(100)
+def test_every_kind_fits_every_length():
+    """At every length the widest window of each kind lies inside the trace,
+    and a drawn one marks points."""
+    rng = _rng(31)
+    for n in range(2, 2001):
+        params = InjectionParams.scaled_to_length(n)
+        onset = params.scaled(SUDDEND_ONSET)
+        assert 1 <= onset[0] and onset[1] <= n
+        for onsets, durations in ((SUDDENR_ONSET, SUDDENR_DURATION),
+                                  (SLOWD_ONSET, SLOWD_DURATION)):
+            onset, duration = params.scaled(onsets), params.scaled(durations)
+            assert 1 <= onset[0] and 1 <= duration[0]
+            assert onset[1] - 1 + duration[1] <= n
+        assert 1 <= params.instad_count <= n
+        for kind in ANOMALOUS_KINDS:
+            assert inject_anomaly(_flat_trace(n=n), kind, params, rng).labels.any()
 
 
-@pytest.mark.parametrize("kind, change, message", [
-    (AnomalyKind.SUDDEN_D, {"suddend_onset_range": (67, 101)},
-     "SuddenD onset range exceeds"),
-    (AnomalyKind.SUDDEN_R, {"suddenr_duration_range": (2, 100)},
-     "SuddenR onset+duration can exceed"),
-    (AnomalyKind.SLOW_D, {"slowd_duration_range": (50, 100)},
-     "SlowD onset+duration can exceed"),
-    (AnomalyKind.INSTA_D, {"instad_fraction": 0.001},
-     "instad_fraction too small"),
-], ids=["SuddenD", "SuddenR", "SlowD", "InstaD"])
-def test_injector_and_params_reject_a_window_alike(kind, change, message):
-    """The injector refuses a window that cannot fit with the message
-    ``validate_for_length`` gives for it."""
-    params = replace(InjectionParams.scaled_to_length(100), **change)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        params.validate_for_length(100)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        inject_anomaly(_flat_trace(n=100), kind, params, _rng(0))
+def test_params_need_two_samples():
+    with pytest.raises(ConfigError, match="length must be >= 2"):
+        InjectionParams(1)
 
 
 def test_dataset_round_trip_bit_exact(tmp_path):
