@@ -97,10 +97,30 @@ def _input_schema(args, traces) -> TraceSchema:
     return schema
 
 
+def _check_recorded_bounds(args, path: Path) -> None:
+    """``inject`` records the ``--rssi-min``/``--rssi-max`` its drops were
+    placed in, in the dataset's manifest; other bounds are a usage error.
+    Input whose manifest records none, or that has no manifest, passes."""
+    try:
+        config = json.loads(path.with_name(path.name + ".manifest.json")
+                            .read_text(encoding="utf-8"))["config"]
+        recorded = [config["rssi_min"], config["rssi_max"]]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    if recorded != [args.rssi_min, args.rssi_max]:
+        raise UsageError(
+            f"{path} was injected with --rssi-min/--rssi-max "
+            f"[{recorded[0]}, {recorded[1]}], not "
+            f"[{args.rssi_min}, {args.rssi_max}]; pass the same bounds")
+
+
 def _read_labeled(args, path: str):
-    """A dataset file and its schema (see ``_input_schema``)."""
+    """A dataset file and its schema (see ``_input_schema`` and
+    ``_check_recorded_bounds``)."""
     dataset = read_dataset(Path(path))
-    return dataset, _input_schema(args, [item.trace for item in dataset])
+    schema = _input_schema(args, [item.trace for item in dataset])
+    _check_recorded_bounds(args, Path(path))
+    return dataset, schema
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +194,8 @@ def cmd_inject(args) -> int:
     n_anomalous = sum(1 for item in dataset if item.kind is not AnomalyKind.NONE)
     write_manifest(out.with_name(out.name + ".manifest.json"), "inject",
                    {"composition": {k.value: v for k, v in counts.items()},
-                    "trace_length": length},
+                    "trace_length": length, "rssi_min": schema.rssi_min,
+                    "rssi_max": schema.rssi_max},
                    args.seed, [Path(args.input)], [out])
     print(f"{len(dataset)} total, {n_anomalous} anomalous traces -> {out}")
     return 0
@@ -310,6 +331,7 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(Path(args.checkpoint))
     traces = _read_prediction_input(Path(args.input))
     schema = _input_schema(args, traces)
+    _check_recorded_bounds(args, Path(args.input))
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         for trace in traces:

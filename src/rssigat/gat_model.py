@@ -21,8 +21,9 @@ ln(row size). This is exact, not an approximation.
 """
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
@@ -65,9 +66,33 @@ class GatLayerConfig:
 
 @dataclass
 class GatModel:
+    """The layers and their parameters. ``vector`` holds every parameter, in
+    the order of ``params`` (``_param_table`` order for a built or loaded
+    model), and each ``params[name]`` is a view into it: the vector is the
+    checkpoint blob and what the optimizer updates."""
+
     layer_configs: tuple[GatLayerConfig, ...]
     params: dict[str, np.ndarray]
     seed: int
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.vector = np.concatenate([np.ravel(p) for p in self.params.values()],
+                                     dtype=np.float64)
+        self.params = self.views(self.vector)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """``vector``, laid out as ``self.vector``, cut into views named and
+        shaped as ``params``."""
+        views, start = {}, 0
+        for name, p in self.params.items():
+            views[name] = vector[start:start + p.size].reshape(p.shape)
+            start += p.size
+        return views
+
+    def __reduce__(self):
+        # rebuilt by the constructor, so the copy's params view one vector
+        return GatModel, (self.layer_configs, self.params, self.seed)
 
     @property
     def in_dim(self) -> int:
@@ -203,24 +228,39 @@ def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
     return Forward(data, blocks, (out_back, sigmoid_back, gather_back))
 
 
-def model_backward(fwd: Forward, g: np.ndarray) -> dict[str, np.ndarray]:
+def model_backward(fwd: Forward, g: np.ndarray,
+                   grads: dict[str, np.ndarray] | None = None
+                   ) -> dict[str, np.ndarray]:
     """Gradient of every parameter, given ``g``, the gradient at
     ``fwd.data``: the forward's ``back`` closures in reverse order. A block's
     input gradient is its skip part plus its attention part; the first
-    block's rows are constant and get none."""
+    block's rows are constant and get none.
+
+    The gradients are written into ``grads``, views named as the parameters
+    (see ``GatModel.views``), when it is given, and are fresh arrays
+    otherwise. A weight gradient is computed in place; the small rest are
+    copied in."""
+    fresh = grads is None
+    grads = {} if fresh else grads
+    small: dict[str, np.ndarray] = {}
     out_back, sigmoid_back, gather_back = fwd.head
-    grads: dict[str, np.ndarray] = {}
-    g, grads["out.weight"], grads["out.bias"] = out_back(sigmoid_back(gather_back(g)))
+    g, grads["out.weight"], small["out.bias"] = out_back(
+        sigmoid_back(gather_back(g)), out=grads.get("out.weight"))
     for k in range(len(fwd.blocks), 0, -1):
         gat_back, skip_back, relu_back = fwd.blocks[k - 1]
         g = relu_back(g)
-        g_skip, grads[f"skip{k}.weight"], grads[f"skip{k}.bias"] = \
-            skip_back(g, input_grad=k > 1)
-        (g_gat, grads[f"gat{k}.weight"], grads[f"gat{k}.att_dst"],
-         grads[f"gat{k}.att_src"], grads[f"gat{k}.bias"], _) = \
-            gat_back(g, input_grad=k > 1)
+        g_skip, grads[f"skip{k}.weight"], small[f"skip{k}.bias"] = skip_back(
+            g, input_grad=k > 1, out=grads.get(f"skip{k}.weight"))
+        (g_gat, grads[f"gat{k}.weight"], small[f"gat{k}.att_dst"],
+         small[f"gat{k}.att_src"], small[f"gat{k}.bias"], _) = gat_back(
+            g, input_grad=k > 1, out=grads.get(f"gat{k}.weight"))
         if k > 1:
             g = g_skip + g_gat
+    for name, value in small.items():
+        if fresh:
+            grads[name] = value
+        else:
+            grads[name][...] = value
     return grads
 
 
@@ -231,30 +271,32 @@ def predict(graph: TsGraph, model: GatModel,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: a JSON manifest beside a raw little-endian float64 blob
+# checkpoints: a JSON manifest beside a raw little-endian float64 blob, the
+# model's vector, whose sha256 the manifest records
 
 def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
     base = Path(path)
     manifest_path = base.with_suffix(".json")
     blob_path = base.with_suffix(".bin")
+    blob = model.vector.astype("<f8", copy=False).tobytes()
     manifest = {
         "format": "rssigat-checkpoint-v1",
         "seed": model.seed,
         "layers": [asdict(cfg) for cfg in model.layer_configs],
         "tensors": [{"name": name, "shape": list(t.shape)}
                     for name, t in model.params.items()],
+        "sha256": hashlib.sha256(blob).hexdigest(),
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                              encoding="utf-8")
-    with open(blob_path, "wb") as fh:
-        for t in model.params.values():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    blob_path.write_bytes(blob)
     return manifest_path, blob_path
 
 
 def load_checkpoint(path) -> GatModel:
     """The model saved at ``path``; ModelError if its manifest is malformed
-    or disagrees with its blob."""
+    or disagrees with its blob. A manifest without a sha256, as written
+    before it was recorded, loads unchecked."""
     base = Path(path)
     try:
         manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
@@ -275,15 +317,19 @@ def load_checkpoint(path) -> GatModel:
             raise ModelError(f"checkpoint tensor {have} does not match "
                              f"the layers' {want}")
     sizes = [int(np.prod(shape)) for _, shape in expected]
-    raw = base.with_suffix(".bin").read_bytes()
+    blob_path = base.with_suffix(".bin")
+    raw = blob_path.read_bytes()
     if len(raw) != 8 * sum(sizes):
         raise ModelError(f"checkpoint blob has {len(raw)} bytes, "
                          f"the manifest needs {8 * sum(sizes)}")
-    chunks = np.split(np.frombuffer(raw, dtype="<f8").astype(np.float64),
-                      np.cumsum(sizes)[:-1])
+    chunks = np.split(np.frombuffer(raw, dtype="<f8"), np.cumsum(sizes)[:-1])
     params = {}
     for (name, shape), chunk in zip(expected, chunks):
         if not np.isfinite(chunk).all():
             raise ModelError(f"checkpoint tensor {name} has non-finite values")
         params[name] = chunk.reshape(shape)
+    digest = hashlib.sha256(raw).hexdigest()
+    if manifest.get("sha256", digest) != digest:
+        raise ModelError(f"checkpoint blob {blob_path} does not match the "
+                         f"sha256 its manifest records")
     return GatModel(layer_configs=configs, params=params, seed=seed)

@@ -37,16 +37,18 @@ def ensure_finite(arr: np.ndarray, op: str) -> None:
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Affine map ``x @ w + b`` for x (rows, in), w (in, out) and b (out,).
-    ``back(g, input_grad=False)`` leaves out the gradient of ``x``, for rows
-    that are constant, and returns None in its place."""
+    ``back(g)`` returns the gradients of (x, w, b); with ``input_grad=False``
+    it leaves out that of ``x``, for rows that are constant, and returns None
+    in its place, and with ``out`` it writes that of ``w`` there."""
     if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
         raise ShapeError(f"linear shapes {x.shape} x {w.shape} + {b.shape}")
     out = x @ w + b
     ensure_finite(out, "linear")
 
-    def back(g, input_grad=True):
-        return (g @ w.T if input_grad else None, x.T @ g, g.sum(axis=0))
+    def back(g, input_grad=True, out=None):
+        return (g @ w.T if input_grad else None, np.matmul(x.T, g, out=out),
+                g.sum(axis=0))
 
     return out, back
 
@@ -127,7 +129,8 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     backward is derived by hand; it keeps alpha and the sign of the
     pre-activation logits. ``back(g)`` returns the gradients of (h, weight,
     att_dst, att_src, bias, logit_bias); with ``input_grad=False`` the first
-    is None and not computed, for the first block's constant rows.
+    is None and not computed, for the first block's constant rows, and with
+    ``out`` the gradient of ``weight`` is written there.
     """
     if head_mode not in ("concat", "average"):
         raise OpError(f"unknown head_mode {head_mode!r}")
@@ -168,7 +171,7 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     out += bias
     ensure_finite(out, "graph_attention")
 
-    def back(g, input_grad=True):
+    def back(g, input_grad=True, out=None):
         if head_mode == "concat":
             g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
         else:
@@ -187,7 +190,8 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
         g_z += g_dst * att_dst[:, None, :]
         g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
         zt = z.transpose(0, 2, 1)
-        return (g_hw @ weight.T if input_grad else None, h.T @ g_hw,
+        return (g_hw @ weight.T if input_grad else None,
+                np.matmul(h.T, g_hw, out=out),
                 (zt @ g_dst)[:, :, 0], (zt @ g_src)[:, :, 0], g.sum(axis=0),
                 g_logit_bias)
 

@@ -4,8 +4,9 @@ Traces are split 80:20 with per-kind stratification, one fresh model is
 trained per split (one graph per gradient step), and per-class metrics are
 pooled over each split's held-out points, then averaged across splits. A
 step is ``loss_and_grads`` (``model_forward``, ``weighted_bce`` and
-``model_backward`` from the loss's gradient) and an Adam update of the
-parameter arrays in place.
+``model_backward`` from the loss's gradient, written into the optimizer's
+gradient vector) and an Adam update of the model's parameter vector in
+place.
 """
 from __future__ import annotations
 
@@ -115,41 +116,51 @@ def weighted_bce(probabilities: np.ndarray, labels: np.ndarray,
 
 
 def loss_and_grads(prep: PreparedGraph, labels: np.ndarray,
-                   weights: ClassWeights,
-                   model: GatModel) -> tuple[float, dict[str, np.ndarray]]:
-    """One graph's loss and the gradient of every parameter. The forward's
-    ``back`` closures, and the intermediate arrays they hold, are freed on
-    return, before the optimizer allocates its temporaries; keeping them
-    alive through the update measured ~10% slower steps."""
+                   weights: ClassWeights, model: GatModel,
+                   grads: dict[str, np.ndarray] | None = None
+                   ) -> tuple[float, dict[str, np.ndarray]]:
+    """One graph's loss and the gradient of every parameter, written into
+    ``grads`` when given (see ``model_backward``). The forward's ``back``
+    closures, and the intermediate arrays they hold, are freed on return."""
     fwd = model_forward(prep, model)
     loss, loss_back = weighted_bce(fwd.data, labels, weights)
-    return float(loss), model_backward(fwd, loss_back(1.0))
+    return float(loss), model_backward(fwd, loss_back(1.0), grads)
 
 
 class AdamOptimizer:
-    """Adam (beta1 0.9, beta2 0.999, eps 1e-8) over named parameter arrays,
-    updated in place; ``step`` takes a gradient for every parameter name."""
+    """Adam (beta1 0.9, beta2 0.999, eps 1e-8) on ``model.vector``, updated
+    in place. ``grads`` are views, named as the model's parameters, of the
+    gradient vector that ``step`` applies. The moments, that vector and two
+    scratch vectors are allocated here, once, so a step allocates none."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
-        self.params = params
+    def __init__(self, model: GatModel, lr: float):
+        self.vector = model.vector
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.m, self.v, self.grad, self._s1, self._s2 = (
+            np.zeros_like(self.vector) for _ in range(5))
+        self.grads = model.views(self.grad)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self) -> None:
         self.t += 1
         b1, b2 = 0.9, 0.999
         scale = self.lr * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= scale * m / (np.sqrt(v) + 1e-8)
+        p, g, m, v, s1, s2 = (self.vector, self.grad, self.m, self.v,
+                              self._s1, self._s2)
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # p -= scale m / (sqrt(v) + eps), rounded one operation at a time
+        m *= b1
+        np.multiply(1 - b1, g, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(1 - b2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.sqrt(v, out=s2)
+        s2 += 1e-8
+        np.multiply(scale, m, out=s1)
+        s1 /= s2
+        p -= s1
 
 
 def prepare_dataset(dataset: list[LabeledTrace],
@@ -178,7 +189,7 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
         raise TrainingError("dataset is empty")
     weights = class_weights(dataset)
     model = build_model(seed=model_seed)
-    optimizer = AdamOptimizer(model.params, lr=cfg.learning_rate)
+    optimizer = AdamOptimizer(model, lr=cfg.learning_rate)
     order_rng = np.random.default_rng([cfg.seed, 1162261467, model_seed])
     loss_curve: list[float] = []
     steps = 0
@@ -187,12 +198,12 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
         epoch_loss = 0.0
         for i in order:
             try:
-                loss, grads = loss_and_grads(prepared[i], dataset[i].labels,
-                                             weights, model)
+                loss, _ = loss_and_grads(prepared[i], dataset[i].labels,
+                                         weights, model, optimizer.grads)
             except tc.NonFiniteError as exc:
                 raise TrainingError(f"training diverged: {exc}",
                                     epoch=epoch) from exc
-            optimizer.step(grads)
+            optimizer.step()
             steps += 1
             epoch_loss += loss
         loss_curve.append(epoch_loss / len(dataset))

@@ -170,6 +170,36 @@ def test_inject_drops_land_on_rssi_min(tmp_path):
         assert np.all(item.trace.samples[item.labels == 1] == 10.0)
 
 
+@pytest.mark.parametrize("command", ["transform", "train", "eval", "predict"])
+def test_bounds_other_than_injected_are_usage_error(tmp_path, capsys, command):
+    """``inject`` records its bounds in the dataset's manifest; a command
+    reading the dataset under other bounds stops before writing anything.
+    Without the manifest the dataset is read under the flags' bounds."""
+    traces, data = tmp_path / "t.csv", tmp_path / "d.jsonl"
+    assert _run("synth", "--count", 14, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--rssi-min", 10, "--each", 2,
+                "--clean", 6, "-o", data) == 0
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    out = tmp_path / "out"
+    argv = {"transform": ["transform", "-i", data, "-o", out],
+            "train": ["train", "--dataset", data, "--splits", 1,
+                      "--epochs", 1, "-o", out],
+            "eval": ["eval", "--run", tmp_path / "run", "--dataset", data,
+                     "--split", 0, "-o", out],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
+                        "-i", data, "-o", out]}[command]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert _run(*argv, "--rssi-max", 120) == 2
+    assert capsys.readouterr().err == (
+        f"rssigat: error: {data} was injected with --rssi-min/--rssi-max "
+        f"[10.0, 128.0], not [0.0, 120.0]; pass the same bounds\n")
+    assert sorted(tmp_path.iterdir()) == before
+    if command != "eval":  # eval needs a run
+        (tmp_path / "d.jsonl.manifest.json").unlink()
+        assert _run(*argv, "--rssi-max", 120) == 0
+
+
 def test_transform_counts_and_node_lengths(pipeline_dir):
     graphs = read_graphs(pipeline_dir / "graphs.jsonl")
     dataset = read_dataset(pipeline_dir / "dataset.jsonl")

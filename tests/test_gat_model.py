@@ -1,5 +1,8 @@
 import copy
+import hashlib
 import json
+import pickle
+import re
 import warnings
 
 import numpy as np
@@ -299,6 +302,50 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     save_checkpoint(tmp_path / "b", model)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_checkpoint_digest_catches_a_flipped_byte(tmp_path):
+    """The manifest records the blob's sha256; one changed byte that leaves
+    every value finite is caught, and a manifest without the digest, as
+    written before it was recorded, still loads."""
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    blob = tmp_path / "ckpt.bin"
+    raw = bytearray(blob.read_bytes())
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    assert manifest["sha256"] == hashlib.sha256(raw).hexdigest()
+    raw[0] ^= 1  # the lowest mantissa bit of the first weight
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(ModelError, match=f"checkpoint blob {re.escape(str(blob))} "
+                                         "does not match the sha256"):
+        load_checkpoint(tmp_path / "ckpt")
+    del manifest["sha256"]
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    assert load_checkpoint(tmp_path / "ckpt").vector.tobytes() == bytes(raw)
+
+
+def _assert_views_of_one_vector(model):
+    assert model.vector.dtype == np.float64
+    assert model.vector.size == count_parameters(model)
+    for p in model.params.values():
+        assert np.shares_memory(p, model.vector)
+
+
+def test_parameters_are_views_of_one_vector(tmp_path):
+    """Built, loaded and unpickled models hold every parameter in one
+    vector, in ``_param_table`` order."""
+    model = build_model(seed=3)
+    _assert_views_of_one_vector(model)
+    assert model.vector.tobytes() == b"".join(
+        p.tobytes() for p in model.params.values())
+    save_checkpoint(tmp_path / "ckpt", model)
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    _assert_views_of_one_vector(loaded)
+    assert loaded.vector.tobytes() == (tmp_path / "ckpt.bin").read_bytes()
+    copied = pickle.loads(pickle.dumps(loaded))
+    _assert_views_of_one_vector(copied)
+    assert copied.vector.tobytes() == model.vector.tobytes()
+    copied.vector[:] = 0.0
+    assert not copied.params["out.weight"].any()
 
 
 def test_checkpoint_truncated_blob_rejected(tmp_path):

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import rssigat.tensor_core as tc
-from rssigat.gat_model import build_model
-from rssigat.inject import AnomalyKind, build_dataset
-from rssigat.train import (ClassWeights, SplitError, TrainConfig,
-                           TrainingError, class_weights, fit, loss_and_grads,
-                           loss_curves_to_csv, prepare_dataset,
+import rssigat.train
+from rssigat.gat_model import build_model, save_checkpoint
+from rssigat.inject import AnomalyDescriptor, AnomalyKind, LabeledTrace, \
+    build_dataset
+from rssigat.train import (AdamOptimizer, ClassWeights, SplitError,
+                           TrainConfig, TrainingError, class_weights, fit,
+                           loss_and_grads, loss_curves_to_csv, prepare_dataset,
                            run_cross_validation, stratified_shuffle_split,
                            weighted_bce)
 from rssigat.trace import RssiTrace, TraceSchema, synthesize_clean
@@ -36,6 +40,76 @@ def test_training_step_gives_every_parameter_a_gradient():
     assert set(grads) == set(model.params)
     for name, p in model.params.items():
         assert grads[name].shape == p.shape and np.isfinite(grads[name]).all()
+
+
+def test_gradients_written_into_views_equal_fresh_ones():
+    """``loss_and_grads`` into the optimizer's gradient views writes every
+    entry of its vector, bitwise as the fresh arrays it returns otherwise."""
+    dataset, schema = _desk_dataset(n_each=1, n_clean=0, length=100)
+    prepared = prepare_dataset(dataset, schema)
+    model = build_model(seed=0)
+    optimizer = AdamOptimizer(model, lr=1e-3)
+    for item, prep in zip(dataset, prepared):
+        loss, fresh = loss_and_grads(prep, item.labels, ClassWeights(1.3, 0.8),
+                                     model)
+        optimizer.grad[:] = np.nan
+        loss_into, grads = loss_and_grads(prep, item.labels,
+                                          ClassWeights(1.3, 0.8), model,
+                                          optimizer.grads)
+        assert grads is optimizer.grads and loss_into == loss
+        assert np.isfinite(optimizer.grad).all()
+        for name in model.params:
+            assert grads[name].tobytes() == fresh[name].tobytes()
+
+
+def test_adam_step_matches_the_per_parameter_update():
+    """One whole-vector update rounds as Adam over each parameter array."""
+    model = build_model(seed=1)
+    optimizer = AdamOptimizer(model, lr=3e-3)
+    rng = np.random.default_rng(0)
+    ref = {name: p.copy() for name, p in model.params.items()}
+    m = {name: np.zeros_like(p) for name, p in ref.items()}
+    v = {name: np.zeros_like(p) for name, p in ref.items()}
+    for t in range(1, 4):
+        scale = 3e-3 * np.sqrt(1 - 0.999 ** t) / (1 - 0.9 ** t)
+        for name, p in ref.items():
+            g = rng.standard_normal(p.shape)
+            optimizer.grads[name][...] = g
+            m[name] = m[name] * 0.9 + (1 - 0.9) * g
+            v[name] = v[name] * 0.999 + (1 - 0.999) * g * g
+            p -= scale * m[name] / (np.sqrt(v[name]) + 1e-8)
+        optimizer.step()
+        for name, p in ref.items():
+            assert model.params[name].tobytes() == p.tobytes()
+
+
+def test_fit_step_allocates_nothing_parameter_sized(monkeypatch):
+    """A steady-state step of ``fit`` (forward, backward and Adam) on a
+    5-row class graph: its traced allocation peak stays below 256 KiB,
+    which one ``gat3.weight`` gradient (192 KiB) and the step's own
+    small arrays would pass."""
+    values = np.tile([20.0, 21.0, 22.0, 23.0, 24.0], 8)
+    item = LabeledTrace(RssiTrace("t", values),
+                        AnomalyDescriptor("InstaD", indices=(3, 17)))
+    prepared = prepare_dataset([item], TraceSchema(expected_length=40))
+    assert prepared[0].n_rows == 5
+    step = AdamOptimizer.step
+    peaks, start = [], [0]
+
+    def measured(self):
+        step(self)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+        start[0] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(rssigat.train.AdamOptimizer, "step", measured)
+    tracemalloc.start()
+    try:
+        fit([item], model_seed=0, cfg=TrainConfig(epochs=5), prepared=prepared)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 5
+    assert max(peaks[2:]) < 256 * 1024, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +305,21 @@ def test_cross_validate_deterministic_reports():
     assert a.to_json() == b.to_json()
 
 
-def test_cross_validate_workers_match_sequential():
+def test_cross_validate_workers_match_sequential(tmp_path):
+    """Models trained in worker processes come back pickled, as views of one
+    vector, and save the same checkpoint blobs."""
     dataset, schema = _desk_dataset(n_each=2, n_clean=8, seed=11)
     cfg = TrainConfig(n_splits=2, epochs=1, seed=4)
     seq = run_cross_validation(dataset, cfg, schema, workers=1)
     par = run_cross_validation(dataset, cfg, schema, workers=2)
     assert seq.report.to_json() == par.report.to_json()
-    for m1, m2 in zip(seq.models, par.models):
+    for k, (m1, m2) in enumerate(zip(seq.models, par.models)):
         for name in m1.params:
             assert m1.params[name].tobytes() == m2.params[name].tobytes()
+            assert np.shares_memory(m2.params[name], m2.vector)
+        _, blob1 = save_checkpoint(tmp_path / f"seq_{k}", m1)
+        _, blob2 = save_checkpoint(tmp_path / f"par_{k}", m2)
+        assert blob1.read_bytes() == blob2.read_bytes()
 
 
 @pytest.mark.parametrize("workers, processes", [(8, 2), (2, 2), (1, None)])
