@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rssigat.tensor_core as tc
-import rssigat.train
 from rssigat.gat_model import build_model, save_checkpoint
 from rssigat.inject import AnomalyDescriptor, AnomalyKind, LabeledTrace, \
     build_dataset
@@ -102,7 +101,7 @@ def test_fit_step_allocates_nothing_parameter_sized(monkeypatch):
         start[0] = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
 
-    monkeypatch.setattr(rssigat.train.AdamOptimizer, "step", measured)
+    monkeypatch.setattr(AdamOptimizer, "step", measured)
     tracemalloc.start()
     try:
         fit([item], model_seed=0, cfg=TrainConfig(epochs=5), prepared=prepared)
