@@ -100,14 +100,18 @@ def _input_schema(args, traces) -> TraceSchema:
 def _check_recorded_bounds(args, path: Path) -> None:
     """``inject`` records the ``--rssi-min``/``--rssi-max`` its drops were
     placed in, in the dataset's manifest; other bounds are a usage error.
-    Input whose manifest records none, or that has no manifest, passes."""
+    Input that has no manifest, whose manifest records no bounds, or whose
+    manifest lists no output with the input's sha256 (a stale manifest)
+    passes."""
     try:
-        config = json.loads(path.with_name(path.name + ".manifest.json")
-                            .read_text(encoding="utf-8"))["config"]
-        recorded = [config["rssi_min"], config["rssi_max"]]
-    except (OSError, ValueError, KeyError, TypeError):
+        manifest = json.loads(path.with_name(path.name + ".manifest.json")
+                              .read_text(encoding="utf-8"))
+        recorded = [manifest["config"]["rssi_min"],
+                    manifest["config"]["rssi_max"]]
+        digests = set(manifest["outputs"].values())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return
-    if recorded != [args.rssi_min, args.rssi_max]:
+    if recorded != [args.rssi_min, args.rssi_max] and _sha256(path) in digests:
         raise UsageError(
             f"{path} was injected with --rssi-min/--rssi-max "
             f"[{recorded[0]}, {recorded[1]}], not "

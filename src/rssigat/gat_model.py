@@ -229,39 +229,26 @@ def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
 
 
 def model_backward(fwd: Forward, g: np.ndarray,
-                   grads: dict[str, np.ndarray] | None = None
-                   ) -> dict[str, np.ndarray]:
-    """Gradient of every parameter, given ``g``, the gradient at
-    ``fwd.data``: the forward's ``back`` closures in reverse order. A block's
-    input gradient is its skip part plus its attention part; the first
-    block's rows are constant and get none.
-
-    The gradients are written into ``grads``, views named as the parameters
-    (see ``GatModel.views``), when it is given, and are fresh arrays
-    otherwise. A weight gradient is computed in place; the small rest are
-    copied in."""
-    fresh = grads is None
-    grads = {} if fresh else grads
-    small: dict[str, np.ndarray] = {}
+                   grads: dict[str, np.ndarray]) -> None:
+    """Write the gradient of every parameter into ``grads``, views named as
+    the parameters (see ``GatModel.views``), given ``g``, the gradient at
+    ``fwd.data``: the forward's ``back`` closures in reverse order. A weight
+    gradient is computed in place and the small rest are copied in. A
+    block's input gradient is its skip part plus its attention part; the
+    first block's rows are constant and get none."""
     out_back, sigmoid_back, gather_back = fwd.head
-    g, grads["out.weight"], small["out.bias"] = out_back(
-        sigmoid_back(gather_back(g)), out=grads.get("out.weight"))
+    g, _, grads["out.bias"][...] = out_back(
+        sigmoid_back(gather_back(g)), out=grads["out.weight"])
     for k in range(len(fwd.blocks), 0, -1):
         gat_back, skip_back, relu_back = fwd.blocks[k - 1]
         g = relu_back(g)
-        g_skip, grads[f"skip{k}.weight"], small[f"skip{k}.bias"] = skip_back(
-            g, input_grad=k > 1, out=grads.get(f"skip{k}.weight"))
-        (g_gat, grads[f"gat{k}.weight"], small[f"gat{k}.att_dst"],
-         small[f"gat{k}.att_src"], small[f"gat{k}.bias"], _) = gat_back(
-            g, input_grad=k > 1, out=grads.get(f"gat{k}.weight"))
+        g_skip, _, grads[f"skip{k}.bias"][...] = skip_back(
+            g, input_grad=k > 1, out=grads[f"skip{k}.weight"])
+        (g_gat, _, grads[f"gat{k}.att_dst"][...], grads[f"gat{k}.att_src"][...],
+         grads[f"gat{k}.bias"][...], _) = gat_back(
+            g, input_grad=k > 1, out=grads[f"gat{k}.weight"])
         if k > 1:
             g = g_skip + g_gat
-    for name, value in small.items():
-        if fresh:
-            grads[name] = value
-        else:
-            grads[name][...] = value
-    return grads
 
 
 def predict(graph: TsGraph, model: GatModel,

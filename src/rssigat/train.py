@@ -120,11 +120,16 @@ def loss_and_grads(prep: PreparedGraph, labels: np.ndarray,
                    grads: dict[str, np.ndarray] | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """One graph's loss and the gradient of every parameter, written into
-    ``grads`` when given (see ``model_backward``). The forward's ``back``
-    closures, and the intermediate arrays they hold, are freed on return."""
+    ``grads``, views of a vector laid out as ``model.vector`` (see
+    ``model_backward``), or into fresh ones when none are given. The
+    forward's ``back`` closures, and the intermediate arrays they hold, are
+    freed on return."""
+    if grads is None:
+        grads = model.views(np.empty_like(model.vector))
     fwd = model_forward(prep, model)
     loss, loss_back = weighted_bce(fwd.data, labels, weights)
-    return float(loss), model_backward(fwd, loss_back(1.0), grads)
+    model_backward(fwd, loss_back(1.0), grads)
+    return float(loss), grads
 
 
 class AdamOptimizer:

@@ -200,6 +200,20 @@ def test_bounds_other_than_injected_are_usage_error(tmp_path, capsys, command):
         assert _run(*argv, "--rssi-max", 120) == 0
 
 
+def test_stale_manifest_bounds_are_ignored(tmp_path):
+    """A manifest that lists no output with the dataset's digest describes
+    another file, so the bounds it records do not apply."""
+    traces, data = tmp_path / "t.csv", tmp_path / "d.jsonl"
+    other = tmp_path / "e.jsonl"
+    assert _run("synth", "--count", 14, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--rssi-min", 10, "--each", 2,
+                "--clean", 6, "-o", data) == 0
+    assert _run("inject", "-i", traces, "--each", 2, "--clean", 6,
+                "-o", other) == 0
+    data.write_bytes(other.read_bytes())
+    assert _run("transform", "-i", data, "-o", tmp_path / "g.jsonl") == 0
+
+
 def test_transform_counts_and_node_lengths(pipeline_dir):
     graphs = read_graphs(pipeline_dir / "graphs.jsonl")
     dataset = read_dataset(pipeline_dir / "dataset.jsonl")
