@@ -11,7 +11,7 @@ from .mtf_graph import TsGraph, transform
 from .gat_model import (GatLayerConfig, GatModel, build_model, count_parameters,
                         model_forward, predict, save_checkpoint, load_checkpoint)
 from .train import (TrainConfig, ClassWeights, stratified_shuffle_split,
-                    class_weights, weighted_bce, fit, run_cross_validation)
+                    class_weights, bce_targets, weighted_bce, fit, run_cross_validation)
 from .metrics import (ConfusionCounts, EvalReport, confusion,
                       precision_recall_f1, aggregate, anomalous_runs)
 

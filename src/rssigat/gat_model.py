@@ -232,21 +232,21 @@ def model_backward(fwd: Forward, g: np.ndarray,
                    grads: dict[str, np.ndarray]) -> None:
     """Write the gradient of every parameter into ``grads``, views named as
     the parameters (see ``GatModel.views``), given ``g``, the gradient at
-    ``fwd.data``: the forward's ``back`` closures in reverse order. A weight
-    gradient is computed in place and the small rest are copied in. A
+    ``fwd.data``: the forward's ``back`` closures in reverse order, each
+    writing its parameters' gradients into their views, with no copy. A
     block's input gradient is its skip part plus its attention part; the
     first block's rows are constant and get none."""
     out_back, sigmoid_back, gather_back = fwd.head
-    g, _, grads["out.bias"][...] = out_back(
-        sigmoid_back(gather_back(g)), out=grads["out.weight"])
+    g = out_back(sigmoid_back(gather_back(g)),
+                 out=(grads["out.weight"], grads["out.bias"]))[0]
     for k in range(len(fwd.blocks), 0, -1):
         gat_back, skip_back, relu_back = fwd.blocks[k - 1]
         g = relu_back(g)
-        g_skip, _, grads[f"skip{k}.bias"][...] = skip_back(
-            g, input_grad=k > 1, out=grads[f"skip{k}.weight"])
-        (g_gat, _, grads[f"gat{k}.att_dst"][...], grads[f"gat{k}.att_src"][...],
-         grads[f"gat{k}.bias"][...], _) = gat_back(
-            g, input_grad=k > 1, out=grads[f"gat{k}.weight"])
+        g_skip = skip_back(g, input_grad=k > 1,
+                           out=(grads[f"skip{k}.weight"], grads[f"skip{k}.bias"]))[0]
+        g_gat = gat_back(g, input_grad=k > 1, out=(
+            grads[f"gat{k}.weight"], grads[f"gat{k}.att_dst"],
+            grads[f"gat{k}.att_src"], grads[f"gat{k}.bias"]))[0]
         if k > 1:
             g = g_skip + g_gat
 

@@ -157,10 +157,7 @@ def report_to_csv(report: EvalReport) -> str:
 
 def anomalous_runs(labels: np.ndarray) -> list[tuple[int, int]]:
     """Maximal consecutive runs of 1s as (start index, length) intervals."""
-    labels = np.asarray(labels).astype(bool)
-    if labels.size == 0:
-        return []
-    padded = np.r_[False, labels, False]
+    padded = np.concatenate(([False], np.asarray(labels, dtype=bool), [False]))
     changes = np.flatnonzero(padded[1:] != padded[:-1])
     starts, ends = changes[::2], changes[1::2]
     return [(int(s), int(e - s)) for s, e in zip(starts, ends)]

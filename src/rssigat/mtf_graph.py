@@ -108,7 +108,9 @@ def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA) -> TsGraph
     c = values.size
     counts = np.bincount(node_map[:-1] * c + node_map[1:],
                          minlength=c * c).reshape(c, c)
-    counts[np.diag(counts.sum(axis=1) == 0)] = 1
+    last = node_map[-1]  # every other class has a step after it
+    if not counts[last].any():
+        counts[last, last] = 1
     return TsGraph(values, node_map, counts / counts.sum(axis=1, keepdims=True),
                    trace.link_id)
 

@@ -2,16 +2,17 @@
 
 Each op takes float64 ndarrays and returns ``(out, back)``: ``out`` is the
 op's result, checked to be finite, and ``back(g)`` maps the gradient at
-``out`` to the gradients of the op's inputs, by a hand-derived formula.
+``out`` to the gradients of the op's inputs, by a hand-derived formula;
+those of parameters go into the caller's views when given as ``out=``.
 There is no tape and no graph of tensors: ``gat_model.model_backward``
 calls the ``back`` closures of a forward pass in reverse order.
 
 The ops are three fused ones, ReLU, sigmoid and a row gather. ``linear`` is
 ``x @ w + b``; ``graph_attention`` is a whole dense multi-head attention
 block, projection included, whose -inf logit bias entries are the non-edges;
-and ``binary_cross_entropy`` is the class-weighted loss. Nothing broadcasts.
-The class graphs have ~10 rows, so a step costs numpy dispatch per op far
-more than FLOPs, and fewer, larger ops are what make it fast.
+and ``binary_cross_entropy`` is the class-weighted loss. The class graphs
+have ~10 rows, so a step costs numpy dispatch per op far more than FLOPs:
+fewer, larger ops and fewer calls within each are what make it fast.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Affine map ``x @ w + b`` for x (rows, in), w (in, out) and b (out,).
     ``back(g)`` returns the gradients of (x, w, b); with ``input_grad=False``
     it leaves out that of ``x``, for rows that are constant, and returns None
-    in its place, and with ``out`` it writes that of ``w`` there."""
+    in its place, and it writes those of (w, b) into ``out``, if given."""
     if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
         raise ShapeError(f"linear shapes {x.shape} x {w.shape} + {b.shape}")
@@ -47,8 +48,9 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     ensure_finite(out, "linear")
 
     def back(g, input_grad=True, out=None):
-        return (g @ w.T if input_grad else None, np.matmul(x.T, g, out=out),
-                g.sum(axis=0))
+        g_w, g_b = out or map(np.empty_like, (w, b))
+        return (g @ w.T if input_grad else None, np.matmul(x.T, g, out=g_w),
+                np.add.reduce(g, axis=0, out=g_b))
 
     return out, back
 
@@ -64,11 +66,9 @@ def relu(x: np.ndarray):
 
 
 def sigmoid(x: np.ndarray):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; e^-|x| cannot overflow
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     ensure_finite(out, "sigmoid")
 
     def back(g):
@@ -99,9 +99,8 @@ def binary_cross_entropy(p: np.ndarray, pos: np.ndarray, neg: np.ndarray):
 
     def back(g):
         k = float(g * c)
-        g_p = np.where(p >= LOG_FLOOR, k * pos / p_clamped, 0.0)
-        g_q = np.where(q >= LOG_FLOOR, k * neg / q_clamped, 0.0)
-        return -g_q + g_p
+        return (np.where(p >= LOG_FLOOR, k * pos / p_clamped, 0.0)
+                - np.where(q >= LOG_FLOOR, k * neg / q_clamped, 0.0))
 
     return out, back
 
@@ -130,7 +129,7 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     pre-activation logits. ``back(g)`` returns the gradients of (h, weight,
     att_dst, att_src, bias, logit_bias); with ``input_grad=False`` the first
     is None and not computed, for the first block's constant rows, and with
-    ``out`` the gradient of ``weight`` is written there.
+    ``out`` those of (weight, att_dst, att_src, bias) are written there.
     """
     if head_mode not in ("concat", "average"):
         raise OpError(f"unknown head_mode {head_mode!r}")
@@ -152,8 +151,8 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     # (H, C, C) buffer; exp(-inf) makes the non-edges' alpha exactly 0
     logits = (z @ att_dst.reshape(heads, f, 1)
               + (z @ att_src.reshape(heads, f, 1)).reshape(heads, 1, n))
-    positive = logits > 0
-    np.multiply(logits, slope, out=logits, where=~positive)
+    negative = logits <= 0
+    np.multiply(logits, slope, out=logits, where=negative)
     ensure_finite(logits, "graph_attention")
     logits += logit_bias
     top = logits.max(axis=-1, keepdims=True)
@@ -167,39 +166,41 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     if head_mode == "concat":
         out = agg.transpose(1, 0, 2).reshape(n, width)
     else:
-        out = agg.mean(axis=0)
+        out = np.add.reduce(agg, axis=0) / heads  # mean's own arithmetic
     out += bias
     ensure_finite(out, "graph_attention")
 
     def back(g, input_grad=True, out=None):
+        g_weight, g_att_dst, g_att_src, g_bias = out or map(
+            np.empty_like, (weight, att_dst, att_src, bias))
         if head_mode == "concat":
             g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
         else:
-            g_agg = np.broadcast_to(g / heads, (heads, n, f))
+            g_agg = (g / heads)[None]  # matmul broadcasts it over heads
         # one (H, C, C) buffer turns from d/d alpha into d/d logits, then
         # d/d pre-activation
-        g_pre = g_agg @ z.transpose(0, 2, 1)
+        zt = z.transpose(0, 2, 1)
+        g_pre = g_agg @ zt
         g_pre *= alpha
         g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
         g_logit_bias = g_pre.sum(axis=0)
-        np.multiply(g_pre, slope, out=g_pre, where=~positive)
+        np.multiply(g_pre, slope, out=g_pre, where=negative)
         g_dst = g_pre.sum(axis=2, keepdims=True)
         g_src = g_pre.sum(axis=1)[:, :, None]
         g_z = alpha.transpose(0, 2, 1) @ g_agg
         g_z += g_src * att_src[:, None, :]
         g_z += g_dst * att_dst[:, None, :]
         g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
-        zt = z.transpose(0, 2, 1)
+        np.matmul(zt, g_dst, out=g_att_dst[:, :, None])
+        np.matmul(zt, g_src, out=g_att_src[:, :, None])
         return (g_hw @ weight.T if input_grad else None,
-                np.matmul(h.T, g_hw, out=out),
-                (zt @ g_dst)[:, :, 0], (zt @ g_src)[:, :, 0], g.sum(axis=0),
-                g_logit_bias)
+                np.matmul(h.T, g_hw, out=g_weight), g_att_dst, g_att_src,
+                np.add.reduce(g, axis=0, out=g_bias), g_logit_bias)
 
     return out, back
 
 
 def gather_rows(x: np.ndarray, idx: np.ndarray):
-    idx = np.asarray(idx, dtype=np.intp)
     shape = x.shape
     if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
         raise ShapeError("gather_rows index out of range")

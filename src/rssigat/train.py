@@ -3,10 +3,10 @@
 Traces are split 80:20 with per-kind stratification, one fresh model is
 trained per split (one graph per gradient step), and per-class metrics are
 pooled over each split's held-out points, then averaged across splits. A
-step is ``loss_and_grads`` (``model_forward``, ``weighted_bce`` and
-``model_backward`` from the loss's gradient, written into the optimizer's
-gradient vector) and an Adam update of the model's parameter vector in
-place.
+step is ``loss_and_grads`` (``model_forward``, ``weighted_bce`` against the
+graph's targets, built once per split, and ``model_backward`` into the
+optimizer's gradient vector) and an in-place Adam update of the model's
+parameter vector.
 """
 from __future__ import annotations
 
@@ -102,32 +102,32 @@ def class_weights(train_traces: list[LabeledTrace]) -> ClassWeights:
                         w_normal=total / (2.0 * n_norm))
 
 
-def weighted_bce(probabilities: np.ndarray, labels: np.ndarray,
-                 weights: ClassWeights):
+def bce_targets(labels: np.ndarray, weights: ClassWeights):
+    """The class-weighted targets (pos, neg) of one graph's labels, as (N, 1)
+    columns; they are fixed per split, so ``fit`` builds them once."""
+    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    return weights.w_anomalous * y, weights.w_normal * (1.0 - y)
+
+
+def weighted_bce(probabilities: np.ndarray, targets: tuple):
     """Mean binary cross-entropy with per-class weights, as ``(loss, back)``
-    from ``tc.binary_cross_entropy``; log arguments are clamped at 1e-12."""
-    labels = np.asarray(labels, dtype=np.float64)
-    n = labels.size
-    if probabilities.size != n:
-        raise tc.ShapeError(f"{probabilities.size} probabilities for {n} labels")
-    y = labels.reshape(probabilities.shape)
-    return tc.binary_cross_entropy(probabilities, weights.w_anomalous * y,
-                                   weights.w_normal * (1.0 - y))
+    from ``tc.binary_cross_entropy``, for ``bce_targets``; log arguments are
+    clamped at 1e-12."""
+    return tc.binary_cross_entropy(probabilities, *targets)
 
 
-def loss_and_grads(prep: PreparedGraph, labels: np.ndarray,
-                   weights: ClassWeights, model: GatModel,
+def loss_and_grads(prep: PreparedGraph, targets: tuple, model: GatModel,
                    grads: dict[str, np.ndarray] | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
-    """One graph's loss and the gradient of every parameter, written into
-    ``grads``, views of a vector laid out as ``model.vector`` (see
-    ``model_backward``), or into fresh ones when none are given. The
-    forward's ``back`` closures, and the intermediate arrays they hold, are
-    freed on return."""
+    """One graph's loss for its ``bce_targets`` and the gradient of every
+    parameter, written into ``grads``, views of a vector laid out as
+    ``model.vector`` (see ``model_backward``), or into fresh ones when none
+    are given. The forward's ``back`` closures, and the intermediate arrays
+    they hold, are freed on return."""
     if grads is None:
         grads = model.views(np.empty_like(model.vector))
     fwd = model_forward(prep, model)
-    loss, loss_back = weighted_bce(fwd.data, labels, weights)
+    loss, loss_back = weighted_bce(fwd.data, targets)
     model_backward(fwd, loss_back(1.0), grads)
     return float(loss), grads
 
@@ -193,26 +193,26 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
     if not dataset:
         raise TrainingError("dataset is empty")
     weights = class_weights(dataset)
+    targets = [bce_targets(item.labels, weights) for item in dataset]
     model = build_model(seed=model_seed)
     optimizer = AdamOptimizer(model, lr=cfg.learning_rate)
     order_rng = np.random.default_rng([cfg.seed, 1162261467, model_seed])
     loss_curve: list[float] = []
-    steps = 0
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(len(dataset))
         epoch_loss = 0.0
         for i in order:
             try:
-                loss, _ = loss_and_grads(prepared[i], dataset[i].labels,
-                                         weights, model, optimizer.grads)
+                loss, _ = loss_and_grads(prepared[i], targets[i], model,
+                                         optimizer.grads)
             except tc.NonFiniteError as exc:
                 raise TrainingError(f"training diverged: {exc}",
                                     epoch=epoch) from exc
             optimizer.step()
-            steps += 1
             epoch_loss += loss
         loss_curve.append(epoch_loss / len(dataset))
-    return FitResult(model=model, loss_curve=loss_curve, steps=steps)
+    return FitResult(model=model, loss_curve=loss_curve,
+                     steps=cfg.epochs * len(dataset))
 
 
 def evaluate_split(model: GatModel, items: list[LabeledTrace],

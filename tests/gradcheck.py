@@ -7,7 +7,7 @@ import rssigat.tensor_core as tc
 from rssigat.gat_model import build_model, model_forward, prepare_graph
 from rssigat.mtf_graph import transform
 from rssigat.trace import RssiTrace, TraceSchema
-from rssigat.train import ClassWeights, loss_and_grads
+from rssigat.train import ClassWeights, bce_targets, loss_and_grads
 from oracles import finite_difference_grad, max_rel_err
 
 REL_TOL = 1e-4
@@ -166,13 +166,12 @@ def run_model_fd_trials(n_trials: int = 20, max_attempts: int = 400) -> int:
         graph = transform(trace, TraceSchema(expected_length=max(2, n)))
         prep = prepare_graph(graph, collapse=bool(attempt % 2))
         model = small_random_model(rng)
-        labels = rng.integers(0, 2, size=n)
-        weights = ClassWeights(1.3, 0.8)
+        targets = bce_targets(rng.integers(0, 2, size=n), ClassWeights(1.3, 0.8))
 
         def loss_fn():
-            return loss_and_grads(prep, labels, weights, model)[0]
+            return loss_and_grads(prep, targets, model)[0]
 
-        _, grads = loss_and_grads(prep, labels, weights, model)
+        _, grads = loss_and_grads(prep, targets, model)
         if not sample_is_smooth(prep, model, model_forward(prep, model).data):
             continue
         for name, p in model.params.items():

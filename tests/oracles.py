@@ -5,6 +5,10 @@ matrices, sharing no code with the package under test. ``mtf_oracle`` bins
 by quantiles (linear interpolation between order statistics), as the
 Markov transition field is defined; the package counts transitions between
 value classes, which are those bins at one bin per sample.
+
+The ``*_reference`` functions at the end are the opposite: earlier numpy
+formulations of package ops, kept op for op, so a leaner rewrite can be
+checked bit for bit against them.
 """
 from __future__ import annotations
 
@@ -180,3 +184,71 @@ def write_raw_logs(logs) -> str:
             value = float(rssi)
             out.append(f"{seq},{int(value) if value.is_integer() else repr(value)}")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# earlier formulations, for bitwise checks of their rewrites
+
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, each
+    side picked out by boolean indexing."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
+                              slope, head_mode, g):
+    """``tc.graph_attention``'s output and its gradients of (h, weight,
+    att_dst, att_src, bias, logit_bias) at ``g``, with average-mode heads as
+    ``agg.mean(axis=0)``, their gradient through ``np.broadcast_to`` and two
+    LeakyReLU masks taken as ``logits > 0``."""
+    heads, f = att_dst.shape
+    n = h.shape[0]
+    z = np.ascontiguousarray((h @ weight).reshape(n, heads, f).transpose(1, 0, 2))
+    logits = (z @ att_dst.reshape(heads, f, 1)
+              + (z @ att_src.reshape(heads, f, 1)).reshape(heads, 1, n))
+    positive = logits > 0
+    np.multiply(logits, slope, out=logits, where=~positive)
+    logits += logit_bias
+    logits -= logits.max(axis=-1, keepdims=True)
+    alpha = np.exp(logits, out=logits)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    agg = alpha @ z
+    if head_mode == "concat":
+        out = agg.transpose(1, 0, 2).reshape(n, heads * f)
+        g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
+    else:
+        out = agg.mean(axis=0)
+        g_agg = np.broadcast_to(g / heads, (heads, n, f))
+    out += bias
+    g_pre = g_agg @ z.transpose(0, 2, 1)
+    g_pre *= alpha
+    g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
+    g_logit_bias = g_pre.sum(axis=0)
+    np.multiply(g_pre, slope, out=g_pre, where=~positive)
+    g_dst = g_pre.sum(axis=2, keepdims=True)
+    g_src = g_pre.sum(axis=1)[:, :, None]
+    g_z = alpha.transpose(0, 2, 1) @ g_agg
+    g_z += g_src * att_src[:, None, :]
+    g_z += g_dst * att_dst[:, None, :]
+    g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
+    zt = z.transpose(0, 2, 1)
+    return out, (g_hw @ weight.T, h.T @ g_hw, (zt @ g_dst)[:, :, 0],
+                 (zt @ g_src)[:, :, 0], g.sum(axis=0), g_logit_bias)
+
+
+def no_outgoing_step_mask(counts: np.ndarray) -> np.ndarray:
+    """The C x C mask of the diagonal entries of the rows of a transition
+    count matrix that hold no step."""
+    return np.diag(counts.sum(axis=1) == 0)
+
+
+def bce_targets_reference(labels, shape, w_anomalous: float, w_normal: float):
+    """Class-weighted BCE targets (pos, neg) of ``labels``, reshaped to the
+    probabilities' ``shape`` as they were on every training step."""
+    y = np.asarray(labels, dtype=np.float64).reshape(shape)
+    return w_anomalous * y, w_normal * (1.0 - y)

@@ -9,7 +9,7 @@ from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph,
                                graph_from_record, graph_to_record,
                                read_graphs, transform, write_graphs)
 from rssigat.trace import RssiTrace, TraceError, TraceSchema
-from oracles import mtf_oracle
+from oracles import mtf_oracle, no_outgoing_step_mask
 from fuzzing import JSON_VALUES, changed_records
 
 
@@ -174,6 +174,24 @@ def test_row_stochastic_for_any_series(values):
     w = _weights(values)
     np.testing.assert_allclose(w.sum(axis=1), np.ones(len(w)), atol=1e-9)
     assert w.min() >= 0 and w.max() <= 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(0, 12), min_size=2, max_size=30))
+@example([5, 5])
+@example([3, 3, 7])
+@example([3, 7, 3])
+def test_last_row_rule_is_the_diagonal_mask(values):
+    # only the last sample's class can lack an outgoing step, so transform
+    # checks its row alone; the weights are those of the mask over all rows
+    graph = transform(RssiTrace("t", np.array(values, dtype=float)),
+                      TraceSchema(expected_length=len(values)))
+    c = graph.n_rows
+    counts = np.bincount(graph.node_map[:-1] * c + graph.node_map[1:],
+                         minlength=c * c).reshape(c, c)
+    counts[no_outgoing_step_mask(counts)] = 1
+    want = counts / counts.sum(axis=1, keepdims=True)
+    assert graph.weights.tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=30)

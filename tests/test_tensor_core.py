@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
 from gradcheck import check_case, primitive_cases
+from oracles import graph_attention_reference, sigmoid_reference
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,80 @@ def test_attention_sums_and_row_shift_invariance(data):
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
     shifted = _alpha(bias + rng.standard_normal((n, 1)), att_dst, att_src)
     np.testing.assert_allclose(shifted, out, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rewrites bit for bit equal to the earlier formulations in oracles
+
+def test_sigmoid_is_bitwise_the_indexed_formula():
+    edges = np.array([0.0, 1e-300, 36.7, 709.0, 745.0, 1e308])
+    x = np.concatenate([edges, -edges,
+                        np.random.default_rng(13).standard_normal(200) * 30])
+    out, _ = tc.sigmoid(x[:, None])
+    assert out.tobytes() == sigmoid_reference(x[:, None]).tobytes()
+    assert out[0, 0] == out[6, 0] == 0.5
+
+
+@pytest.mark.parametrize("head_mode", ["concat", "average"])
+def test_graph_attention_is_bitwise_the_earlier_formulas(head_mode):
+    # average-mode heads as agg.mean(axis=0) + bias, their backward through
+    # np.broadcast_to, and separate LeakyReLU masks
+    rng = np.random.default_rng(14)
+    for n in (1, 4, 9):
+        h, weight, att_dst, att_src = (rng.standard_normal(shape) for shape in
+                                       ((n, 5), (5, 12), (3, 4), (3, 4)))
+        width = 12 if head_mode == "concat" else 4
+        bias, g = rng.standard_normal(width), rng.standard_normal((n, width))
+        edges = rng.random((n, n)) < 0.5
+        np.fill_diagonal(edges, True)
+        logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
+        args = (h, weight, att_dst, att_src, bias, logit_bias, 0.2, head_mode)
+        out, back = tc.graph_attention(*args)
+        ref_out, ref_grads = graph_attention_reference(*args, g)
+        assert out.tobytes() == ref_out.tobytes()
+        for got, want in zip(back(g), ref_grads):
+            assert got.tobytes() == want.tobytes()
+
+
+def _check_out_views(back, g, shapes, input_grad):
+    """``back`` with ``out=`` views of one NaN-filled vector fills them with
+    the bits of its freshly returned gradients, and returns those views."""
+    fresh = back(g, input_grad=input_grad)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    vector = np.full(sum(sizes), np.nan)
+    views = tuple(v.reshape(shape) for v, shape in
+                  zip(np.split(vector, np.cumsum(sizes)[:-1]), shapes))
+    written = back(g, input_grad=input_grad, out=views)
+    assert all(a is b for a, b in zip(written[1:], views))
+    if input_grad:
+        assert written[0].tobytes() == fresh[0].tobytes()
+    else:
+        assert written[0] is None
+    assert vector.tobytes() == np.concatenate(
+        [np.ravel(a) for a in fresh[1:len(shapes) + 1]]).tobytes()
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_linear_back_writes_out_views(input_grad):
+    rng = np.random.default_rng(15)
+    x, w, b = (rng.standard_normal(shape) for shape in ((6, 3), (3, 5), (5,)))
+    out, back = tc.linear(x, w, b)
+    _check_out_views(back, rng.standard_normal(out.shape), (w.shape, b.shape),
+                     input_grad)
+
+
+@pytest.mark.parametrize("head_mode", ["concat", "average"])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_graph_attention_back_writes_out_views(head_mode, input_grad):
+    rng = np.random.default_rng(16)
+    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 5, 3, 2)
+    if head_mode == "average":
+        bias = bias[:2]
+    out, back = tc.graph_attention(h, weight, att_dst, att_src, bias,
+                                   logit_bias, 0.2, head_mode)
+    _check_out_views(back, rng.standard_normal(out.shape),
+                     (weight.shape, att_dst.shape, att_src.shape, bias.shape),
+                     input_grad)
 
 
 # ---------------------------------------------------------------------------

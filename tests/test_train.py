@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 import rssigat.tensor_core as tc
-from rssigat.gat_model import build_model, save_checkpoint
+from rssigat.gat_model import build_model, model_backward, model_forward, \
+    save_checkpoint
 from rssigat.inject import AnomalyDescriptor, AnomalyKind, LabeledTrace, \
     build_dataset
 from rssigat.train import (AdamOptimizer, ClassWeights, SplitError,
-                           TrainConfig, TrainingError, class_weights, fit,
-                           loss_and_grads, loss_curves_to_csv, prepare_dataset,
+                           TrainConfig, TrainingError, bce_targets,
+                           class_weights, fit, loss_and_grads,
+                           loss_curves_to_csv, prepare_dataset,
                            run_cross_validation, stratified_shuffle_split,
                            weighted_bce)
 from rssigat.trace import RssiTrace, TraceSchema, synthesize_clean
+from oracles import bce_targets_reference
 
 SCHEMA = TraceSchema(expected_length=40)
 
@@ -35,7 +38,8 @@ def test_training_step_gives_every_parameter_a_gradient():
     item = dataset[0]
     prep = prepare_dataset([item], schema)[0]
     model = build_model(seed=0)
-    _, grads = loss_and_grads(prep, item.labels, ClassWeights(1.3, 0.8), model)
+    _, grads = loss_and_grads(
+        prep, bce_targets(item.labels, ClassWeights(1.3, 0.8)), model)
     assert set(grads) == set(model.params)
     for name, p in model.params.items():
         assert grads[name].shape == p.shape and np.isfinite(grads[name]).all()
@@ -50,13 +54,12 @@ def test_gradients_fill_every_entry_of_the_vector():
     model = build_model(seed=0)
     optimizer = AdamOptimizer(model, lr=1e-3)
     for item, prep in zip(dataset, prepared):
+        targets = bce_targets(item.labels, ClassWeights(1.3, 0.8))
         optimizer.grad[:] = np.nan
-        loss, grads = loss_and_grads(prep, item.labels, ClassWeights(1.3, 0.8),
-                                     model, optimizer.grads)
+        loss, grads = loss_and_grads(prep, targets, model, optimizer.grads)
         assert grads is optimizer.grads
         assert np.isfinite(optimizer.grad).all()
-        loss_fresh, fresh = loss_and_grads(prep, item.labels,
-                                           ClassWeights(1.3, 0.8), model)
+        loss_fresh, fresh = loss_and_grads(prep, targets, model)
         assert loss_fresh == loss
         for name in model.params:
             assert grads[name].tobytes() == fresh[name].tobytes()
@@ -202,19 +205,22 @@ def test_class_weights_degenerate_class():
 
 def test_bce_zero_when_confident_and_correct():
     probs = np.array([1 - 1e-13, 1e-13])[:, None]
-    loss, _ = weighted_bce(probs, np.array([1, 0]), ClassWeights(1, 1))
+    loss, _ = weighted_bce(probs, bce_targets(np.array([1, 0]),
+                                              ClassWeights(1, 1)))
     assert float(loss) < 1e-10
 
 
 def test_bce_half_probability_is_ln2():
     probs = np.full((7, 1), 0.5)
-    loss, _ = weighted_bce(probs, np.r_[np.ones(3), np.zeros(4)], ClassWeights(1, 1))
+    loss, _ = weighted_bce(probs, bce_targets(np.r_[np.ones(3), np.zeros(4)],
+                                              ClassWeights(1, 1)))
     np.testing.assert_allclose(float(loss), np.log(2), atol=1e-12)
 
 
 def test_bce_two_point_hand_case():
     probs = np.array([[0.9], [0.2]])
-    loss, _ = weighted_bce(probs, np.array([1, 0]), ClassWeights(1, 1))
+    loss, _ = weighted_bce(probs, bce_targets(np.array([1, 0]),
+                                              ClassWeights(1, 1)))
     np.testing.assert_allclose(float(loss),
                                -0.5 * (np.log(0.9) + np.log(0.8)), atol=1e-12)
 
@@ -223,7 +229,7 @@ def test_bce_nonnegative_and_weighting():
     rng = np.random.default_rng(1)
     p = rng.uniform(0.05, 0.95, size=(20, 1))
     y = rng.integers(0, 2, size=20)
-    plain = float(weighted_bce(p, y, ClassWeights(1, 1))[0])
+    plain = float(weighted_bce(p, bce_targets(y, ClassWeights(1, 1)))[0])
     manual = -np.mean(y * np.log(p[:, 0]) + (1 - y) * np.log(1 - p[:, 0]))
     np.testing.assert_allclose(plain, manual, atol=1e-12)
     assert plain >= 0
@@ -231,7 +237,8 @@ def test_bce_nonnegative_and_weighting():
 
 def test_bce_length_mismatch():
     with pytest.raises(tc.ShapeError):
-        weighted_bce(np.full((3, 1), 0.5), np.zeros(4), ClassWeights(1, 1))
+        weighted_bce(np.full((3, 1), 0.5),
+                     bce_targets(np.zeros(4), ClassWeights(1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +271,33 @@ def test_fit_update_count_and_determinism():
     for name in r1.model.params:
         assert r1.model.params[name].tobytes() == \
                r2.model.params[name].tobytes()
+
+
+def test_fit_with_targets_built_once_matches_per_step_targets():
+    # the parameter vector and loss curve of two epochs, against a loop that
+    # builds each graph's class-weighted targets on every step
+    dataset, schema = _desk_dataset(n_each=1, n_clean=3, seed=4)
+    prepared = prepare_dataset(dataset, schema)
+    cfg = TrainConfig(n_splits=1, epochs=2, seed=6)
+    result = fit(dataset, model_seed=2, cfg=cfg, prepared=prepared)
+    weights = class_weights(dataset)
+    model = build_model(seed=2)
+    optimizer = AdamOptimizer(model, lr=cfg.learning_rate)
+    order_rng = np.random.default_rng([cfg.seed, 1162261467, 2])
+    curve = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for i in order_rng.permutation(len(dataset)):
+            fwd = model_forward(prepared[i], model)
+            loss, back = tc.binary_cross_entropy(fwd.data, *bce_targets_reference(
+                dataset[i].labels, fwd.data.shape, weights.w_anomalous,
+                weights.w_normal))
+            model_backward(fwd, back(1.0), optimizer.grads)
+            optimizer.step()
+            total += float(loss)
+        curve.append(total / len(dataset))
+    assert result.model.vector.tobytes() == model.vector.tobytes()
+    assert result.loss_curve == curve
 
 
 def test_fit_loss_decreases_on_smoke_set():
