@@ -27,8 +27,8 @@ from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
                     loss_curves_to_csv, prepare_dataset, run_cross_validation)
 from .trace import (ConfigError, SchemaError, SynthesisProfile, TraceSchema,
-                    filter_complete, ingest_raw_log, open_utf8, read_traces_csv,
-                    synthesize_clean, write_traces_csv)
+                    ingest_raw_log, open_utf8, read_traces_csv, synthesize_clean,
+                    write_traces_csv)
 
 
 def _sha256(path: Path) -> str:
@@ -159,16 +159,15 @@ def cmd_ingest(args) -> int:
     schema = _schema(args, args.length)
     source = Path(args.input)
     with open_utf8(source) as fh:
-        logs = ingest_raw_log(fh, schema)
-    traces = filter_complete(logs, schema)
+        traces, n_links = ingest_raw_log(fh, schema)
     if not traces:
-        raise UsageError(f"{source}: none of its {len(logs)} links has "
+        raise UsageError(f"{source}: none of its {n_links} links has "
                          f"--length {args.length} samples without a gap")
     out = Path(args.out)
     write_traces_csv(out, traces)
     write_manifest(out.with_name(out.name + ".manifest.json"), "ingest",
                    {"length": args.length}, None, [source], [out])
-    print(f"kept {len(traces)} complete links of {len(logs)}")
+    print(f"kept {len(traces)} complete links of {n_links}")
     return 0
 
 

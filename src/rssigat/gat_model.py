@@ -174,7 +174,11 @@ class PreparedGraph:
 
 def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
     """Prepare the graph's rows; ``collapse=False`` first expands it to one
-    row per node, the per-node reference the class rows must reproduce."""
+    row per node, the per-node reference the class rows must reproduce.
+    ModelError if a ``node_map`` entry is outside [0, C) for C rows."""
+    node_map = graph.node_map
+    if node_map.size and (node_map.min() < 0 or node_map.max() >= graph.n_rows):
+        raise ModelError(f"node map entries must lie in [0, {graph.n_rows})")
     if not collapse:
         graph = graph.expand()
     with np.errstate(divide="ignore"):  # ln 0 = -inf off the edges

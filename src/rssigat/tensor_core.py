@@ -127,9 +127,10 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     or averaged to (C, F) for ``"average"``, then ``bias`` is added. The
     backward is derived by hand; it keeps alpha and the sign of the
     pre-activation logits. ``back(g)`` returns the gradients of (h, weight,
-    att_dst, att_src, bias, logit_bias); with ``input_grad=False`` the first
-    is None and not computed, for the first block's constant rows, and with
-    ``out`` those of (weight, att_dst, att_src, bias) are written there.
+    att_dst, att_src, bias); the logit bias is a constant of the graph and
+    gets none. With ``input_grad=False`` the first is None and not computed,
+    for the first block's constant rows, and with ``out`` those of (weight,
+    att_dst, att_src, bias) are written there.
     """
     if head_mode not in ("concat", "average"):
         raise OpError(f"unknown head_mode {head_mode!r}")
@@ -183,7 +184,6 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
         g_pre = g_agg @ zt
         g_pre *= alpha
         g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
-        g_logit_bias = g_pre.sum(axis=0)
         np.multiply(g_pre, slope, out=g_pre, where=negative)
         g_dst = g_pre.sum(axis=2, keepdims=True)
         g_src = g_pre.sum(axis=1)[:, :, None]
@@ -195,15 +195,16 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
         np.matmul(zt, g_src, out=g_att_src[:, :, None])
         return (g_hw @ weight.T if input_grad else None,
                 np.matmul(h.T, g_hw, out=g_weight), g_att_dst, g_att_src,
-                np.add.reduce(g, axis=0, out=g_bias), g_logit_bias)
+                np.add.reduce(g, axis=0, out=g_bias))
 
     return out, back
 
 
 def gather_rows(x: np.ndarray, idx: np.ndarray):
+    """Rows ``x[idx]``; ``back(g)`` sums each row's gradients over its
+    repeats. ``idx`` is not bounds-checked here: ``gat_model.prepare_graph``
+    checks a graph's node map once, and a negative entry would wrap."""
     shape = x.shape
-    if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
-        raise ShapeError("gather_rows index out of range")
     out = x[idx]
     ensure_finite(out, "gather_rows")
 

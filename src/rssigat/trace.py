@@ -1,8 +1,9 @@
 """RSSI trace types, raw-log ingestion, synthesis and normalization.
 
 Raw link logs are UTF-8 text: a header line ``# link <id> noise=<label>``
-followed by one ``<seq>,<rssi>`` record per line. Trace files are CSV with
-header ``link_id,idx,rssi``.
+followed by one ``<seq>,<rssi>`` record per line. They are read in one pass
+that keeps only the traces of links without packet loss; the noise label is
+required but not kept. Trace files are CSV with header ``link_id,idx,rssi``.
 """
 from __future__ import annotations
 
@@ -75,26 +76,29 @@ class RssiTrace:
                 f"[{schema.rssi_min}, {schema.rssi_max}]")
 
 
-@dataclass
-class RawLinkLog:
-    """Parsed records of one link section: (sequence number, rssi) pairs."""
+def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
+                   ) -> tuple[list[RssiTrace], int]:
+    """Parse raw link-log text (a string or text stream) in one pass into
+    ``(traces, n_links)``: the trace of every link without packet loss, and
+    the number of link sections read.
 
-    link_id: str
-    records: list[tuple[int, float]]
-    noise_level: str = ""
-
-
-def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA) -> list[RawLinkLog]:
-    """Parse raw link-log text (a string or text stream) into per-link logs.
-
-    Raises ParseError with the offending line number for malformed input and
-    SchemaError for out-of-range RSSI values.
+    A link is kept when its sequence numbers form a gap-free run of the
+    expected length. They must increase strictly, so that holds exactly
+    when the last minus the first is the record count minus one: only the
+    RSSI values and those two numbers are kept per link. The noise label a
+    header must carry is not kept. Raises ParseError with the offending line
+    number for malformed input and SchemaError for out-of-range RSSI values.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    logs: list[RawLinkLog] = []
-    current: RawLinkLog | None = None
-    last_seq: int | None = None
+    traces: list[RssiTrace] = []
+    n_links = 0
+    link_id, values, first, last = None, [], 0, 0
+
+    def keep_if_complete():
+        if len(values) == schema.expected_length and last - first == len(values) - 1:
+            traces.append(RssiTrace(link_id=link_id, samples=np.array(values)))
+
     for line_no, line in enumerate(source, start=1):
         text = line.strip()
         if not text:
@@ -103,12 +107,11 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA) -> list[RawLink
             fields = text[1:].split()
             if len(fields) != 3 or fields[0] != "link" or not fields[2].startswith("noise="):
                 raise ParseError(line_no, f"malformed link header {text!r}")
-            current = RawLinkLog(link_id=fields[1], records=[],
-                                 noise_level=fields[2][len("noise="):])
-            logs.append(current)
-            last_seq = None
+            keep_if_complete()
+            link_id, values = fields[1], []
+            n_links += 1
             continue
-        if current is None:
+        if link_id is None:
             raise ParseError(line_no, "record before any link header")
         parts = text.split(",")
         if len(parts) != 2:
@@ -118,31 +121,18 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA) -> list[RawLink
             rssi = float(parts[1])
         except ValueError:
             raise ParseError(line_no, f"malformed record {text!r}") from None
-        if last_seq is not None and seq <= last_seq:
+        if values and seq <= last:
             raise ParseError(line_no, f"sequence number {seq} not increasing")
         if not (schema.rssi_min <= rssi <= schema.rssi_max):
             raise SchemaError(
                 f"line {line_no}: rssi {rssi} outside "
                 f"[{schema.rssi_min}, {schema.rssi_max}]")
-        current.records.append((seq, rssi))
-        last_seq = seq
-    return logs
-
-
-def filter_complete(logs: list[RawLinkLog],
-                    schema: TraceSchema = DEFAULT_SCHEMA) -> list[RssiTrace]:
-    """Keep only links whose sequence numbers form a gap-free run of the
-    expected length; a gap means packet loss, and the link is dropped."""
-    traces = []
-    for log in logs:
-        if len(log.records) != schema.expected_length:
-            continue
-        seqs = np.array([seq for seq, _ in log.records], dtype=np.int64)
-        if np.any(np.diff(seqs) != 1):
-            continue
-        samples = np.array([rssi for _, rssi in log.records], dtype=np.float64)
-        traces.append(RssiTrace(link_id=log.link_id, samples=samples))
-    return traces
+        if not values:
+            first = seq
+        values.append(rssi)
+        last = seq
+    keep_if_complete()
+    return traces, n_links
 
 
 @dataclass(frozen=True)

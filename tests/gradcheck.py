@@ -73,7 +73,7 @@ def primitive_cases(rng) -> list:
     checks.append(projected(tc.binary_cross_entropy, (probs, pos, neg), 0, rs))
 
     checks += attention_cases(rng, 4, 3, 2, 3, "concat",
-                              ("h", "weight", "att_dst", "att_src", "logit_bias"))
+                              ("h", "weight", "att_dst", "att_src"))
     checks += attention_cases(rng, 4, 1, 3, 2, "average", ("weight", "bias"))
     checks += attention_cases(rng, 1, 2, 2, 2, "concat", ("h", "weight"))
     return checks

@@ -176,14 +176,31 @@ def model_forward_oracle(row_features: np.ndarray, node_map: np.ndarray,
 
 
 def write_raw_logs(logs) -> str:
-    """Raw link logs as text in the format ``trace.ingest_raw_log`` reads."""
+    """Raw link logs as text in the format ``trace.ingest_raw_log`` reads,
+    from ``(link_id, noise, records)`` tuples of ``(seq, rssi)`` records."""
     out = []
-    for log in logs:
-        out.append(f"# link {log.link_id} noise={log.noise_level}")
-        for seq, rssi in log.records:
+    for link_id, noise, records in logs:
+        out.append(f"# link {link_id} noise={noise}")
+        for seq, rssi in records:
             value = float(rssi)
             out.append(f"{seq},{int(value) if value.is_integer() else repr(value)}")
     return "\n".join(out) + "\n"
+
+
+def complete_links_reference(logs, expected_length: int):
+    """``(link_id, samples)`` of each ``(link_id, noise, records)`` link whose
+    sequence numbers form a gap-free run of ``expected_length``, by a scan of
+    every step."""
+    kept = []
+    for link_id, _, records in logs:
+        if len(records) != expected_length:
+            continue
+        seqs = np.array([seq for seq, _ in records], dtype=np.int64)
+        if np.any(np.diff(seqs) != 1):
+            continue
+        kept.append((link_id, np.array([rssi for _, rssi in records],
+                                       dtype=np.float64)))
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +220,7 @@ def sigmoid_reference(x: np.ndarray) -> np.ndarray:
 def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
                               slope, head_mode, g):
     """``tc.graph_attention``'s output and its gradients of (h, weight,
-    att_dst, att_src, bias, logit_bias) at ``g``, with average-mode heads as
+    att_dst, att_src, bias) at ``g``, with average-mode heads as
     ``agg.mean(axis=0)``, their gradient through ``np.broadcast_to`` and two
     LeakyReLU masks taken as ``logits > 0``."""
     heads, f = att_dst.shape
@@ -228,7 +245,6 @@ def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
     g_pre = g_agg @ z.transpose(0, 2, 1)
     g_pre *= alpha
     g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
-    g_logit_bias = g_pre.sum(axis=0)
     np.multiply(g_pre, slope, out=g_pre, where=~positive)
     g_dst = g_pre.sum(axis=2, keepdims=True)
     g_src = g_pre.sum(axis=1)[:, :, None]
@@ -238,7 +254,7 @@ def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
     g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
     zt = z.transpose(0, 2, 1)
     return out, (g_hw @ weight.T, h.T @ g_hw, (zt @ g_dst)[:, :, 0],
-                 (zt @ g_src)[:, :, 0], g.sum(axis=0), g_logit_bias)
+                 (zt @ g_src)[:, :, 0], g.sum(axis=0))
 
 
 def no_outgoing_step_mask(counts: np.ndarray) -> np.ndarray:

@@ -151,6 +151,16 @@ def test_prepare_graph_bias_is_log_weight_and_row_size_on_edges():
     np.testing.assert_array_equal(prep.src, [0, 2, 0, 1, 2, 1, 2])
 
 
+@pytest.mark.parametrize("collapse", [True, False])
+@pytest.mark.parametrize("entry", [-1, 3])
+def test_prepare_graph_rejects_node_map_outside_rows(entry, collapse):
+    graph = TsGraph(row_features=np.array([0.1, 0.2, 0.3]),
+                    node_map=np.array([0, 1, entry, 2]),
+                    weights=np.full((3, 3), 1 / 3))
+    with pytest.raises(ModelError, match=re.escape("[0, 3)")):
+        prepare_graph(graph, collapse=collapse)
+
+
 # ---------------------------------------------------------------------------
 # full model
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssigat.trace import (ConfigError, ParseError, RawLinkLog, RssiTrace,
-                           SchemaError, SynthesisProfile, TraceError, TraceSchema,
+from rssigat.trace import (ConfigError, ParseError, RssiTrace, SchemaError,
+                           SynthesisProfile, TraceError, TraceSchema,
                            _read_traces_csv_by_line, _read_traces_csv_in_bulk,
-                           filter_complete, ingest_raw_log, normalize,
-                           read_traces_csv, synthesize_clean, write_traces_csv)
-from oracles import write_raw_logs
+                           ingest_raw_log, normalize, read_traces_csv,
+                           synthesize_clean, write_traces_csv)
+from oracles import complete_links_reference, write_raw_logs
 
 
 def _raw_text(link_id, seqs, rssis, noise="0"):
@@ -18,10 +18,10 @@ def _raw_text(link_id, seqs, rssis, noise="0"):
 
 def test_ingest_single_link():
     text = _raw_text("a", range(300), [40] * 300)
-    logs = ingest_raw_log(text)
-    assert len(logs) == 1
-    assert logs[0].link_id == "a"
-    assert len(logs[0].records) == 300
+    traces, n_links = ingest_raw_log(text)
+    assert n_links == 1
+    assert [t.link_id for t in traces] == ["a"]
+    assert traces[0].length == 300
 
 
 def test_ingest_rejects_out_of_range_rssi():
@@ -46,69 +46,71 @@ def test_ingest_rejects_nonincreasing_sequence():
 
 
 def test_ingest_two_sections_of_different_sizes():
+    # each section's records end at the next header, whichever length is kept
     text = _raw_text("a", range(300), [40] * 300) + _raw_text("b", range(299), [30] * 299)
-    logs = ingest_raw_log(text)
-    assert [len(l.records) for l in logs] == [300, 299]
+    for length, kept, value in ((300, "a", 40.0), (299, "b", 30.0)):
+        traces, n_links = ingest_raw_log(text, TraceSchema(expected_length=length))
+        assert n_links == 2
+        assert [t.link_id for t in traces] == [kept]
+        assert traces[0].length == length
+        assert np.all(traces[0].samples == value)
 
 
-def test_ingest_serialize_round_trip():
-    text = _raw_text("x", [3, 4, 9], [10, 20, 30], noise="high")
-    logs = ingest_raw_log(text)
-    again = ingest_raw_log(write_raw_logs(logs))
-    assert [(l.link_id, l.noise_level, l.records) for l in logs] == \
-           [(l.link_id, l.noise_level, l.records) for l in again]
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.lists(st.tuples(st.integers(0, 50), st.lists(st.integers(0, 128),
-                                                       min_size=1, max_size=8)),
-                min_size=1, max_size=4))
-def test_ingest_round_trip_property(link_specs):
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.data())
+def test_ingest_round_trip_property(expected_length, data):
+    """Links with random starts, lengths and gaps keep exactly the gap-free
+    runs of the expected length, with their samples."""
+    n = expected_length
     logs = []
-    for i, (start, values) in enumerate(link_specs):
-        records = [(start + j, float(v)) for j, v in enumerate(values)]
-        logs.append(RawLinkLog(link_id=f"l{i}", records=records, noise_level="n"))
-    again = ingest_raw_log(write_raw_logs(logs))
-    assert [(l.link_id, l.noise_level, l.records) for l in logs] == \
-           [(l.link_id, l.noise_level, l.records) for l in again]
+    for i in range(data.draw(st.integers(1, 5))):
+        length = data.draw(st.sampled_from([0, n - 1, n, n, n + 1]))
+        # mostly unit steps, so that about half the full-length links are kept
+        steps = data.draw(st.lists(st.sampled_from([1] * 8 + [2, 7]),
+                                   min_size=length, max_size=length))
+        seqs = data.draw(st.integers(0, 50)) + np.cumsum(steps) - steps[:1]
+        values = data.draw(st.lists(st.integers(0, 128) | st.floats(0, 128),
+                                    min_size=length, max_size=length))
+        logs.append((f"l{i}", "n", list(zip(seqs.tolist(), values))))
+    traces, n_links = ingest_raw_log(write_raw_logs(logs), TraceSchema(expected_length=n))
+    expected = complete_links_reference(logs, n)
+    assert n_links == len(logs)
+    assert [t.link_id for t in traces] == [link_id for link_id, _ in expected]
+    for trace, (_, samples) in zip(traces, expected):
+        assert trace.samples.tobytes() == samples.tobytes()
 
 
-def test_filter_complete_keeps_gap_free_runs():
-    schema = TraceSchema(expected_length=300)
-    good = RawLinkLog("good", [(i, 40.0) for i in range(300)])
-    gap = RawLinkLog("gap", [(i, 40.0) for i in range(300) if i != 150]
-                     + [(300, 40.0)])
-    short = RawLinkLog("short", [(i, 40.0) for i in range(299)])
-    traces = filter_complete([good, gap, short], schema)
+def test_ingest_keeps_gap_free_runs():
+    good = ("good", "0", [(i, 40.0) for i in range(300)])
+    gap = ("gap", "0", [(i, 40.0) for i in range(300) if i != 150] + [(300, 40.0)])
+    short = ("short", "0", [(i, 40.0) for i in range(299)])
+    traces, n_links = ingest_raw_log(write_raw_logs([good, gap, short]),
+                                     TraceSchema(expected_length=300))
+    assert n_links == 3
     assert [t.link_id for t in traces] == ["good"]
     assert traces[0].length == 300
 
 
-def test_filter_complete_counts():
-    schema = TraceSchema(expected_length=10)
-    rng = np.random.default_rng(0)
+def test_ingest_counts_complete_links():
     logs = []
-    dropped = 0
     for i in range(10):
         seqs = list(range(10))
         if i < 3:
-            seqs[5] = 99  # breaks the gap-free run
-            dropped += 1
-        logs.append(RawLinkLog(f"l{i}", [(s, 20.0) for s in seqs]))
-    kept = filter_complete(logs, schema)
-    assert len(kept) == 10 - dropped
+            seqs[9] = 99  # breaks the gap-free run
+        logs.append((f"l{i}", "0", [(s, 20.0) for s in seqs]))
+    traces, n_links = ingest_raw_log(write_raw_logs(logs),
+                                     TraceSchema(expected_length=10))
+    assert n_links == 10
+    assert len(traces) == 7
     # brute-force gap scan agrees
-    expected = sum(1 for log in logs
-                   if len(log.records) == 10
-                   and all(log.records[k + 1][0] - log.records[k][0] == 1
-                           for k in range(9)))
-    assert len(kept) == expected
+    assert [t.link_id for t in traces] == \
+           [link_id for link_id, _ in complete_links_reference(logs, 10)]
 
 
 def test_filter_accepts_nonzero_start():
-    schema = TraceSchema(expected_length=5)
-    log = RawLinkLog("l", [(i, 10.0) for i in range(7, 12)])
-    assert len(filter_complete([log], schema)) == 1
+    log = ("l", "0", [(i, 10.0) for i in range(7, 12)])
+    traces, _ = ingest_raw_log(write_raw_logs([log]), TraceSchema(expected_length=5))
+    assert len(traces) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +391,14 @@ def test_read_traces_csv_raises_only_trace_error(fuzz_csv, content):
 @given(st.text(max_size=64) | _LINES.map("\n".join))
 def test_ingest_raw_log_raises_only_trace_error(text):
     """Arbitrary text, or arbitrary lines among link headers and records,
-    either parses or raises a TraceError."""
+    either parses or raises a TraceError; a parsed log keeps only links of
+    the expected length with samples inside the bounds."""
+    schema = TraceSchema(expected_length=2)
     try:
-        logs = ingest_raw_log(text)
+        traces, n_links = ingest_raw_log(text, schema)
     except TraceError:
         return
-    for log in logs:
-        seqs = [seq for seq, _ in log.records]
-        assert seqs == sorted(set(seqs))
+    assert len(traces) <= n_links
+    for trace in traces:
+        assert trace.length == 2
+        trace.validate(schema)
