@@ -261,11 +261,13 @@ def cmd_train(args) -> int:
 
 
 def _read_splits(path: Path, n_traces: int) -> list[dict]:
-    """A run's split records: a list of ``{"train", "test"}`` lists of trace
-    indices in [0, n_traces). Anything else is a SplitError naming the file."""
+    """A run's split records: a list of ``{"train", "test"}`` non-empty lists
+    of distinct trace indices in [0, n_traces). Anything else is a SplitError
+    naming the file."""
     def is_indices(idx):
-        return isinstance(idx, list) and all(
+        return (isinstance(idx, list) and all(
             type(i) is int and 0 <= i < n_traces for i in idx)
+            and 0 < len(set(idx)) == len(idx))
     try:
         splits = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError):
@@ -273,8 +275,8 @@ def _read_splits(path: Path, n_traces: int) -> list[dict]:
     if not (isinstance(splits, list) and all(
             isinstance(rec, dict) and rec.keys() == {"train", "test"}
             and all(map(is_indices, rec.values())) for rec in splits)):
-        raise SplitError(f"{path}: not a list of {{\"train\", \"test\"}} lists "
-                         f"of trace indices in [0, {n_traces})")
+        raise SplitError(f"{path}: not a list of {{\"train\", \"test\"}} non-empty "
+                         f"lists of distinct trace indices in [0, {n_traces})")
     return splits
 
 

@@ -4,10 +4,10 @@ Each block is dense multi-head graph attention (Velickovic et al. 2018):
 per head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
 ``logit_bias[i, j]``, times the projected rows. The bias is ln(edge weight)
 on the edges and -inf off them, so the softmax gives non-edges exactly 0.
-The projection and the attention are one op, ``tc.graph_attention``. A block
-adds a learnable linear projection of its input (``tc.linear``) and applies
-ReLU. A final linear head plus sigmoid yields one anomaly probability per
-time step.
+A block adds a learnable linear projection of its input and applies ReLU,
+all one op, ``tc.attention_block``. A final linear head plus sigmoid, one op
+with the gather from rows to nodes (``tc.output_head``), yields one anomaly
+probability per time step.
 
 ``model_forward`` keeps the ``back`` closure of each op it calls, and
 ``model_backward`` calls them in reverse to get the gradient of every
@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, asdict, field
+from functools import cached_property
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
@@ -64,6 +65,28 @@ class GatLayerConfig:
         return self.out_dim_per_head
 
 
+# a block's parameters, by name, in the order tc.attention_block takes them
+BLOCK_PARAMS = ("gat{}.weight", "gat{}.att_dst", "gat{}.att_src", "gat{}.bias",
+                "skip{}.weight", "skip{}.bias")
+
+
+class ParamViews(dict):
+    """Arrays by parameter name, and the same arrays as the ops take them,
+    looked up by name once, on first use: ``blocks``, each block's six for
+    ``tc.attention_block``, and ``head``, the output weight and bias for
+    ``tc.output_head``."""
+
+    @cached_property
+    def blocks(self) -> list[tuple[np.ndarray, ...]]:
+        n_blocks = sum(name.endswith(".att_dst") for name in self)
+        return [tuple(self[name.format(k)] for name in BLOCK_PARAMS)
+                for k in range(1, n_blocks + 1)]
+
+    @cached_property
+    def head(self) -> tuple[np.ndarray, np.ndarray]:
+        return self["out.weight"], self["out.bias"]
+
+
 @dataclass
 class GatModel:
     """The layers and their parameters. ``vector`` holds every parameter, in
@@ -81,10 +104,10 @@ class GatModel:
                                      dtype=np.float64)
         self.params = self.views(self.vector)
 
-    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+    def views(self, vector: np.ndarray) -> ParamViews:
         """``vector``, laid out as ``self.vector``, cut into views named and
         shaped as ``params``."""
-        views, start = {}, 0
+        views, start = ParamViews(), 0
         for name, p in self.params.items():
             views[name] = vector[start:start + p.size].reshape(p.shape)
             start += p.size
@@ -92,7 +115,7 @@ class GatModel:
 
     def __reduce__(self):
         # rebuilt by the constructor, so the copy's params view one vector
-        return GatModel, (self.layer_configs, self.params, self.seed)
+        return GatModel, (self.layer_configs, dict(self.params), self.seed)
 
     @property
     def in_dim(self) -> int:
@@ -199,13 +222,13 @@ def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
 @dataclass
 class Forward:
     """One forward pass. ``data`` is the (N, 1) anomaly probability per
-    node. ``blocks`` holds each block's (attention, skip, ReLU) ``back``
-    closures and ``head`` those of the output linear, sigmoid and row
-    gather, for ``model_backward``."""
+    node. ``blocks`` holds each block's ``tc.attention_block`` ``back``
+    closure and ``head`` that of ``tc.output_head``, for
+    ``model_backward``."""
 
     data: np.ndarray
-    blocks: list[tuple[Callable, Callable, Callable]]
-    head: tuple[Callable, Callable, Callable]
+    blocks: list[Callable]
+    head: Callable
 
 
 def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
@@ -213,46 +236,25 @@ def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
     h = prep.row_features
     if h.shape[1] != model.in_dim:
         raise ModelError("graph features do not match model input width")
-    params = model.params
     blocks = []
-    for k, cfg in enumerate(model.layer_configs, start=1):
-        gat, gat_back = tc.graph_attention(
-            h, params[f"gat{k}.weight"], params[f"gat{k}.att_dst"],
-            params[f"gat{k}.att_src"], params[f"gat{k}.bias"],
-            prep.logit_bias, cfg.leaky_slope, cfg.head_mode)
-        skip, skip_back = tc.linear(h, params[f"skip{k}.weight"],
-                                    params[f"skip{k}.bias"])
-        total = gat + skip
-        tc.ensure_finite(total, f"block {k} sum")
-        h, relu_back = tc.relu(total)
-        blocks.append((gat_back, skip_back, relu_back))
-    logits, out_back = tc.linear(h, params["out.weight"], params["out.bias"])
-    probs, sigmoid_back = tc.sigmoid(logits)
-    data, gather_back = tc.gather_rows(probs, prep.node_map)
-    return Forward(data, blocks, (out_back, sigmoid_back, gather_back))
+    for k, (cfg, params) in enumerate(zip(model.layer_configs,
+                                          model.params.blocks), start=1):
+        h, back = tc.attention_block(h, *params, prep.logit_bias,
+                                     cfg.leaky_slope, cfg.head_mode, k)
+        blocks.append(back)
+    data, head = tc.output_head(h, *model.params.head, prep.node_map)
+    return Forward(data, blocks, head)
 
 
-def model_backward(fwd: Forward, g: np.ndarray,
-                   grads: dict[str, np.ndarray]) -> None:
-    """Write the gradient of every parameter into ``grads``, views named as
-    the parameters (see ``GatModel.views``), given ``g``, the gradient at
+def model_backward(fwd: Forward, g: np.ndarray, grads: ParamViews) -> None:
+    """Write the gradient of every parameter into ``grads``, views laid out
+    as the parameters (see ``GatModel.views``), given ``g``, the gradient at
     ``fwd.data``: the forward's ``back`` closures in reverse order, each
-    writing its parameters' gradients into their views, with no copy. A
-    block's input gradient is its skip part plus its attention part; the
-    first block's rows are constant and get none."""
-    out_back, sigmoid_back, gather_back = fwd.head
-    g = out_back(sigmoid_back(gather_back(g)),
-                 out=(grads["out.weight"], grads["out.bias"]))[0]
-    for k in range(len(fwd.blocks), 0, -1):
-        gat_back, skip_back, relu_back = fwd.blocks[k - 1]
-        g = relu_back(g)
-        g_skip = skip_back(g, input_grad=k > 1,
-                           out=(grads[f"skip{k}.weight"], grads[f"skip{k}.bias"]))[0]
-        g_gat = gat_back(g, input_grad=k > 1, out=(
-            grads[f"gat{k}.weight"], grads[f"gat{k}.att_dst"],
-            grads[f"gat{k}.att_src"], grads[f"gat{k}.bias"]))[0]
-        if k > 1:
-            g = g_skip + g_gat
+    writing its parameters' gradients into their views, with no copy. The
+    first block's rows are constant and get no gradient."""
+    g = fwd.head(g, out=grads.head)[0]
+    for k in range(len(fwd.blocks) - 1, -1, -1):
+        g = fwd.blocks[k](g, input_grad=k > 0, out=grads.blocks[k])[0]
 
 
 def predict(graph: TsGraph, model: GatModel,

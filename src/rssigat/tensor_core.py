@@ -1,18 +1,20 @@
 """Forward/backward pairs for the ops the model and its loss use.
 
 Each op takes float64 ndarrays and returns ``(out, back)``: ``out`` is the
-op's result, checked to be finite, and ``back(g)`` maps the gradient at
-``out`` to the gradients of the op's inputs, by a hand-derived formula;
-those of parameters go into the caller's views when given as ``out=``.
-There is no tape and no graph of tensors: ``gat_model.model_backward``
-calls the ``back`` closures of a forward pass in reverse order.
+op's result, checked to be finite where it can be non-finite, and
+``back(g)`` maps the gradient at ``out`` to the gradients of the op's
+inputs, by a hand-derived formula; those of parameters go into the caller's
+views when given as ``out=``. There is no tape and no graph of tensors:
+``gat_model.model_backward`` calls the ``back`` closures of a forward pass
+in reverse order.
 
-The ops are three fused ones, ReLU, sigmoid and a row gather. ``linear`` is
-``x @ w + b``; ``graph_attention`` is a whole dense multi-head attention
-block, projection included, whose -inf logit bias entries are the non-edges;
-and ``binary_cross_entropy`` is the class-weighted loss. The class graphs
-have ~10 rows, so a step costs numpy dispatch per op far more than FLOPs:
-fewer, larger ops and fewer calls within each are what make it fast.
+There are three ops. ``attention_block`` is a whole block: a dense
+multi-head attention, projection included, whose -inf logit bias entries
+are the non-edges, plus a linear skip, then ReLU. ``output_head`` is the
+output linear, a sigmoid and the gather from rows to nodes, and
+``binary_cross_entropy`` is the class-weighted loss. The class
+graphs have ~10 rows, so a step costs numpy dispatch per op far more than
+FLOPs: fewer, larger ops and fewer calls within each are what make it fast.
 """
 from __future__ import annotations
 
@@ -34,47 +36,6 @@ class NonFiniteError(OpError):
 def ensure_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
-
-
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Affine map ``x @ w + b`` for x (rows, in), w (in, out) and b (out,).
-    ``back(g)`` returns the gradients of (x, w, b); with ``input_grad=False``
-    it leaves out that of ``x``, for rows that are constant, and returns None
-    in its place, and it writes those of (w, b) into ``out``, if given."""
-    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeError(f"linear shapes {x.shape} x {w.shape} + {b.shape}")
-    out = x @ w + b
-    ensure_finite(out, "linear")
-
-    def back(g, input_grad=True, out=None):
-        g_w, g_b = out or map(np.empty_like, (w, b))
-        return (g @ w.T if input_grad else None, np.matmul(x.T, g, out=g_w),
-                np.add.reduce(g, axis=0, out=g_b))
-
-    return out, back
-
-
-def relu(x: np.ndarray):
-    out = np.maximum(x, 0.0)
-    ensure_finite(out, "relu")
-
-    def back(g):
-        return g * (x > 0)
-
-    return out, back
-
-
-def sigmoid(x: np.ndarray):
-    # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; e^-|x| cannot overflow
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    ensure_finite(out, "sigmoid")
-
-    def back(g):
-        return g * out * (1.0 - out)
-
-    return out, back
 
 
 LOG_FLOOR = 1e-12
@@ -106,31 +67,40 @@ def binary_cross_entropy(p: np.ndarray, pos: np.ndarray, neg: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# graph attention and row indexing
+# the model's two ops
 
-def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
+def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
                     att_src: np.ndarray, bias: np.ndarray,
-                    logit_bias: np.ndarray, slope: float, head_mode: str):
-    """Dense multi-head graph attention over C rows, as one op.
+                    skip_weight: np.ndarray, skip_bias: np.ndarray,
+                    logit_bias: np.ndarray, slope: float, head_mode: str,
+                    block: int = 1):
+    """One block: ReLU(attention(h) + h @ skip_weight + skip_bias).
 
-    The rows ``h`` (C, D) are projected by ``weight`` (D, H*F) to hw = h @
-    weight, with head h in columns h*F..(h+1)*F; ``att_dst`` and ``att_src``
-    are (H, F); ``logit_bias[dst, src]`` is (C, C), -inf where src is not a
-    neighbour of dst, and each row needs a finite entry. Per head, with z the
-    head's (C, F) slice of hw and s = z @ att::
+    The attention is dense multi-head graph attention over C rows. The rows
+    ``h`` (C, D) are projected by ``weight`` (D, H*F) to hw = h @ weight,
+    with head h in columns h*F..(h+1)*F; ``att_dst`` and ``att_src`` are
+    (H, F); ``logit_bias[dst, src]`` is (C, C), -inf where src is not a
+    neighbour of dst, and each row needs a finite entry. Per head, with z
+    the head's (C, F) slice of hw and s = z @ att::
 
         alpha = softmax(LeakyReLU(s_dst[:, None] + s_src[None, :])
                         + logit_bias)
 
     over each row, exactly 0 on the -inf entries, and the head's output is
     alpha @ z. Heads are concatenated to (C, H*F) for ``head_mode="concat"``
-    or averaged to (C, F) for ``"average"``, then ``bias`` is added. The
-    backward is derived by hand; it keeps alpha and the sign of the
-    pre-activation logits. ``back(g)`` returns the gradients of (h, weight,
-    att_dst, att_src, bias); the logit bias is a constant of the graph and
-    gets none. With ``input_grad=False`` the first is None and not computed,
-    for the first block's constant rows, and with ``out`` those of (weight,
-    att_dst, att_src, bias) are written there.
+    or averaged to (C, F) for ``"average"``, then ``bias`` is added; the
+    skip (D, width) and its bias must give the same width. The attention
+    logits and the sum are checked finite; a non-finite part makes the sum
+    non-finite, and its error names the attention or the skip output, the
+    first non-finite one, or else the sum and its ``block`` number.
+
+    The backward is derived by hand; it keeps alpha, the sign of the
+    pre-activation logits and the sum. ``back(g)`` returns the gradients of
+    (h, weight, att_dst, att_src, bias, skip_weight, skip_bias), that of h
+    the skip's part plus the attention's; the logit bias is a constant of
+    the graph and gets none. With ``input_grad=False`` the first is None
+    and not computed, for the first block's constant rows, and with ``out``
+    the other six are written there.
     """
     if head_mode not in ("concat", "average"):
         raise OpError(f"unknown head_mode {head_mode!r}")
@@ -146,6 +116,9 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
         raise ShapeError(
             f"graph_attention weight {weight.shape}, {heads} heads of {f}, bias "
             f"{bias.shape}, logit bias {logit_bias.shape}")
+    if skip_weight.shape != (h.shape[1], width) or skip_bias.shape != (width,):
+        raise ShapeError(f"linear shapes {h.shape} x {skip_weight.shape} + "
+                         f"{skip_bias.shape}")
     hw = h @ weight
     z = np.ascontiguousarray(hw.reshape(n, heads, f).transpose(1, 0, 2))
     # pre-activation logits, LeakyReLU, the bias and the row softmax in one
@@ -165,15 +138,25 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     alpha /= alpha.sum(axis=-1, keepdims=True)
     agg = alpha @ z
     if head_mode == "concat":
-        out = agg.transpose(1, 0, 2).reshape(n, width)
+        gat = agg.transpose(1, 0, 2).reshape(n, width)
     else:
-        out = np.add.reduce(agg, axis=0) / heads  # mean's own arithmetic
-    out += bias
-    ensure_finite(out, "graph_attention")
+        gat = np.add.reduce(agg, axis=0) / heads  # mean's own arithmetic
+    gat += bias
+    skip = h @ skip_weight + skip_bias
+    total = gat + skip
+    if not np.isfinite(total).all():
+        ensure_finite(gat, "graph_attention")
+        ensure_finite(skip, "linear")
+        raise NonFiniteError(f"block {block} sum produced non-finite values")
 
     def back(g, input_grad=True, out=None):
-        g_weight, g_att_dst, g_att_src, g_bias = out or map(
-            np.empty_like, (weight, att_dst, att_src, bias))
+        (g_weight, g_att_dst, g_att_src, g_bias, g_skip_weight,
+         g_skip_bias) = out or map(np.empty_like, (
+             weight, att_dst, att_src, bias, skip_weight, skip_bias))
+        g = g * (total > 0)
+        g_skip = g @ skip_weight.T if input_grad else None
+        np.matmul(h.T, g, out=g_skip_weight)
+        np.add.reduce(g, axis=0, out=g_skip_bias)
         if head_mode == "concat":
             g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
         else:
@@ -193,24 +176,37 @@ def graph_attention(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
         g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
         np.matmul(zt, g_dst, out=g_att_dst[:, :, None])
         np.matmul(zt, g_src, out=g_att_src[:, :, None])
-        return (g_hw @ weight.T if input_grad else None,
+        return (g_skip + g_hw @ weight.T if input_grad else None,
                 np.matmul(h.T, g_hw, out=g_weight), g_att_dst, g_att_src,
+                np.add.reduce(g, axis=0, out=g_bias), g_skip_weight, g_skip_bias)
+
+    return np.maximum(total, 0.0), back
+
+
+def output_head(h: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                node_map: np.ndarray):
+    """Per-node probabilities sigmoid(h @ weight + bias)[node_map] for rows
+    h (C, W), weight (W, 1) and bias (1,); the logits are checked finite.
+    ``node_map`` is not bounds-checked here: ``gat_model.prepare_graph``
+    checks a graph's node map once, and a negative entry would wrap.
+    ``back(g)`` returns the gradients of (h, weight, bias), the last two
+    written into ``out``, if given; a row's gradient sums those of the
+    nodes that map to it."""
+    if (h.ndim != 2 or weight.ndim != 2 or h.shape[1] != weight.shape[0]
+            or bias.shape != weight.shape[1:]):
+        raise ShapeError(f"linear shapes {h.shape} x {weight.shape} + {bias.shape}")
+    logits = h @ weight + bias
+    ensure_finite(logits, "linear")
+    # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; e^-|x| cannot overflow
+    e = np.exp(-np.abs(logits))
+    probs = np.where(logits >= 0, 1.0, e) / (1.0 + e)
+
+    def back(g, out=None):
+        g_weight, g_bias = out or map(np.empty_like, (weight, bias))
+        g_probs = np.zeros(probs.shape)
+        np.add.at(g_probs, node_map, g)
+        g = g_probs * probs * (1.0 - probs)
+        return (g @ weight.T, np.matmul(h.T, g, out=g_weight),
                 np.add.reduce(g, axis=0, out=g_bias))
 
-    return out, back
-
-
-def gather_rows(x: np.ndarray, idx: np.ndarray):
-    """Rows ``x[idx]``; ``back(g)`` sums each row's gradients over its
-    repeats. ``idx`` is not bounds-checked here: ``gat_model.prepare_graph``
-    checks a graph's node map once, and a negative entry would wrap."""
-    shape = x.shape
-    out = x[idx]
-    ensure_finite(out, "gather_rows")
-
-    def back(g):
-        grad = np.zeros(shape)
-        np.add.at(grad, idx, g)
-        return grad
-
-    return out, back
+    return probs[node_map], back

@@ -17,8 +17,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor_core as tc
-from .gat_model import GatModel, PreparedGraph, build_model, count_parameters, \
-    model_backward, model_forward, prepare_graph
+from .gat_model import GatModel, ParamViews, PreparedGraph, build_model, \
+    count_parameters, model_backward, model_forward, prepare_graph
 from .inject import LabeledTrace
 from .metrics import EvalReport, SplitMetrics, aggregate, split_metrics
 from .mtf_graph import transform
@@ -117,8 +117,8 @@ def weighted_bce(probabilities: np.ndarray, targets: tuple):
 
 
 def loss_and_grads(prep: PreparedGraph, targets: tuple, model: GatModel,
-                   grads: dict[str, np.ndarray] | None = None
-                   ) -> tuple[float, dict[str, np.ndarray]]:
+                   grads: ParamViews | None = None
+                   ) -> tuple[float, ParamViews]:
     """One graph's loss for its ``bce_targets`` and the gradient of every
     parameter, written into ``grads``, views of a vector laid out as
     ``model.vector`` (see ``model_backward``), or into fresh ones when none
@@ -134,9 +134,9 @@ def loss_and_grads(prep: PreparedGraph, targets: tuple, model: GatModel,
 
 class AdamOptimizer:
     """Adam (beta1 0.9, beta2 0.999, eps 1e-8) on ``model.vector``, updated
-    in place. ``grads`` are views, named as the model's parameters, of the
-    gradient vector that ``step`` applies. The moments, that vector and two
-    scratch vectors are allocated here, once, so a step allocates none."""
+    in place. ``grads`` are views, a ``ParamViews`` of the gradient vector
+    that ``step`` applies. The moments, that vector and two scratch vectors
+    are allocated here, once, so a step allocates none."""
 
     def __init__(self, model: GatModel, lr: float):
         self.vector = model.vector

@@ -8,7 +8,7 @@ from rssigat.gat_model import build_model, model_forward, prepare_graph
 from rssigat.mtf_graph import transform
 from rssigat.trace import RssiTrace, TraceSchema
 from rssigat.train import ClassWeights, bce_targets, loss_and_grads
-from oracles import finite_difference_grad, max_rel_err
+from oracles import finite_difference_grad, graph_attention_reference, max_rel_err
 
 REL_TOL = 1e-4
 FD_STEP = 1e-3
@@ -39,31 +39,16 @@ def projected(op, args, leaf: int, r):
 
 def primitive_cases(rng) -> list:
     """One randomized (loss_and_grad, leaf) pair per differentiable input of
-    each op."""
+    each op, every input of each op in at least one case."""
     checks = []
 
     def rand(*shape):
         return rng.standard_normal(shape)
 
-    x = rand(4, 3)
-    r = rand(4, 3)
-    y = rand(4, 3)
-
-    near = rand(4, 3)
-    away = np.where(np.abs(near) < 0.1, 0.5, near)
-    checks.append(projected(tc.relu, (away,), 0, r))
-    checks.append(projected(tc.sigmoid, (x,), 0, r))
-
-    idx = rng.integers(0, 4, size=7)
-    rg = rand(7, 3)
-    checks.append(projected(tc.gather_rows, (x, idx), 0, rg))
-
-    r2 = rand(4, 5)
-    w = rand(3, 5)
-    wb = rand(5)
-    checks.append(projected(tc.linear, (y, w, wb), 1, r2))
-    checks.append(projected(tc.linear, (x, w, wb), 0, r2))
-    checks.append(projected(tc.linear, (x, w, wb), 2, r2))
+    # the head's row gather repeats rows in random order
+    head = (rand(4, 3), rand(3, 1), rand(1), rng.integers(0, 4, size=7))
+    r = rand(7, 1)
+    checks += [projected(tc.output_head, head, leaf, r) for leaf in range(3)]
 
     # central differences at FD_STEP are off by about FD_STEP**2 / (3 p**2)
     # relative to the gradient of ln p, within REL_TOL only from p = 0.1 on
@@ -72,47 +57,60 @@ def primitive_cases(rng) -> list:
     rs = rand()
     checks.append(projected(tc.binary_cross_entropy, (probs, pos, neg), 0, rs))
 
-    checks += attention_cases(rng, 4, 3, 2, 3, "concat",
-                              ("h", "weight", "att_dst", "att_src"))
-    checks += attention_cases(rng, 4, 1, 3, 2, "average", ("weight", "bias"))
-    checks += attention_cases(rng, 1, 2, 2, 2, "concat", ("h", "weight"))
+    checks += block_cases(rng, 4, 3, 2, 3, "concat", BLOCK_INPUTS)
+    checks += block_cases(rng, 4, 1, 3, 2, "average",
+                          ("h", "weight", "bias", "skip_weight"))
+    checks += block_cases(rng, 1, 2, 2, 2, "concat", ("h", "weight", "skip_bias"))
     return checks
 
 
 def attention_preactivation(h, weight, att_dst, att_src) -> np.ndarray:
-    """The LeakyReLU inputs s_dst[i] + s_src[j] of ``tc.graph_attention``,
+    """The LeakyReLU inputs s_dst[i] + s_src[j] of ``tc.attention_block``,
     shape (heads, dst, src)."""
     heads, f = att_dst.shape
     z = (h @ weight).reshape(len(h), heads, f).transpose(1, 0, 2)
     return z @ att_dst[:, :, None] + (z @ att_src[:, :, None]).transpose(0, 2, 1)
 
 
-ATTENTION_INPUTS = ("h", "weight", "att_dst", "att_src", "bias", "logit_bias")
+def relu_input(h, weight, att_dst, att_src, bias, skip_weight, skip_bias,
+               logit_bias, slope, head_mode) -> np.ndarray:
+    """The ReLU input of ``tc.attention_block``, attention plus skip, by the
+    reference ops."""
+    gat = graph_attention_reference(h, weight, att_dst, att_src, bias,
+                                    logit_bias, slope, head_mode)[0]
+    return gat + (h @ skip_weight + skip_bias)
 
 
-def attention_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
-    """(loss_and_grad, leaf) pairs for one ``graph_attention`` op on ``n``
+BLOCK_INPUTS = ("h", "weight", "att_dst", "att_src", "bias", "skip_weight",
+                "skip_bias")
+
+
+def block_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
+    """(loss_and_grad, leaf) pairs for one ``attention_block`` op on ``n``
     rows of width ``d``, one per input named in ``leaves``. The logit bias is
     -inf off a random edge set that leaves out one entry when ``n`` > 1;
-    inputs are redrawn until every LeakyReLU input is at least 0.05 from the
-    kink."""
+    inputs are redrawn until every LeakyReLU and ReLU input is at least 0.05
+    from its kink."""
     edges = rng.random((n, n)) < 0.5
     np.fill_diagonal(edges, True)
     if n > 1:
         edges[0, n - 1] = False
-    while True:
-        h, weight, att_dst, att_src = (rng.standard_normal((n, d)),
-                                       rng.standard_normal((d, heads * f)),
-                                       rng.standard_normal((heads, f)),
-                                       rng.standard_normal((heads, f)))
-        if np.abs(attention_preactivation(h, weight, att_dst, att_src)).min() >= 0.05:
-            break
+    logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
     width = heads * f if head_mode == "concat" else f
-    args = (h, weight, att_dst, att_src, rng.standard_normal(width),
-            np.where(edges, rng.standard_normal((n, n)), -np.inf), 0.2,
-            head_mode)
+    while True:
+        args = (rng.standard_normal((n, d)),
+                rng.standard_normal((d, heads * f)),
+                rng.standard_normal((heads, f)),
+                rng.standard_normal((heads, f)),
+                rng.standard_normal(width),
+                rng.standard_normal((d, width)),
+                rng.standard_normal(width),
+                logit_bias, 0.2, head_mode)
+        if (np.abs(attention_preactivation(*args[:4])).min() >= 0.05
+                and np.abs(relu_input(*args)).min() >= 0.05):
+            break
     r = rng.standard_normal((n, width))
-    return [projected(tc.graph_attention, args, ATTENTION_INPUTS.index(name), r)
+    return [projected(tc.attention_block, args, BLOCK_INPUTS.index(name), r)
             for name in leaves]
 
 
@@ -129,24 +127,18 @@ def sample_is_smooth(prep, model, probs, margin: float = 0.01) -> bool:
     """Central differences need a kink-free neighborhood: no ReLU input near
     zero, no LeakyReLU input near zero on an edge, where ``prep.logit_bias``
     is finite (the -inf entries cannot reach the loss), no sigmoid output
-    near the log clamp. Each block's inputs come from re-running the ops."""
+    near the log clamp. Each block's inputs come from the reference ops."""
     if probs.min() < 1e-9 or probs.max() > 1 - 1e-9:
         return False
     h = prep.row_features
     edges = np.isfinite(prep.logit_bias)
-    for k, cfg in enumerate(model.layer_configs, start=1):
-        p = {name: model.params[f"gat{k}.{name}"]
-             for name in ("weight", "att_dst", "att_src", "bias")}
-        pre = attention_preactivation(h, p["weight"], p["att_dst"], p["att_src"])
-        gat = tc.graph_attention(h, p["weight"], p["att_dst"], p["att_src"],
-                                 p["bias"], prep.logit_bias,
-                                 cfg.leaky_slope, cfg.head_mode)[0]
-        skip = tc.linear(h, model.params[f"skip{k}.weight"],
-                         model.params[f"skip{k}.bias"])[0]
-        relu_input = gat + skip
-        if min(np.abs(pre[:, edges]).min(), np.abs(relu_input).min()) < margin:
+    for cfg, params in zip(model.layer_configs, model.params.blocks):
+        pre = attention_preactivation(h, *params[:3])
+        total = relu_input(h, *params, prep.logit_bias, cfg.leaky_slope,
+                           cfg.head_mode)
+        if min(np.abs(pre[:, edges]).min(), np.abs(total).min()) < margin:
             return False
-        h = np.maximum(relu_input, 0.0)
+        h = np.maximum(total, 0.0)
     return True
 
 

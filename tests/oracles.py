@@ -218,11 +218,11 @@ def sigmoid_reference(x: np.ndarray) -> np.ndarray:
 
 
 def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
-                              slope, head_mode, g):
-    """``tc.graph_attention``'s output and its gradients of (h, weight,
-    att_dst, att_src, bias) at ``g``, with average-mode heads as
-    ``agg.mean(axis=0)``, their gradient through ``np.broadcast_to`` and two
-    LeakyReLU masks taken as ``logits > 0``."""
+                              slope, head_mode):
+    """The attention part of ``tc.attention_block``, as ``(out, back)``, with
+    ``back(g)`` the gradients of (h, weight, att_dst, att_src, bias); with
+    average-mode heads as ``agg.mean(axis=0)``, their gradient through
+    ``np.broadcast_to`` and two LeakyReLU masks taken as ``logits > 0``."""
     heads, f = att_dst.shape
     n = h.shape[0]
     z = np.ascontiguousarray((h @ weight).reshape(n, heads, f).transpose(1, 0, 2))
@@ -237,24 +237,94 @@ def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
     agg = alpha @ z
     if head_mode == "concat":
         out = agg.transpose(1, 0, 2).reshape(n, heads * f)
-        g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
     else:
         out = agg.mean(axis=0)
-        g_agg = np.broadcast_to(g / heads, (heads, n, f))
     out += bias
-    g_pre = g_agg @ z.transpose(0, 2, 1)
-    g_pre *= alpha
-    g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
-    np.multiply(g_pre, slope, out=g_pre, where=~positive)
-    g_dst = g_pre.sum(axis=2, keepdims=True)
-    g_src = g_pre.sum(axis=1)[:, :, None]
-    g_z = alpha.transpose(0, 2, 1) @ g_agg
-    g_z += g_src * att_src[:, None, :]
-    g_z += g_dst * att_dst[:, None, :]
-    g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
-    zt = z.transpose(0, 2, 1)
-    return out, (g_hw @ weight.T, h.T @ g_hw, (zt @ g_dst)[:, :, 0],
-                 (zt @ g_src)[:, :, 0], g.sum(axis=0))
+
+    def back(g):
+        if head_mode == "concat":
+            g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
+        else:
+            g_agg = np.broadcast_to(g / heads, (heads, n, f))
+        g_pre = g_agg @ z.transpose(0, 2, 1)
+        g_pre *= alpha
+        g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
+        np.multiply(g_pre, slope, out=g_pre, where=~positive)
+        g_dst = g_pre.sum(axis=2, keepdims=True)
+        g_src = g_pre.sum(axis=1)[:, :, None]
+        g_z = alpha.transpose(0, 2, 1) @ g_agg
+        g_z += g_src * att_src[:, None, :]
+        g_z += g_dst * att_dst[:, None, :]
+        g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
+        zt = z.transpose(0, 2, 1)
+        return (g_hw @ weight.T, h.T @ g_hw, (zt @ g_dst)[:, :, 0],
+                (zt @ g_src)[:, :, 0], g.sum(axis=0))
+
+    return out, back
+
+
+def attention_block_reference(h, weight, att_dst, att_src, bias, skip_weight,
+                              skip_bias, logit_bias, slope, head_mode):
+    """``tc.attention_block`` composed op by op, as the model ran it before
+    the block was one op: the attention of ``graph_attention_reference``, the
+    skip as ``h @ w + b``, their sum and ReLU. ``back(g)`` returns the
+    gradients of the block's seven inputs, that of ``h`` the skip's part
+    plus the attention's."""
+    gat, gat_back = graph_attention_reference(h, weight, att_dst, att_src,
+                                              bias, logit_bias, slope, head_mode)
+    total = gat + (h @ skip_weight + skip_bias)
+
+    def back(g):
+        g = g * (total > 0)
+        g_skip = g @ skip_weight.T
+        g_h, *g_attention = gat_back(g)
+        return (g_skip + g_h, *g_attention, h.T @ g, g.sum(axis=0))
+
+    return np.maximum(total, 0.0), back
+
+
+def output_head_reference(h, weight, bias, node_map):
+    """``tc.output_head`` composed op by op: a linear map, the indexed
+    sigmoid of ``sigmoid_reference`` and the row gather, whose gradient
+    adds each node's into its row in a loop. ``back(g)`` returns the
+    gradients of (h, weight, bias)."""
+    probs = sigmoid_reference(h @ weight + bias)
+
+    def back(g):
+        g_probs = np.zeros(probs.shape)
+        for node, row in enumerate(node_map):
+            g_probs[row] += g[node]
+        g = g_probs * probs * (1.0 - probs)
+        return g @ weight.T, h.T @ g, g.sum(axis=0)
+
+    return probs[node_map], back
+
+
+def model_reference(prep, model):
+    """``gat_model.model_forward`` composed block by block from the
+    references above, each parameter looked up by name: ``(probabilities,
+    backward)``, where ``backward(g)`` returns the gradient of every
+    parameter by name, as ``model_backward`` writes them."""
+    h, backs = prep.row_features, []
+    for k, cfg in enumerate(model.layer_configs, start=1):
+        names = [f"gat{k}.{p}" for p in ("weight", "att_dst", "att_src", "bias")]
+        names += [f"skip{k}.weight", f"skip{k}.bias"]
+        h, back = attention_block_reference(
+            h, *(model.params[name] for name in names), prep.logit_bias,
+            cfg.leaky_slope, cfg.head_mode)
+        backs.append((names, back))
+    data, head_back = output_head_reference(
+        h, model.params["out.weight"], model.params["out.bias"], prep.node_map)
+
+    def backward(g):
+        g, *grads = head_back(g)
+        named = dict(zip(("out.weight", "out.bias"), grads))
+        for names, back in reversed(backs):
+            g, *grads = back(g)
+            named.update(zip(names, grads))
+        return named
+
+    return data, backward
 
 
 def no_outgoing_step_mask(counts: np.ndarray) -> np.ndarray:

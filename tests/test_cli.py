@@ -357,8 +357,11 @@ def test_bad_report_file_is_named(pipeline_dir, capsys, command, text, message):
     lambda splits: [{"train": [True], "test": [0]}],
     lambda splits: [{"train": [], "test": [0.0]}],
     lambda splits: {},
+    lambda splits: [{"train": splits[0]["train"], "test": []}],
+    lambda splits: [{"train": splits[0]["train"],
+                     "test": splits[0]["test"] + splits[0]["test"][:1]}],
 ], ids=["missing-test", "past-the-end", "negative", "boolean", "float",
-        "top-level-object"])
+        "top-level-object", "empty-test", "repeated-index"])
 def test_eval_rejects_bad_splits_file(pipeline_dir, capsys, edit):
     run_dir = pipeline_dir / "run"
     path = run_dir / "splits.json"
@@ -367,8 +370,8 @@ def test_eval_rejects_bad_splits_file(pipeline_dir, capsys, edit):
     assert _run("eval", "--run", run_dir, "--dataset",
                 pipeline_dir / "dataset.jsonl", "--split", 0) == 1
     assert capsys.readouterr().err == (
-        f"rssigat: error: {path}: not a list of {{\"train\", \"test\"}} lists "
-        f"of trace indices in [0, 36)\n")
+        f"rssigat: error: {path}: not a list of {{\"train\", \"test\"}} "
+        f"non-empty lists of distinct trace indices in [0, 36)\n")
     assert not list(run_dir.glob("eval_split_*"))
 
 

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
-from rssigat.gat_model import (GatLayerConfig, GatModel, ModelError, build_model,
-                               count_parameters, load_checkpoint, model_forward,
-                               predict, prepare_graph, save_checkpoint)
+from rssigat.gat_model import (BLOCK_PARAMS, GatLayerConfig, GatModel, ModelError,
+                               build_model, count_parameters, load_checkpoint,
+                               model_backward, model_forward, predict,
+                               prepare_graph, save_checkpoint)
 from rssigat.mtf_graph import TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
-from oracles import dense_gat_oracle, model_forward_oracle
+from oracles import dense_gat_oracle, model_forward_oracle, model_reference
 from gradcheck import run_model_fd_trials
+from test_tensor_core import attention_output
 from fuzzing import JSON_VALUES, changed_records
 from test_train import _desk_dataset
 
@@ -33,10 +35,10 @@ def _graph(n_nodes, edges, features, link_id=None):
 def _layer_forward(features, graph, cfg, params, prefix="gat1"):
     """One attention layer over per-node features (the graph is expanded)."""
     prep = prepare_graph(graph, collapse=False)
-    return tc.graph_attention(
+    return attention_output(
         features, params[f"{prefix}.weight"], params[f"{prefix}.att_dst"],
         params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
-        cfg.leaky_slope, cfg.head_mode)[0]
+        cfg.leaky_slope, cfg.head_mode)
 
 
 def _layer_params(rng, cfg, prefix="gat1"):
@@ -96,17 +98,18 @@ def test_layer_matches_dense_oracle(seed, head_mode):
 
 
 def _attention_coefficients(h, weight, att_dst, att_src, prep, slope):
-    """Alpha (heads, dst, src) of ``graph_attention`` on the rows ``h``, read
+    """Alpha (heads, dst, src) of ``attention_block`` on the rows ``h``, read
     through the op itself: with z = I per head and the rows' s_dst, s_src as
     attention vectors, the logits are unchanged and each head outputs
-    alpha @ I."""
+    alpha @ I, which a zero skip and ReLU leave as it is."""
     heads, f = att_dst.shape
     n = prep.n_rows
     z = (h @ weight).reshape(n, heads, f).transpose(1, 0, 2)
     s_dst, s_src = ((z @ att[:, :, None])[:, :, 0] for att in (att_dst, att_src))
-    probe, _ = tc.graph_attention(
+    probe, _ = tc.attention_block(
         np.eye(n), np.tile(np.eye(n), (1, heads)), s_dst, s_src,
-        np.zeros(heads * n), prep.logit_bias, slope, "concat")
+        np.zeros(heads * n), np.zeros((n, heads * n)), np.zeros(heads * n),
+        prep.logit_bias, slope, "concat")
     return probe.reshape(n, heads, n).transpose(1, 0, 2)
 
 
@@ -115,21 +118,17 @@ def test_attention_coefficients_sum_to_one_per_destination():
     graph = transform(trace, TraceSchema(expected_length=60))
     prep = prepare_graph(graph)
     model = build_model(seed=3)
-    p = model.params
     assert len(model.layer_configs) == 3
     edges = np.isfinite(prep.logit_bias)
     h = prep.row_features  # each block's input rows, by re-running the ops
-    for k, cfg in enumerate(model.layer_configs, start=1):
-        alpha = _attention_coefficients(h, p[f"gat{k}.weight"], p[f"gat{k}.att_dst"],
-                                        p[f"gat{k}.att_src"], prep, cfg.leaky_slope)
+    for cfg, params in zip(model.layer_configs, model.params.blocks):
+        alpha = _attention_coefficients(h, *params[:3], prep, cfg.leaky_slope)
         assert alpha.shape == (cfg.n_heads, *edges.shape)
         np.testing.assert_allclose(np.where(edges, alpha, 0.0).sum(axis=-1),
                                    1.0, atol=1e-9)
         assert np.all(alpha[:, ~edges] == 0.0)
-        gat, _ = tc.graph_attention(
-            h, p[f"gat{k}.weight"], p[f"gat{k}.att_dst"], p[f"gat{k}.att_src"],
-            p[f"gat{k}.bias"], prep.logit_bias, cfg.leaky_slope, cfg.head_mode)
-        h = np.maximum(gat + h @ p[f"skip{k}.weight"] + p[f"skip{k}.bias"], 0.0)
+        h, _ = tc.attention_block(h, *params, prep.logit_bias, cfg.leaky_slope,
+                                  cfg.head_mode)
 
 
 def test_prepare_graph_bias_is_log_weight_and_row_size_on_edges():
@@ -257,6 +256,39 @@ def test_model_forward_matches_per_destination_oracle(length):
             model.layer_configs, model.params)
         np.testing.assert_allclose(model_forward(prep, model).data, expected,
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("collapse", [True, False], ids=["rows", "nodes"])
+def test_model_is_bitwise_the_op_by_op_model(collapse):
+    """Probabilities and all 20 gradients, written into NaN-filled views, as
+    the model composed its ops one by one, looking parameters up by name."""
+    dataset, schema = _desk_dataset(n_each=1, n_clean=2, seed=12, length=100)
+    rng = np.random.default_rng(3)
+    for i, item in enumerate(dataset):
+        prep = prepare_graph(transform(item.trace, schema), collapse=collapse)
+        model = build_model(seed=i)
+        fwd = model_forward(prep, model)
+        want, backward = model_reference(prep, model)
+        assert fwd.data.tobytes() == want.tobytes()
+        g = rng.standard_normal(fwd.data.shape)
+        grads = model.views(np.full_like(model.vector, np.nan))
+        model_backward(fwd, g, grads)
+        want = backward(g)
+        assert grads.keys() == want.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == want[name].tobytes(), name
+
+
+def test_param_views_group_the_arrays_as_the_ops_take_them():
+    model = build_model(seed=0)
+    for params in (model.params, model.views(np.zeros_like(model.vector))):
+        assert len(params.blocks) == 3
+        for k, block in enumerate(params.blocks, start=1):
+            assert all(a is params[name.format(k)]
+                       for a, name in zip(block, BLOCK_PARAMS, strict=True))
+        assert params.head[0] is params["out.weight"]
+        assert params.head[1] is params["out.bias"]
+        assert params.blocks is params.blocks  # looked up once
 
 
 # ---------------------------------------------------------------------------

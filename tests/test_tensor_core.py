@@ -3,39 +3,107 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
-from gradcheck import check_case, primitive_cases
-from oracles import graph_attention_reference, sigmoid_reference
+from gradcheck import block_cases, check_case, primitive_cases
+from oracles import (attention_block_reference, output_head_reference,
+                     sigmoid_reference)
+
+
+# ---------------------------------------------------------------------------
+# the parts of attention_block, read through the op: a zero attention weight
+# leaves the skip alone, a zero skip the attention alone, and ReLU(y) -
+# ReLU(-y) is y, bit for bit
+
+def _linear(x, w, b):
+    """``x @ w + b``, the skip of ``attention_block`` alone: with a zero
+    attention weight and bias the attention part is 0, and the block with
+    (-w, -b) gives ReLU of the negated output."""
+    n = len(x)
+    zero = (np.zeros((x.shape[1], w.shape[1])), np.zeros((1, w.shape[1])),
+            np.zeros((1, w.shape[1])), np.zeros(w.shape[1]))
+
+    def block(sign):
+        return tc.attention_block(x, *zero, sign * w, sign * b,
+                                  np.zeros((n, n)), 0.2, "concat")[0]
+
+    return block(1.0) - block(-1.0)
+
+
+def attention_output(h, weight, att_dst, att_src, bias, logit_bias,
+                     slope=0.2, head_mode="concat"):
+    """The attention part of ``attention_block`` alone: with a zero skip the
+    block gives ReLU(y), and with weight, attention vectors and bias negated
+    ReLU(-y), since negation is exact and leaves the logits as they are."""
+    width = len(bias)
+    zero = (np.zeros((h.shape[1], width)), np.zeros(width))
+
+    def block(sign):
+        return tc.attention_block(h, sign * weight, sign * att_dst,
+                                  sign * att_src, sign * bias, *zero,
+                                  logit_bias, slope, head_mode)[0]
+
+    return block(1.0) - block(-1.0)
+
+
+def attention_back(h, weight, att_dst, att_src, bias, logit_bias,
+                   slope=0.2, head_mode="concat"):
+    """The ``back`` of the attention part of ``attention_block``: a zero
+    skip weight passes no gradient to the rows, and a skip bias far above
+    the attention output keeps every ReLU open."""
+    width = len(bias)
+    return tc.attention_block(h, weight, att_dst, att_src, bias,
+                              np.zeros((h.shape[1], width)),
+                              np.full(width, 1e3), logit_bias, slope,
+                              head_mode)[1]
 
 
 # ---------------------------------------------------------------------------
 # forward values
 
-# the 2-D matrix product lives in linear (and in graph_attention's
-# projection); a zero bias leaves the bare product
-def _matmul(a, b):
-    return tc.linear(a, b, np.zeros(b.shape[1:]))[0]
-
-
 def test_matmul_identity():
     a = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(_matmul(a, np.eye(3)), a)
+    np.testing.assert_array_equal(_linear(a, np.eye(3), np.zeros(3)), a)
 
 
 def test_matmul_hand_case():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[1.0], [1.0]])
-    np.testing.assert_array_equal(_matmul(a, b), [[3.0], [7.0]])
+    np.testing.assert_array_equal(_linear(a, b, np.zeros(1)), [[3.0], [7.0]])
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(tc.ShapeError):
-        _matmul(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(tc.ShapeError, match="linear shapes"):
+        _linear(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
+    with pytest.raises(tc.ShapeError, match="linear shapes"):
+        tc.output_head(np.ones((2, 3)), np.ones((2, 1)), np.zeros(1),
+                       np.arange(2))
 
 
 def test_non_finite_trips_error():
+    # the skip and the head's logits overflow; the attention stays finite
     with np.errstate(over="ignore"), pytest.raises(tc.NonFiniteError,
                                                    match="linear"):
-        tc.linear(np.array([[1e308]]), np.array([[10.0]]), np.zeros(1))
+        _linear(np.array([[1e308]]), np.array([[10.0]]), np.zeros(1))
+    with np.errstate(over="ignore"), pytest.raises(tc.NonFiniteError,
+                                                   match="linear"):
+        tc.output_head(np.array([[1e308]]), np.array([[10.0]]), np.zeros(1),
+                       np.arange(1))
+
+
+def test_block_sum_non_finite_names_the_block():
+    # attention and skip each 1e308, their sum overflows
+    h, big = np.zeros((2, 1)), np.full(2, 1e308)
+    ones = np.ones((1, 2))
+    with np.errstate(over="ignore"), pytest.raises(
+            tc.NonFiniteError, match="^block 3 sum produced non-finite values$"):
+        tc.attention_block(h, ones, ones, ones, big, ones, big,
+                           np.zeros((2, 2)), 0.2, "concat", block=3)
+    # the attention output alone overflows, 1e308 rows plus a 1e308 bias,
+    # and is named, not the sum
+    with np.errstate(over="ignore"), pytest.raises(
+            tc.NonFiniteError, match="^graph_attention produced non-finite"):
+        tc.attention_block(np.ones((2, 1)), 1e308 * ones, 0 * ones, 0 * ones,
+                           big, 0 * ones, np.zeros(2), np.zeros((2, 2)), 0.2,
+                           "concat", block=3)
 
 
 def test_binary_cross_entropy_clamp_floor():
@@ -59,18 +127,20 @@ def test_binary_cross_entropy_clamp_floor():
 def test_linear_matches_matmul_plus_bias():
     rng = np.random.default_rng(6)
     x, w, b = (rng.standard_normal(shape) for shape in ((4, 3), (3, 5), (5,)))
-    out, _ = tc.linear(x, w, b)
-    np.testing.assert_array_equal(out, x @ w + b)
-    with pytest.raises(tc.ShapeError):
-        tc.linear(x, w, np.ones(3))
+    assert _linear(x, w, b).tobytes() == (x @ w + b).tobytes()
+    with pytest.raises(tc.ShapeError, match="linear shapes"):
+        _linear(x, w, np.ones(3))
 
 
 def test_linear_gives_no_gradient_to_a_constant_input():
+    # the block's skip on its own, with every ReLU input positive
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 2))
-    out, back = tc.linear(x, w, np.zeros(2))
-    gx, gw, gb = back(np.ones_like(out), input_grad=False)
+    zero = (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(2))
+    out, back = tc.attention_block(x, *zero, w, np.full(2, 1e3),
+                                   np.zeros((4, 4)), 0.2, "concat")
+    gx, *_, gw, gb = back(np.ones_like(out), input_grad=False)
     assert gx is None
     np.testing.assert_allclose(gw, x.T @ np.ones((4, 2)), atol=1e-12)
     np.testing.assert_array_equal(gb, [4.0, 4.0])
@@ -95,11 +165,16 @@ def test_graph_attention_rejects_bad_inputs():
                  (h, weight, np.zeros((2, 3)), att_src, bias, logit_bias),
                  (h, ones, att_dst, att_src, bias, logit_bias),
                  (ones, weight, att_dst, att_src, bias, logit_bias)):
-        with pytest.raises(tc.ShapeError):
-            tc.graph_attention(*args, 0.2, "concat")
+        with pytest.raises(tc.ShapeError, match="graph_attention"):
+            attention_output(*args)
+    skip = (np.zeros((2, 4)), np.zeros(4))
     with pytest.raises(tc.OpError, match="head_mode"):
-        tc.graph_attention(h, weight, att_dst, att_src, bias, logit_bias,
-                           0.2, "sum")
+        tc.attention_block(h, weight, att_dst, att_src, bias, *skip,
+                           logit_bias, 0.2, "sum")
+    # the skip's width must be the attention's
+    with pytest.raises(tc.ShapeError, match="linear shapes"):
+        tc.attention_block(h, weight, att_dst, att_src, bias, np.zeros((2, 3)),
+                           np.zeros(3), logit_bias, 0.2, "concat")
 
 
 def test_graph_attention_projects_rows():
@@ -108,11 +183,10 @@ def test_graph_attention_projects_rows():
     h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 4, 2, 3)
     edges = rng.random((4, 4)) < 0.5
     np.fill_diagonal(edges, True)
-    args = (att_dst, att_src, bias, np.where(edges, logit_bias, -np.inf), 0.2,
-            "concat")
-    out, _ = tc.graph_attention(h, weight, *args)
-    probe, _ = tc.graph_attention(np.eye(4), h @ weight, *args)
-    np.testing.assert_array_equal(out, probe)
+    args = (att_dst, att_src, bias, np.where(edges, logit_bias, -np.inf))
+    out = attention_output(h, weight, *args)
+    probe = attention_output(np.eye(4), h @ weight, *args)
+    assert out.tobytes() == probe.tobytes()
 
 
 def test_graph_attention_projection_gradients():
@@ -124,8 +198,7 @@ def test_graph_attention_projection_gradients():
     r = rng.standard_normal((n, 6))
 
     def back_of(rows, w):
-        return tc.graph_attention(rows, w, att_dst, att_src, bias, logit_bias,
-                                  0.2, "concat")[1]
+        return attention_back(rows, w, att_dst, att_src, bias, logit_bias)
 
     g_hw = back_of(np.eye(n), h @ weight)(r)[1]
     back = back_of(h, weight)
@@ -144,23 +217,24 @@ def test_graph_attention_non_finite_logits_trip_error():
     ones = np.ones((2, 2))
     with np.errstate(over="ignore"), \
             pytest.raises(tc.NonFiniteError, match="graph_attention"):
-        tc.graph_attention(big, np.ones((1, 4)), ones, ones, bias,
-                           logit_bias, 0.2, "concat")
+        attention_output(big, np.ones((1, 4)), ones, ones, bias, logit_bias)
 
 
 # ---------------------------------------------------------------------------
 # the attention softmax, read through the op: with identity rows and weight,
-# z = I per head, and each head's output is its alpha (heads, dst, src)
+# z = I per head, and each head's output is its alpha (heads, dst, src); a
+# zero skip adds nothing, and ReLU leaves alpha >= 0 as it is
 
 def _alpha(logit_bias, att_dst=None, att_src=None):
-    """Alpha of ``graph_attention`` on identity rows; zero attention vectors,
-    the default, make the logits the bias itself."""
+    """Alpha of ``attention_block`` on identity rows; zero attention
+    vectors, the default, make the logits the bias itself."""
     n = len(logit_bias)
     att_dst = np.zeros((1, n)) if att_dst is None else att_dst
     att_src = np.zeros((1, n)) if att_src is None else att_src
     heads = len(att_dst)
-    out, _ = tc.graph_attention(np.eye(n), np.tile(np.eye(n), (1, heads)),
+    out, _ = tc.attention_block(np.eye(n), np.tile(np.eye(n), (1, heads)),
                                 att_dst, att_src, np.zeros(heads * n),
+                                np.zeros((n, heads * n)), np.zeros(heads * n),
                                 logit_bias, 0.2, "concat")
     return out.reshape(n, heads, n).transpose(1, 0, 2)
 
@@ -192,8 +266,7 @@ def test_attention_rejects_bias_shape():
     rng = np.random.default_rng(8)
     h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
     with pytest.raises(tc.ShapeError, match=r"logit bias \(3, 2\)"):
-        tc.graph_attention(h, weight, att_dst, att_src, bias,
-                           logit_bias[:, :2], 0.2, "concat")
+        attention_output(h, weight, att_dst, att_src, bias, logit_bias[:, :2])
 
 
 def test_attention_extreme_logits_stay_finite():
@@ -212,12 +285,9 @@ def test_attention_off_edges_zero_with_zero_gradient():
     edges = rng.random((n, n)) < 0.5
     np.fill_diagonal(edges, True)
     edges[0, n - 1] = False
-    rows, weight = np.eye(n), np.tile(np.eye(n), (1, heads))
     att_dst, att_src = (rng.standard_normal((heads, n)) for _ in range(2))
     logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
-    out, _ = tc.graph_attention(rows, weight, att_dst, att_src,
-                                np.zeros(heads * n), logit_bias, 0.2, "concat")
-    alpha = out.reshape(n, heads, n).transpose(1, 0, 2)
+    alpha = _alpha(logit_bias, att_dst, att_src)
     full = np.broadcast_to(edges, alpha.shape)
     assert np.all(alpha[~full] == 0.0)
     assert np.all(alpha[full] > 0.0)
@@ -240,77 +310,111 @@ def test_attention_sums_and_row_shift_invariance(data):
 
 
 # ---------------------------------------------------------------------------
-# rewrites bit for bit equal to the earlier formulations in oracles
+# the ops bit for bit equal to their op-by-op compositions in oracles
 
 def test_sigmoid_is_bitwise_the_indexed_formula():
+    # the head with weight [[1.0]] and bias 0 is the sigmoid of its rows
     edges = np.array([0.0, 1e-300, 36.7, 709.0, 745.0, 1e308])
     x = np.concatenate([edges, -edges,
                         np.random.default_rng(13).standard_normal(200) * 30])
-    out, _ = tc.sigmoid(x[:, None])
+    out, _ = tc.output_head(x[:, None], np.array([[1.0]]), np.zeros(1),
+                            np.arange(len(x)))
     assert out.tobytes() == sigmoid_reference(x[:, None]).tobytes()
     assert out[0, 0] == out[6, 0] == 0.5
 
 
+ROWS = (1, 4, 9, 50)
+
+
+def _block_args(rng, n, head_mode):
+    h, weight, att_dst, att_src = (rng.standard_normal(shape) for shape in
+                                   ((n, 5), (5, 12), (3, 4), (3, 4)))
+    width = 12 if head_mode == "concat" else 4
+    bias, skip_bias = rng.standard_normal((2, width))
+    edges = rng.random((n, n)) < 0.5
+    np.fill_diagonal(edges, True)
+    logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
+    return (h, weight, att_dst, att_src, bias, rng.standard_normal((5, width)),
+            skip_bias, logit_bias, 0.2, head_mode)
+
+
 @pytest.mark.parametrize("head_mode", ["concat", "average"])
 def test_graph_attention_is_bitwise_the_earlier_formulas(head_mode):
-    # average-mode heads as agg.mean(axis=0) + bias, their backward through
-    # np.broadcast_to, and separate LeakyReLU masks
+    # the attention as average-mode heads agg.mean(axis=0) + bias, their
+    # backward through np.broadcast_to and separate LeakyReLU masks, then
+    # the skip, the sum and ReLU as separate ops
     rng = np.random.default_rng(14)
-    for n in (1, 4, 9):
-        h, weight, att_dst, att_src = (rng.standard_normal(shape) for shape in
-                                       ((n, 5), (5, 12), (3, 4), (3, 4)))
-        width = 12 if head_mode == "concat" else 4
-        bias, g = rng.standard_normal(width), rng.standard_normal((n, width))
-        edges = rng.random((n, n)) < 0.5
-        np.fill_diagonal(edges, True)
-        logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
-        args = (h, weight, att_dst, att_src, bias, logit_bias, 0.2, head_mode)
-        out, back = tc.graph_attention(*args)
-        ref_out, ref_grads = graph_attention_reference(*args, g)
+    for n in ROWS:
+        args = _block_args(rng, n, head_mode)
+        out, back = tc.attention_block(*args)
+        ref_out, ref_back = attention_block_reference(*args)
+        g = rng.standard_normal(out.shape)
         assert out.tobytes() == ref_out.tobytes()
-        for got, want in zip(back(g), ref_grads):
+        for got, want in zip(back(g), ref_back(g), strict=True):
             assert got.tobytes() == want.tobytes()
 
 
-def _check_out_views(back, g, shapes, input_grad):
+def _check_out_views(back, g, want, input_grad):
     """``back`` with ``out=`` views of one NaN-filled vector fills them with
-    the bits of its freshly returned gradients, and returns those views."""
-    fresh = back(g, input_grad=input_grad)
+    the bits of ``want[1:]``, the reference's parameter gradients, returns
+    those views and, with ``input_grad``, the bits of ``want[0]``."""
+    shapes = [w.shape for w in want[1:]]
     sizes = [int(np.prod(shape)) for shape in shapes]
     vector = np.full(sum(sizes), np.nan)
     views = tuple(v.reshape(shape) for v, shape in
                   zip(np.split(vector, np.cumsum(sizes)[:-1]), shapes))
-    written = back(g, input_grad=input_grad, out=views)
+    written = (back(g, input_grad=input_grad, out=views)
+               if input_grad is not None else back(g, out=views))
+    assert len(written) == len(want)
     assert all(a is b for a, b in zip(written[1:], views))
-    if input_grad:
-        assert written[0].tobytes() == fresh[0].tobytes()
-    else:
+    if input_grad is False:
         assert written[0] is None
+    else:
+        assert written[0].tobytes() == want[0].tobytes()
     assert vector.tobytes() == np.concatenate(
-        [np.ravel(a) for a in fresh[1:len(shapes) + 1]]).tobytes()
+        [np.ravel(a) for a in want[1:]]).tobytes()
 
 
 @pytest.mark.parametrize("input_grad", [True, False])
 def test_linear_back_writes_out_views(input_grad):
+    # the skip's gradients, with the attention switched off by a zero weight
     rng = np.random.default_rng(15)
     x, w, b = (rng.standard_normal(shape) for shape in ((6, 3), (3, 5), (5,)))
-    out, back = tc.linear(x, w, b)
-    _check_out_views(back, rng.standard_normal(out.shape), (w.shape, b.shape),
+    zero = (np.zeros((3, 5)), np.zeros((1, 5)), np.zeros((1, 5)), np.zeros(5))
+    args = (x, *zero, w, b, np.zeros((6, 6)), 0.2, "concat")
+    out, back = tc.attention_block(*args)
+    g = rng.standard_normal(out.shape)
+    gm = g * (x @ w + b > 0)
+    assert out.tobytes() == np.maximum(x @ w + b, 0.0).tobytes()
+    _check_out_views(back, g, attention_block_reference(*args)[1](g),
                      input_grad)
+    g_w, g_b = back(g)[5:]
+    np.testing.assert_array_equal(g_w, x.T @ gm)
+    np.testing.assert_array_equal(g_b, gm.sum(axis=0))
 
 
 @pytest.mark.parametrize("head_mode", ["concat", "average"])
 @pytest.mark.parametrize("input_grad", [True, False])
 def test_graph_attention_back_writes_out_views(head_mode, input_grad):
     rng = np.random.default_rng(16)
-    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 5, 3, 2)
-    if head_mode == "average":
-        bias = bias[:2]
-    out, back = tc.graph_attention(h, weight, att_dst, att_src, bias,
-                                   logit_bias, 0.2, head_mode)
-    _check_out_views(back, rng.standard_normal(out.shape),
-                     (weight.shape, att_dst.shape, att_src.shape, bias.shape),
-                     input_grad)
+    for n in ROWS:
+        args = _block_args(rng, n, head_mode)
+        out, back = tc.attention_block(*args)
+        g = rng.standard_normal(out.shape)
+        _check_out_views(back, g, attention_block_reference(*args)[1](g),
+                         input_grad)
+
+
+def test_output_head_is_bitwise_the_op_by_op_head():
+    rng = np.random.default_rng(17)
+    for n in ROWS:
+        args = (rng.standard_normal((n, 4)), rng.standard_normal((4, 1)),
+                rng.standard_normal(1), rng.integers(0, n, size=3 * n))
+        out, back = tc.output_head(*args)
+        ref_out, ref_back = output_head_reference(*args)
+        g = rng.standard_normal(out.shape)
+        assert out.tobytes() == ref_out.tobytes()
+        _check_out_views(back, g, ref_back(g), None)
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +428,16 @@ def test_every_primitive_matches_finite_differences():
 
 
 def test_gradient_accumulates_over_reuse():
-    # rows that feed both the attention and the skip of a block get the sum
-    # of the two input gradients, as in gat_model.model_backward
+    # a block's rows feed both its attention and its skip, and get the sum
+    # of the two input gradients
     rng = np.random.default_rng(12)
-    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 4, 2, 3)
-    skip_w, skip_b = rng.standard_normal((2, 6)), rng.standard_normal(6)
-    r = rng.standard_normal((4, 6))
-
-    def loss_and_grad():
-        gat, gat_back = tc.graph_attention(h, weight, att_dst, att_src, bias,
-                                           logit_bias, 0.2, "concat")
-        skip, skip_back = tc.linear(h, skip_w, skip_b)
-        return (float(np.sum((gat + skip) * r)),
-                skip_back(r)[0] + gat_back(r)[0])
-
-    check_case(loss_and_grad, h)
+    (build_loss, leaf), = block_cases(rng, 4, 2, 2, 3, "concat", ("h",))
+    check_case(build_loss, leaf)
 
 
 def test_gather_rows_grad_sums_unsorted_repeats():
-    _, back = tc.gather_rows(np.zeros((4, 2)), np.array([3, 0, 3, 1, 0]))
-    np.testing.assert_array_equal(back(np.ones((5, 2))),
-                                  [[2, 2], [1, 1], [0, 0], [2, 2]])
+    # zero rows give p = 0.5 and dp/dlogit = 0.25 on every row
+    _, back = tc.output_head(np.zeros((4, 1)), np.array([[1.0]]), np.zeros(1),
+                             np.array([3, 0, 3, 1, 0]))
+    np.testing.assert_array_equal(back(np.ones((5, 1)))[0],
+                                  [[0.5], [0.25], [0.0], [0.5]])

@@ -388,3 +388,25 @@ def test_loss_curves_csv_layout():
     assert lines[0] == "split,epoch,loss"
     assert lines[1] == "0,0,0.5"
     assert lines[3] == "1,0,0.75"
+
+
+def test_perfbench_wrapped_names_resolve():
+    """Every ``gat_model`` and ``train`` name that perfbench wraps is still
+    there: its tracer skips a missing name without a word, and the spans of
+    that name then read 0. Names come from ``WRAPPED`` in its source."""
+    import ast
+    import importlib
+    from pathlib import Path
+
+    source = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    wrapped = next(
+        ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"])
+    for layer in ("gat_model", "train"):
+        module = importlib.import_module(f"rssigat.{layer}")
+        for qualname in wrapped[layer]:
+            owner = module
+            for part in qualname.split("."):
+                owner = getattr(owner, part, None)
+            assert callable(owner), f"{layer}.{qualname}"
