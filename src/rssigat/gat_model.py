@@ -7,11 +7,12 @@ on the edges and -inf off them, so the softmax gives non-edges exactly 0.
 A block adds a learnable linear projection of its input and applies ReLU,
 all one op, ``tc.attention_block``. A final linear head plus sigmoid, one op
 with the gather from rows to nodes (``tc.output_head``), yields one anomaly
-probability per time step.
+probability per time step. ``model_backward`` calls the ops' ``back``
+closures in reverse; there is no general autodiff engine behind them.
 
-``model_forward`` keeps the ``back`` closure of each op it calls, and
-``model_backward`` calls them in reverse to get the gradient of every
-parameter; there is no general autodiff engine behind them.
+The sizes are the paper's (``FILTERS``, ``HEADS``, ``LEAKY_SLOPE``). A
+``GatModel`` checks that its layers chain when it is built or loaded, once,
+so the ops check no shapes.
 
 The forward pass runs on the rows of a ``TsGraph``, through its C x C
 ``weights``: in the value-class graph from ``transform`` all nodes of a row
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict, field
 from functools import cached_property
 from itertools import zip_longest
@@ -39,13 +41,20 @@ class ModelError(Exception):
     pass
 
 
+# the paper's architecture: FILTERS output dims per head, HEADS heads per
+# block, concatenated except in the last block, which averages them
+FILTERS = 32
+HEADS = (4, 4, 6)
+LEAKY_SLOPE = 0.2
+
+
 @dataclass(frozen=True)
 class GatLayerConfig:
     in_dim: int
-    out_dim_per_head: int = 32
+    out_dim_per_head: int = FILTERS
     n_heads: int = 4
     head_mode: str = "concat"  # or "average"
-    leaky_slope: float = 0.2
+    leaky_slope: float = LEAKY_SLOPE
 
     def __post_init__(self):
         if self.head_mode not in ("concat", "average"):
@@ -55,6 +64,7 @@ class GatLayerConfig:
                    and d >= 1 for d in dims):
             raise ModelError("layer dimensions must be integers >= 1")
         if not (isinstance(self.leaky_slope, (int, float))
+                and type(self.leaky_slope) is not bool
                 and np.isfinite(self.leaky_slope)):
             raise ModelError("leaky_slope must be a finite number")
 
@@ -90,36 +100,39 @@ class ParamViews(dict):
 @dataclass
 class GatModel:
     """The layers and their parameters. ``vector`` holds every parameter, in
-    the order of ``params`` (``_param_table`` order for a built or loaded
-    model), and each ``params[name]`` is a view into it: the vector is the
-    checkpoint blob and what the optimizer updates."""
+    ``_param_table`` order, and each ``params[name]`` is a view into it: the
+    vector is the checkpoint blob and what the optimizer updates. ModelError
+    unless the layers chain: layer 1 takes a row's one feature, and each
+    later layer the previous one's ``out_width``."""
 
     layer_configs: tuple[GatLayerConfig, ...]
-    params: dict[str, np.ndarray]
+    vector: np.ndarray = field(repr=False, compare=False)
     seed: int
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
+    params: ParamViews = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vector = np.concatenate([np.ravel(p) for p in self.params.values()],
-                                     dtype=np.float64)
+        if not self.layer_configs:
+            raise ModelError("a model needs at least one layer")
+        widths = [1] + [cfg.out_width for cfg in self.layer_configs]
+        for k, cfg in enumerate(self.layer_configs, start=1):
+            if cfg.in_dim != widths[k - 1]:
+                raise ModelError(f"layer {k} has in_dim {cfg.in_dim}, "
+                                 f"its input is {widths[k - 1]} wide")
         self.params = self.views(self.vector)
 
     def views(self, vector: np.ndarray) -> ParamViews:
         """``vector``, laid out as ``self.vector``, cut into views named and
         shaped as ``params``."""
         views, start = ParamViews(), 0
-        for name, p in self.params.items():
-            views[name] = vector[start:start + p.size].reshape(p.shape)
-            start += p.size
+        for name, shape, _ in _param_table(self.layer_configs):
+            size = math.prod(shape)
+            views[name] = vector[start:start + size].reshape(shape)
+            start += size
         return views
 
     def __reduce__(self):
         # rebuilt by the constructor, so the copy's params view one vector
-        return GatModel, (self.layer_configs, dict(self.params), self.seed)
-
-    @property
-    def in_dim(self) -> int:
-        return self.layer_configs[0].in_dim
+        return GatModel, (self.layer_configs, self.vector, self.seed)
 
 
 def count_parameters(model: GatModel) -> int:
@@ -152,24 +165,18 @@ def _param_table(configs) -> list[tuple]:
                     ("out.bias", (1,), None)]
 
 
-def build_model(seed: int = 0, in_dim: int = 1, filters: int = 32,
-                heads: tuple[int, ...] = (4, 4, 6),
-                leaky_slope: float = 0.2) -> GatModel:
-    """Default architecture: three blocks of `filters` output dims per head,
-    heads concatenated except in the last block, which averages them."""
-    configs = []
-    prev = in_dim
-    for i, h in enumerate(heads):
-        cfg = GatLayerConfig(in_dim=prev, out_dim_per_head=filters, n_heads=h,
-                             head_mode="average" if i == len(heads) - 1 else "concat",
-                             leaky_slope=leaky_slope)
-        configs.append(cfg)
-        prev = cfg.out_width
+def build_model(seed: int = 0) -> GatModel:
+    """The paper's model, its weights drawn Glorot-uniform from ``seed``."""
+    configs = tuple(
+        GatLayerConfig(FILTERS * HEADS[k - 1] if k else 1, n_heads=heads,
+                       head_mode="average" if k == len(HEADS) - 1 else "concat")
+        for k, heads in enumerate(HEADS))
     rng = np.random.default_rng(seed)
-    params = {name: np.zeros(shape) if fans is None
-              else _glorot(rng, shape, *fans)
-              for name, shape, fans in _param_table(configs)}
-    return GatModel(layer_configs=tuple(configs), params=params, seed=seed)
+    vector = np.concatenate([
+        np.zeros(math.prod(shape)) if fans is None
+        else _glorot(rng, shape, *fans).ravel()
+        for _, shape, fans in _param_table(configs)])
+    return GatModel(configs, vector, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +241,6 @@ class Forward:
 def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
     """Anomaly probability per original node, ``.data`` of shape (N, 1)."""
     h = prep.row_features
-    if h.shape[1] != model.in_dim:
-        raise ModelError("graph features do not match model input width")
     blocks = []
     for k, (cfg, params) in enumerate(zip(model.layer_configs,
                                           model.params.blocks), start=1):
@@ -309,20 +314,18 @@ def load_checkpoint(path) -> GatModel:
         if have != want:
             raise ModelError(f"checkpoint tensor {have} does not match "
                              f"the layers' {want}")
-    sizes = [int(np.prod(shape)) for _, shape in expected]
+    size = sum(math.prod(shape) for _, shape in expected)
     blob_path = base.with_suffix(".bin")
     raw = blob_path.read_bytes()
-    if len(raw) != 8 * sum(sizes):
+    if len(raw) != 8 * size:
         raise ModelError(f"checkpoint blob has {len(raw)} bytes, "
-                         f"the manifest needs {8 * sum(sizes)}")
-    chunks = np.split(np.frombuffer(raw, dtype="<f8"), np.cumsum(sizes)[:-1])
-    params = {}
-    for (name, shape), chunk in zip(expected, chunks):
-        if not np.isfinite(chunk).all():
+                         f"the manifest needs {8 * size}")
+    model = GatModel(configs, np.frombuffer(raw, dtype="<f8").copy(), seed)
+    for name, p in model.params.items():
+        if not np.isfinite(p).all():
             raise ModelError(f"checkpoint tensor {name} has non-finite values")
-        params[name] = chunk.reshape(shape)
     digest = hashlib.sha256(raw).hexdigest()
     if manifest.get("sha256", digest) != digest:
         raise ModelError(f"checkpoint blob {blob_path} does not match the "
                          f"sha256 its manifest records")
-    return GatModel(layer_configs=configs, params=params, seed=seed)
+    return model

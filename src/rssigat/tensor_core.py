@@ -6,7 +6,8 @@ op's result, checked to be finite where it can be non-finite, and
 inputs, by a hand-derived formula; those of parameters go into the caller's
 views when given as ``out=``. There is no tape and no graph of tensors:
 ``gat_model.model_backward`` calls the ``back`` closures of a forward pass
-in reverse order.
+in reverse order. Only the loss checks shapes: ``GatModel`` checks its
+layers once, and ``gat_model.prepare_graph`` makes every graph's rows.
 
 There are three ops. ``attention_block`` is a whole block: a dense
 multi-head attention, projection included, whose -inf logit bias entries
@@ -89,7 +90,7 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     over each row, exactly 0 on the -inf entries, and the head's output is
     alpha @ z. Heads are concatenated to (C, H*F) for ``head_mode="concat"``
     or averaged to (C, F) for ``"average"``, then ``bias`` is added; the
-    skip (D, width) and its bias must give the same width. The attention
+    skip (D, width) and its bias give the same width. The attention
     logits and the sum are checked finite; a non-finite part makes the sum
     non-finite, and its error names the attention or the skip output, the
     first non-finite one, or else the sum and its ``block`` number.
@@ -102,23 +103,8 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     and not computed, for the first block's constant rows, and with ``out``
     the other six are written there.
     """
-    if head_mode not in ("concat", "average"):
-        raise OpError(f"unknown head_mode {head_mode!r}")
-    if (h.ndim != 2 or weight.ndim != 2 or h.shape[1] != weight.shape[0]
-            or att_dst.ndim != 2 or att_src.shape != att_dst.shape):
-        raise ShapeError(f"graph_attention rows {h.shape}, weight {weight.shape}, "
-                         f"attention vectors {att_dst.shape} and {att_src.shape}")
     heads, f = att_dst.shape
     n = h.shape[0]
-    width = heads * f if head_mode == "concat" else f
-    if (weight.shape[1] != heads * f or bias.shape != (width,)
-            or logit_bias.shape != (n, n)):
-        raise ShapeError(
-            f"graph_attention weight {weight.shape}, {heads} heads of {f}, bias "
-            f"{bias.shape}, logit bias {logit_bias.shape}")
-    if skip_weight.shape != (h.shape[1], width) or skip_bias.shape != (width,):
-        raise ShapeError(f"linear shapes {h.shape} x {skip_weight.shape} + "
-                         f"{skip_bias.shape}")
     hw = h @ weight
     z = np.ascontiguousarray(hw.reshape(n, heads, f).transpose(1, 0, 2))
     # pre-activation logits, LeakyReLU, the bias and the row softmax in one
@@ -138,7 +124,7 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     alpha /= alpha.sum(axis=-1, keepdims=True)
     agg = alpha @ z
     if head_mode == "concat":
-        gat = agg.transpose(1, 0, 2).reshape(n, width)
+        gat = agg.transpose(1, 0, 2).reshape(n, heads * f)
     else:
         gat = np.add.reduce(agg, axis=0) / heads  # mean's own arithmetic
     gat += bias
@@ -192,9 +178,6 @@ def output_head(h: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     ``back(g)`` returns the gradients of (h, weight, bias), the last two
     written into ``out``, if given; a row's gradient sums those of the
     nodes that map to it."""
-    if (h.ndim != 2 or weight.ndim != 2 or h.shape[1] != weight.shape[0]
-            or bias.shape != weight.shape[1:]):
-        raise ShapeError(f"linear shapes {h.shape} x {weight.shape} + {bias.shape}")
     logits = h @ weight + bias
     ensure_finite(logits, "linear")
     # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; e^-|x| cannot overflow

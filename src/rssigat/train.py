@@ -234,7 +234,7 @@ class CrossValResult:
     splits: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _run_single_split(args) -> tuple[int, SplitMetrics, GatModel, list[float]]:
+def _run_single_split(args) -> tuple[SplitMetrics, GatModel, list[float]]:
     k, dataset, prepared, train_idx, test_idx, cfg = args
     result = fit([dataset[i] for i in train_idx],
                  model_seed=derive_seed(cfg.seed, "model", k), cfg=cfg,
@@ -242,7 +242,7 @@ def _run_single_split(args) -> tuple[int, SplitMetrics, GatModel, list[float]]:
     metrics = evaluate_split(result.model, [dataset[i] for i in test_idx],
                              [prepared[i] for i in test_idx],
                              threshold=cfg.threshold)
-    return k, metrics, result.model, result.loss_curve
+    return metrics, result.model, result.loss_curve
 
 
 def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
@@ -260,10 +260,7 @@ def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
             results = pool.map(_run_single_split, payloads)
     else:
         results = [_run_single_split(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
-    per_split = [r[1] for r in results]
-    models = [r[2] for r in results]
-    curves = [r[3] for r in results]
+    per_split, models, curves = (list(r) for r in zip(*results))
     report = aggregate(per_split, parameter_count=count_parameters(models[0]),
                        config=asdict(cfg))
     return CrossValResult(report=report, models=models, loss_curves=curves,

@@ -1,10 +1,13 @@
 """Finite-difference gradient checking shared by unit and acceptance tests."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import rssigat.tensor_core as tc
-from rssigat.gat_model import build_model, model_forward, prepare_graph
+from rssigat.gat_model import (GatLayerConfig, GatModel, _param_table,
+                               model_forward, prepare_graph)
 from rssigat.mtf_graph import transform
 from rssigat.trace import RssiTrace, TraceSchema
 from rssigat.train import ClassWeights, bce_targets, loss_and_grads
@@ -114,10 +117,21 @@ def block_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
             for name in leaves]
 
 
+def zero_model(configs, seed: int = 0) -> GatModel:
+    """A model of the given layers with every parameter 0."""
+    size = sum(math.prod(shape) for _, shape, _ in _param_table(configs))
+    return GatModel(configs, np.zeros(size), seed)
+
+
+# three blocks of two heads of two dims, as build_model's but at toy width
+TOY_LAYERS = (GatLayerConfig(1, 2, 2), GatLayerConfig(4, 2, 2),
+              GatLayerConfig(4, 2, 2, "average"))
+
+
 def small_random_model(rng):
     """Three attention blocks at toy width, every parameter randomized so
     pre-activations spread away from the ReLU kinks."""
-    model = build_model(seed=0, filters=2, heads=(2, 2, 2))
+    model = zero_model(TOY_LAYERS)
     for p in model.params.values():
         p[...] = rng.standard_normal(p.shape)
     return model

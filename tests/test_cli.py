@@ -11,6 +11,7 @@ from rssigat.inject import read_dataset
 from rssigat.metrics import EvalReport, split_metrics
 from rssigat.mtf_graph import GraphError, read_graphs, transform
 from rssigat.trace import read_traces_csv
+from test_gat_model import save_unchained_checkpoint
 
 
 def _digest(path):
@@ -476,6 +477,23 @@ def test_bad_train_config_is_usage_error(tmp_path, capsys, flags, message):
                 "-o", tmp_path / "run") == 2
     assert capsys.readouterr().err == f"rssigat: error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_whose_layers_do_not_chain_is_one_line_error(
+        pipeline_dir, capsys, command):
+    run_dir, out = pipeline_dir / "run", pipeline_dir / "out.json"
+    save_unchained_checkpoint(run_dir / "checkpoint_0", layer=2, in_dim=5)
+    argv = {"eval": ["eval", "--run", run_dir, "--dataset",
+                     pipeline_dir / "dataset.jsonl", "--split", 0, "-o", out],
+            "predict": ["predict", "--checkpoint", run_dir / "checkpoint_0",
+                        "-i", pipeline_dir / "dataset.jsonl", "-o", out]}[command]
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    assert capsys.readouterr().err == \
+        "rssigat: error: layer 2 has in_dim 5, its input is 128 wide\n"
+    assert not out.exists()
+    assert not (pipeline_dir / "out.json.manifest.json").exists()
 
 
 @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 import pickle
 import re
 import warnings
@@ -11,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
 from rssigat.gat_model import (BLOCK_PARAMS, GatLayerConfig, GatModel, ModelError,
-                               build_model, count_parameters, load_checkpoint,
-                               model_backward, model_forward, predict,
-                               prepare_graph, save_checkpoint)
+                               _param_table, build_model, count_parameters,
+                               load_checkpoint, model_backward, model_forward,
+                               predict, prepare_graph, save_checkpoint)
 from rssigat.mtf_graph import TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
 from oracles import dense_gat_oracle, model_forward_oracle, model_reference
-from gradcheck import run_model_fd_trials
+from gradcheck import run_model_fd_trials, zero_model
 from test_tensor_core import attention_output
 from fuzzing import JSON_VALUES, changed_records
 from test_train import _desk_dataset
@@ -295,10 +297,44 @@ def test_param_views_group_the_arrays_as_the_ops_take_them():
 # parameter counting
 
 def test_count_parameters_tiny_case():
-    params = {"w": np.zeros((2, 3)), "b": np.zeros(3)}
-    model = GatModel(layer_configs=(GatLayerConfig(in_dim=2),), params=params, seed=0)
-    assert count_parameters(model) == 9
+    # one block of two heads of three dims on one feature: weight, two
+    # attention vectors, bias, skip weight and bias of 6 each, then the
+    # head's (6, 1) weight and its bias
+    model = zero_model((GatLayerConfig(in_dim=1, out_dim_per_head=3, n_heads=2),))
+    assert count_parameters(model) == 6 * 6 + 6 + 1
 
+
+# ---------------------------------------------------------------------------
+# a model is checked when it is built
+
+@pytest.mark.parametrize("configs, message", [
+    ((), "a model needs at least one layer"),
+    ((GatLayerConfig(in_dim=2),), "layer 1 has in_dim 2, its input is 1 wide"),
+    ((GatLayerConfig(in_dim=2**62),), "layer 1 has in_dim 4611686018427387904"),
+    ((GatLayerConfig(in_dim=1), GatLayerConfig(in_dim=5)),
+     "layer 2 has in_dim 5, its input is 128 wide"),
+    ((GatLayerConfig(in_dim=1, head_mode="average"), GatLayerConfig(in_dim=128)),
+     "layer 2 has in_dim 128, its input is 32 wide"),
+], ids=["no layers", "layer 1 in_dim 2", "layer 1 in_dim 2**62",
+        "layer 2 in_dim 5", "after an averaging layer"])
+def test_model_layers_must_chain(configs, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        GatModel(configs, np.zeros(63201), seed=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"leaky_slope": True}, "leaky_slope must be a finite number"),
+    ({"leaky_slope": "0.2"}, "leaky_slope must be a finite number"),
+    ({"leaky_slope": np.inf}, "leaky_slope must be a finite number"),
+    ({"head_mode": "sum"}, "unknown head_mode 'sum'"),
+], ids=["boolean slope", "string slope", "infinite slope", "unknown head mode"])
+def test_layer_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        GatLayerConfig(in_dim=1, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# parameter budget
 
 def test_default_model_parameter_budget():
     model = build_model(seed=0)
@@ -307,8 +343,8 @@ def test_default_model_parameter_budget():
 
 def test_doubling_last_layer_heads_adds_exact_delta():
     base = build_model(seed=0)
-    wider = build_model(seed=0, heads=(4, 4, 12))
     cfg = base.layer_configs[2]
+    wider = zero_model(base.layer_configs[:2] + (dataclasses.replace(cfg, n_heads=12),))
     per_head = cfg.in_dim * cfg.out_dim_per_head + 2 * cfg.out_dim_per_head
     assert count_parameters(wider) - count_parameters(base) == 6 * per_head
 
@@ -422,6 +458,35 @@ def test_checkpoint_non_finite_value_rejected(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def save_unchained_checkpoint(base, layer, in_dim):
+    """A checkpoint of ``build_model``'s layers, but with layer ``layer``
+    taking ``in_dim`` features. Its tensor list, a zero blob and the digest
+    are rebuilt to match, so only the chain between the layers is wrong."""
+    save_checkpoint(base, build_model(seed=0))
+    manifest_path = base.with_suffix(".json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["layers"][layer - 1]["in_dim"] = in_dim
+    table = _param_table([GatLayerConfig(**cfg) for cfg in manifest["layers"]])
+    manifest["tensors"] = [{"name": name, "shape": list(shape)}
+                           for name, shape, _ in table]
+    blob = np.zeros(sum(math.prod(shape) for _, shape, _ in table)).tobytes()
+    manifest["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    base.with_suffix(".bin").write_bytes(blob)
+
+
+@pytest.mark.parametrize("layer, in_dim, message", [
+    (1, 2, "layer 1 has in_dim 2, its input is 1 wide"),
+    (2, 5, "layer 2 has in_dim 5, its input is 128 wide"),
+    (3, 127, "layer 3 has in_dim 127, its input is 128 wide"),
+], ids=["layer 1", "layer 2", "layer 3"])
+def test_checkpoint_whose_layers_do_not_chain_is_model_error(tmp_path, layer,
+                                                            in_dim, message):
+    save_unchained_checkpoint(tmp_path / "ckpt", layer, in_dim)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
     """A saved default model's path and its manifest."""
@@ -441,6 +506,22 @@ def _edited(manifest, edit):
     return json.dumps(manifest)
 
 
+def _with_in_dim(manifest, in_dim):
+    """Layer 1 takes ``in_dim`` features, and the tensor list agrees."""
+    def edit(m):
+        m["layers"][0]["in_dim"] = in_dim
+        for tensor in m["tensors"]:
+            if tensor["name"] in ("gat1.weight", "skip1.weight"):
+                tensor["shape"][0] = in_dim
+    return _edited(manifest, edit)
+
+
+def _needs(in_dim):
+    """The blob length a default manifest needs with layer 1's ``in_dim``:
+    its two (in_dim, 128) weights replace two of 128 entries."""
+    return f"the manifest needs {8 * (63201 - 2 * 128 + 2 * 128 * in_dim)}$"
+
+
 @pytest.mark.parametrize("text, message", [
     (lambda m: _edited(m, lambda m: m.pop("layers")), "KeyError: 'layers'"),
     (lambda m: _edited(m, lambda m: m["layers"].__setitem__(0, 7)),
@@ -451,12 +532,19 @@ def _edited(manifest, edit):
      "layer dimensions must be integers >= 1"),
     (lambda m: _edited(m, lambda m: m["layers"][0].update(in_dim=True)),
      "layer dimensions must be integers >= 1"),
+    (lambda m: _edited(m, lambda m: m["layers"][0].update(leaky_slope=True)),
+     "leaky_slope must be a finite number"),
+    (lambda m: _with_in_dim(m, 2**62), _needs(2**62)),
+    # (2**57 + 1) * 128 wraps to 128 in int64: the size of the blob's weight
+    (lambda m: _with_in_dim(m, 2**57 + 1), _needs(2**57 + 1)),
     (lambda m: _edited(m, lambda m: m["tensors"][0].pop("shape")),
      "KeyError: 'shape'"),
     (lambda m: json.dumps([m]), "AttributeError"),
     (lambda m: "{not json", "JSONDecodeError"),
 ], ids=["no layers", "non-dict layer", "unknown layer key", "string in_dim",
-        "boolean in_dim", "tensor without shape", "list manifest", "not JSON"])
+        "boolean in_dim", "boolean leaky_slope", "in_dim 2**62",
+        "in_dim wrapping int64", "tensor without shape", "list manifest",
+        "not JSON"])
 def test_malformed_manifest_is_model_error(saved_checkpoint, text, message):
     base, manifest = saved_checkpoint
     with pytest.raises(ModelError, match=message):

@@ -70,14 +70,6 @@ def test_matmul_hand_case():
     np.testing.assert_array_equal(_linear(a, b, np.zeros(1)), [[3.0], [7.0]])
 
 
-def test_matmul_shape_mismatch():
-    with pytest.raises(tc.ShapeError, match="linear shapes"):
-        _linear(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
-    with pytest.raises(tc.ShapeError, match="linear shapes"):
-        tc.output_head(np.ones((2, 3)), np.ones((2, 1)), np.zeros(1),
-                       np.arange(2))
-
-
 def test_non_finite_trips_error():
     # the skip and the head's logits overflow; the attention stays finite
     with np.errstate(over="ignore"), pytest.raises(tc.NonFiniteError,
@@ -128,8 +120,6 @@ def test_linear_matches_matmul_plus_bias():
     rng = np.random.default_rng(6)
     x, w, b = (rng.standard_normal(shape) for shape in ((4, 3), (3, 5), (5,)))
     assert _linear(x, w, b).tobytes() == (x @ w + b).tobytes()
-    with pytest.raises(tc.ShapeError, match="linear shapes"):
-        _linear(x, w, np.ones(3))
 
 
 def test_linear_gives_no_gradient_to_a_constant_input():
@@ -155,26 +145,6 @@ def _attention_inputs(rng, n, heads, f):
             rng.standard_normal((heads, f)),
             rng.standard_normal(heads * f),
             rng.standard_normal((n, n)))
-
-
-def test_graph_attention_rejects_bad_inputs():
-    rng = np.random.default_rng(8)
-    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
-    ones = np.ones((3, 4))
-    for args in ((h, weight, att_dst, att_src, np.zeros(2), logit_bias),
-                 (h, weight, np.zeros((2, 3)), att_src, bias, logit_bias),
-                 (h, ones, att_dst, att_src, bias, logit_bias),
-                 (ones, weight, att_dst, att_src, bias, logit_bias)):
-        with pytest.raises(tc.ShapeError, match="graph_attention"):
-            attention_output(*args)
-    skip = (np.zeros((2, 4)), np.zeros(4))
-    with pytest.raises(tc.OpError, match="head_mode"):
-        tc.attention_block(h, weight, att_dst, att_src, bias, *skip,
-                           logit_bias, 0.2, "sum")
-    # the skip's width must be the attention's
-    with pytest.raises(tc.ShapeError, match="linear shapes"):
-        tc.attention_block(h, weight, att_dst, att_src, bias, np.zeros((2, 3)),
-                           np.zeros(3), logit_bias, 0.2, "concat")
 
 
 def test_graph_attention_projects_rows():
@@ -260,13 +230,6 @@ def test_attention_rejects_a_row_without_finite_bias():
     bias = np.array([[0.0, -np.inf], [-np.inf, -np.inf]])
     with pytest.raises(tc.ShapeError, match="finite logit bias entry"):
         _alpha(bias)
-
-
-def test_attention_rejects_bias_shape():
-    rng = np.random.default_rng(8)
-    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
-    with pytest.raises(tc.ShapeError, match=r"logit bias \(3, 2\)"):
-        attention_output(h, weight, att_dst, att_src, bias, logit_bias[:, :2])
 
 
 def test_attention_extreme_logits_stay_finite():
