@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .trace import (TraceSchema, RssiTrace, SynthesisProfile, DEFAULT_SCHEMA,
-                    ingest_raw_log, synthesize_clean, normalize)
+from .trace import (TraceSchema, RssiTrace, DEFAULT_SCHEMA, ingest_raw_log,
+                    synthesize_clean, normalize)
 from .inject import (AnomalyKind, InjectionParams, LabeledTrace,
                      inject_anomaly, build_dataset)
 from .mtf_graph import TsGraph, transform

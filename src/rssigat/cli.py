@@ -26,7 +26,7 @@ from .mtf_graph import transform, write_graphs
 from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
                     loss_curves_to_csv, prepare_dataset, run_cross_validation)
-from .trace import (ConfigError, SchemaError, SynthesisProfile, TraceSchema,
+from .trace import (BASELINE_RANGE, JITTER, SchemaError, TraceSchema,
                     ingest_raw_log, open_utf8, read_traces_csv, synthesize_clean,
                     write_traces_csv)
 
@@ -133,23 +133,18 @@ def cmd_synth(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     schema = _schema(args, args.length)
-    lo, hi = args.baseline_min, args.baseline_max
+    lo, hi = BASELINE_RANGE
     if not schema.rssi_min <= lo <= hi <= schema.rssi_max:
         raise UsageError(
-            f"--baseline-min/--baseline-max [{lo}, {hi}] must be an ordered "
-            f"range inside --rssi-min/--rssi-max "
-            f"[{schema.rssi_min}, {schema.rssi_max}]")
-    try:
-        profile = SynthesisProfile(baseline_range=(lo, hi), jitter=args.jitter)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+            f"--rssi-min/--rssi-max [{schema.rssi_min}, {schema.rssi_max}] "
+            f"must contain the baseline range [{lo}, {hi}]")
     rng = np.random.default_rng(derive_seed(args.seed, "synth"))
-    traces = synthesize_clean(args.count, schema, rng, profile)
+    traces = synthesize_clean(args.count, schema, rng)
     out = Path(args.out)
     write_traces_csv(out, traces)
     write_manifest(out.with_name(out.name + ".manifest.json"), "synth",
                    {"count": args.count, "length": args.length,
-                    "baseline": [lo, hi], "jitter": args.jitter},
+                    "baseline": [lo, hi], "jitter": JITTER},
                    args.seed, [], [out])
     print(f"wrote {len(traces)} traces to {out}")
     return 0
@@ -172,20 +167,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    if args.each is not None:
-        counts = {kind: args.each for kind in ANOMALOUS_KINDS}
-    else:
-        counts = {AnomalyKind.SUDDEN_D: args.suddend,
-                  AnomalyKind.SUDDEN_R: args.suddenr,
-                  AnomalyKind.INSTA_D: args.instad,
-                  AnomalyKind.SLOW_D: args.slowd}
+    counts = {kind: args.each for kind in ANOMALOUS_KINDS}
     counts[AnomalyKind.NONE] = args.clean
     if min(counts.values()) < 0:
-        raise UsageError("--each, --clean and the per-kind counts must be "
-                         ">= 0")
+        raise UsageError("--each and --clean must be >= 0")
     if not any(counts.values()):
-        raise UsageError("the composition is empty: give --each, --clean "
-                         "or a per-kind count above 0")
+        raise UsageError("the composition is empty: give --each or --clean "
+                         "above 0")
     traces = read_traces_csv(Path(args.input))
     schema = _input_schema(args, traces)
     length = schema.expected_length
@@ -382,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate clean traces")
     p.add_argument("--count", type=int, required=True)
     _add_schema_flags(p)
-    p.add_argument("--baseline-min", type=int, default=20)
-    p.add_argument("--baseline-max", type=int, default=60)
-    p.add_argument("--jitter", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -397,12 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject", help="inject anomalies into clean traces")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--suddend", type=int, default=0)
-    p.add_argument("--suddenr", type=int, default=0)
-    p.add_argument("--instad", type=int, default=0)
-    p.add_argument("--slowd", type=int, default=0)
-    p.add_argument("--each", type=int, default=None,
-                   help="set every anomaly kind to this count")
+    p.add_argument("--each", type=int, default=0,
+                   help="traces of each anomaly kind")
     p.add_argument("--clean", type=int, default=0)
     _add_schema_flags(p, length=False)
     p.add_argument("--seed", type=int, default=0)

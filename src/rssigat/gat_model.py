@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict, field
 from functools import cached_property
 from itertools import zip_longest
@@ -65,7 +66,7 @@ class GatLayerConfig:
             raise ModelError("layer dimensions must be integers >= 1")
         if not (isinstance(self.leaky_slope, (int, float))
                 and type(self.leaky_slope) is not bool
-                and np.isfinite(self.leaky_slope)):
+                and abs(self.leaky_slope) <= sys.float_info.max):
             raise ModelError("leaky_slope must be a finite number")
 
     @property
@@ -102,8 +103,9 @@ class GatModel:
     """The layers and their parameters. ``vector`` holds every parameter, in
     ``_param_table`` order, and each ``params[name]`` is a view into it: the
     vector is the checkpoint blob and what the optimizer updates. ModelError
-    unless the layers chain: layer 1 takes a row's one feature, and each
-    later layer the previous one's ``out_width``."""
+    unless the layers chain, layer 1 taking a row's one feature and each
+    later layer the previous one's ``out_width``, and the vector holds
+    exactly their parameters."""
 
     layer_configs: tuple[GatLayerConfig, ...]
     vector: np.ndarray = field(repr=False, compare=False)
@@ -118,6 +120,11 @@ class GatModel:
             if cfg.in_dim != widths[k - 1]:
                 raise ModelError(f"layer {k} has in_dim {cfg.in_dim}, "
                                  f"its input is {widths[k - 1]} wide")
+        size = sum(math.prod(shape) for _, shape, _ in
+                   _param_table(self.layer_configs))
+        if self.vector.shape != (size,):
+            raise ModelError(f"the vector has {self.vector.size} entries, "
+                             f"the layers need {size}")
         self.params = self.views(self.vector)
 
     def views(self, vector: np.ndarray) -> ParamViews:

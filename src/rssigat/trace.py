@@ -1,6 +1,8 @@
 """RSSI trace types, raw-log ingestion, synthesis and normalization.
 
-Raw link logs are UTF-8 text: a header line ``# link <id> noise=<label>``
+A synthetic clean trace is a per-link baseline in ``BASELINE_RANGE`` plus
+integer jitter of at most ``JITTER`` per sample, both module constants. Raw
+link logs are UTF-8 text: a header line ``# link <id> noise=<label>``
 followed by one ``<seq>,<rssi>`` record per line. They are read in one pass
 that keeps only the traces of links without packet loss; the noise label is
 required but not kept. Trace files are CSV with header ``link_id,idx,rssi``.
@@ -135,36 +137,23 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
     return traces, n_links
 
 
-@dataclass(frozen=True)
-class SynthesisProfile:
-    """Clean-trace generator: per-link constant baseline plus integer jitter."""
-
-    baseline_range: tuple[int, int] = (20, 60)
-    jitter: int = 2
-
-    def __post_init__(self):
-        if self.baseline_range[0] > self.baseline_range[1]:
-            raise ConfigError("empty baseline range")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be >= 0")
-
-
-DEFAULT_PROFILE = SynthesisProfile()
+BASELINE_RANGE = (20, 60)
+JITTER = 2
 
 
 def synthesize_clean(count: int, schema: TraceSchema = DEFAULT_SCHEMA,
-                     rng: np.random.Generator | None = None,
-                     profile: SynthesisProfile = DEFAULT_PROFILE) -> list[RssiTrace]:
-    """Generate clean traces: baseline drawn per link, jitter drawn per sample,
-    clamped to the schema bounds. Deterministic for a fixed generator state."""
+                     rng: np.random.Generator | None = None) -> list[RssiTrace]:
+    """``count`` clean traces: a baseline in ``BASELINE_RANGE`` per link plus
+    jitter of at most ``JITTER`` per sample, clamped to the schema bounds.
+    Deterministic for a fixed generator state."""
     if count < 1:
         raise ConfigError("count must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    lo, hi = profile.baseline_range
+    lo, hi = BASELINE_RANGE
     n = schema.expected_length
     baselines = rng.integers(lo, hi + 1, size=count)
-    jitter = rng.integers(-profile.jitter, profile.jitter + 1, size=(count, n))
+    jitter = rng.integers(-JITTER, JITTER + 1, size=(count, n))
     values = np.clip(baselines[:, None] + jitter, schema.rssi_min, schema.rssi_max)
     return [RssiTrace(link_id=f"synth-{i:05d}", samples=values[i].astype(np.float64))
             for i in range(count)]

@@ -34,9 +34,7 @@ class SplitError(Exception):
 
 
 class TrainingError(Exception):
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch
+    pass
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,8 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
     ``prepared[i]`` is the class graph of ``dataset[i]``.
 
     Deterministic for fixed (dataset, model_seed, cfg). Raises TrainingError
-    with the epoch index if the loss leaves the finite range.
+    naming the 0-based epoch, as ``loss_curves_to_csv`` numbers it, if a
+    step leaves the finite range.
     """
     if not dataset:
         raise TrainingError("dataset is empty")
@@ -206,8 +205,8 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
                 loss, _ = loss_and_grads(prepared[i], targets[i], model,
                                          optimizer.grads)
             except tc.NonFiniteError as exc:
-                raise TrainingError(f"training diverged: {exc}",
-                                    epoch=epoch) from exc
+                raise TrainingError(
+                    f"training diverged in epoch {epoch}: {exc}") from exc
             optimizer.step()
             epoch_loss += loss
         loss_curve.append(epoch_loss / len(dataset))

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rssigat.cli import main
+from rssigat.cli import build_parser, main
 from rssigat.gat_model import build_model, save_checkpoint
 from rssigat.inject import read_dataset
 from rssigat.metrics import EvalReport, split_metrics
@@ -63,16 +64,15 @@ def test_synth_count_zero_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bounds", [
-    ("--baseline-min", 200, "--baseline-max", 300),  # above --rssi-max
-    ("--baseline-min", 5, "--rssi-min", 10),         # below --rssi-min
-    ("--baseline-min", 50, "--baseline-max", 40),    # reversed
+    ("--rssi-max", 50),   # below the baseline range's top
+    ("--rssi-min", 30),   # above its bottom
 ])
 def test_synth_baseline_outside_bounds_is_usage_error(tmp_path, capsys, bounds):
-    """A baseline range the bounds would clip away writes nothing."""
+    """Bounds that would clip the baseline range away write nothing."""
     out = tmp_path / "x.csv"
     code = _run("synth", "--count", 3, "--length", 30, *bounds, "-o", out)
     assert code == 2
-    assert "--baseline-min/--baseline-max" in capsys.readouterr().err
+    assert "must contain the baseline range [20, 60]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -91,11 +91,12 @@ def test_inject_counts_match_flags(tmp_path, capsys):
     traces = tmp_path / "t.csv"
     _run("synth", "--count", 20, "--length", 50, "--seed", 1, "-o", traces)
     out = tmp_path / "d.jsonl"
-    assert _run("inject", "-i", traces, "--suddend", 1, "--clean", 0,
+    assert _run("inject", "-i", traces, "--each", 1, "--clean", 0,
                 "--seed", 0, "-o", out) == 0
     items = read_dataset(out)
-    assert len(items) == 1 and items[0].kind.value == "SuddenD"
-    assert "1 total, 1 anomalous" in capsys.readouterr().out
+    assert sorted(item.kind.value for item in items) == [
+        "InstaD", "SlowD", "SuddenD", "SuddenR"]
+    assert "4 total, 4 anomalous" in capsys.readouterr().out
 
 
 def test_inject_capacity_error(tmp_path, capsys):
@@ -118,11 +119,10 @@ def test_inject_empty_composition_is_usage_error(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
-_COUNTS_MESSAGE = "--each, --clean and the per-kind counts must be >= 0"
+_COUNTS_MESSAGE = "--each and --clean must be >= 0"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["synth", "--count", 3, "--jitter", -1], "jitter must be >= 0"),
     (["synth", "--count", 3, "--length", 1], "expected_length must be >= 2"),
     (["ingest", "-i", "{raw}", "--length", 1], "expected_length must be >= 2"),
     (["ingest", "-i", "{raw}", "--length", 30],
@@ -133,15 +133,15 @@ _COUNTS_MESSAGE = "--each, --clean and the per-kind counts must be >= 0"
       "--rssi-max", 5], "rssi_min must be below rssi_max"),
     (["inject", "-i", "{traces}", "--each", -1, "--clean", 2], _COUNTS_MESSAGE),
     # checked before the input is read
-    (["inject", "-i", "{missing}", "--suddend", -3, "--clean", 1],
+    (["inject", "-i", "{missing}", "--each", -3, "--clean", 1],
      _COUNTS_MESSAGE),
-], ids=["synth-jitter", "synth-length", "ingest-length", "ingest-no-link",
+], ids=["synth-length", "ingest-length", "ingest-no-link",
         "synth-bounds", "inject-bounds", "inject-each",
         "inject-suddend-missing-input"])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, message):
-    """A flag value the schema, the synthesis profile or the composition
-    rejects, or an ``--length`` no ingested link has, exits 2 with one line
-    and writes nothing."""
+    """A flag value the schema or the composition rejects, or an
+    ``--length`` no ingested link has, exits 2 with one line and writes
+    nothing."""
     paths = {"{traces}": tmp_path / "traces.csv", "{raw}": tmp_path / "raw.log",
              "{missing}": tmp_path / "missing.csv"}
     assert _run("synth", "--count", 4, "--length", 30,
@@ -284,6 +284,34 @@ def test_train_rejects_removed_flags(tmp_path, capsys, flags):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--count", 3, "--baseline-min", 20],
+    ["synth", "--count", 3, "--baseline-max", 60],
+    ["synth", "--count", 3, "--jitter", 2],
+    ["inject", "-i", "t.csv", "--suddend", 1],
+    ["inject", "-i", "t.csv", "--suddenr", 1],
+    ["inject", "-i", "t.csv", "--instad", 1],
+    ["inject", "-i", "t.csv", "--slowd", 1],
+], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
+def test_synth_and_inject_reject_removed_flags(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "-o", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_lines_parse():
+    """Every ``rssigat`` line of the README's CLI block parses."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    lines = [line.split() for line in block.splitlines()
+             if line.startswith("rssigat ")]
+    assert len(lines) == 8
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
 
 
 def test_eval_transforms_only_the_test_split(pipeline_dir, monkeypatch):

@@ -326,11 +326,22 @@ def test_model_layers_must_chain(configs, message):
     ({"leaky_slope": True}, "leaky_slope must be a finite number"),
     ({"leaky_slope": "0.2"}, "leaky_slope must be a finite number"),
     ({"leaky_slope": np.inf}, "leaky_slope must be a finite number"),
+    ({"leaky_slope": 10**400}, "leaky_slope must be a finite number"),
     ({"head_mode": "sum"}, "unknown head_mode 'sum'"),
-], ids=["boolean slope", "string slope", "infinite slope", "unknown head mode"])
+], ids=["boolean slope", "string slope", "infinite slope", "oversized slope",
+        "unknown head mode"])
 def test_layer_config_rejects_bad_values(kwargs, message):
     with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         GatLayerConfig(in_dim=1, **kwargs)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one long", "one short"])
+def test_model_vector_must_fit_the_layers(extra):
+    model = build_model(0)
+    vector = np.resize(model.vector, model.vector.size + extra)
+    with pytest.raises(ModelError, match=f"^the vector has {63201 + extra} "
+                                         "entries, the layers need 63201$"):
+        GatModel(model.layer_configs, vector, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +545,8 @@ def _needs(in_dim):
      "layer dimensions must be integers >= 1"),
     (lambda m: _edited(m, lambda m: m["layers"][0].update(leaky_slope=True)),
      "leaky_slope must be a finite number"),
+    (lambda m: _edited(m, lambda m: m["layers"][0].update(leaky_slope=10**400)),
+     "leaky_slope must be a finite number"),
     (lambda m: _with_in_dim(m, 2**62), _needs(2**62)),
     # (2**57 + 1) * 128 wraps to 128 in int64: the size of the blob's weight
     (lambda m: _with_in_dim(m, 2**57 + 1), _needs(2**57 + 1)),
@@ -542,9 +555,9 @@ def _needs(in_dim):
     (lambda m: json.dumps([m]), "AttributeError"),
     (lambda m: "{not json", "JSONDecodeError"),
 ], ids=["no layers", "non-dict layer", "unknown layer key", "string in_dim",
-        "boolean in_dim", "boolean leaky_slope", "in_dim 2**62",
-        "in_dim wrapping int64", "tensor without shape", "list manifest",
-        "not JSON"])
+        "boolean in_dim", "boolean leaky_slope", "oversized leaky_slope",
+        "in_dim 2**62", "in_dim wrapping int64", "tensor without shape",
+        "list manifest", "not JSON"])
 def test_malformed_manifest_is_model_error(saved_checkpoint, text, message):
     base, manifest = saved_checkpoint
     with pytest.raises(ModelError, match=message):

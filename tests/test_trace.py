@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssigat.trace import (ConfigError, ParseError, RssiTrace, SchemaError,
-                           SynthesisProfile, TraceError, TraceSchema,
+from rssigat.trace import (BASELINE_RANGE, JITTER, ConfigError, ParseError,
+                           RssiTrace, SchemaError, TraceError, TraceSchema,
                            _read_traces_csv_by_line, _read_traces_csv_in_bulk,
                            ingest_raw_log, normalize, read_traces_csv,
                            synthesize_clean, write_traces_csv)
@@ -124,29 +124,19 @@ def test_synthesize_deterministic():
         np.testing.assert_array_equal(ta.samples, tb.samples)
 
 
-def test_synthesize_zero_jitter_constant_traces():
-    schema = TraceSchema(expected_length=20)
-    profile = SynthesisProfile(jitter=0)
-    traces = synthesize_clean(4, schema, np.random.default_rng(1), profile)
-    for t in traces:
-        assert np.unique(t.samples).size == 1
-
-
 def test_synthesize_range_scan():
     schema = TraceSchema(expected_length=30)
-    profile = SynthesisProfile(baseline_range=(20, 60), jitter=2)
-    traces = synthesize_clean(1000, schema, np.random.default_rng(3), profile)
+    traces = synthesize_clean(1000, schema, np.random.default_rng(3))
+    assert (BASELINE_RANGE, JITTER) == ((20, 60), 2)
     lo = min(t.samples.min() for t in traces)
     hi = max(t.samples.max() for t in traces)
-    assert lo >= max(20 - 2, schema.rssi_min)
-    assert hi <= min(60 + 2, schema.rssi_max)
+    assert (lo, hi) == (20 - 2, 60 + 2)
 
 
 def test_synthesize_rejects_bad_config():
-    with pytest.raises(ConfigError):
-        SynthesisProfile(baseline_range=(60, 20))
-    with pytest.raises(ConfigError):
-        synthesize_clean(0, TraceSchema(), np.random.default_rng(0))
+    for count in (0, -1):
+        with pytest.raises(ConfigError, match="count must be >= 1"):
+            synthesize_clean(count, TraceSchema(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,15 @@ def test_fit_empty_dataset_rejected():
         fit([], model_seed=0, cfg=TrainConfig(epochs=1), prepared=[])
 
 
+def test_fit_divergence_names_the_epoch():
+    dataset, schema = _desk_dataset(n_each=1, n_clean=2)
+    cfg = TrainConfig(epochs=2, learning_rate=1e300)
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"^training diverged in epoch 0: "):
+        fit(dataset, model_seed=0, cfg=cfg,
+            prepared=prepare_dataset(dataset, schema))
+
+
 def test_cross_validate_shapes_and_averages():
     dataset, schema = _desk_dataset(n_each=3, n_clean=10, seed=7)
     cfg = TrainConfig(n_splits=3, epochs=2, seed=2)
