@@ -118,6 +118,16 @@ def _check_recorded_bounds(args, path: Path) -> None:
             f"[{args.rssi_min}, {args.rssi_max}]; pass the same bounds")
 
 
+def _output_path(args) -> Path:
+    """``-o``; a usage error if it is the ``-i`` file (by ``samefile`` if
+    both exist, else by resolved path), which writing would destroy."""
+    out, source = Path(args.out), Path(args.input)
+    if (out.samefile(source) if out.exists() and source.exists()
+            else out.resolve() == source.resolve()):
+        raise UsageError(f"-o {out} is the input file; write to another path")
+    return out
+
+
 def _read_labeled(args, path: str):
     """A dataset file and its schema (see ``_input_schema`` and
     ``_check_recorded_bounds``)."""
@@ -152,13 +162,12 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     schema = _schema(args, args.length)
-    source = Path(args.input)
+    source, out = Path(args.input), _output_path(args)
     with open_utf8(source) as fh:
         traces, n_links = ingest_raw_log(fh, schema)
     if not traces:
         raise UsageError(f"{source}: none of its {n_links} links has "
                          f"--length {args.length} samples without a gap")
-    out = Path(args.out)
     write_traces_csv(out, traces)
     write_manifest(out.with_name(out.name + ".manifest.json"), "ingest",
                    {"length": args.length}, None, [source], [out])
@@ -174,13 +183,13 @@ def cmd_inject(args) -> int:
     if not any(counts.values()):
         raise UsageError("the composition is empty: give --each or --clean "
                          "above 0")
+    out = _output_path(args)
     traces = read_traces_csv(Path(args.input))
     schema = _input_schema(args, traces)
     length = schema.expected_length
     params = InjectionParams.scaled_to_length(length)
     rng = np.random.default_rng(derive_seed(args.seed, "inject"))
     dataset = build_dataset(traces, counts, params, rng, schema)
-    out = Path(args.out)
     write_dataset(out, dataset)
     n_anomalous = sum(1 for item in dataset if item.kind is not AnomalyKind.NONE)
     write_manifest(out.with_name(out.name + ".manifest.json"), "inject",
@@ -193,9 +202,9 @@ def cmd_inject(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    out = _output_path(args)
     dataset, schema = _read_labeled(args, args.input)
     graphs = [transform(item.trace, schema) for item in dataset]
-    out = Path(args.out)
     write_graphs(out, graphs)
     write_manifest(out.with_name(out.name + ".manifest.json"), "transform",
                    {}, None, [Path(args.input)], [out])
@@ -321,11 +330,11 @@ def _read_prediction_input(path: Path):
 def cmd_predict(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError("--threshold must be in [0, 1]")
+    out = _output_path(args)
     model = load_checkpoint(Path(args.checkpoint))
     traces = _read_prediction_input(Path(args.input))
     schema = _input_schema(args, traces)
     _check_recorded_bounds(args, Path(args.input))
-    out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         for trace in traces:
             labels = predict_graph(transform(trace, schema), model,

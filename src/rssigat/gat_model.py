@@ -14,10 +14,10 @@ The sizes are the paper's (``FILTERS``, ``HEADS``, ``LEAKY_SLOPE``). A
 ``GatModel`` checks that its layers chain when it is built or loaded, once,
 so the ops check no shapes.
 
-The forward pass runs on the rows of a ``TsGraph``, through its C x C
-``weights``: in the value-class graph from ``transform`` all nodes of a row
-share feature and in-edges, so a class edge i -> j stands for
-``row_sizes[i]`` equal node edges, folded into the attention bias as
+The forward pass runs on the ``rows``, ``node_map`` and ``logit_bias`` of
+a ``TsGraph`` from ``transform``. In that value-class graph all nodes of a
+row share feature and in-edges, so a class edge i -> j stands for as many
+equal node edges as row i has nodes, which the graph folds into its bias as
 ln(row size). This is exact, not an approximation.
 """
 from __future__ import annotations
@@ -187,51 +187,12 @@ def build_model(seed: int = 0) -> GatModel:
 
 
 # ---------------------------------------------------------------------------
-# graph preparation
-
-@dataclass
-class PreparedGraph:
-    """Attention-ready form of a TsGraph as dense C x C matrices.
-
-    ``node_map`` sends each original node to the row the layers operate on.
-    ``logit_bias[dst, src]`` is ln(edge weight) + ln(source row size) on the
-    edges, 0 on the added self loops (weight 1, multiplicity 1) and -inf
-    elsewhere.
-    """
-
-    n_rows: int
-    row_features: np.ndarray
-    node_map: np.ndarray
-    logit_bias: np.ndarray
-
-    @property
-    def src(self) -> np.ndarray:
-        return np.nonzero(np.isfinite(self.logit_bias))[1]
-
-
-def prepare_graph(graph: TsGraph, collapse: bool = True) -> PreparedGraph:
-    """Prepare the graph's rows; ``collapse=False`` first expands it to one
-    row per node, the per-node reference the class rows must reproduce.
-    ModelError if a ``node_map`` entry is outside [0, C) for C rows."""
-    node_map = graph.node_map
-    if node_map.size and (node_map.min() < 0 or node_map.max() >= graph.n_rows):
-        raise ModelError(f"node map entries must lie in [0, {graph.n_rows})")
-    if not collapse:
-        graph = graph.expand()
-    with np.errstate(divide="ignore"):  # ln 0 = -inf off the edges
-        bias = np.log(graph.weights.T) + np.log(graph.row_sizes)
-    loops = np.diagonal(bias)
-    np.fill_diagonal(bias, np.where(loops == -np.inf, 0.0, loops))
-    return PreparedGraph(
-        n_rows=graph.n_rows,
-        row_features=np.asarray(graph.row_features, dtype=np.float64)[:, None],
-        node_map=graph.node_map,
-        logit_bias=bias,
-    )
-
-
-# ---------------------------------------------------------------------------
 # forward passes
+
+def prepare_graph(graph: TsGraph, collapse: bool = True) -> TsGraph:
+    """``graph``, or for ``collapse=False`` the per-node ``graph.expand()``."""
+    return graph if collapse else graph.expand()
+
 
 @dataclass
 class Forward:
@@ -245,16 +206,16 @@ class Forward:
     head: Callable
 
 
-def model_forward(prep: PreparedGraph, model: GatModel) -> Forward:
+def model_forward(graph: TsGraph, model: GatModel) -> Forward:
     """Anomaly probability per original node, ``.data`` of shape (N, 1)."""
-    h = prep.row_features
+    h, bias = graph.rows, graph.logit_bias
     blocks = []
     for k, (cfg, params) in enumerate(zip(model.layer_configs,
                                           model.params.blocks), start=1):
-        h, back = tc.attention_block(h, *params, prep.logit_bias,
-                                     cfg.leaky_slope, cfg.head_mode, k)
+        h, back = tc.attention_block(h, *params, bias, cfg.leaky_slope,
+                                     cfg.head_mode, k)
         blocks.append(back)
-    data, head = tc.output_head(h, *model.params.head, prep.node_map)
+    data, head = tc.output_head(h, *model.params.head, graph.node_map)
     return Forward(data, blocks, head)
 
 
@@ -271,7 +232,7 @@ def model_backward(fwd: Forward, g: np.ndarray, grads: ParamViews) -> None:
 
 def predict(graph: TsGraph, model: GatModel,
             threshold: float = 0.5) -> np.ndarray:
-    probs = model_forward(prepare_graph(graph), model).data[:, 0]
+    probs = model_forward(graph, model).data[:, 0]
     return (probs >= threshold).astype(np.int8)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,8 @@ class TsGraph:
 
     ``weights`` is C x C for C rows, and ``weights[i, j] > 0`` is the edge
     i -> j: an edge from every node of row i to every node of row j. A
-    per-node graph has ``node_map = arange(N)``.
+    per-node graph has ``node_map = arange(N)``. The model reads ``rows``,
+    ``node_map`` and ``logit_bias``, the first and last built once.
     """
 
     row_features: np.ndarray
@@ -55,9 +57,32 @@ class TsGraph:
     def node_features(self) -> np.ndarray:
         return self.row_features[self.node_map]
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row features as the (C, 1) float64 column of the first block."""
+        return np.asarray(self.row_features, dtype=np.float64)[:, None]
+
+    @cached_property
+    def logit_bias(self) -> np.ndarray:
+        """``[dst, src]``: ln(edge weight) + ln(source row size) on the edges,
+        0 on the added self loops and -inf elsewhere. GraphError if a
+        ``node_map`` entry is outside [0, C)."""
+        self._check_node_map()
+        row_sizes = np.bincount(self.node_map, minlength=self.n_rows)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf off the edges
+            bias = np.log(self.weights.T) + np.log(row_sizes)
+        loops = np.diagonal(bias)
+        np.fill_diagonal(bias, np.where(loops == -np.inf, 0.0, loops))
+        return bias
+
     @property
-    def row_sizes(self) -> np.ndarray:
-        return np.bincount(self.node_map, minlength=self.n_rows)
+    def src(self) -> np.ndarray:  # the source row of each finite bias entry
+        return np.nonzero(np.isfinite(self.logit_bias))[1]
+
+    def _check_node_map(self) -> None:
+        node_map = self.node_map
+        if node_map.size and (node_map.min() < 0 or node_map.max() >= self.n_rows):
+            raise GraphError(f"node map entries must lie in [0, {self.n_rows})")
 
     # the edge list, in row-major order
     @property
@@ -77,7 +102,9 @@ class TsGraph:
         return int(np.count_nonzero(self.weights))
 
     def expand(self) -> "TsGraph":
-        """The per-node graph, whose weights are the N x N field."""
+        """The per-node graph, whose weights are the N x N field. GraphError
+        if a ``node_map`` entry is outside [0, C)."""
+        self._check_node_map()
         if self.n_nodes > DENSE_NODE_CAP:
             raise GraphError(f"per-node graph capped at {DENSE_NODE_CAP} nodes")
         return TsGraph(self.node_features, np.arange(self.n_nodes),

@@ -7,7 +7,8 @@ inputs, by a hand-derived formula; those of parameters go into the caller's
 views when given as ``out=``. There is no tape and no graph of tensors:
 ``gat_model.model_backward`` calls the ``back`` closures of a forward pass
 in reverse order. Only the loss checks shapes: ``GatModel`` checks its
-layers once, and ``gat_model.prepare_graph`` makes every graph's rows.
+layers once, and each ``mtf_graph.TsGraph`` makes its own (C, 1) rows and
+(C, C) logit bias, checking its node map before the bias.
 
 There are three ops. ``attention_block`` is a whole block: a dense
 multi-head attention, projection included, whose -inf logit bias entries
@@ -143,6 +144,7 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
         g_skip = g @ skip_weight.T if input_grad else None
         np.matmul(h.T, g, out=g_skip_weight)
         np.add.reduce(g, axis=0, out=g_skip_bias)
+        np.copyto(g_bias, g_skip_bias)  # both biases add to the same sum
         if head_mode == "concat":
             g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
         else:
@@ -164,7 +166,7 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
         np.matmul(zt, g_src, out=g_att_src[:, :, None])
         return (g_skip + g_hw @ weight.T if input_grad else None,
                 np.matmul(h.T, g_hw, out=g_weight), g_att_dst, g_att_src,
-                np.add.reduce(g, axis=0, out=g_bias), g_skip_weight, g_skip_bias)
+                g_bias, g_skip_weight, g_skip_bias)
 
     return np.maximum(total, 0.0), back
 
@@ -173,8 +175,8 @@ def output_head(h: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                 node_map: np.ndarray):
     """Per-node probabilities sigmoid(h @ weight + bias)[node_map] for rows
     h (C, W), weight (W, 1) and bias (1,); the logits are checked finite.
-    ``node_map`` is not bounds-checked here: ``gat_model.prepare_graph``
-    checks a graph's node map once, and a negative entry would wrap.
+    ``node_map`` is not bounds-checked here: the ``TsGraph`` that made the
+    blocks' rows and bias checked it first, and a negative entry would wrap.
     ``back(g)`` returns the gradients of (h, weight, bias), the last two
     written into ``out``, if given; a row's gradient sums those of the
     nodes that map to it."""
@@ -186,9 +188,9 @@ def output_head(h: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 
     def back(g, out=None):
         g_weight, g_bias = out or map(np.empty_like, (weight, bias))
-        g_probs = np.zeros(probs.shape)
-        np.add.at(g_probs, node_map, g)
-        g = g_probs * probs * (1.0 - probs)
+        # summed in node order, as np.add.at would
+        g_probs = np.bincount(node_map, weights=g[:, 0], minlength=len(probs))
+        g = g_probs[:, None] * probs * (1.0 - probs)
         return (g @ weight.T, np.matmul(h.T, g, out=g_weight),
                 np.add.reduce(g, axis=0, out=g_bias))
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor_core as tc
-from .gat_model import GatModel, ParamViews, PreparedGraph, build_model, \
-    count_parameters, model_backward, model_forward, prepare_graph
+from .gat_model import GatModel, ParamViews, build_model, count_parameters, \
+    model_backward, model_forward
 from .inject import LabeledTrace
 from .metrics import EvalReport, SplitMetrics, aggregate, split_metrics
-from .mtf_graph import transform
+from .mtf_graph import TsGraph, transform
 from .seeds import derive_seed
 from .trace import DEFAULT_SCHEMA, TraceSchema
 
@@ -114,7 +114,7 @@ def weighted_bce(probabilities: np.ndarray, targets: tuple):
     return tc.binary_cross_entropy(probabilities, *targets)
 
 
-def loss_and_grads(prep: PreparedGraph, targets: tuple, model: GatModel,
+def loss_and_grads(graph: TsGraph, targets: tuple, model: GatModel,
                    grads: ParamViews | None = None
                    ) -> tuple[float, ParamViews]:
     """One graph's loss for its ``bce_targets`` and the gradient of every
@@ -124,7 +124,7 @@ def loss_and_grads(prep: PreparedGraph, targets: tuple, model: GatModel,
     they hold, are freed on return."""
     if grads is None:
         grads = model.views(np.empty_like(model.vector))
-    fwd = model_forward(prep, model)
+    fwd = model_forward(graph, model)
     loss, loss_back = weighted_bce(fwd.data, targets)
     model_backward(fwd, loss_back(1.0), grads)
     return float(loss), grads
@@ -167,10 +167,10 @@ class AdamOptimizer:
 
 
 def prepare_dataset(dataset: list[LabeledTrace],
-                    schema: TraceSchema = DEFAULT_SCHEMA) -> list[PreparedGraph]:
-    """The prepared class graph of every trace, with ``transform``'s default
-    bins, as ``predict`` builds them."""
-    return [prepare_graph(transform(item.trace, schema)) for item in dataset]
+                    schema: TraceSchema = DEFAULT_SCHEMA) -> list[TsGraph]:
+    """The class graph of every trace, from ``transform``, as ``predict``
+    builds them."""
+    return [transform(item.trace, schema) for item in dataset]
 
 
 @dataclass
@@ -181,7 +181,7 @@ class FitResult:
 
 
 def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
-        prepared: list[PreparedGraph]) -> FitResult:
+        prepared: list[TsGraph]) -> FitResult:
     """Train one model on the given traces, one graph per gradient step;
     ``prepared[i]`` is the class graph of ``dataset[i]``.
 
@@ -215,12 +215,12 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
 
 
 def evaluate_split(model: GatModel, items: list[LabeledTrace],
-                   prepared: list[PreparedGraph],
+                   prepared: list[TsGraph],
                    threshold: float = 0.5) -> SplitMetrics:
     """Pool predictions over every point of the given traces;
     ``prepared[i]`` is the class graph of ``items[i]``."""
-    preds = [model_forward(prep, model).data[:, 0] >= threshold
-             for prep in prepared]
+    preds = [model_forward(graph, model).data[:, 0] >= threshold
+             for graph in prepared]
     truths = [item.labels.astype(bool) for item in items]
     return split_metrics(np.concatenate(preds), np.concatenate(truths))
 

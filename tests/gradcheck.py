@@ -144,7 +144,7 @@ def sample_is_smooth(prep, model, probs, margin: float = 0.01) -> bool:
     near the log clamp. Each block's inputs come from the reference ops."""
     if probs.min() < 1e-9 or probs.max() > 1 - 1e-9:
         return False
-    h = prep.row_features
+    h = prep.rows
     edges = np.isfinite(prep.logit_bias)
     for cfg, params in zip(model.layer_configs, model.params.blocks):
         pre = attention_preactivation(h, *params[:3])

@@ -305,7 +305,7 @@ def model_reference(prep, model):
     references above, each parameter looked up by name: ``(probabilities,
     backward)``, where ``backward(g)`` returns the gradient of every
     parameter by name, as ``model_backward`` writes them."""
-    h, backs = prep.row_features, []
+    h, backs = prep.rows, []
     for k, cfg in enumerate(model.layer_configs, start=1):
         names = [f"gat{k}.{p}" for p in ("weight", "att_dst", "att_src", "bias")]
         names += [f"skip{k}.weight", f"skip{k}.bias"]

@@ -718,3 +718,39 @@ def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, content,
     assert capsys.readouterr().err == \
         f"rssigat: error: {message.format(path=bad)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, spelling", [
+    ("ingest", "same"), ("inject", "same"), ("transform", "same"),
+    ("transform", "symlink"), ("predict", "same"),
+])
+def test_output_that_is_the_input_is_usage_error(tmp_path, capsys, command,
+                                                  spelling):
+    """An ``-o`` naming the input file, or a link to it, ends in one line
+    before anything is written: the input and its manifest keep their
+    bytes, and no file appears."""
+    raw = tmp_path / "raw.log"
+    raw.write_text("# link a noise=0\n" + "".join(
+        f"{i},{40 + i % 3}\n" for i in range(30)))
+    traces, dataset = tmp_path / "traces.csv", tmp_path / "dataset.jsonl"
+    assert _run("synth", "--count", 8, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 1, "--clean", 4,
+                "-o", dataset) == 0
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    source = {"ingest": raw, "inject": traces}.get(command, dataset)
+    out = source
+    if spelling == "symlink":
+        out = tmp_path / "link.jsonl"
+        out.symlink_to(source.name)
+    argv = {"ingest": ["ingest", "-i", raw, "--length", 30, "-o", out],
+            "inject": ["inject", "-i", traces, "--each", 1, "-o", out],
+            "transform": ["transform", "-i", dataset, "-o", out],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
+                        "-i", dataset, "-o", out]}[command]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert _run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"rssigat: error: -o {out} is the input file; write to another "
+        f"path\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -16,7 +16,7 @@ from rssigat.gat_model import (BLOCK_PARAMS, GatLayerConfig, GatModel, ModelErro
                                _param_table, build_model, count_parameters,
                                load_checkpoint, model_backward, model_forward,
                                predict, prepare_graph, save_checkpoint)
-from rssigat.mtf_graph import TsGraph, transform
+from rssigat.mtf_graph import GraphError, TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
 from oracles import dense_gat_oracle, model_forward_oracle, model_reference
 from gradcheck import run_model_fd_trials, zero_model
@@ -122,7 +122,7 @@ def test_attention_coefficients_sum_to_one_per_destination():
     model = build_model(seed=3)
     assert len(model.layer_configs) == 3
     edges = np.isfinite(prep.logit_bias)
-    h = prep.row_features  # each block's input rows, by re-running the ops
+    h = prep.rows  # each block's input rows, by re-running the ops
     for cfg, params in zip(model.layer_configs, model.params.blocks):
         alpha = _attention_coefficients(h, *params[:3], prep, cfg.leaky_slope)
         assert alpha.shape == (cfg.n_heads, *edges.shape)
@@ -150,16 +150,19 @@ def test_prepare_graph_bias_is_log_weight_and_row_size_on_edges():
                          [-np.inf, ln(1.0) + ln(2), 0.0]])
     np.testing.assert_array_equal(prep.logit_bias, expected)
     np.testing.assert_array_equal(prep.src, [0, 2, 0, 1, 2, 1, 2])
+    assert graph.logit_bias is graph.logit_bias  # built once per graph
 
 
 @pytest.mark.parametrize("collapse", [True, False])
 @pytest.mark.parametrize("entry", [-1, 3])
 def test_prepare_graph_rejects_node_map_outside_rows(entry, collapse):
+    """The class graph's bias checks the map on first use, and ``expand``
+    before it indexes by it."""
     graph = TsGraph(row_features=np.array([0.1, 0.2, 0.3]),
                     node_map=np.array([0, 1, entry, 2]),
                     weights=np.full((3, 3), 1 / 3))
-    with pytest.raises(ModelError, match=re.escape("[0, 3)")):
-        prepare_graph(graph, collapse=collapse)
+    with pytest.raises(GraphError, match=re.escape("[0, 3)")):
+        prepare_graph(graph, collapse=collapse).logit_bias
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,7 @@ def test_model_forward_matches_per_destination_oracle(length):
         prep = prepare_graph(transform(item.trace, schema))
         model = build_model(seed=i)
         expected = model_forward_oracle(
-            prep.row_features, prep.node_map, np.isfinite(prep.logit_bias),
+            prep.rows, prep.node_map, np.isfinite(prep.logit_bias),
             prep.logit_bias,
             model.layer_configs, model.params)
         np.testing.assert_allclose(model_forward(prep, model).data, expected,
