@@ -26,9 +26,9 @@ from .mtf_graph import transform, write_graphs
 from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
                     loss_curves_to_csv, prepare_dataset, run_cross_validation)
-from .trace import (BASELINE_RANGE, JITTER, SchemaError, TraceSchema,
-                    ingest_raw_log, open_utf8, read_traces_csv, synthesize_clean,
-                    write_traces_csv)
+from .trace import (BASELINE_RANGE, DEFAULT_SCHEMA, JITTER, SchemaError,
+                    TraceSchema, ingest_raw_log, open_utf8, read_traces_csv,
+                    synthesize_clean, write_traces_csv)
 
 
 def _sha256(path: Path) -> str:
@@ -37,6 +37,10 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _manifest_path(path) -> Path:
+    return Path(path).with_name(Path(path).name + ".manifest.json")
 
 
 def write_manifest(path: Path, command: str, config: dict, seed,
@@ -54,36 +58,58 @@ def write_manifest(path: Path, command: str, config: dict, seed,
                           encoding="utf-8")
 
 
-def _add_schema_flags(parser, length=True):
-    """``--rssi-min``/``--rssi-max``, and ``--length`` for the commands that
-    make traces; the others take the length from their input."""
-    if length:
-        parser.add_argument("--length", type=int, default=300,
-                            help="samples per trace")
-    parser.add_argument("--rssi-min", type=float, default=0.0)
-    parser.add_argument("--rssi-max", type=float, default=128.0)
+def _add_schema_flags(parser):
+    """``--length``, ``--rssi-min`` and ``--rssi-max`` of the commands that
+    make traces. They record the bounds in their manifest, and every other
+    command reads them back (``_recorded_bounds``)."""
+    parser.add_argument("--length", type=int, default=300,
+                        help="samples per trace")
+    parser.add_argument("--rssi-min", type=float, default=DEFAULT_SCHEMA.rssi_min)
+    parser.add_argument("--rssi-max", type=float, default=DEFAULT_SCHEMA.rssi_max)
 
 
-def _schema(args, length: int) -> TraceSchema:
-    """The schema of ``length`` samples within the ``--rssi-min``/
-    ``--rssi-max`` bounds; a schema the flags make invalid is a usage
-    error."""
+def _schema(length: int, rssi_min: float, rssi_max: float) -> TraceSchema:
+    """The schema of ``length`` samples within the bounds; an invalid one is a
+    usage error."""
     try:
-        return TraceSchema(expected_length=length,
-                           rssi_min=args.rssi_min, rssi_max=args.rssi_max)
+        return TraceSchema(length, rssi_min, rssi_max)
     except SchemaError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _input_schema(args, traces) -> TraceSchema:
-    """Schema of the input traces: the length they all share and the
-    ``--rssi-min``/``--rssi-max`` bounds. Empty input, a trace of another
-    length and a sample outside the bounds are usage errors that name the
-    first trace at fault."""
+def _recorded_bounds(path: Path) -> tuple[float, float]:
+    """The ``rssi_min``/``rssi_max`` that ``path``'s manifest records, if it
+    lists ``path``'s sha256 among its outputs; else, for a file without a
+    manifest, without recorded bounds or with a stale manifest, the defaults.
+    Recorded values that are not two numbers are a usage error."""
+    default = (DEFAULT_SCHEMA.rssi_min, DEFAULT_SCHEMA.rssi_max)
+    manifest = _manifest_path(path)
+    try:
+        record = json.loads(manifest.read_text(encoding="utf-8"))
+        recorded = tuple(record["config"].get(key) for key in ("rssi_min", "rssi_max"))
+        digests = set(record["outputs"].values())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError):
+        return default
+    if recorded in (default, (None, None)) or _sha256(path) not in digests:
+        return default
+    if not all(type(value) in (int, float) for value in recorded):
+        raise UsageError(f"{manifest}: rssi_min and rssi_max must be numbers")
+    return tuple(map(float, recorded))
+
+
+def _read_input(path, read):
+    """The records ``read`` gets from ``path``, labeled traces or traces, and
+    their schema: the length every trace shares and the bounds ``path``'s
+    manifest records. Empty input, a trace of another length and a sample
+    outside the bounds are usage errors that name the first trace at fault."""
+    path = Path(path)
+    records = read(path)
+    traces = [getattr(record, "trace", record) for record in records]
     if not traces:
         raise UsageError("input has no traces")
     length = traces[0].length
-    schema = _schema(args, length)
+    schema = _schema(length, *_recorded_bounds(path))
     for trace in traces:
         if trace.length != length:
             raise UsageError(
@@ -94,47 +120,19 @@ def _input_schema(args, traces) -> TraceSchema:
             trace.validate(schema)
         except SchemaError as exc:
             raise UsageError(str(exc)) from None
-    return schema
+    return records, schema
 
 
-def _check_recorded_bounds(args, path: Path) -> None:
-    """``inject`` records the ``--rssi-min``/``--rssi-max`` its drops were
-    placed in, in the dataset's manifest; other bounds are a usage error.
-    Input that has no manifest, whose manifest records no bounds, or whose
-    manifest lists no output with the input's sha256 (a stale manifest)
-    passes."""
-    try:
-        manifest = json.loads(path.with_name(path.name + ".manifest.json")
-                              .read_text(encoding="utf-8"))
-        recorded = [manifest["config"]["rssi_min"],
-                    manifest["config"]["rssi_max"]]
-        digests = set(manifest["outputs"].values())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return
-    if recorded != [args.rssi_min, args.rssi_max] and _sha256(path) in digests:
-        raise UsageError(
-            f"{path} was injected with --rssi-min/--rssi-max "
-            f"[{recorded[0]}, {recorded[1]}], not "
-            f"[{args.rssi_min}, {args.rssi_max}]; pass the same bounds")
-
-
-def _output_path(args) -> Path:
-    """``-o``; a usage error if it is the ``-i`` file (by ``samefile`` if
-    both exist, else by resolved path), which writing would destroy."""
-    out, source = Path(args.out), Path(args.input)
-    if (out.samefile(source) if out.exists() and source.exists()
-            else out.resolve() == source.resolve()):
-        raise UsageError(f"-o {out} is the input file; write to another path")
+def _output_path(out, *sources) -> Path:
+    """``-o``; a usage error if it is a file the command reads, one of
+    ``sources`` or its manifest (by ``samefile`` if both exist, else by
+    resolved path), which writing would destroy."""
+    out = Path(out)
+    for source in [p for s in sources for p in (Path(s), _manifest_path(s))]:
+        if (out.samefile(source) if out.exists() and source.exists()
+                else out.resolve() == source.resolve()):
+            raise UsageError(f"-o {out} is the input file; write to another path")
     return out
-
-
-def _read_labeled(args, path: str):
-    """A dataset file and its schema (see ``_input_schema`` and
-    ``_check_recorded_bounds``)."""
-    dataset = read_dataset(Path(path))
-    schema = _input_schema(args, [item.trace for item in dataset])
-    _check_recorded_bounds(args, Path(path))
-    return dataset, schema
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def _read_labeled(args, path: str):
 def cmd_synth(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    schema = _schema(args, args.length)
+    schema = _schema(args.length, args.rssi_min, args.rssi_max)
     lo, hi = BASELINE_RANGE
     if not schema.rssi_min <= lo <= hi <= schema.rssi_max:
         raise UsageError(
@@ -152,25 +150,27 @@ def cmd_synth(args) -> int:
     traces = synthesize_clean(args.count, schema, rng)
     out = Path(args.out)
     write_traces_csv(out, traces)
-    write_manifest(out.with_name(out.name + ".manifest.json"), "synth",
+    write_manifest(_manifest_path(out), "synth",
                    {"count": args.count, "length": args.length,
-                    "baseline": [lo, hi], "jitter": JITTER},
+                    "baseline": [lo, hi], "jitter": JITTER,
+                    "rssi_min": schema.rssi_min, "rssi_max": schema.rssi_max},
                    args.seed, [], [out])
     print(f"wrote {len(traces)} traces to {out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    schema = _schema(args, args.length)
-    source, out = Path(args.input), _output_path(args)
+    schema = _schema(args.length, args.rssi_min, args.rssi_max)
+    source, out = Path(args.input), _output_path(args.out, args.input)
     with open_utf8(source) as fh:
         traces, n_links = ingest_raw_log(fh, schema)
     if not traces:
         raise UsageError(f"{source}: none of its {n_links} links has "
                          f"--length {args.length} samples without a gap")
     write_traces_csv(out, traces)
-    write_manifest(out.with_name(out.name + ".manifest.json"), "ingest",
-                   {"length": args.length}, None, [source], [out])
+    write_manifest(_manifest_path(out), "ingest",
+                   {"length": args.length, "rssi_min": schema.rssi_min,
+                    "rssi_max": schema.rssi_max}, None, [source], [out])
     print(f"kept {len(traces)} complete links of {n_links}")
     return 0
 
@@ -183,16 +183,15 @@ def cmd_inject(args) -> int:
     if not any(counts.values()):
         raise UsageError("the composition is empty: give --each or --clean "
                          "above 0")
-    out = _output_path(args)
-    traces = read_traces_csv(Path(args.input))
-    schema = _input_schema(args, traces)
+    out = _output_path(args.out, args.input)
+    traces, schema = _read_input(args.input, read_traces_csv)
     length = schema.expected_length
     params = InjectionParams.scaled_to_length(length)
     rng = np.random.default_rng(derive_seed(args.seed, "inject"))
     dataset = build_dataset(traces, counts, params, rng, schema)
     write_dataset(out, dataset)
     n_anomalous = sum(1 for item in dataset if item.kind is not AnomalyKind.NONE)
-    write_manifest(out.with_name(out.name + ".manifest.json"), "inject",
+    write_manifest(_manifest_path(out), "inject",
                    {"composition": {k.value: v for k, v in counts.items()},
                     "trace_length": length, "rssi_min": schema.rssi_min,
                     "rssi_max": schema.rssi_max},
@@ -202,11 +201,11 @@ def cmd_inject(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    out = _output_path(args)
-    dataset, schema = _read_labeled(args, args.input)
+    out = _output_path(args.out, args.input)
+    dataset, schema = _read_input(args.input, read_dataset)
     graphs = [transform(item.trace, schema) for item in dataset]
     write_graphs(out, graphs)
-    write_manifest(out.with_name(out.name + ".manifest.json"), "transform",
+    write_manifest(_manifest_path(out), "transform",
                    {}, None, [Path(args.input)], [out])
     print(f"wrote {len(graphs)} graphs to {out}")
     return 0
@@ -223,16 +222,16 @@ def _write_reports(run_dir: Path, report: EvalReport) -> list[Path]:
 def cmd_train(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    dataset, schema = _read_labeled(args, args.dataset)
+    out_dir = _output_path(args.out, args.dataset)
+    dataset, schema = _read_input(args.dataset, read_dataset)
     try:
         cfg = TrainConfig(n_splits=args.splits, epochs=args.epochs,
                           learning_rate=args.lr, seed=args.seed,
                           threshold=args.threshold)
     except (SplitError, TrainingError) as exc:
         raise UsageError(str(exc)) from None
-    result = run_cross_validation(dataset, cfg, schema, workers=args.workers)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_cross_validation(dataset, cfg, schema, workers=args.workers)
     outputs = []
     for k, model in enumerate(result.models):
         outputs.extend(save_checkpoint(out_dir / f"checkpoint_{k}", model))
@@ -294,11 +293,15 @@ def _read_report(run_dir: Path) -> EvalReport:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    dataset, schema = _read_labeled(args, args.dataset)
+    checkpoint = run_dir / f"checkpoint_{args.split}"
+    out = _output_path(args.out or run_dir / f"eval_split_{args.split}.json",
+                       args.dataset, run_dir / "splits.json", run_dir / "report.json",
+                       checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin"))
+    dataset, schema = _read_input(args.dataset, read_dataset)
     splits = _read_splits(run_dir / "splits.json", len(dataset))
     if not 0 <= args.split < len(splits):
         raise UsageError(f"--split must be in [0, {len(splits) - 1}]")
-    model = load_checkpoint(run_dir / f"checkpoint_{args.split}")
+    model = load_checkpoint(checkpoint)
     threshold = _read_report(run_dir).config["threshold"]
     items = [dataset[i] for i in splits[args.split]["test"]]
     metrics = evaluate_split(model, items, prepare_dataset(items, schema),
@@ -309,10 +312,9 @@ def cmd_eval(args) -> int:
         "non_anomalous": vars(metrics.non_anomalous),
         "zero_division": metrics.zero_division,
     }
-    out = Path(args.out) if args.out else run_dir / f"eval_split_{args.split}.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
-    write_manifest(out.with_name(out.name + ".manifest.json"), "eval",
+    write_manifest(_manifest_path(out), "eval",
                    {"split": args.split}, None,
                    [Path(args.dataset), run_dir / "splits.json"], [out])
     print(json.dumps(payload, sort_keys=True))
@@ -330,11 +332,11 @@ def _read_prediction_input(path: Path):
 def cmd_predict(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError("--threshold must be in [0, 1]")
-    out = _output_path(args)
-    model = load_checkpoint(Path(args.checkpoint))
-    traces = _read_prediction_input(Path(args.input))
-    schema = _input_schema(args, traces)
-    _check_recorded_bounds(args, Path(args.input))
+    checkpoint = Path(args.checkpoint)
+    out = _output_path(args.out, args.input, checkpoint.with_suffix(".json"),
+                       checkpoint.with_suffix(".bin"))
+    model = load_checkpoint(checkpoint)
+    traces, schema = _read_input(args.input, _read_prediction_input)
     with open(out, "w", encoding="utf-8") as fh:
         for trace in traces:
             labels = predict_graph(transform(trace, schema), model,
@@ -346,7 +348,7 @@ def cmd_predict(args) -> int:
                          for start, length in anomalous_runs(labels)],
             }
             fh.write(json.dumps(record) + "\n")
-    write_manifest(out.with_name(out.name + ".manifest.json"), "predict",
+    write_manifest(_manifest_path(out), "predict",
                    {"threshold": args.threshold, "checkpoint": str(args.checkpoint)},
                    None, [Path(args.input)], [out])
     print(f"predicted {len(traces)} traces -> {out}")
@@ -394,14 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--each", type=int, default=0,
                    help="traces of each anomaly kind")
     p.add_argument("--clean", type=int, default=0)
-    _add_schema_flags(p, length=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("transform", help="turn traces into transition-field graphs")
     p.add_argument("-i", "--input", required=True)
-    _add_schema_flags(p, length=False)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_transform)
 
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--threshold", type=float, default=TrainConfig.threshold)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    _add_schema_flags(p, length=False)
     p.add_argument("--workers", type=int, default=1,
                    help="processes to train splits on, at most one per split")
     p.add_argument("-o", "--out", required=True)
@@ -422,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", type=int, required=True)
-    _add_schema_flags(p, length=False)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -430,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    _add_schema_flags(p, length=False)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_predict)
 

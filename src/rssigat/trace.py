@@ -44,6 +44,8 @@ class TraceSchema:
     rssi_max: float = 128.0
 
     def __post_init__(self):
+        if not np.isfinite([self.rssi_min, self.rssi_max]).all():
+            raise SchemaError("rssi_min and rssi_max must be finite")
         if self.rssi_min >= self.rssi_max:
             raise SchemaError("rssi_min must be below rssi_max")
         if self.expected_length < 2:

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from rssigat.cli import build_parser, main
-from rssigat.gat_model import build_model, save_checkpoint
+from rssigat.gat_model import build_model, load_checkpoint, predict, save_checkpoint
 from rssigat.inject import read_dataset
 from rssigat.metrics import EvalReport, split_metrics
-from rssigat.mtf_graph import GraphError, read_graphs, transform
-from rssigat.trace import read_traces_csv
+from rssigat.mtf_graph import GraphError, read_graphs, transform, write_graphs
+from rssigat.trace import TraceSchema, read_traces_csv
 from test_gat_model import save_unchained_checkpoint
 
 
@@ -129,41 +129,63 @@ _COUNTS_MESSAGE = "--each and --clean must be >= 0"
      "{raw}: none of its 1 links has --length 30 samples without a gap"),
     (["synth", "--count", 3, "--rssi-min", 10, "--rssi-max", 5],
      "rssi_min must be below rssi_max"),
-    (["inject", "-i", "{traces}", "--each", 1, "--rssi-min", 10,
-      "--rssi-max", 5], "rssi_min must be below rssi_max"),
+    (["synth", "--count", 3, "--rssi-max", "inf"],
+     "rssi_min and rssi_max must be finite"),
+    (["inject", "-i", "{reversed}", "--each", 1],
+     "rssi_min must be below rssi_max"),
+    (["transform", "-i", "{nan}"], "rssi_min and rssi_max must be finite"),
+    (["inject", "-i", "{text}", "--each", 1],
+     "{text}.manifest.json: rssi_min and rssi_max must be numbers"),
     (["inject", "-i", "{traces}", "--each", -1, "--clean", 2], _COUNTS_MESSAGE),
     # checked before the input is read
     (["inject", "-i", "{missing}", "--each", -3, "--clean", 1],
      _COUNTS_MESSAGE),
 ], ids=["synth-length", "ingest-length", "ingest-no-link",
-        "synth-bounds", "inject-bounds", "inject-each",
-        "inject-suddend-missing-input"])
+        "synth-bounds", "synth-infinite", "inject-bounds", "transform-nan",
+        "inject-text-bounds", "inject-each", "inject-suddend-missing-input"])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, message):
-    """A flag value the schema or the composition rejects, or an
-    ``--length`` no ingested link has, exits 2 with one line and writes
-    nothing."""
+    """A flag value the schema or the composition rejects, bounds recorded in
+    the input's manifest that it rejects, or an ``--length`` no ingested link
+    has, exits 2 with one line and writes nothing."""
     paths = {"{traces}": tmp_path / "traces.csv", "{raw}": tmp_path / "raw.log",
              "{missing}": tmp_path / "missing.csv"}
     assert _run("synth", "--count", 4, "--length", 30,
                 "-o", paths["{traces}"]) == 0
+    assert _run("inject", "-i", paths["{traces}"], "--clean", 4,
+                "-o", tmp_path / "nan") == 0
     paths["{raw}"].write_text("# link a noise=0\n0,40\n1,41\n")
+    # current manifests (they list the file's sha256) recording bad bounds,
+    # for the dataset "nan" and for copies of the traces
+    for name, bounds in [("reversed", [10.0, 5.0]), ("nan", [float("nan"), 128.0]),
+                         ("text", ["10", 100.0])]:
+        paths["{%s}" % name] = path = tmp_path / name
+        if not path.exists():
+            path.write_bytes(paths["{traces}"].read_bytes())
+        manifest = json.loads((tmp_path / "traces.csv.manifest.json").read_text())
+        manifest["config"].update(zip(["rssi_min", "rssi_max"], bounds))
+        manifest["outputs"] = {str(path): _digest(path)}
+        (tmp_path / f"{name}.manifest.json").write_text(json.dumps(manifest))
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert _run(*[paths.get(a, a) for a in argv], "-o", tmp_path / "out") == 2
-    message = message.replace("{raw}", str(paths["{raw}"]))
+    for key, path in paths.items():
+        message = message.replace(key, str(path))
     assert capsys.readouterr().err == f"rssigat: error: {message}\n"
     assert sorted(tmp_path.iterdir()) == before
 
 
 def test_inject_drops_land_on_rssi_min(tmp_path):
-    """A dataset injected under ``--rssi-min`` is within those bounds: its
-    drops sit at the floor, and ``transform`` accepts it."""
+    """Traces synthesized under ``--rssi-min`` carry it to ``inject``: the
+    drops sit at that floor, the dataset's manifest records it, and
+    ``transform`` accepts the dataset."""
     traces, dataset = tmp_path / "t.csv", tmp_path / "d.jsonl"
-    assert _run("synth", "--count", 10, "--length", 60, "-o", traces) == 0
-    assert _run("inject", "-i", traces, "--rssi-min", 10, "--each", 1,
-                "--clean", 6, "-o", dataset) == 0
-    assert _run("transform", "-i", dataset, "--rssi-min", 10,
-                "-o", tmp_path / "g.jsonl") == 0
+    assert _run("synth", "--count", 10, "--length", 60, "--rssi-min", 10,
+                "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 1, "--clean", 6,
+                "-o", dataset) == 0
+    config = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())["config"]
+    assert [config["rssi_min"], config["rssi_max"]] == [10.0, 128.0]
+    assert _run("transform", "-i", dataset, "-o", tmp_path / "g.jsonl") == 0
     drops = [item for item in read_dataset(dataset)
              if item.kind.value in ("SuddenD", "SuddenR", "InstaD")]
     assert len(drops) == 3
@@ -171,45 +193,52 @@ def test_inject_drops_land_on_rssi_min(tmp_path):
         assert np.all(item.trace.samples[item.labels == 1] == 10.0)
 
 
-@pytest.mark.parametrize("command", ["transform", "train", "eval", "predict"])
-def test_bounds_other_than_injected_are_usage_error(tmp_path, capsys, command):
-    """``inject`` records its bounds in the dataset's manifest; a command
-    reading the dataset under other bounds stops before writing anything.
-    Without the manifest the dataset is read under the flags' bounds."""
+def test_bounds_travel_with_the_files(tmp_path):
+    """``synth`` and ``ingest`` record their bounds; ``transform`` and
+    ``predict`` then build the graphs and labels the library builds under
+    those bounds, with no flag, from the dataset and from the trace CSV."""
     traces, data = tmp_path / "t.csv", tmp_path / "d.jsonl"
-    assert _run("synth", "--count", 14, "--length", 30, "-o", traces) == 0
-    assert _run("inject", "-i", traces, "--rssi-min", 10, "--each", 2,
-                "--clean", 6, "-o", data) == 0
+    assert _run("synth", "--count", 14, "--length", 30, "--rssi-min", 10,
+                "--rssi-max", 100, "-o", traces) == 0
+    raw = tmp_path / "raw.log"
+    raw.write_text("# link a noise=0\n" + "".join(f"{i},40\n" for i in range(30)))
+    assert _run("ingest", "-i", raw, "--length", 30, "--rssi-min", 10,
+                "--rssi-max", 100, "-o", tmp_path / "raw.csv") == 0
+    for name in ("t.csv", "raw.csv"):
+        config = json.loads((tmp_path / f"{name}.manifest.json").read_text())["config"]
+        assert [config["rssi_min"], config["rssi_max"]] == [10.0, 100.0]
+    assert _run("inject", "-i", traces, "--each", 2, "--clean", 6, "-o", data) == 0
+    assert _run("transform", "-i", data, "-o", tmp_path / "g.jsonl") == 0
     save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
-    out = tmp_path / "out"
-    argv = {"transform": ["transform", "-i", data, "-o", out],
-            "train": ["train", "--dataset", data, "--splits", 1,
-                      "--epochs", 1, "-o", out],
-            "eval": ["eval", "--run", tmp_path / "run", "--dataset", data,
-                     "--split", 0, "-o", out],
-            "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
-                        "-i", data, "-o", out]}[command]
-    before = sorted(tmp_path.iterdir())
-    capsys.readouterr()
-    assert _run(*argv, "--rssi-max", 120) == 2
-    assert capsys.readouterr().err == (
-        f"rssigat: error: {data} was injected with --rssi-min/--rssi-max "
-        f"[10.0, 128.0], not [0.0, 120.0]; pass the same bounds\n")
-    assert sorted(tmp_path.iterdir()) == before
-    if command != "eval":  # eval needs a run
-        (tmp_path / "d.jsonl.manifest.json").unlink()
-        assert _run(*argv, "--rssi-max", 120) == 0
+    items = read_dataset(data)
+    schema = TraceSchema(30, 10.0, 100.0)
+    write_graphs(tmp_path / "lib.jsonl", [transform(i.trace, schema) for i in items])
+    write_graphs(tmp_path / "default.jsonl", [transform(i.trace) for i in items])
+    graphs = (tmp_path / "g.jsonl").read_bytes()
+    assert graphs == (tmp_path / "lib.jsonl").read_bytes()
+    assert graphs != (tmp_path / "default.jsonl").read_bytes()
+    model = load_checkpoint(tmp_path / "ckpt")
+    for source, inputs in [(data, [item.trace for item in items]),
+                           (traces, read_traces_csv(traces))]:
+        assert _run("predict", "--checkpoint", tmp_path / "ckpt", "-i", source,
+                    "-o", tmp_path / "p.jsonl") == 0
+        labels = [json.loads(line)["labels"]
+                  for line in (tmp_path / "p.jsonl").read_text().splitlines()]
+        assert labels == [predict(transform(trace, schema), model).tolist()
+                          for trace in inputs]
 
 
 def test_stale_manifest_bounds_are_ignored(tmp_path):
     """A manifest that lists no output with the dataset's digest describes
-    another file, so the bounds it records do not apply."""
+    another file, so the bounds it records do not apply: the dataset is
+    read under the defaults, which hold its drops at 0."""
     traces, data = tmp_path / "t.csv", tmp_path / "d.jsonl"
-    other = tmp_path / "e.jsonl"
-    assert _run("synth", "--count", 14, "--length", 30, "-o", traces) == 0
-    assert _run("inject", "-i", traces, "--rssi-min", 10, "--each", 2,
-                "--clean", 6, "-o", data) == 0
-    assert _run("inject", "-i", traces, "--each", 2, "--clean", 6,
+    plain, other = tmp_path / "u.csv", tmp_path / "e.jsonl"
+    assert _run("synth", "--count", 14, "--length", 30, "--rssi-min", 10,
+                "-o", traces) == 0
+    assert _run("synth", "--count", 14, "--length", 30, "-o", plain) == 0
+    assert _run("inject", "-i", traces, "--each", 2, "--clean", 6, "-o", data) == 0
+    assert _run("inject", "-i", plain, "--each", 2, "--clean", 6,
                 "-o", other) == 0
     data.write_bytes(other.read_bytes())
     assert _run("transform", "-i", data, "-o", tmp_path / "g.jsonl") == 0
@@ -300,6 +329,23 @@ def test_synth_and_inject_reject_removed_flags(tmp_path, capsys, argv):
         _run(*argv, "-o", tmp_path / "out")
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["inject", "-i", "t.csv", "--each", 1],
+    ["transform", "-i", "d.jsonl"],
+    ["train", "--dataset", "d.jsonl"],
+    ["eval", "--run", "run", "--dataset", "d.jsonl", "--split", 0],
+    ["predict", "--checkpoint", "ckpt", "-i", "d.jsonl"],
+], ids=lambda argv: argv[0])
+def test_commands_reject_removed_bounds_flags(tmp_path, capsys, argv):
+    """Only ``synth`` and ``ingest`` take bounds; the other commands read
+    them from their input's manifest."""
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--rssi-min", 10, "-o", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rssi-min 10" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -615,15 +661,23 @@ def test_mixed_length_input_is_usage_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["inject", "transform", "train", "eval",
                                      "predict"])
 def test_out_of_range_sample_is_usage_error(tmp_path, capsys, command):
-    """A sample outside ``--rssi-min``/``--rssi-max`` stops every command that
-    reads traces before it writes anything."""
+    """A sample outside the bounds stops every command that reads traces
+    before it writes anything. The edit leaves each file's manifest stale,
+    so the defaults [0, 128] apply."""
     assert _run("synth", "--count", 6, "--length", 30, "--seed", 1,
                 "-o", tmp_path / "t.csv") == 0
-    rows = ["synth-00003,7,120" if row.startswith("synth-00003,7,") else row
-            for row in (tmp_path / "t.csv").read_text().splitlines()]
-    (tmp_path / "t.csv").write_text("\n".join(rows) + "\n")
     assert _run("inject", "-i", tmp_path / "t.csv", "--clean", 6, "--seed", 1,
                 "-o", tmp_path / "d.jsonl") == 0
+    rows = ["synth-00003,7,130" if row.startswith("synth-00003,7,") else row
+            for row in (tmp_path / "t.csv").read_text().splitlines()]
+    (tmp_path / "t.csv").write_text("\n".join(rows) + "\n")
+    records = [json.loads(line) for line in
+               (tmp_path / "d.jsonl").read_text().splitlines()]
+    for record in records:
+        if record["link_id"] == "synth-00003":
+            record["samples"][7] = 130.0
+    (tmp_path / "d.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records))
     save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
     out = tmp_path / "out"
     data = tmp_path / ("t.csv" if command == "inject" else "d.jsonl")
@@ -635,9 +689,9 @@ def test_out_of_range_sample_is_usage_error(tmp_path, capsys, command):
             "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
                         "-i", data, "-o", out]}[command]
     capsys.readouterr()
-    assert _run(*argv, "--rssi-max", 100) == 2
+    assert _run(*argv) == 2
     assert capsys.readouterr().err == \
-        "rssigat: error: trace synth-00003: sample outside [0.0, 100.0]\n"
+        "rssigat: error: trace synth-00003: sample outside [0.0, 128.0]\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "ckpt.bin", "ckpt.json", "d.jsonl", "d.jsonl.manifest.json", "t.csv",
         "t.csv.manifest.json"]
@@ -720,37 +774,71 @@ def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, content,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, spelling", [
+@pytest.mark.parametrize("command, target", [
     ("ingest", "same"), ("inject", "same"), ("transform", "same"),
-    ("transform", "symlink"), ("predict", "same"),
-])
+    ("transform", "symlink"), ("transform", "dataset.jsonl.manifest.json"),
+    ("predict", "same"), ("predict", "ckpt.json"), ("predict", "ckpt.bin"),
+    ("train", "same"), ("eval", "same"), ("eval", "run/splits.json"),
+    ("eval", "run/report.json"), ("eval", "run/checkpoint_0.json"),
+    ("eval", "run/checkpoint_0.bin"),
+], ids=lambda value: value.replace("dataset.jsonl.", "").replace("run/", ""))
 def test_output_that_is_the_input_is_usage_error(tmp_path, capsys, command,
-                                                  spelling):
-    """An ``-o`` naming the input file, or a link to it, ends in one line
-    before anything is written: the input and its manifest keep their
-    bytes, and no file appears."""
+                                                  target):
+    """An ``-o`` naming a file the command reads (the input, its manifest, a
+    checkpoint or a file of the run), or a link to the input, ends in one
+    line before anything is written: every file keeps its bytes, and no
+    file appears."""
     raw = tmp_path / "raw.log"
     raw.write_text("# link a noise=0\n" + "".join(
         f"{i},{40 + i % 3}\n" for i in range(30)))
     traces, dataset = tmp_path / "traces.csv", tmp_path / "dataset.jsonl"
-    assert _run("synth", "--count", 8, "--length", 30, "-o", traces) == 0
-    assert _run("inject", "-i", traces, "--each", 1, "--clean", 4,
+    assert _run("synth", "--count", 12, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 2, "--clean", 4,
                 "-o", dataset) == 0
     save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
-    source = {"ingest": raw, "inject": traces}.get(command, dataset)
-    out = source
-    if spelling == "symlink":
+    if command == "eval":
+        assert _run("train", "--dataset", dataset, "--splits", 1, "--epochs", 1,
+                    "-o", tmp_path / "run") == 0
+    out = tmp_path / target
+    if target == "same":
+        out = {"ingest": raw, "inject": traces}.get(command, dataset)
+    elif target == "symlink":
         out = tmp_path / "link.jsonl"
-        out.symlink_to(source.name)
+        out.symlink_to(dataset.name)
     argv = {"ingest": ["ingest", "-i", raw, "--length", 30, "-o", out],
             "inject": ["inject", "-i", traces, "--each", 1, "-o", out],
             "transform": ["transform", "-i", dataset, "-o", out],
             "predict": ["predict", "--checkpoint", tmp_path / "ckpt",
-                        "-i", dataset, "-o", out]}[command]
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+                        "-i", dataset, "-o", out],
+            "train": ["train", "--dataset", dataset, "-o", out],
+            "eval": ["eval", "--run", tmp_path / "run", "--dataset", dataset,
+                     "--split", 0, "-o", out]}[command]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     capsys.readouterr()
     assert _run(*argv) == 2
     assert capsys.readouterr().err == (
         f"rssigat: error: -o {out} is the input file; write to another "
         f"path\n")
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_train_out_an_existing_file_fails_before_training(tmp_path, capsys,
+                                                          monkeypatch):
+    """``train`` makes its run directory before it trains, so an ``-o`` that
+    is a file ends in one line with no training step, and the file keeps
+    its bytes."""
+    import rssigat.cli
+    traces, dataset = tmp_path / "traces.csv", tmp_path / "dataset.jsonl"
+    assert _run("synth", "--count", 8, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 1, "--clean", 4,
+                "-o", dataset) == 0
+    calls = []
+    monkeypatch.setattr(rssigat.cli, "run_cross_validation",
+                        lambda *args, **kwargs: calls.append(args))
+    before = traces.read_bytes()
+    capsys.readouterr()
+    assert _run("train", "--dataset", dataset, "-o", traces) == 1
+    assert capsys.readouterr().err == \
+        f"rssigat: error: [Errno 17] File exists: '{traces}'\n"
+    assert calls == []
+    assert traces.read_bytes() == before

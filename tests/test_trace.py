@@ -344,6 +344,17 @@ def test_schema_validation():
         TraceSchema(expected_length=1)
 
 
+@pytest.mark.parametrize("bounds", [
+    (float("nan"), 128.0), (0.0, float("nan")), (0.0, float("inf")),
+    (-float("inf"), 128.0), (float("nan"), float("nan")),
+])
+def test_schema_rejects_non_finite_bounds(bounds):
+    """A NaN bound would put drops at NaN, and an infinite one would
+    normalize every sample to 0."""
+    with pytest.raises(SchemaError, match="^rssi_min and rssi_max must be finite$"):
+        TraceSchema(30, *bounds)
+
+
 # ---------------------------------------------------------------------------
 # garbage in: only the module's typed errors escape
 
