@@ -4,6 +4,10 @@ eval / predict / report.
 Every command writes a manifest (command, config snapshot, seed, input and
 output digests) next to its outputs; re-running with the same manifest inputs
 reproduces byte-identical files.
+
+``main`` can be called many times in one process: the parser is built on
+the first call and reused, and each call looks its command up by name
+(``cmd_<command>``), so a rebound ``cmd_*`` is the one that runs.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -230,8 +235,14 @@ def cmd_train(args) -> int:
                           threshold=args.threshold)
     except (SplitError, TrainingError) as exc:
         raise UsageError(str(exc)) from None
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_cross_validation(dataset, cfg, schema, workers=args.workers)
+    try:
+        result = run_cross_validation(dataset, cfg, schema, workers=args.workers)
+    except BaseException:
+        for path in made:  # deepest first, all still empty
+            path.rmdir()
+        raise
     outputs = []
     for k, model in enumerate(result.models):
         outputs.extend(save_checkpoint(out_dir / f"checkpoint_{k}", model))
@@ -337,17 +348,23 @@ def cmd_predict(args) -> int:
                        checkpoint.with_suffix(".bin"))
     model = load_checkpoint(checkpoint)
     traces, schema = _read_input(args.input, _read_prediction_input)
-    with open(out, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            labels = predict_graph(transform(trace, schema), model,
-                                   threshold=args.threshold)
-            record = {
-                "link_id": trace.link_id,
-                "labels": labels.tolist(),
-                "runs": [[start, length]
-                         for start, length in anomalous_runs(labels)],
-            }
-            fh.write(json.dumps(record) + "\n")
+    partial = out.with_name(out.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            for trace in traces:
+                labels = predict_graph(transform(trace, schema), model,
+                                       threshold=args.threshold)
+                record = {
+                    "link_id": trace.link_id,
+                    "labels": labels.tolist(),
+                    "runs": [[start, length]
+                             for start, length in anomalous_runs(labels)],
+                }
+                fh.write(json.dumps(record) + "\n")
+        partial.replace(out)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     write_manifest(_manifest_path(out), "predict",
                    {"threshold": args.threshold, "checkpoint": str(args.checkpoint)},
                    None, [Path(args.input)], [out])
@@ -371,6 +388,7 @@ class UsageError(Exception):
     pass
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rssigat",
@@ -383,13 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="parse raw link logs, keep complete links")
     p.add_argument("-i", "--input", required=True)
     _add_schema_flags(p)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("inject", help="inject anomalies into clean traces")
     p.add_argument("-i", "--input", required=True)
@@ -398,12 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("transform", help="turn traces into transition-field graphs")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("train", help="cross-validated training")
     p.add_argument("--dataset", required=True)
@@ -413,36 +427,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=TrainConfig.threshold)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--workers", type=int, default=1,
-                   help="processes to train splits on, at most one per split")
+                   help="processes to train splits on, at most one per split "
+                        "and one per CPU")
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="re-evaluate one split from checkpoints")
     p.add_argument("--run", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", type=int, required=True)
     p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="per-point labels and anomalous runs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="re-render report files from report.json")
     p.add_argument("--run", required=True)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"rssigat: error: {exc}", file=sys.stderr)
         return 2

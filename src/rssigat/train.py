@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -248,12 +249,13 @@ def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
                          schema: TraceSchema = DEFAULT_SCHEMA,
                          workers: int = 1) -> CrossValResult:
     """Train one model per stratified shuffle split and aggregate metrics,
-    on up to ``workers`` processes (never more than there are splits)."""
+    on up to ``workers`` processes (never more than there are splits or
+    CPUs; each process gets its own copy of the dataset)."""
     prepared = prepare_dataset(dataset, schema)
     splits = stratified_shuffle_split(dataset, cfg)
     payloads = [(k, dataset, prepared, train_idx, test_idx, cfg)
                 for k, (train_idx, test_idx) in enumerate(splits)]
-    workers = min(workers, len(splits))
+    workers = min(workers, len(splits), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_single_split, payloads)

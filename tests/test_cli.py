@@ -842,3 +842,106 @@ def test_train_out_an_existing_file_fails_before_training(tmp_path, capsys,
         f"rssigat: error: [Errno 17] File exists: '{traces}'\n"
     assert calls == []
     assert traces.read_bytes() == before
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_looks_the_command_up_by_name(tmp_path, monkeypatch):
+    """A ``cmd_*`` rebound after the parser was built is the one that runs
+    (a tracer's wrapper, say), not the function the first call saw."""
+    import rssigat.cli
+    traces, dataset = tmp_path / "traces.csv", tmp_path / "dataset.jsonl"
+    assert _run("synth", "--count", 8, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 1, "--clean", 4,
+                "-o", dataset) == 0
+    calls = []
+    monkeypatch.setattr(rssigat.cli, "cmd_transform",
+                        lambda args: calls.append(args.input) or 7)
+    assert _run("transform", "-i", dataset, "-o", tmp_path / "g.jsonl") == 7
+    assert calls == [str(dataset)]
+    assert not (tmp_path / "g.jsonl").exists()
+
+
+def test_errors_leave_the_parser_as_built(tmp_path, monkeypatch, capsys):
+    """A parse error and a usage error, then a valid call, in one process:
+    the valid call gets the defaults of a fresh process and writes the same
+    bytes as one."""
+    import os
+    import subprocess
+    import sys
+    import rssigat
+    argv = ["synth", "--count", "3", "-o", "traces.csv"]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(rssigat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "rssigat.cli", *argv],
+                          cwd=fresh, env=env, capture_output=True, text=True,
+                          check=True)
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    with pytest.raises(SystemExit) as exc:
+        _run("synth", "--count", 3, "--length", "x", "-o", "traces.csv")
+    assert exc.value.code == 2
+    assert _run("synth", "--count", 0, "--length", 30, "--seed", 9,
+                "--rssi-min", 20, "-o", "traces.csv") == 2
+    capsys.readouterr()
+    assert _run(*argv) == 0
+    assert capsys.readouterr().out == done.stdout
+    assert sorted(p.name for p in here.iterdir()) == \
+        sorted(p.name for p in fresh.iterdir())
+    for path in fresh.iterdir():
+        assert (here / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_train_failing_in_cross_validation_leaves_no_run_directory(
+        tmp_path, capsys, existing):
+    """A ``train`` that fails inside cross-validation removes the run
+    directory it made, with the parents it made; a directory that was there
+    before stays."""
+    traces, dataset = tmp_path / "traces.csv", tmp_path / "dataset.jsonl"
+    assert _run("synth", "--count", 8, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 1, "--clean", 4,
+                "-o", dataset) == 0
+    out = tmp_path / "runs" / "a" / "run"
+    if existing:
+        out.mkdir(parents=True)
+    capsys.readouterr()
+    assert _run("train", "--dataset", dataset, "--splits", 1, "--epochs", 1,
+                "-o", out) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"rssigat: error: stratum '\w+' has fewer than 2 "
+                        r"traces\n", err)
+    assert out.is_dir() == existing
+    assert (tmp_path / "runs").exists() == existing
+    if existing:
+        assert list(out.iterdir()) == []
+
+
+def test_predict_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    """``predict`` writes all of ``pred.jsonl`` or none of it: a failure on
+    the second trace leaves no output, no temporary file and no manifest."""
+    import rssigat.cli
+    traces = tmp_path / "traces.csv"
+    assert _run("synth", "--count", 3, "--length", 30, "-o", traces) == 0
+    save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+    calls = []
+
+    def failing_transform(trace, schema):
+        calls.append(trace.link_id)
+        if len(calls) == 2:
+            raise GraphError(f"trace {trace.link_id}: cannot transform")
+        return transform(trace, schema)
+
+    monkeypatch.setattr(rssigat.cli, "transform", failing_transform)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert _run("predict", "--checkpoint", tmp_path / "ckpt", "-i", traces,
+                "-o", tmp_path / "pred.jsonl") == 1
+    assert capsys.readouterr().err == \
+        f"rssigat: error: trace {calls[1]}: cannot transform\n"
+    assert len(calls) == 2
+    assert sorted(tmp_path.iterdir()) == before

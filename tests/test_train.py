@@ -365,9 +365,10 @@ def test_cross_validate_workers_match_sequential(tmp_path):
         assert blob1.read_bytes() == blob2.read_bytes()
 
 
-@pytest.mark.parametrize("workers, processes", [(8, 2), (2, 2), (1, None)])
-def test_cross_validate_starts_no_more_processes_than_splits(
-        monkeypatch, workers, processes):
+def _in_process_pool(monkeypatch, cpus):
+    """Replace ``multiprocessing.Pool`` with one that maps in this process
+    and ``os.cpu_count`` with ``cpus``; returns the list of pool sizes asked
+    for. No process is started."""
     import rssigat.train
     started = []
 
@@ -385,8 +386,29 @@ def test_cross_validate_starts_no_more_processes_than_splits(
             return list(map(fn, items))
 
     monkeypatch.setattr(rssigat.train.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(rssigat.train.os, "cpu_count", lambda: cpus)
+    return started
+
+
+@pytest.mark.parametrize("workers, processes", [(8, 2), (2, 2), (1, None)])
+def test_cross_validate_starts_no_more_processes_than_splits(
+        monkeypatch, workers, processes):
+    started = _in_process_pool(monkeypatch, cpus=8)
     dataset, schema = _desk_dataset(n_each=2, n_clean=8, seed=11)
     cfg = TrainConfig(n_splits=2, epochs=1, seed=4)
+    run_cross_validation(dataset, cfg, schema, workers=workers)
+    assert started == ([] if processes is None else [processes])
+
+
+@pytest.mark.parametrize("workers, cpus, processes", [
+    (10, 2, 2), (10, 1, None), (10, None, None), (2, 8, 2), (10, 8, 3)])
+def test_cross_validate_starts_no_more_processes_than_cpus(
+        monkeypatch, workers, cpus, processes):
+    """Each worker holds its own copy of the dataset, so there are never
+    more workers than CPUs, and one when the count is unknown."""
+    started = _in_process_pool(monkeypatch, cpus)
+    dataset, schema = _desk_dataset(n_each=2, n_clean=8, seed=11)
+    cfg = TrainConfig(n_splits=3, epochs=1, seed=4)
     run_cross_validation(dataset, cfg, schema, workers=workers)
     assert started == ([] if processes is None else [processes])
 
