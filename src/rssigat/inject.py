@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -208,7 +208,10 @@ def build_dataset(clean: list[RssiTrace],
 # dataset serialization: one JSON record per trace, bit-exact round trip
 
 def labeled_to_record(item: LabeledTrace) -> dict:
-    desc = {k: v for k, v in asdict(item.descriptor).items() if v is not None}
+    d = item.descriptor
+    desc = {k: v for k, v in (("kind", d.kind), ("onset", d.onset),
+                              ("duration", d.duration), ("slope", d.slope),
+                              ("indices", d.indices)) if v is not None}
     if "indices" in desc:
         desc["indices"] = list(desc["indices"])
     return {

@@ -23,6 +23,9 @@ from .trace import DEFAULT_SCHEMA, RssiTrace, TraceSchema, normalize
 
 # Largest node count for which an N x N field or per-node graph is built.
 DENSE_NODE_CAP = 1024
+# Most distinct values a trace may have: its C x C class graph costs about
+# 150 B x C^2 to build and run, ~200 MB at the cap.
+ROW_CAP = 1024
 GRAPH_FORMAT = "rssigat-graph-v2"
 
 
@@ -129,10 +132,14 @@ def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA) -> TsGraph
     in ascending order, weighted by the row-normalized counts of consecutive
     steps between them. A row without an outgoing transition (the last
     sample's value, when it occurs nowhere else) gets a self-transition of 1.
-    Cost is O(N log N + C^2) for C rows.
+    Cost is O(N log N + C^2) for C rows; GraphError naming the trace if C is
+    above ``ROW_CAP``.
     """
     values, node_map = np.unique(normalize(trace, schema), return_inverse=True)
     c = values.size
+    if c > ROW_CAP:
+        raise GraphError(f"trace {trace.link_id} has {c} distinct values, "
+                         f"more than the {ROW_CAP} a graph may have")
     counts = np.bincount(node_map[:-1] * c + node_map[1:],
                          minlength=c * c).reshape(c, c)
     last = node_map[-1]  # every other class has a step after it

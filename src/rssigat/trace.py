@@ -13,6 +13,7 @@ import io
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,6 +112,8 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
             fields = text[1:].split()
             if len(fields) != 3 or fields[0] != "link" or not fields[2].startswith("noise="):
                 raise ParseError(line_no, f"malformed link header {text!r}")
+            if "," in fields[1]:
+                raise ParseError(line_no, f"link id {fields[1]!r} contains a comma")
             keep_if_complete()
             link_id, values = fields[1], []
             n_links += 1
@@ -188,14 +191,47 @@ _CSV_HEADER = "link_id,idx,rssi"
 _CSV_ROW = np.dtype([("link_id", object), ("idx", np.int64), ("rssi", np.float64)])
 
 
+# Only samples below this magnitude are cast to int64: every integral one
+# casts exactly, and no cast is out of range, whose result numpy leaves to
+# the platform (with a RuntimeWarning).
+_INT_CAST_LIMIT = 2.0 ** 62
+
+
 def write_traces_csv(path, traces: list[RssiTrace]) -> None:
     """Write traces as CSV, one ``write`` per trace. An integral sample
     prints as an integer, any other as its shortest round-tripping repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER + "\n")
         for t in traces:
-            fh.write("".join([f"{t.link_id},{i},{int(v) if v.is_integer() else v!r}\n"
-                              for i, v in enumerate(t.samples.tolist())]))
+            fh.write(_csv_rows(t.link_id, t.samples))
+
+
+def _csv_rows(link_id: str, samples: np.ndarray) -> str:
+    """A trace's CSV rows as one string. Each sample is cast to int64 once,
+    and an integral one prints as its cast. Only the samples the cast does
+    not equal (fractions, non-finite values, integers of magnitude 2^62 or
+    more) are formatted one by one from the float."""
+    exact = np.abs(samples) < _INT_CAST_LIMIT  # False for nan
+    ints = np.where(exact, samples, 0.0).astype(np.int64)
+    exact &= ints == samples
+    values = ints.tolist()
+    if not exact.all():
+        floats = samples.tolist()
+        for i in np.flatnonzero(~exact).tolist():
+            v = floats[i]
+            values[i] = int(v) if v.is_integer() else v
+    n = len(values)
+    fields = [link_id] * (4 * n)
+    fields[1::4] = _index_fields(n)
+    fields[2::4] = map(repr, values)
+    fields[3::4] = ["\n"] * n
+    return "".join(fields)
+
+
+@lru_cache(maxsize=16)
+def _index_fields(n: int) -> tuple[str, ...]:
+    """``",0,"`` to ``",n-1,"``: the index column with its separators."""
+    return tuple(f",{i}," for i in range(n))
 
 
 def read_traces_csv(path) -> list[RssiTrace]:

@@ -175,6 +175,21 @@ def model_forward_oracle(row_features: np.ndarray, node_map: np.ndarray,
     return np.exp(-np.logaddexp(0.0, -logits))[node_map]
 
 
+def sample_text(value: float) -> str:
+    """An RSSI sample as trace files and raw logs print it: an integral value
+    as an integer, any other as its shortest round-tripping repr."""
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def traces_csv_reference(traces) -> str:
+    """The text ``trace.write_traces_csv`` writes, one row per sample."""
+    rows = ["link_id,idx,rssi\n"]
+    for trace in traces:
+        for i, value in enumerate(trace.samples.tolist()):
+            rows.append(f"{trace.link_id},{i},{sample_text(value)}\n")
+    return "".join(rows)
+
+
 def write_raw_logs(logs) -> str:
     """Raw link logs as text in the format ``trace.ingest_raw_log`` reads,
     from ``(link_id, noise, records)`` tuples of ``(seq, rssi)`` records."""
@@ -182,8 +197,7 @@ def write_raw_logs(logs) -> str:
     for link_id, noise, records in logs:
         out.append(f"# link {link_id} noise={noise}")
         for seq, rssi in records:
-            value = float(rssi)
-            out.append(f"{seq},{int(value) if value.is_integer() else repr(value)}")
+            out.append(f"{seq},{sample_text(float(rssi))}")
     return "\n".join(out) + "\n"
 
 

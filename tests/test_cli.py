@@ -8,10 +8,12 @@ import pytest
 
 from rssigat.cli import build_parser, main
 from rssigat.gat_model import build_model, load_checkpoint, predict, save_checkpoint
-from rssigat.inject import read_dataset
+from rssigat.inject import (AnomalyDescriptor, LabeledTrace, read_dataset,
+                            write_dataset)
 from rssigat.metrics import EvalReport, split_metrics
-from rssigat.mtf_graph import GraphError, read_graphs, transform, write_graphs
-from rssigat.trace import TraceSchema, read_traces_csv
+from rssigat.mtf_graph import (ROW_CAP, GraphError, read_graphs, transform,
+                               write_graphs)
+from rssigat.trace import RssiTrace, TraceSchema, read_traces_csv
 from test_gat_model import save_unchained_checkpoint
 
 
@@ -945,3 +947,40 @@ def test_predict_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
         f"rssigat: error: trace {calls[1]}: cannot transform\n"
     assert len(calls) == 2
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.fixture(scope="module")
+def wide_inputs(tmp_path_factory):
+    """A run trained on small traces, and a dataset of as many traces, each
+    with ``ROW_CAP + 1`` distinct values."""
+    root = tmp_path_factory.mktemp("wide")
+    traces, dataset = root / "traces.csv", root / "dataset.jsonl"
+    assert _run("synth", "--count", 12, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 2, "--clean", 4,
+                "-o", dataset) == 0
+    assert _run("train", "--dataset", dataset, "--splits", 1, "--epochs", 1,
+                "-o", root / "run") == 0
+    samples = np.linspace(0, 128, ROW_CAP + 1)
+    write_dataset(root / "wide.jsonl",
+                  [LabeledTrace(RssiTrace(f"wide-{k:02d}", samples),
+                                AnomalyDescriptor("None")) for k in range(12)])
+    return root
+
+
+@pytest.mark.parametrize("command", ["transform", "train", "eval", "predict"])
+def test_trace_over_row_cap_is_one_line_error(wide_inputs, tmp_path, capsys,
+                                              command):
+    """A trace with more distinct values than ``ROW_CAP`` ends each command
+    that builds graphs in one error line naming it, and leaves no output."""
+    wide, run = wide_inputs / "wide.jsonl", wide_inputs / "run"
+    argv = {"transform": ["-i", wide],
+            "train": ["--dataset", wide, "--splits", 1, "--epochs", 1],
+            "eval": ["--run", run, "--dataset", wide, "--split", 0],
+            "predict": ["--checkpoint", run / "checkpoint_0", "-i", wide],
+            }[command]
+    capsys.readouterr()
+    assert _run(command, *argv, "-o", tmp_path / "out") == 1
+    assert re.fullmatch(
+        rf"rssigat: error: trace wide-\d\d has {ROW_CAP + 1} distinct values, "
+        rf"more than the {ROW_CAP} a graph may have\n", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rssigat.mtf_graph import (DENSE_NODE_CAP, GraphError, TsGraph,
+from rssigat.mtf_graph import (DENSE_NODE_CAP, ROW_CAP, GraphError, TsGraph,
                                graph_from_record, graph_to_record,
                                read_graphs, transform, write_graphs)
 from rssigat.trace import RssiTrace, TraceError, TraceSchema
@@ -231,15 +231,24 @@ def test_transform_is_stateless_across_order():
 
 def test_transform_beyond_dense_cap_streams():
     n = DENSE_NODE_CAP + 76
-    trace = RssiTrace("long", np.linspace(0, 100, n))
+    trace = RssiTrace("long", np.resize(np.linspace(0, 100, ROW_CAP), n))
     graph = transform(trace, TraceSchema(expected_length=n, rssi_min=0, rssi_max=128))
     assert graph.n_nodes == n
-    # strictly increasing series: each step feeds the next value, so one edge
-    # per node (the last value self-loops)
-    assert graph.n_edges == n
+    assert graph.n_rows == ROW_CAP
+    # an increasing run that restarts: each value feeds the next and the
+    # largest feeds the smallest, so one edge per row
+    assert graph.n_edges == ROW_CAP
     graph.validate()
     with pytest.raises(GraphError):
         graph.expand()
+
+
+def test_transform_caps_rows():
+    n = ROW_CAP + 1
+    trace = RssiTrace("wide", np.linspace(0, 128, n))
+    with pytest.raises(GraphError, match=f"^trace wide has {n} distinct values, "
+                                         f"more than the {ROW_CAP} "):
+        transform(trace, TraceSchema(expected_length=n))
 
 
 # ---------------------------------------------------------------------------

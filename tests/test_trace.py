@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rssigat.trace import (BASELINE_RANGE, JITTER, ConfigError, ParseError,
                            RssiTrace, SchemaError, TraceError, TraceSchema,
                            _read_traces_csv_by_line, _read_traces_csv_in_bulk,
                            ingest_raw_log, normalize, read_traces_csv,
                            synthesize_clean, write_traces_csv)
-from oracles import complete_links_reference, write_raw_logs
+from oracles import complete_links_reference, traces_csv_reference, write_raw_logs
 
 
 def _raw_text(link_id, seqs, rssis, noise="0"):
@@ -38,6 +38,13 @@ def test_ingest_rejects_malformed_record_with_line_number():
 def test_ingest_rejects_record_before_header():
     with pytest.raises(ParseError):
         ingest_raw_log("0,40\n")
+
+
+def test_ingest_rejects_link_id_with_comma():
+    """A comma in a link id would split its trace-CSV rows into four fields."""
+    text = _raw_text("ok", range(2), [40, 41]) + _raw_text("a,b", range(2), [50, 51])
+    with pytest.raises(ParseError, match="^line 4: link id 'a,b' contains a comma$"):
+        ingest_raw_log(text, TraceSchema(expected_length=2))
 
 
 def test_ingest_rejects_nonincreasing_sequence():
@@ -246,6 +253,27 @@ def test_traces_csv_writes_exact_text(tmp_path):
         "w,7,inf",
         "w,8,nan",
     ]
+
+
+_EDGE_SAMPLES = [0.0, -0.0, 2.0**53, -2.0**53, 2.0**62, np.nextafter(2.0**62, 0),
+                 np.nextafter(2.0**62, np.inf), -2.0**62, 2.0**63, -2.0**63,
+                 1e300, 5e-324, np.inf, -np.inf, np.nan, 57.25]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.floats() | st.integers(-2**65, 2**65).map(float)
+                         | st.sampled_from(_EDGE_SAMPLES), min_size=2, max_size=40),
+                max_size=3))
+@example([_EDGE_SAMPLES])
+@example([[v, v] for v in _EDGE_SAMPLES])
+@example([[57.0, 57.25, 57.5, 58.0], [40.0] * 5])
+def test_traces_csv_writes_reference_text(tmp_path_factory, samples):
+    """Any float64 samples are written as the per-sample reference writes
+    them, whichever are integral, fractional, huge or not finite."""
+    traces = [RssiTrace(f"l{k}", np.array(s)) for k, s in enumerate(samples)]
+    path = tmp_path_factory.mktemp("csv") / "traces.csv"
+    write_traces_csv(path, traces)
+    assert path.read_text(encoding="utf-8") == traces_csv_reference(traces)
 
 
 def test_traces_csv_link_straddles_chunks(tmp_path):
