@@ -2,7 +2,8 @@
 eval / predict / report.
 
 Every command writes a manifest (command, config snapshot, seed, input and
-output digests) next to its outputs; re-running with the same manifest inputs
+output digests) next to its outputs, the manifest last and each file whole or
+not at all (``trace.open_output``); re-running with the same manifest inputs
 reproduces byte-identical files.
 
 ``main`` can be called many times in one process: the parser is built on
@@ -32,8 +33,8 @@ from .seeds import derive_seed
 from .train import (SplitError, TrainConfig, TrainingError, evaluate_split,
                     loss_curves_to_csv, prepare_dataset, run_cross_validation)
 from .trace import (BASELINE_RANGE, DEFAULT_SCHEMA, JITTER, SchemaError,
-                    TraceSchema, ingest_raw_log, open_utf8, read_traces_csv,
-                    synthesize_clean, write_traces_csv)
+                    TraceSchema, ingest_raw_log, open_output, open_utf8,
+                    read_traces_csv, synthesize_clean, write_traces_csv)
 
 
 def _sha256(path: Path) -> str:
@@ -42,6 +43,11 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_text(path: Path, text: str) -> None:
+    with open_output(path) as fh:
+        fh.write(text)
 
 
 def _manifest_path(path) -> Path:
@@ -59,8 +65,7 @@ def write_manifest(path: Path, command: str, config: dict, seed,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _add_schema_flags(parser):
@@ -220,7 +225,7 @@ def _write_reports(run_dir: Path, report: EvalReport) -> list[Path]:
     """``report.txt`` and ``report.csv`` of a run, rendered from ``report``."""
     paths = [run_dir / "report.txt", run_dir / "report.csv"]
     for path, render in zip(paths, (report_to_text, report_to_csv)):
-        path.write_text(render(report), encoding="utf-8")
+        _write_text(path, render(report))
     return paths
 
 
@@ -247,14 +252,13 @@ def cmd_train(args) -> int:
     for k, model in enumerate(result.models):
         outputs.extend(save_checkpoint(out_dir / f"checkpoint_{k}", model))
     splits_path = out_dir / "splits.json"
-    splits_path.write_text(json.dumps(
+    _write_text(splits_path, json.dumps(
         [{"train": tr.tolist(), "test": te.tolist()}
-         for tr, te in result.splits]) + "\n", encoding="utf-8")
+         for tr, te in result.splits]) + "\n")
     curves_path = out_dir / "loss_curves.csv"
-    curves_path.write_text(loss_curves_to_csv(result.loss_curves),
-                           encoding="utf-8")
+    _write_text(curves_path, loss_curves_to_csv(result.loss_curves))
     report_json = out_dir / "report.json"
-    report_json.write_text(result.report.to_json(), encoding="utf-8")
+    _write_text(report_json, result.report.to_json())
     outputs.extend([splits_path, curves_path, report_json,
                     *_write_reports(out_dir, result.report)])
     write_manifest(out_dir / "manifest.json", "train", asdict(cfg),
@@ -323,8 +327,7 @@ def cmd_eval(args) -> int:
         "non_anomalous": vars(metrics.non_anomalous),
         "zero_division": metrics.zero_division,
     }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     write_manifest(_manifest_path(out), "eval",
                    {"split": args.split}, None,
                    [Path(args.dataset), run_dir / "splits.json"], [out])
@@ -348,23 +351,17 @@ def cmd_predict(args) -> int:
                        checkpoint.with_suffix(".bin"))
     model = load_checkpoint(checkpoint)
     traces, schema = _read_input(args.input, _read_prediction_input)
-    partial = out.with_name(out.name + ".partial")
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            for trace in traces:
-                labels = predict_graph(transform(trace, schema), model,
-                                       threshold=args.threshold)
-                record = {
-                    "link_id": trace.link_id,
-                    "labels": labels.tolist(),
-                    "runs": [[start, length]
-                             for start, length in anomalous_runs(labels)],
-                }
-                fh.write(json.dumps(record) + "\n")
-        partial.replace(out)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with open_output(out) as fh:
+        for trace in traces:
+            labels = predict_graph(transform(trace, schema), model,
+                                   threshold=args.threshold)
+            record = {
+                "link_id": trace.link_id,
+                "labels": labels.tolist(),
+                "runs": [[start, length]
+                         for start, length in anomalous_runs(labels)],
+            }
+            fh.write(json.dumps(record) + "\n")
     write_manifest(_manifest_path(out), "predict",
                    {"threshold": args.threshold, "checkpoint": str(args.checkpoint)},
                    None, [Path(args.input)], [out])

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .mtf_graph import TsGraph
+from .trace import open_output
 
 
 class ModelError(Exception):
@@ -238,7 +239,8 @@ def predict(graph: TsGraph, model: GatModel,
 
 # ---------------------------------------------------------------------------
 # checkpoints: a JSON manifest beside a raw little-endian float64 blob, the
-# model's vector, whose sha256 the manifest records
+# model's vector, whose sha256 the manifest records. The blob is written
+# first, so no manifest is on disk without the blob it digests.
 
 def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
     base = Path(path)
@@ -253,9 +255,10 @@ def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
                     for name, t in model.params.items()],
         "sha256": hashlib.sha256(blob).hexdigest(),
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    blob_path.write_bytes(blob)
+    with open_output(blob_path, binary=True) as fh:
+        fh.write(blob)
+    with open_output(manifest_path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path, blob_path
 
 

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .trace import (DEFAULT_SCHEMA, ConfigError, RssiTrace, TraceError,
-                    TraceSchema)
+                    TraceSchema, open_output)
 
 
 class CapacityError(Exception):
@@ -273,7 +273,7 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
 
 
 def write_dataset(path, items: list[LabeledTrace]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for item in items:
             fh.write(json.dumps(labeled_to_record(item)) + "\n")
 

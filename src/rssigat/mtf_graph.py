@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .trace import DEFAULT_SCHEMA, RssiTrace, TraceSchema, normalize
+from .trace import (DEFAULT_SCHEMA, RssiTrace, TraceSchema, normalize,
+                    open_output)
 
 # Largest node count for which an N x N field or per-node graph is built.
 DENSE_NODE_CAP = 1024
@@ -215,7 +216,7 @@ def graph_from_record(rec: dict) -> TsGraph:
 
 
 def write_graphs(path, graphs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for g in graphs:
             fh.write(json.dumps(graph_to_record(g)) + "\n")
 

@@ -10,8 +10,9 @@ required but not kept. Trace files are CSV with header ``link_id,idx,rssi``.
 from __future__ import annotations
 
 import io
+import os
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -184,6 +185,37 @@ def open_utf8(path):
         raise ParseError(line_no, f"{path} is not UTF-8 text") from None
 
 
+@contextmanager
+def open_output(path, binary: bool = False):
+    """A new file ``<path>.partial`` opened for writing, UTF-8 text or bytes,
+    that becomes ``path`` when the block ends without an exception.
+
+    The temporary file is created exclusively, so an existing file of that
+    name (an input, or the leftover of a killed run) is never overwritten:
+    the call raises FileExistsError instead. It gets the permissions a new
+    file gets. On success the old ``path`` is unlinked, whatever its mode
+    (a symlink is replaced, its target untouched), and the temporary file is
+    renamed onto it. An exception before the unlink removes the temporary
+    file, and ``path`` keeps its old bytes.
+    """
+    path = os.fspath(path)
+    partial = path + ".partial"
+    fh = open(partial, "xb") if binary else open(partial, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        # Unlink first: on ext4, truncating a file in place or renaming over
+        # one starts a writeback of the replaced file (most likely
+        # auto_da_alloc) that makes rewriting an output several times slower;
+        # a rename onto a free name does not.
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+    os.rename(partial, path)
+
+
 # ---------------------------------------------------------------------------
 # trace CSV: header line then one row per sample
 
@@ -200,7 +232,7 @@ _INT_CAST_LIMIT = 2.0 ** 62
 def write_traces_csv(path, traces: list[RssiTrace]) -> None:
     """Write traces as CSV, one ``write`` per trace. An integral sample
     prints as an integer, any other as its shortest round-tripping repr."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(_CSV_HEADER + "\n")
         for t in traces:
             fh.write(_csv_rows(t.link_id, t.samples))

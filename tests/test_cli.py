@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -923,30 +925,148 @@ def test_train_failing_in_cross_validation_leaves_no_run_directory(
         assert list(out.iterdir()) == []
 
 
-def test_predict_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
-    """``predict`` writes all of ``pred.jsonl`` or none of it: a failure on
-    the second trace leaves no output, no temporary file and no manifest."""
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """The inputs of every command: a raw log, traces, a dataset and a run
+    trained on it."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "raw.log").write_text("".join(
+        f"# link r{k} noise=0\n" + "".join(f"{i},{40 + (i * k) % 7}\n"
+                                          for i in range(30))
+        for k in range(3)))
+    assert _run("synth", "--count", 12, "--length", 30, "-o",
+                root / "traces.csv") == 0
+    assert _run("inject", "-i", root / "traces.csv", "--each", 2, "--clean", 4,
+                "-o", root / "dataset.jsonl") == 0
+    assert _run("train", "--dataset", root / "dataset.jsonl", "--splits", 1,
+                "--epochs", 1, "-o", root / "run") == 0
+    return root
+
+
+def _fail_first_write(monkeypatch):
+    """Make the first output a command opens raise halfway through its first
+    write, as a full disk would."""
     import rssigat.cli
-    traces = tmp_path / "traces.csv"
-    assert _run("synth", "--count", 3, "--length", 30, "-o", traces) == 0
+    import rssigat.gat_model
+    import rssigat.inject
+    import rssigat.mtf_graph
+    import rssigat.trace
+    real = rssigat.trace.open_output
+    opened = []
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    @contextmanager
+    def failing_output(path, binary=False):
+        with real(path, binary) as fh:
+            opened.append(path)
+            yield HalfWriter(fh) if len(opened) == 1 else fh
+
+    for module in (rssigat.cli, rssigat.gat_model, rssigat.inject,
+                   rssigat.mtf_graph, rssigat.trace):
+        monkeypatch.setattr(module, "open_output", failing_output)
+    return opened
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "inject", "transform",
+                                     "train", "eval", "predict", "report"])
+def test_outputs_are_whole_after_a_rerun_or_a_failed_write(
+        command_inputs, tmp_path, capsys, monkeypatch, command):
+    """Every output is written whole or not at all. A write that fails
+    halfway through leaves no file where there was none and keeps an earlier
+    output and its manifest byte-identical; a second run into the same paths
+    writes the same bytes. No temporary file is left: the files on disk are
+    exactly those of the first run."""
+    root = tmp_path / "w"
+    shutil.copytree(command_inputs, root)
+    dataset, run = root / "dataset.jsonl", root / "run"
+    argv = {"synth": ["--count", 12, "--length", 30, "-o", root / "out.csv"],
+            "ingest": ["-i", root / "raw.log", "--length", 30,
+                       "-o", root / "out.csv"],
+            "inject": ["-i", root / "traces.csv", "--each", 2, "--clean", 4,
+                       "-o", root / "out.jsonl"],
+            "transform": ["-i", dataset, "-o", root / "out.jsonl"],
+            "train": ["--dataset", dataset, "--splits", 1, "--epochs", 1,
+                      "-o", root / "out"],
+            "eval": ["--run", run, "--dataset", dataset, "--split", 0,
+                     "-o", root / "out.json"],
+            "predict": ["--checkpoint", run / "checkpoint_0", "-i", dataset,
+                        "-o", root / "out.jsonl"],
+            "report": ["--run", run]}[command]
+
+    def files():
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def run_failing():
+        with monkeypatch.context() as patch:
+            opened = _fail_first_write(patch)
+            capsys.readouterr()
+            assert _run(command, *argv) == 1
+        assert capsys.readouterr().err == \
+            "rssigat: error: [Errno 28] No space left on device\n"
+        assert len(opened) == 1
+
+    inputs = files()
+    run_failing()
+    assert files() == inputs
+    assert _run(command, *argv) == 0
+    first = files()
+    assert first.keys() > inputs.keys()
+    assert _run(command, *argv) == 0
+    assert files() == first
+    run_failing()
+    assert files() == first
+
+
+@pytest.mark.parametrize("command", ["transform", "predict"])
+def test_input_with_the_temporary_name_is_kept(tmp_path, capsys, command):
+    """An input named ``<out>.partial``, the temporary name of ``-o``, is
+    never written over: the command exits 1, naming it, and every file keeps
+    its bytes."""
+    traces, dataset = tmp_path / "traces.csv", tmp_path / "out.jsonl.partial"
+    assert _run("synth", "--count", 12, "--length", 30, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 2, "--clean", 4,
+                "-o", dataset) == 0
     save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
-    calls = []
-
-    def failing_transform(trace, schema):
-        calls.append(trace.link_id)
-        if len(calls) == 2:
-            raise GraphError(f"trace {trace.link_id}: cannot transform")
-        return transform(trace, schema)
-
-    monkeypatch.setattr(rssigat.cli, "transform", failing_transform)
-    before = sorted(tmp_path.iterdir())
+    argv = {"transform": ["transform"],
+            "predict": ["predict", "--checkpoint", tmp_path / "ckpt"]}[command]
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
-    assert _run("predict", "--checkpoint", tmp_path / "ckpt", "-i", traces,
-                "-o", tmp_path / "pred.jsonl") == 1
+    assert _run(*argv, "-i", dataset, "-o", tmp_path / "out.jsonl") == 1
     assert capsys.readouterr().err == \
-        f"rssigat: error: trace {calls[1]}: cannot transform\n"
-    assert len(calls) == 2
-    assert sorted(tmp_path.iterdir()) == before
+        f"rssigat: error: [Errno 17] File exists: '{dataset}'\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_output_symlink_is_replaced_and_its_target_kept(tmp_path):
+    """An ``-o`` that is a symlink is replaced by the output; the file it
+    pointed to keeps its bytes."""
+    target, out = tmp_path / "target.csv", tmp_path / "traces.csv"
+    target.write_text("kept\n")
+    out.symlink_to(target.name)
+    assert _run("synth", "--count", 3, "--length", 30, "-o", out) == 0
+    assert not out.is_symlink()
+    assert len(read_traces_csv(out)) == 3
+    assert target.read_text() == "kept\n"
+
+
+def test_read_only_output_is_replaced(tmp_path):
+    """An existing output is replaced whatever its mode; the new file gets
+    the permissions of a newly created one."""
+    out, fresh = tmp_path / "traces.csv", tmp_path / "fresh"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    with open(fresh, "w"):
+        pass
+    assert _run("synth", "--count", 3, "--length", 30, "-o", out) == 0
+    assert len(read_traces_csv(out)) == 3
+    assert out.stat().st_mode == fresh.stat().st_mode
 
 
 @pytest.fixture(scope="module")

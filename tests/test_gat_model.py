@@ -396,6 +396,31 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
 
+def test_checkpoint_blob_is_written_before_its_manifest(tmp_path, monkeypatch):
+    """The blob is on disk before the manifest that digests it: a manifest
+    whose write fails leaves the blob, and a blob whose write fails leaves no
+    manifest."""
+    import rssigat.gat_model
+    real = rssigat.gat_model.open_output
+    opened = []
+
+    def failing_output(path, binary=False):
+        opened.append(path.suffix)
+        if path.suffix == failing:
+            raise OSError(28, "No space left on device")
+        return real(path, binary)
+
+    monkeypatch.setattr(rssigat.gat_model, "open_output", failing_output)
+    for failing, left in ((".json", ["ckpt.bin"]), (".bin", [])):
+        opened.clear()
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
+        assert opened == [".bin", ".json"][:len(left) + 1]
+        assert [p.name for p in tmp_path.iterdir()] == left
+        for path in tmp_path.iterdir():
+            path.unlink()
+
+
 def test_checkpoint_digest_catches_a_flipped_byte(tmp_path):
     """The manifest records the blob's sha256; one changed byte that leaves
     every value finite is caught, and a manifest without the digest, as

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from rssigat.trace import (BASELINE_RANGE, JITTER, ConfigError, ParseError,
                            RssiTrace, SchemaError, TraceError, TraceSchema,
                            _read_traces_csv_by_line, _read_traces_csv_in_bulk,
-                           ingest_raw_log, normalize, read_traces_csv,
-                           synthesize_clean, write_traces_csv)
+                           ingest_raw_log, normalize, open_output,
+                           read_traces_csv, synthesize_clean, write_traces_csv)
 from oracles import complete_links_reference, traces_csv_reference, write_raw_logs
 
 
@@ -431,3 +431,32 @@ def test_ingest_raw_log_raises_only_trace_error(text):
     for trace in traces:
         assert trace.length == 2
         trace.validate(schema)
+
+
+def test_open_output_writes_whole_files_or_none(tmp_path):
+    """A block that ends normally replaces the file; one that raises, or an
+    output that cannot be unlinked, keeps the old bytes; an existing
+    ``<path>.partial`` is never overwritten. No temporary file is left."""
+    out = tmp_path / "out.txt"
+    with open_output(out) as fh:
+        fh.write("first\n")
+    with pytest.raises(ValueError):
+        with open_output(out) as fh:
+            fh.write("sec")
+            raise ValueError
+    assert out.read_text() == "first\n"
+    with open_output(out, binary=True) as fh:
+        fh.write(b"\x00second")
+    assert out.read_bytes() == b"\x00second"
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        with open_output(tmp_path / "dir") as fh:
+            fh.write("not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.txt"]
+    partial = tmp_path / "out.txt.partial"
+    partial.write_text("an input\n")
+    with pytest.raises(FileExistsError):
+        with open_output(out) as fh:
+            fh.write("third\n")
+    assert partial.read_text() == "an input\n"
+    assert out.read_bytes() == b"\x00second"
