@@ -244,10 +244,25 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_cross_validation(dataset, cfg, schema, workers=args.workers)
+        _write_run(out_dir, result, cfg, args.dataset)
     except BaseException:
-        for path in made:  # deepest first, all still empty
-            path.rmdir()
+        if made:  # the run directory is new: all in it is this call's
+            for path in out_dir.iterdir():
+                path.unlink()
+            for path in made:  # deepest first, each now empty
+                path.rmdir()
         raise
+    avg = result.report.averages
+    print(f"parameter count: {result.report.parameter_count}")
+    print(f"anomalous F1 {avg['anomalous'].f1:.4f}, "
+          f"non-anomalous F1 {avg['non_anomalous'].f1:.4f} "
+          f"over {cfg.n_splits} splits -> {out_dir}")
+    return 0
+
+
+def _write_run(out_dir: Path, result, cfg: TrainConfig, dataset) -> None:
+    """A cross-validation run's files: checkpoints, splits, loss curves and
+    reports, then the manifest that lists them."""
     outputs = []
     for k, model in enumerate(result.models):
         outputs.extend(save_checkpoint(out_dir / f"checkpoint_{k}", model))
@@ -262,13 +277,7 @@ def cmd_train(args) -> int:
     outputs.extend([splits_path, curves_path, report_json,
                     *_write_reports(out_dir, result.report)])
     write_manifest(out_dir / "manifest.json", "train", asdict(cfg),
-                   cfg.seed, [Path(args.dataset)], outputs)
-    avg = result.report.averages
-    print(f"parameter count: {result.report.parameter_count}")
-    print(f"anomalous F1 {avg['anomalous'].f1:.4f}, "
-          f"non-anomalous F1 {avg['non_anomalous'].f1:.4f} "
-          f"over {cfg.n_splits} splits -> {out_dir}")
-    return 0
+                   cfg.seed, [Path(dataset)], outputs)
 
 
 def _read_splits(path: Path, n_traces: int) -> list[dict]:

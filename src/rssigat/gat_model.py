@@ -1,12 +1,15 @@
 """Per-node classifier: three attention blocks with linear skip connections.
 
-Each block is dense multi-head graph attention (Velickovic et al. 2018):
-per head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
+Each block is multi-head graph attention (Velickovic et al. 2018): per
+head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
 ``logit_bias[i, j]``, times the projected rows. The bias is ln(edge weight)
 on the edges and -inf off them, so the softmax gives non-edges exactly 0.
-A block adds a learnable linear projection of its input and applies ReLU,
-all one op, ``tc.attention_block``. A final linear head plus sigmoid, one op
-with the gather from rows to nodes (``tc.output_head``), yields one anomaly
+On a sparse graph the logits and the softmax run over the E edges alone,
+per destination row, as PyTorch Geometric's GATConv does; the graph alone
+decides which (``uses_edge_list``). A block adds a learnable linear
+projection of its input and applies ReLU, all one op,
+``tc.attention_block``. A final linear head plus sigmoid, one op with the
+gather from rows to nodes (``tc.output_head``), yields one anomaly
 probability per time step. ``model_backward`` calls the ops' ``back``
 closures in reverse; there is no general autodiff engine behind them.
 
@@ -14,11 +17,11 @@ The sizes are the paper's (``FILTERS``, ``HEADS``, ``LEAKY_SLOPE``). A
 ``GatModel`` checks that its layers chain when it is built or loaded, once,
 so the ops check no shapes.
 
-The forward pass runs on the ``rows``, ``node_map`` and ``logit_bias`` of
-a ``TsGraph`` from ``transform``. In that value-class graph all nodes of a
-row share feature and in-edges, so a class edge i -> j stands for as many
-equal node edges as row i has nodes, which the graph folds into its bias as
-ln(row size). This is exact, not an approximation.
+The forward pass runs on the ``rows``, ``node_map`` and ``logit_bias`` or
+``edges`` of a ``TsGraph`` from ``transform``. In that value-class graph
+all nodes of a row share feature and in-edges, so a class edge i -> j
+stands for as many equal node edges as row i has nodes, which the graph
+folds into its bias as ln(row size). This is exact, not an approximation.
 """
 from __future__ import annotations
 
@@ -207,9 +210,28 @@ class Forward:
     head: Callable
 
 
+# The attention runs over the edge list from EDGE_MIN_ROWS rows on, when at
+# most EDGE_MAX_DENSITY of the C x C entries are edges, self loops included.
+# A training step (forward and backward of the three blocks, one BLAS
+# thread on a 2-vCPU VM) on random graphs of C rows broke even at C = 14-16
+# for densities up to ~0.35 and at ~0.45 for C = 20; at C <= 12 the edge
+# list cost 1.01-1.1x at any density, and at C = 64 0.66-0.79x up to 0.32.
+EDGE_MIN_ROWS = 16
+EDGE_MAX_DENSITY = 0.4
+
+
+def uses_edge_list(graph: TsGraph) -> bool:
+    """Whether ``model_forward`` runs ``graph``'s attention over its
+    ``edges`` rather than its dense ``logit_bias``: for a sparse graph."""
+    c = graph.n_rows
+    return (c >= EDGE_MIN_ROWS
+            and graph.edges.dst.size <= EDGE_MAX_DENSITY * c * c)
+
+
 def model_forward(graph: TsGraph, model: GatModel) -> Forward:
     """Anomaly probability per original node, ``.data`` of shape (N, 1)."""
-    h, bias = graph.rows, graph.logit_bias
+    h = graph.rows
+    bias = graph.edges if uses_edge_list(graph) else graph.logit_bias
     blocks = []
     for k, (cfg, params) in enumerate(zip(model.layer_configs,
                                           model.params.blocks), start=1):

@@ -10,12 +10,19 @@ quantile binner. (Samples a few ulps apart are the one exception: a binner's
 rounded edge can land on one and merge the two, while here each keeps its
 row.) Time steps with equal values have equal rows and columns in the N x N
 field, so ``TsGraph.expand`` gives the field itself.
+
+The model's attention reads a graph's bias as the dense C x C
+``TsGraph.logit_bias`` or, when ``gat_model.uses_edge_list`` finds the
+graph sparse (SlowD traces give 20-110 rows with under 15% of the entries
+edges), as the destination-sorted ``TsGraph.edges``, over which it takes
+the softmax per destination row. Each is built on first use.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +41,24 @@ class GraphError(Exception):
     pass
 
 
+class EdgeList(NamedTuple):
+    """The finite entries of ``TsGraph.logit_bias`` as E edges, sorted by
+    destination and, within one, by source: edge e runs ``src[e]`` ->
+    ``dst[e]`` with bias ``bias[e]`` and sits at ``index[e]`` = dst * C +
+    src of a flattened (C, C) block. Every row has a self loop, so each is
+    non-empty as a destination and as a source: destination row i's edges
+    start at ``starts[i]``, and ``by_src`` orders the edges by source, row
+    i's starting at ``src_starts[i]``, as ``np.add.reduceat`` takes them."""
+
+    dst: np.ndarray
+    src: np.ndarray
+    bias: np.ndarray
+    index: np.ndarray
+    starts: np.ndarray
+    by_src: np.ndarray
+    src_starts: np.ndarray
+
+
 @dataclass
 class TsGraph:
     """Directed weighted graph between rows; time step t is row node_map[t].
@@ -41,7 +66,8 @@ class TsGraph:
     ``weights`` is C x C for C rows, and ``weights[i, j] > 0`` is the edge
     i -> j: an edge from every node of row i to every node of row j. A
     per-node graph has ``node_map = arange(N)``. The model reads ``rows``,
-    ``node_map`` and ``logit_bias``, the first and last built once.
+    ``node_map`` and the attention bias, as the dense ``logit_bias`` or as
+    its ``edges``, each built once, on first use.
     """
 
     row_features: np.ndarray
@@ -78,6 +104,25 @@ class TsGraph:
         loops = np.diagonal(bias)
         np.fill_diagonal(bias, np.where(loops == -np.inf, 0.0, loops))
         return bias
+
+    @cached_property
+    def edges(self) -> EdgeList:
+        """The finite entries of ``logit_bias``, with the same values, read
+        from ``weights`` without building the C x C bias. GraphError if a
+        ``node_map`` entry is outside [0, C)."""
+        self._check_node_map()
+        c = self.n_rows
+        row_sizes = np.bincount(self.node_map, minlength=c)
+        edge = self.weights.T > 0
+        np.fill_diagonal(edge, True)
+        dst, src = np.nonzero(edge)
+        with np.errstate(divide="ignore"):  # ln 0 on the added self loops
+            bias = np.log(self.weights[src, dst]) + np.log(row_sizes[src])
+        bias[(dst == src) & (bias == -np.inf)] = 0.0
+        by_src = np.argsort(src, kind="stable")
+        return EdgeList(dst, src, bias, dst * c + src,
+                        _run_starts(np.bincount(dst, minlength=c)), by_src,
+                        _run_starts(np.bincount(src, minlength=c)))
 
     @property
     def src(self) -> np.ndarray:  # the source row of each finite bias entry
@@ -126,6 +171,13 @@ class TsGraph:
             raise GraphError(f"node map must cover rows 0..{self.n_rows - 1}")
         if not np.all((self.weights >= 0) & np.isfinite(self.weights)):
             raise GraphError("edge weights must be non-negative and finite")
+
+
+def _run_starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of the runs of the given lengths starts, laid end to end."""
+    starts = np.zeros_like(counts)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
 
 
 def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA) -> TsGraph:

@@ -8,12 +8,15 @@ views when given as ``out=``. There is no tape and no graph of tensors:
 ``gat_model.model_backward`` calls the ``back`` closures of a forward pass
 in reverse order. Only the loss checks shapes: ``GatModel`` checks its
 layers once, and each ``mtf_graph.TsGraph`` makes its own (C, 1) rows and
-(C, C) logit bias, checking its node map before the bias.
+its attention bias, checking its node map first.
 
-There are three ops. ``attention_block`` is a whole block: a dense
-multi-head attention, projection included, whose -inf logit bias entries
-are the non-edges, plus a linear skip, then ReLU. ``output_head`` is the
-output linear, a sigmoid and the gather from rows to nodes, and
+There are three ops. ``attention_block`` is a whole block: a multi-head
+attention, projection included, plus a linear skip, then ReLU. Its bias is
+the graph's dense (C, C) logit bias, whose -inf entries are the non-edges,
+or, for a sparse graph, its E-edge list, over which the logits and their
+per-row softmax run; the aggregation and the backward's products are the
+same dense (H, C, C) ones either way. ``output_head`` is the output
+linear, a sigmoid and the gather from rows to nodes, and
 ``binary_cross_entropy`` is the class-weighted loss. The class
 graphs have ~10 rows, so a step costs numpy dispatch per op far more than
 FLOPs: fewer, larger ops and fewer calls within each are what make it fast.
@@ -71,14 +74,79 @@ def binary_cross_entropy(p: np.ndarray, pos: np.ndarray, neg: np.ndarray):
 # ---------------------------------------------------------------------------
 # the model's two ops
 
+def _dense_alpha(s_dst, s_src, logit_bias, slope):
+    """The attention coefficients (H, C, C) of per-head scores s_dst and
+    s_src (H, C, 1) under a dense (C, C) logit bias, and ``back(g)``, which
+    maps d/d alpha (H, C, C) to the gradients (H, C, 1) of s_dst and
+    s_src."""
+    heads, n = s_dst.shape[:2]
+    # pre-activation logits, LeakyReLU, the bias and the row softmax in one
+    # (H, C, C) buffer; exp(-inf) makes the non-edges' alpha exactly 0
+    logits = s_dst + s_src.reshape(heads, 1, n)
+    negative = logits <= 0
+    np.multiply(logits, slope, out=logits, where=negative)
+    ensure_finite(logits, "graph_attention")
+    logits += logit_bias
+    top = logits.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ShapeError("graph_attention needs a finite logit bias entry "
+                         "in every row")
+    logits -= top
+    alpha = np.exp(logits, out=logits)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+
+    def back(g_pre):
+        # one (H, C, C) buffer turns from d/d alpha into d/d logits, then
+        # d/d pre-activation
+        g_pre *= alpha
+        g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
+        np.multiply(g_pre, slope, out=g_pre, where=negative)
+        return g_pre.sum(axis=2, keepdims=True), g_pre.sum(axis=1)[:, :, None]
+
+    return alpha, back
+
+
+def _edge_alpha(s_dst, s_src, edges, slope):
+    """``_dense_alpha`` over the E edges of an ``mtf_graph.EdgeList``: the
+    logits, their softmax per destination row and its backward are (H, E),
+    and only alpha and d/d alpha are (H, C, C), zero off the edges, so no
+    -inf of the non-edges reaches ``np.exp``."""
+    heads, n = s_dst.shape[:2]
+    logits = (np.take(s_dst.reshape(heads, n), edges.dst, axis=1)
+              + np.take(s_src.reshape(heads, n), edges.src, axis=1))
+    negative = logits <= 0
+    np.multiply(logits, slope, out=logits, where=negative)
+    ensure_finite(logits, "graph_attention")
+    logits += edges.bias
+    logits -= np.take(np.maximum.reduceat(logits, edges.starts, axis=1),
+                      edges.dst, axis=1)
+    a = np.exp(logits, out=logits)
+    a /= np.take(np.add.reduceat(a, edges.starts, axis=1), edges.dst, axis=1)
+    alpha = np.zeros((heads, n, n))
+    alpha.reshape(heads, n * n)[:, edges.index] = a
+
+    def back(g_alpha):
+        g_pre = np.take(g_alpha.reshape(heads, n * n), edges.index, axis=1)
+        g_pre *= a
+        g_pre -= a * np.take(np.add.reduceat(g_pre, edges.starts, axis=1),
+                             edges.dst, axis=1)
+        np.multiply(g_pre, slope, out=g_pre, where=negative)
+        g_dst = np.add.reduceat(g_pre, edges.starts, axis=1)
+        g_src = np.add.reduceat(np.take(g_pre, edges.by_src, axis=1),
+                                edges.src_starts, axis=1)
+        return g_dst[:, :, None], g_src[:, :, None]
+
+    return alpha, back
+
+
 def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
                     att_src: np.ndarray, bias: np.ndarray,
                     skip_weight: np.ndarray, skip_bias: np.ndarray,
-                    logit_bias: np.ndarray, slope: float, head_mode: str,
+                    logit_bias, slope: float, head_mode: str,
                     block: int = 1):
     """One block: ReLU(attention(h) + h @ skip_weight + skip_bias).
 
-    The attention is dense multi-head graph attention over C rows. The rows
+    The attention is multi-head graph attention over C rows. The rows
     ``h`` (C, D) are projected by ``weight`` (D, H*F) to hw = h @ weight,
     with head h in columns h*F..(h+1)*F; ``att_dst`` and ``att_src`` are
     (H, F); ``logit_bias[dst, src]`` is (C, C), -inf where src is not a
@@ -89,9 +157,15 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
                         + logit_bias)
 
     over each row, exactly 0 on the -inf entries, and the head's output is
-    alpha @ z. Heads are concatenated to (C, H*F) for ``head_mode="concat"``
-    or averaged to (C, F) for ``"average"``, then ``bias`` is added; the
-    skip (D, width) and its bias give the same width. The attention
+    alpha @ z. ``logit_bias`` may instead be the graph's finite entries as
+    an ``mtf_graph.EdgeList``: then the logits and the softmax, taken with
+    ``np.maximum.reduceat`` and ``np.add.reduceat`` over each row's edges,
+    and their backward are (H, E), and alpha is scattered into zeros. That
+    is cheaper when most of the (C, C) entries are -inf, and equal within
+    rounding, since the row sums run in another order. Heads are
+    concatenated to (C, H*F) for ``head_mode="concat"`` or averaged to
+    (C, F) for ``"average"``, then ``bias`` is added; the skip (D, width)
+    and its bias give the same width. The attention
     logits and the sum are checked finite; a non-finite part makes the sum
     non-finite, and its error names the attention or the skip output, the
     first non-finite one, or else the sum and its ``block`` number.
@@ -108,21 +182,12 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     n = h.shape[0]
     hw = h @ weight
     z = np.ascontiguousarray(hw.reshape(n, heads, f).transpose(1, 0, 2))
-    # pre-activation logits, LeakyReLU, the bias and the row softmax in one
-    # (H, C, C) buffer; exp(-inf) makes the non-edges' alpha exactly 0
-    logits = (z @ att_dst.reshape(heads, f, 1)
-              + (z @ att_src.reshape(heads, f, 1)).reshape(heads, 1, n))
-    negative = logits <= 0
-    np.multiply(logits, slope, out=logits, where=negative)
-    ensure_finite(logits, "graph_attention")
-    logits += logit_bias
-    top = logits.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
-        raise ShapeError("graph_attention needs a finite logit bias entry "
-                         "in every row")
-    logits -= top
-    alpha = np.exp(logits, out=logits)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
+    s_dst = z @ att_dst.reshape(heads, f, 1)
+    s_src = z @ att_src.reshape(heads, f, 1)
+    if isinstance(logit_bias, np.ndarray):
+        alpha, alpha_back = _dense_alpha(s_dst, s_src, logit_bias, slope)
+    else:
+        alpha, alpha_back = _edge_alpha(s_dst, s_src, logit_bias, slope)
     agg = alpha @ z
     if head_mode == "concat":
         gat = agg.transpose(1, 0, 2).reshape(n, heads * f)
@@ -149,15 +214,8 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
             g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
         else:
             g_agg = (g / heads)[None]  # matmul broadcasts it over heads
-        # one (H, C, C) buffer turns from d/d alpha into d/d logits, then
-        # d/d pre-activation
         zt = z.transpose(0, 2, 1)
-        g_pre = g_agg @ zt
-        g_pre *= alpha
-        g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
-        np.multiply(g_pre, slope, out=g_pre, where=negative)
-        g_dst = g_pre.sum(axis=2, keepdims=True)
-        g_src = g_pre.sum(axis=1)[:, :, None]
+        g_dst, g_src = alpha_back(g_agg @ zt)
         g_z = alpha.transpose(0, 2, 1) @ g_agg
         g_z += g_src * att_src[:, None, :]
         g_z += g_dst * att_dst[:, None, :]

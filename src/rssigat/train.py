@@ -134,37 +134,38 @@ def loss_and_grads(graph: TsGraph, targets: tuple, model: GatModel,
 class AdamOptimizer:
     """Adam (beta1 0.9, beta2 0.999, eps 1e-8) on ``model.vector``, updated
     in place. ``grads`` are views, a ``ParamViews`` of the gradient vector
-    that ``step`` applies. The moments, that vector and two scratch vectors
+    that ``step`` applies; ``step`` spends it as scratch, since the next
+    backward overwrites it. The moments, that vector and one scratch vector
     are allocated here, once, so a step allocates none."""
 
     def __init__(self, model: GatModel, lr: float):
         self.vector = model.vector
         self.lr = lr
         self.t = 0
-        self.m, self.v, self.grad, self._s1, self._s2 = (
-            np.zeros_like(self.vector) for _ in range(5))
+        self.m, self.v, self.grad, self._scratch = (
+            np.zeros_like(self.vector) for _ in range(4))
         self.grads = model.views(self.grad)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = 0.9, 0.999
         scale = self.lr * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        p, g, m, v, s1, s2 = (self.vector, self.grad, self.m, self.v,
-                              self._s1, self._s2)
+        p, g, m, v, s = self.vector, self.grad, self.m, self.v, self._scratch
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-        # p -= scale m / (sqrt(v) + eps), rounded one operation at a time
+        # p -= scale m / (sqrt(v) + eps), rounded one operation at a time;
+        # g is dead once v has it, and holds the step
         m *= b1
-        np.multiply(1 - b1, g, out=s1)
-        m += s1
+        np.multiply(1 - b1, g, out=s)
+        m += s
         v *= b2
-        np.multiply(1 - b2, g, out=s1)
-        s1 *= g
-        v += s1
-        np.sqrt(v, out=s2)
-        s2 += 1e-8
-        np.multiply(scale, m, out=s1)
-        s1 /= s2
-        p -= s1
+        np.multiply(1 - b2, g, out=s)
+        s *= g
+        v += s
+        np.sqrt(v, out=s)
+        s += 1e-8
+        np.multiply(scale, m, out=g)
+        g /= s
+        p -= g
 
 
 def prepare_dataset(dataset: list[LabeledTrace],

@@ -8,7 +8,7 @@ import numpy as np
 import rssigat.tensor_core as tc
 from rssigat.gat_model import (GatLayerConfig, GatModel, _param_table,
                                model_forward, prepare_graph)
-from rssigat.mtf_graph import transform
+from rssigat.mtf_graph import TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
 from rssigat.train import ClassWeights, bce_targets, loss_and_grads
 from oracles import finite_difference_grad, graph_attention_reference, max_rel_err
@@ -64,6 +64,9 @@ def primitive_cases(rng) -> list:
     checks += block_cases(rng, 4, 1, 3, 2, "average",
                           ("h", "weight", "bias", "skip_weight"))
     checks += block_cases(rng, 1, 2, 2, 2, "concat", ("h", "weight", "skip_bias"))
+    # the same op over the edge list of a sparse graph
+    checks += block_cases(rng, 6, 3, 2, 3, "concat", BLOCK_INPUTS, True)
+    checks += block_cases(rng, 6, 2, 3, 2, "average", BLOCK_INPUTS[:4], True)
     return checks
 
 
@@ -88,17 +91,24 @@ BLOCK_INPUTS = ("h", "weight", "att_dst", "att_src", "bias", "skip_weight",
                 "skip_bias")
 
 
-def block_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
+def block_cases(rng, n, d, heads, f, head_mode, leaves,
+                edge_list=False) -> list:
     """(loss_and_grad, leaf) pairs for one ``attention_block`` op on ``n``
     rows of width ``d``, one per input named in ``leaves``. The logit bias is
-    -inf off a random edge set that leaves out one entry when ``n`` > 1;
+    -inf off a random edge set that leaves out one entry when ``n`` > 1, or
+    with ``edge_list`` the op takes the ``edges`` of ``sparse_graph``;
     inputs are redrawn until every LeakyReLU and ReLU input is at least 0.05
     from its kink."""
-    edges = rng.random((n, n)) < 0.5
-    np.fill_diagonal(edges, True)
-    if n > 1:
-        edges[0, n - 1] = False
-    logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
+    if edge_list:
+        graph = sparse_graph(rng, n)
+        logit_bias, op_bias = graph.logit_bias, graph.edges
+    else:
+        edges = rng.random((n, n)) < 0.5
+        np.fill_diagonal(edges, True)
+        if n > 1:
+            edges[0, n - 1] = False
+        logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
+        op_bias = logit_bias
     width = heads * f if head_mode == "concat" else f
     while True:
         args = (rng.standard_normal((n, d)),
@@ -113,8 +123,20 @@ def block_cases(rng, n, d, heads, f, head_mode, leaves) -> list:
                 and np.abs(relu_input(*args)).min() >= 0.05):
             break
     r = rng.standard_normal((n, width))
+    args = (*args[:7], op_bias, *args[8:])
     return [projected(tc.attention_block, args, BLOCK_INPUTS.index(name), r)
             for name in leaves]
+
+
+def sparse_graph(rng, n) -> TsGraph:
+    """A graph of ``n`` rows of 1-3 nodes each, every row with one or two
+    random out-edges, so most of its bias is -inf."""
+    weights = np.zeros((n, n))
+    for row in range(n):
+        cols = rng.choice(n, size=min(n, rng.integers(1, 3)), replace=False)
+        weights[row, cols] = rng.uniform(0.2, 1.0)
+    node_map = np.repeat(np.arange(n), rng.integers(1, 4, size=n))
+    return TsGraph(rng.uniform(size=n), node_map, weights)
 
 
 def zero_model(configs, seed: int = 0) -> GatModel:

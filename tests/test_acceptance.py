@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The learning criteria (6, 7)
 share one desk-scale cross-validation run via a module-scoped fixture; it
-takes a few minutes on one core.
+runs on two worker processes and takes a minute or two.
 """
 import hashlib
 import json
@@ -148,7 +148,7 @@ def desk_run():
     dataset = build_dataset(clean, composition, params,
                             np.random.default_rng(202), DESK_SCHEMA)
     cfg = TrainConfig(n_splits=5, seed=11)
-    result = run_cross_validation(dataset, cfg, DESK_SCHEMA)
+    result = run_cross_validation(dataset, cfg, DESK_SCHEMA, workers=2)
     elapsed = time.perf_counter() - started
     return (dataset, prepare_dataset(dataset, DESK_SCHEMA), cfg, result,
             elapsed)

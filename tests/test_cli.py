@@ -943,9 +943,9 @@ def command_inputs(tmp_path_factory):
     return root
 
 
-def _fail_first_write(monkeypatch):
-    """Make the first output a command opens raise halfway through its first
-    write, as a full disk would."""
+def _fail_write(monkeypatch, nth=1):
+    """Make the ``nth`` output a command opens raise halfway through its
+    first write, as a full disk would."""
     import rssigat.cli
     import rssigat.gat_model
     import rssigat.inject
@@ -966,7 +966,7 @@ def _fail_first_write(monkeypatch):
     def failing_output(path, binary=False):
         with real(path, binary) as fh:
             opened.append(path)
-            yield HalfWriter(fh) if len(opened) == 1 else fh
+            yield HalfWriter(fh) if len(opened) == nth else fh
 
     for module in (rssigat.cli, rssigat.gat_model, rssigat.inject,
                    rssigat.mtf_graph, rssigat.trace):
@@ -1005,7 +1005,7 @@ def test_outputs_are_whole_after_a_rerun_or_a_failed_write(
 
     def run_failing():
         with monkeypatch.context() as patch:
-            opened = _fail_first_write(patch)
+            opened = _fail_write(patch)
             capsys.readouterr()
             assert _run(command, *argv) == 1
         assert capsys.readouterr().err == \
@@ -1022,6 +1022,23 @@ def test_outputs_are_whole_after_a_rerun_or_a_failed_write(
     assert files() == first
     run_failing()
     assert files() == first
+
+
+@pytest.mark.parametrize("nth", [1, 4])
+def test_train_failing_to_write_leaves_no_new_run_directory(
+        command_inputs, tmp_path, capsys, monkeypatch, nth):
+    """A ``train`` whose ``nth`` write fails removes the files it wrote and
+    the run directory it made, with the parents it made."""
+    out = tmp_path / "runs" / "a" / "run"
+    with monkeypatch.context() as patch:
+        opened = _fail_write(patch, nth)
+        capsys.readouterr()
+        assert _run("train", "--dataset", command_inputs / "dataset.jsonl",
+                    "--splits", 1, "--epochs", 1, "-o", out) == 1
+    assert capsys.readouterr().err == \
+        "rssigat: error: [Errno 28] No space left on device\n"
+    assert len(opened) == nth
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["transform", "predict"])

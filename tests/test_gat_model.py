@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
+from rssigat import gat_model
 from rssigat.gat_model import (BLOCK_PARAMS, GatLayerConfig, GatModel, ModelError,
                                _param_table, build_model, count_parameters,
                                load_checkpoint, model_backward, model_forward,
-                               predict, prepare_graph, save_checkpoint)
+                               predict, prepare_graph, save_checkpoint,
+                               uses_edge_list)
+from rssigat.inject import AnomalyKind
 from rssigat.mtf_graph import GraphError, TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
 from oracles import dense_gat_oracle, model_forward_oracle, model_reference
@@ -266,7 +269,9 @@ def test_model_forward_matches_per_destination_oracle(length):
 @pytest.mark.parametrize("collapse", [True, False], ids=["rows", "nodes"])
 def test_model_is_bitwise_the_op_by_op_model(collapse):
     """Probabilities and all 20 gradients, written into NaN-filled views, as
-    the model composed its ops one by one, looking parameters up by name."""
+    the model composed its ops one by one, looking parameters up by name:
+    bit for bit on a graph that runs the dense bias, as the reference does,
+    and within rounding on one that runs over its edge list."""
     dataset, schema = _desk_dataset(n_each=1, n_clean=2, seed=12, length=100)
     rng = np.random.default_rng(3)
     for i, item in enumerate(dataset):
@@ -274,14 +279,98 @@ def test_model_is_bitwise_the_op_by_op_model(collapse):
         model = build_model(seed=i)
         fwd = model_forward(prep, model)
         want, backward = model_reference(prep, model)
-        assert fwd.data.tobytes() == want.tobytes()
         g = rng.standard_normal(fwd.data.shape)
         grads = model.views(np.full_like(model.vector, np.nan))
         model_backward(fwd, g, grads)
-        want = backward(g)
-        assert grads.keys() == want.keys()
-        for name, grad in grads.items():
-            assert grad.tobytes() == want[name].tobytes(), name
+        got = {"probabilities": fwd.data, **grads}
+        want = {"probabilities": want, **backward(g)}
+        assert got.keys() == want.keys()
+        for name, value in got.items():
+            if uses_edge_list(prep):
+                np.testing.assert_allclose(value, want[name], rtol=0,
+                                           atol=1e-12, err_msg=name)
+            else:
+                assert value.tobytes() == want[name].tobytes(), name
+
+
+def _run_form(graph, model, g, monkeypatch, edge_list):
+    """Probabilities and all gradients, for the gradient ``g`` at them, with
+    the attention over the edge list or over the dense bias."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gat_model, "uses_edge_list", lambda _: edge_list)
+        fwd = model_forward(graph, model)
+    grads = model.views(np.full_like(model.vector, np.nan))
+    model_backward(fwd, g, grads)
+    return fwd.data, grads
+
+
+def _assert_forms_agree(graph, model, monkeypatch):
+    """The edge-list form gives the dense form's probabilities and 20
+    gradients within 1e-12."""
+    g = np.random.default_rng(graph.n_rows).standard_normal((graph.n_nodes, 1))
+    data, grads = _run_form(graph, model, g, monkeypatch, False)
+    edge_data, edge_grads = _run_form(graph, model, g, monkeypatch, True)
+    np.testing.assert_allclose(edge_data, data, rtol=0, atol=1e-12)
+    assert len(grads) == 20
+    for name, grad in grads.items():
+        np.testing.assert_allclose(edge_grads[name], grad, rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def _mix(length):
+    """The desk mix at length 100, 1:1:1:1:6 anomaly kinds to clean, or the
+    paper mix at 300, 1:1:1:1:8."""
+    return _desk_dataset(n_each=3, n_clean=18 if length == 100 else 24,
+                         seed=21, length=length)
+
+
+@pytest.mark.parametrize("length", [100, 300], ids=["desk", "paper"])
+def test_edge_list_form_matches_the_dense_form(length, monkeypatch):
+    dataset, schema = _mix(length)
+    graphs = [transform(item.trace, schema) for item in dataset]
+    sparse = [graph for graph in graphs if uses_edge_list(graph)]
+    assert sparse
+    for k, graph in enumerate(sparse):
+        _assert_forms_agree(graph, build_model(seed=k), monkeypatch)
+
+
+@pytest.mark.parametrize("length", [100, 300], ids=["desk", "paper"])
+def test_small_graphs_run_dense_and_slowd_graphs_over_edges(length):
+    dataset, schema = _mix(length)
+    rows = {True: [], False: []}
+    for item in dataset:
+        graph = transform(item.trace, schema)
+        if item.kind is AnomalyKind.SLOW_D or graph.n_rows in (5, 6):
+            assert uses_edge_list(graph) == (item.kind is AnomalyKind.SLOW_D)
+            rows[uses_edge_list(graph)].append(graph.n_rows)
+    assert len(rows[True]) == 3 and len(rows[False]) > 20
+
+
+def _union(graphs) -> TsGraph:
+    """The disjoint union of ``graphs``: rows concatenated, node maps offset
+    and weights block-diagonal."""
+    sizes = [graph.n_rows for graph in graphs]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    weights = np.zeros((sum(sizes), sum(sizes)))
+    for graph, at in zip(graphs, offsets):
+        weights[at:at + graph.n_rows, at:at + graph.n_rows] = graph.weights
+    return TsGraph(np.concatenate([graph.row_features for graph in graphs]),
+                   np.concatenate([graph.node_map + at for graph, at in
+                                   zip(graphs, offsets)]), weights)
+
+
+def test_union_over_edges_is_each_graph_alone(monkeypatch):
+    dataset, schema = _mix(100)
+    graphs = [transform(item.trace, schema) for item in dataset[::3]][:8]
+    assert {uses_edge_list(graph) for graph in graphs} == {True, False}
+    union = _union(graphs)
+    assert uses_edge_list(union)
+    model = build_model(seed=4)
+    alone = np.concatenate([model_forward(graph, model).data
+                            for graph in graphs])
+    np.testing.assert_allclose(model_forward(union, model).data, alone,
+                               rtol=0, atol=1e-12)
+    _assert_forms_agree(union, model, monkeypatch)
 
 
 def test_param_views_group_the_arrays_as_the_ops_take_them():

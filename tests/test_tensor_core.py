@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
-from gradcheck import block_cases, check_case, primitive_cases
+from gradcheck import block_cases, check_case, primitive_cases, sparse_graph
 from oracles import (attention_block_reference, output_head_reference,
                      sigmoid_reference)
 
@@ -315,6 +315,38 @@ def test_graph_attention_is_bitwise_the_earlier_formulas(head_mode):
         assert out.tobytes() == ref_out.tobytes()
         for got, want in zip(back(g), ref_back(g), strict=True):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("head_mode", ["concat", "average"])
+def test_attention_over_edges_matches_the_dense_bias(head_mode):
+    """The op over a graph's edge list gives the output and the seven
+    gradients of the op over its dense logit bias, within rounding."""
+    rng = np.random.default_rng(16)
+    for n in ROWS:
+        graph = sparse_graph(rng, n)
+        args = _block_args(rng, n, head_mode)
+        out, back = tc.attention_block(*args[:7], graph.logit_bias, *args[8:])
+        edge_out, edge_back = tc.attention_block(*args[:7], graph.edges,
+                                                 *args[8:])
+        g = rng.standard_normal(out.shape)
+        np.testing.assert_allclose(edge_out, out, rtol=0, atol=1e-12)
+        for got, want in zip(edge_back(g), back(g), strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_attention_over_edges_non_finite_logits_trip_the_same_error():
+    rng = np.random.default_rng(17)
+    graph = sparse_graph(rng, 5)
+    ones = np.ones((2, 2))
+    messages = []
+    for logit_bias in (graph.logit_bias, graph.edges):
+        with np.errstate(over="ignore"), \
+                pytest.raises(tc.NonFiniteError) as err:
+            attention_output(np.full((5, 1), 1e308), np.ones((1, 4)), ones,
+                             ones, np.zeros(4), logit_bias)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == \
+        "graph_attention produced non-finite values"
 
 
 def _check_out_views(back, g, want, input_grad):
