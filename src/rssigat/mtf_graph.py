@@ -126,7 +126,7 @@ class TsGraph:
 
     @property
     def src(self) -> np.ndarray:  # the source row of each finite bias entry
-        return np.nonzero(np.isfinite(self.logit_bias))[1]
+        return self.edges.src
 
     def _check_node_map(self) -> None:
         node_map = self.node_map
