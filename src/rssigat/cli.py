@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gat_model import load_checkpoint, predict as predict_graph, save_checkpoint
+from .gat_model import (checkpoint_files, load_checkpoint,
+                        predict as predict_graph, save_checkpoint)
 from .inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
                      build_dataset, read_dataset, write_dataset)
 from .metrics import (EvalReport, MetricsError, anomalous_runs, report_to_csv,
@@ -236,8 +237,7 @@ def cmd_train(args) -> int:
     dataset, schema = _read_input(args.dataset, read_dataset)
     try:
         cfg = TrainConfig(n_splits=args.splits, epochs=args.epochs,
-                          learning_rate=args.lr, seed=args.seed,
-                          threshold=args.threshold)
+                          learning_rate=args.lr, seed=args.seed)
     except (SplitError, TrainingError) as exc:
         raise UsageError(str(exc)) from None
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
@@ -301,35 +301,31 @@ def _read_splits(path: Path, n_traces: int) -> list[dict]:
 
 
 def _read_report(run_dir: Path) -> EvalReport:
-    """A run's stored report, whose threshold must be in [0, 1]. Anything
-    else is a MetricsError naming the file."""
+    """A run's stored report; anything else is a MetricsError naming the
+    file."""
     path = run_dir / "report.json"
     try:
-        report = EvalReport.from_json(path.read_text(encoding="utf-8"))
-        TrainConfig(threshold=report.config["threshold"])
+        return EvalReport.from_json(path.read_text(encoding="utf-8"))
     except KeyError as exc:
         raise MetricsError(f"{path}: lacks key {exc}") from None
-    except (ValueError, TypeError, AttributeError, RecursionError,
-            TrainingError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise MetricsError(f"{path}: {exc}") from None
-    return report
 
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     checkpoint = run_dir / f"checkpoint_{args.split}"
+    inputs = [Path(args.dataset), run_dir / "splits.json",
+              *checkpoint_files(checkpoint)]
     out = _output_path(args.out or run_dir / f"eval_split_{args.split}.json",
-                       args.dataset, run_dir / "splits.json", run_dir / "report.json",
-                       checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin"))
+                       *inputs)
     dataset, schema = _read_input(args.dataset, read_dataset)
     splits = _read_splits(run_dir / "splits.json", len(dataset))
     if not 0 <= args.split < len(splits):
         raise UsageError(f"--split must be in [0, {len(splits) - 1}]")
     model = load_checkpoint(checkpoint)
-    threshold = _read_report(run_dir).config["threshold"]
     items = [dataset[i] for i in splits[args.split]["test"]]
-    metrics = evaluate_split(model, items, prepare_dataset(items, schema),
-                             threshold)
+    metrics = evaluate_split(model, items, prepare_dataset(items, schema))
     payload = {
         "split": args.split,
         "anomalous": vars(metrics.anomalous),
@@ -338,8 +334,7 @@ def cmd_eval(args) -> int:
     }
     _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     write_manifest(_manifest_path(out), "eval",
-                   {"split": args.split}, None,
-                   [Path(args.dataset), run_dir / "splits.json"], [out])
+                   {"split": args.split}, None, inputs, [out])
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -355,10 +350,9 @@ def _read_prediction_input(path: Path):
 def cmd_predict(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError("--threshold must be in [0, 1]")
-    checkpoint = Path(args.checkpoint)
-    out = _output_path(args.out, args.input, checkpoint.with_suffix(".json"),
-                       checkpoint.with_suffix(".bin"))
-    model = load_checkpoint(checkpoint)
+    inputs = [Path(args.input), *checkpoint_files(args.checkpoint)]
+    out = _output_path(args.out, *inputs)
+    model = load_checkpoint(args.checkpoint)
     traces, schema = _read_input(args.input, _read_prediction_input)
     with open_output(out) as fh:
         for trace in traces:
@@ -373,7 +367,7 @@ def cmd_predict(args) -> int:
             fh.write(json.dumps(record) + "\n")
     write_manifest(_manifest_path(out), "predict",
                    {"threshold": args.threshold, "checkpoint": str(args.checkpoint)},
-                   None, [Path(args.input)], [out])
+                   None, inputs, [out])
     print(f"predicted {len(traces)} traces -> {out}")
     return 0
 
@@ -430,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=int, default=TrainConfig.n_splits)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--threshold", type=float, default=TrainConfig.threshold)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--workers", type=int, default=1,
                    help="processes to train splits on, at most one per split "

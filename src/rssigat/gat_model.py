@@ -264,10 +264,13 @@ def predict(graph: TsGraph, model: GatModel,
 # model's vector, whose sha256 the manifest records. The blob is written
 # first, so no manifest is on disk without the blob it digests.
 
+def checkpoint_files(path) -> tuple[Path, Path]:
+    """The manifest and the blob of the checkpoint saved at ``path``."""
+    return Path(path).with_suffix(".json"), Path(path).with_suffix(".bin")
+
+
 def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
-    base = Path(path)
-    manifest_path = base.with_suffix(".json")
-    blob_path = base.with_suffix(".bin")
+    manifest_path, blob_path = checkpoint_files(path)
     blob = model.vector.astype("<f8", copy=False).tobytes()
     manifest = {
         "format": "rssigat-checkpoint-v1",
@@ -286,17 +289,18 @@ def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
 
 def load_checkpoint(path) -> GatModel:
     """The model saved at ``path``; ModelError if its manifest is malformed
-    or disagrees with its blob. A manifest without a sha256, as written
-    before it was recorded, loads unchecked."""
+    (a manifest without the blob's sha256 is) or disagrees with its blob."""
     base = Path(path)
+    manifest_path, blob_path = checkpoint_files(base)
     try:
-        manifest = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         if manifest.get("format") != "rssigat-checkpoint-v1":
             raise ModelError(f"unrecognized checkpoint format in {base}")
         configs = tuple(GatLayerConfig(**cfg) for cfg in manifest["layers"])
         listed = [(entry["name"], tuple(entry["shape"]))
                   for entry in manifest["tensors"]]
         seed = manifest["seed"]
+        recorded = manifest["sha256"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelError(f"malformed checkpoint manifest {base}: "
                          f"{type(exc).__name__}: {exc}") from None
@@ -308,7 +312,6 @@ def load_checkpoint(path) -> GatModel:
             raise ModelError(f"checkpoint tensor {have} does not match "
                              f"the layers' {want}")
     size = sum(math.prod(shape) for _, shape in expected)
-    blob_path = base.with_suffix(".bin")
     raw = blob_path.read_bytes()
     if len(raw) != 8 * size:
         raise ModelError(f"checkpoint blob has {len(raw)} bytes, "
@@ -317,8 +320,7 @@ def load_checkpoint(path) -> GatModel:
     for name, p in model.params.items():
         if not np.isfinite(p).all():
             raise ModelError(f"checkpoint tensor {name} has non-finite values")
-    digest = hashlib.sha256(raw).hexdigest()
-    if manifest.get("sha256", digest) != digest:
+    if hashlib.sha256(raw).hexdigest() != recorded:
         raise ModelError(f"checkpoint blob {blob_path} does not match the "
                          f"sha256 its manifest records")
     return model

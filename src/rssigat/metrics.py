@@ -88,12 +88,10 @@ class EvalReport:
     per_split: list[SplitMetrics]
     averages: dict[str, ClassMetrics]
     parameter_count: int
-    config: dict
 
     def to_json(self) -> str:
         payload = {
             "parameter_count": self.parameter_count,
-            "config": self.config,
             "per_split": [asdict(s) for s in self.per_split],
             "averages": {k: asdict(v) for k, v in self.averages.items()},
         }
@@ -110,12 +108,11 @@ class EvalReport:
         ]
         averages = {k: ClassMetrics(**v) for k, v in payload["averages"].items()}
         return cls(per_split=per_split, averages=averages,
-                   parameter_count=payload["parameter_count"],
-                   config=payload["config"])
+                   parameter_count=payload["parameter_count"])
 
 
-def aggregate(per_split: list[SplitMetrics], parameter_count: int = 0,
-              config: dict | None = None) -> EvalReport:
+def aggregate(per_split: list[SplitMetrics],
+              parameter_count: int = 0) -> EvalReport:
     """Arithmetic mean of every metric across splits."""
     if not per_split:
         raise MetricsError("need at least one split")
@@ -128,7 +125,7 @@ def aggregate(per_split: list[SplitMetrics], parameter_count: int = 0,
             f1=float(np.mean([r.f1 for r in rows])),
         )
     return EvalReport(per_split=list(per_split), averages=averages,
-                      parameter_count=parameter_count, config=dict(config or {}))
+                      parameter_count=parameter_count)
 
 
 def report_to_text(report: EvalReport) -> str:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, asdict
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_core as tc
 from .gat_model import GatModel, ParamViews, build_model, count_parameters, \
-    model_backward, model_forward
+    model_backward, model_forward, predict
 from .inject import LabeledTrace
 from .metrics import EvalReport, SplitMetrics, aggregate, split_metrics
 from .mtf_graph import TsGraph, transform
@@ -28,6 +29,9 @@ from .trace import DEFAULT_SCHEMA, TraceSchema
 
 
 TEST_FRACTION = 0.2  # share of each stratum held out per split
+# the thread-count variables of OpenBLAS, OpenMP and MKL builds of numpy
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
 
 
 class SplitError(Exception):
@@ -44,7 +48,6 @@ class TrainConfig:
     epochs: int = 50
     learning_rate: float = 3e-3
     seed: int = 0
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.n_splits < 1:
@@ -53,8 +56,6 @@ class TrainConfig:
             raise TrainingError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise TrainingError("learning_rate must be finite and > 0")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise TrainingError("threshold must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -217,12 +218,10 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
 
 
 def evaluate_split(model: GatModel, items: list[LabeledTrace],
-                   prepared: list[TsGraph],
-                   threshold: float = 0.5) -> SplitMetrics:
-    """Pool predictions over every point of the given traces;
-    ``prepared[i]`` is the class graph of ``items[i]``."""
-    preds = [model_forward(graph, model).data[:, 0] >= threshold
-             for graph in prepared]
+                   prepared: list[TsGraph]) -> SplitMetrics:
+    """Pool ``predict``'s labels, at its 0.5 cut-off, over every point of the
+    given traces; ``prepared[i]`` is the class graph of ``items[i]``."""
+    preds = [predict(graph, model) for graph in prepared]
     truths = [item.labels.astype(bool) for item in items]
     return split_metrics(np.concatenate(preds), np.concatenate(truths))
 
@@ -241,9 +240,31 @@ def _run_single_split(args) -> tuple[SplitMetrics, GatModel, list[float]]:
                  model_seed=derive_seed(cfg.seed, "model", k), cfg=cfg,
                  prepared=[prepared[i] for i in train_idx])
     metrics = evaluate_split(result.model, [dataset[i] for i in test_idx],
-                             [prepared[i] for i in test_idx],
-                             threshold=cfg.threshold)
+                             [prepared[i] for i in test_idx])
     return metrics, result.model, result.loss_curve
+
+
+def _set_warning_filters(filters: list) -> None:
+    warnings.filters[:] = filters
+
+
+def _worker_pool(workers: int):
+    """A pool of ``workers`` fresh interpreters (the "spawn" start method),
+    each with the caller's warning filters (so a warning the caller turns
+    into an error fails a worker too) and one BLAS thread unless the
+    environment sets the count: every variable of ``BLAS_THREAD_VARIABLES``
+    that is unset is set to 1 while the pool starts, then unset again. The
+    model's matmuls are small, and a BLAS thread pool in each worker makes
+    the workers contend for the cores."""
+    unset = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(
+            workers, initializer=_set_warning_filters,
+            initargs=(list(warnings.filters),))
+    finally:
+        for name in unset:
+            del os.environ[name]
 
 
 def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
@@ -251,20 +272,22 @@ def run_cross_validation(dataset: list[LabeledTrace], cfg: TrainConfig,
                          workers: int = 1) -> CrossValResult:
     """Train one model per stratified shuffle split and aggregate metrics,
     on up to ``workers`` processes (never more than there are splits or
-    CPUs; each process gets its own copy of the dataset)."""
+    CPUs; each process gets its own copy of the dataset). Workers are
+    spawned, so each imports the caller's main module afresh: a script that
+    asks for more than one must call this under ``if __name__ ==
+    "__main__":``."""
     prepared = prepare_dataset(dataset, schema)
     splits = stratified_shuffle_split(dataset, cfg)
     payloads = [(k, dataset, prepared, train_idx, test_idx, cfg)
                 for k, (train_idx, test_idx) in enumerate(splits)]
     workers = min(workers, len(splits), os.cpu_count() or 1)
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+        with _worker_pool(workers) as pool:
             results = pool.map(_run_single_split, payloads)
     else:
         results = [_run_single_split(p) for p in payloads]
     per_split, models, curves = (list(r) for r in zip(*results))
-    report = aggregate(per_split, parameter_count=count_parameters(models[0]),
-                       config=asdict(cfg))
+    report = aggregate(per_split, parameter_count=count_parameters(models[0]))
     return CrossValResult(report=report, models=models, loss_curves=curves,
                           splits=splits)
 

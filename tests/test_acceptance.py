@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rssigat.cli import main as cli_main
-from rssigat.gat_model import build_model, count_parameters, model_forward, \
+from rssigat.gat_model import build_model, count_parameters, predict, \
     prepare_graph
 from rssigat.inject import (ANOMALOUS_KINDS, AnomalyKind, InjectionParams,
                             build_dataset, read_dataset)
@@ -167,7 +167,7 @@ def test_c6_desk_scale_learning(desk_run):
 
 
 def test_c7_localization_jaccard(desk_run):
-    dataset, prepared, cfg, result, _ = desk_run
+    dataset, prepared, _, result, _ = desk_run
     scores = []
     clean_flagged = []
     for k, (train_idx, test_idx) in enumerate(result.splits):
@@ -176,8 +176,7 @@ def test_c7_localization_jaccard(desk_run):
             kind = dataset[i].kind
             if kind not in (AnomalyKind.SUDDEN_R, AnomalyKind.NONE):
                 continue
-            probs = model_forward(prepared[i], model).data[:, 0]
-            pred = probs >= cfg.threshold
+            pred = predict(prepared[i], model).astype(bool)
             if kind is AnomalyKind.NONE:
                 clean_flagged.append(pred.mean())
                 continue

@@ -283,19 +283,18 @@ def test_eval_reproduces_stored_split_metrics(pipeline_dir):
 
 
 def test_eval_reads_a_run_with_the_old_config_keys(pipeline_dir):
-    """A run whose report.json config still holds ``optimizer`` and
-    ``test_fraction`` evaluates to the same payload as the current run."""
+    """A run whose report.json still holds a copy of the run config, with
+    the old keys ``optimizer``, ``test_fraction`` and ``threshold``,
+    evaluates to the same payload as the current run, and ``report``
+    renders it to the same text."""
     run_dir, old_dir = pipeline_dir / "run", pipeline_dir / "old_run"
     old_dir.mkdir()
     for name in ("splits.json", "checkpoint_0.json", "checkpoint_0.bin"):
         (old_dir / name).write_bytes((run_dir / name).read_bytes())
     report = json.loads((run_dir / "report.json").read_text())
-    config = report["config"]
-    report["config"] = {"n_splits": config["n_splits"], "test_fraction": 0.2,
-                        "epochs": config["epochs"],
-                        "learning_rate": config["learning_rate"],
-                        "optimizer": "adam", "seed": config["seed"],
-                        "threshold": config["threshold"]}
+    report["config"] = {"n_splits": 2, "test_fraction": 0.2, "epochs": 2,
+                        "learning_rate": 3e-3, "optimizer": "adam", "seed": 1,
+                        "threshold": 0.5}
     (old_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     dataset = pipeline_dir / "dataset.jsonl"
@@ -305,11 +304,50 @@ def test_eval_reads_a_run_with_the_old_config_keys(pipeline_dir):
                 "-o", pipeline_dir / "old.json") == 0
     assert (pipeline_dir / "old.json").read_bytes() == \
         (pipeline_dir / "new.json").read_bytes()
+    assert _run("report", "--run", old_dir) == 0
+    assert (old_dir / "report.txt").read_bytes() == \
+        (run_dir / "report.txt").read_bytes()
+
+
+def test_eval_reads_no_report_json(pipeline_dir):
+    """``eval`` scores at ``predict``'s cut-off and reads only the dataset,
+    ``splits.json`` and the checkpoint: without report.json it writes the
+    split's stored metrics, and its manifest digests those four files."""
+    run_dir, dataset = pipeline_dir / "run", pipeline_dir / "dataset.jsonl"
+    report = run_dir / "report.json"
+    stored = EvalReport.from_json(report.read_text()).per_split[1]
+    report.unlink()
+    out = pipeline_dir / "eval1.json"
+    assert _run("eval", "--run", run_dir, "--dataset", dataset, "--split", 1,
+                "-o", out) == 0
+    payload = json.loads(out.read_text())
+    assert payload == {"split": 1, "anomalous": vars(stored.anomalous),
+                       "non_anomalous": vars(stored.non_anomalous),
+                       "zero_division": stored.zero_division}
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    inputs = [dataset, run_dir / "splits.json", run_dir / "checkpoint_1.json",
+              run_dir / "checkpoint_1.bin"]
+    assert manifest["inputs"] == {str(p): _digest(p) for p in inputs}
+
+
+def test_predict_manifest_digests_the_checkpoint(pipeline_dir):
+    checkpoint, dataset = pipeline_dir / "run" / "checkpoint_0", \
+        pipeline_dir / "dataset.jsonl"
+    out = pipeline_dir / "pred.jsonl"
+    assert _run("predict", "--checkpoint", checkpoint, "-i", dataset,
+                "-o", out) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    inputs = [dataset, checkpoint.with_suffix(".json"),
+              checkpoint.with_suffix(".bin")]
+    assert manifest["inputs"] == {str(p): _digest(p) for p in inputs}
+    assert manifest["config"] == {"checkpoint": str(checkpoint),
+                                  "threshold": 0.5}
 
 
 @pytest.mark.parametrize("flags", [["--config", "train.cfg"],
-                                   ["--optimizer", "sgd"]],
-                         ids=["config", "optimizer"])
+                                   ["--optimizer", "sgd"],
+                                   ["--threshold", "0.5"]],
+                         ids=["config", "optimizer", "threshold"])
 def test_train_rejects_removed_flags(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         _run("train", "--dataset", tmp_path / "dataset.jsonl", *flags,
@@ -391,40 +429,22 @@ def test_eval_rejects_bad_split(pipeline_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_eval_rejects_bad_stored_threshold(pipeline_dir, capsys):
-    run_dir = pipeline_dir / "nan_run"
-    run_dir.mkdir()
-    for name in ("splits.json", "checkpoint_0.json", "checkpoint_0.bin"):
-        (run_dir / name).write_bytes((pipeline_dir / "run" / name).read_bytes())
-    report = json.loads((pipeline_dir / "run" / "report.json").read_text())
-    report["config"]["threshold"] = float("nan")
-    (run_dir / "report.json").write_text(json.dumps(report))
-    capsys.readouterr()
-    assert _run("eval", "--run", run_dir, "--dataset",
-                pipeline_dir / "dataset.jsonl", "--split", 0) == 1
-    assert capsys.readouterr().err == \
-        f"rssigat: error: {run_dir / 'report.json'}: threshold must be in [0, 1]\n"
-    assert not (run_dir / "eval_split_0.json").exists()
-
-
-@pytest.mark.parametrize("command", ["eval", "report"])
 @pytest.mark.parametrize("text, message", [
     (lambda report: "not JSON", "Expecting value: line 1 column 1 (char 0)"),
-    (lambda report: json.dumps({**report, "config": {}}),
-     "lacks key 'threshold'"),
-    (lambda report: json.dumps(
-        {**report, "config": {**report["config"], "threshold": 1.5}}),
-     "threshold must be in [0, 1]"),
-], ids=["not-json", "missing-threshold", "threshold-above-one"])
-def test_bad_report_file_is_named(pipeline_dir, capsys, command, text, message):
+    (lambda report: json.dumps({k: v for k, v in report.items()
+                                if k != "averages"}),
+     "lacks key 'averages'"),
+    (lambda report: json.dumps({**report, "per_split": [{}]}),
+     "lacks key 'anomalous'"),
+], ids=["not-json-report", "missing-averages-report",
+        "empty-split-record-report"])
+def test_bad_report_file_is_named(pipeline_dir, capsys, text, message):
     run_dir = pipeline_dir / "run"
     path = run_dir / "report.json"
     path.write_text(text(json.loads(path.read_text())))
     files = sorted(run_dir.iterdir())
-    args = {"eval": ("--dataset", pipeline_dir / "dataset.jsonl", "--split", 0),
-            "report": ()}[command]
     capsys.readouterr()
-    assert _run(command, "--run", run_dir, *args) == 1
+    assert _run("report", "--run", run_dir) == 1
     assert capsys.readouterr().err == f"rssigat: error: {path}: {message}\n"
     assert sorted(run_dir.iterdir()) == files
 
@@ -539,12 +559,9 @@ def test_empty_dataset_is_usage_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("flags, message", [
     (["--splits", 0], "n_splits must be >= 1"),
     (["--lr", "nan"], "learning_rate must be finite and > 0"),
-    (["--threshold", "nan"], "threshold must be in [0, 1]"),
-    (["--threshold", 7], "threshold must be in [0, 1]"),
     (["--workers", 0], "--workers must be >= 1"),
     (["--workers", -2], "--workers must be >= 1"),
-], ids=["zero-splits", "nan-lr", "nan-threshold", "threshold-above-1",
-        "zero-workers", "negative-workers"])
+], ids=["zero-splits", "nan-lr", "zero-workers", "negative-workers"])
 def test_bad_train_config_is_usage_error(tmp_path, capsys, flags, message):
     assert _run("synth", "--count", 4, "--length", 50, "-o",
                 tmp_path / "traces.csv") == 0
@@ -783,8 +800,7 @@ def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, content,
     ("transform", "symlink"), ("transform", "dataset.jsonl.manifest.json"),
     ("predict", "same"), ("predict", "ckpt.json"), ("predict", "ckpt.bin"),
     ("train", "same"), ("eval", "same"), ("eval", "run/splits.json"),
-    ("eval", "run/report.json"), ("eval", "run/checkpoint_0.json"),
-    ("eval", "run/checkpoint_0.bin"),
+    ("eval", "run/checkpoint_0.json"), ("eval", "run/checkpoint_0.bin"),
 ], ids=lambda value: value.replace("dataset.jsonl.", "").replace("run/", ""))
 def test_output_that_is_the_input_is_usage_error(tmp_path, capsys, command,
                                                   target):

@@ -510,8 +510,8 @@ def test_checkpoint_blob_is_written_before_its_manifest(tmp_path, monkeypatch):
 
 def test_checkpoint_digest_catches_a_flipped_byte(tmp_path):
     """The manifest records the blob's sha256; one changed byte that leaves
-    every value finite is caught, and a manifest without the digest, as
-    written before it was recorded, still loads."""
+    every value finite is caught, and a manifest without the digest is
+    malformed, so no checkpoint loads unchecked."""
     save_checkpoint(tmp_path / "ckpt", build_model(seed=0))
     blob = tmp_path / "ckpt.bin"
     raw = bytearray(blob.read_bytes())
@@ -524,7 +524,9 @@ def test_checkpoint_digest_catches_a_flipped_byte(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
     del manifest["sha256"]
     (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
-    assert load_checkpoint(tmp_path / "ckpt").vector.tobytes() == bytes(raw)
+    with pytest.raises(ModelError, match="malformed checkpoint manifest "
+                                         ".*: KeyError: 'sha256'"):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def _assert_views_of_one_vector(model):

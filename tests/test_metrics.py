@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,7 +107,9 @@ def test_split_metrics_flags_zero_division():
 
 def test_report_json_round_trip():
     report = aggregate([_split(0.5, 0.6, 0.54, 0.9, 0.8, 0.85)],
-                       parameter_count=123, config={"epochs": 3})
+                       parameter_count=123)
+    assert json.loads(report.to_json()).keys() == {
+        "parameter_count", "per_split", "averages"}
     again = EvalReport.from_json(report.to_json())
     assert again.parameter_count == 123
     assert again.per_split == report.per_split
