@@ -2,11 +2,12 @@
 
 Each block is multi-head graph attention (Velickovic et al. 2018): per
 head, a row softmax of C x C logits LeakyReLU(s_dst[i] + s_src[j]) +
-``logit_bias[i, j]``, times the projected rows. The bias is ln(edge weight)
-on the edges and -inf off them, so the softmax gives non-edges exactly 0.
-On a sparse graph the logits and the softmax run over the E edges alone,
-per destination row, as PyTorch Geometric's GATConv does; the graph alone
-decides which (``uses_edge_list``). A block adds a learnable linear
+``logit_bias[i, j]``, times the projected rows. The bias is finite on the
+edges and self loops and -inf off them, so the softmax gives non-edges
+exactly 0. On a sparse graph the logits and the softmax run over the E
+edges alone, the finite entries of that bias, per destination row, as
+PyTorch Geometric's GATConv does; the graph alone decides which
+(``uses_edge_list``). A block adds a learnable linear
 projection of its input and applies ReLU, all one op,
 ``tc.attention_block``. A final linear head plus sigmoid, one op with the
 gather from rows to nodes (``tc.output_head``), yields one anomaly
@@ -22,6 +23,8 @@ The forward pass runs on the ``rows``, ``node_map`` and ``logit_bias`` or
 all nodes of a row share feature and in-edges, so a class edge i -> j
 stands for as many equal node edges as row i has nodes, which the graph
 folds into its bias as ln(row size). This is exact, not an approximation.
+The graph checked its node map when it was made, so the head's gather by
+it checks no index.
 """
 from __future__ import annotations
 

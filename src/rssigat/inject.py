@@ -13,7 +13,6 @@ the trace's length, and draws are converted to 0-based indices.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .trace import (DEFAULT_SCHEMA, ConfigError, RssiTrace, TraceError,
-                    TraceSchema, open_output)
+                    TraceSchema, read_json_lines, write_json_lines)
 
 
 class CapacityError(Exception):
@@ -273,19 +272,9 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
 
 
 def write_dataset(path, items: list[LabeledTrace]) -> None:
-    with open_output(path) as fh:
-        for item in items:
-            fh.write(json.dumps(labeled_to_record(item)) + "\n")
+    write_json_lines(path, items, labeled_to_record)
 
 
 def read_dataset(path) -> list[LabeledTrace]:
     """Every record of a dataset file; DatasetError names ``path:line``."""
-    out = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    out.append(labeled_from_record(json.loads(line.decode("utf-8"))))
-                except (DatasetError, ValueError, RecursionError) as exc:
-                    raise DatasetError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_json_lines(path, labeled_from_record, DatasetError)

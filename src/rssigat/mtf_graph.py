@@ -15,11 +15,12 @@ The model's attention reads a graph's bias as the dense C x C
 ``TsGraph.logit_bias`` or, when ``gat_model.uses_edge_list`` finds the
 graph sparse (SlowD traces give 20-110 rows with under 15% of the entries
 edges), as the destination-sorted ``TsGraph.edges``, over which it takes
-the softmax per destination row. Each is built on first use.
+the softmax per destination row. The edges are read off the dense bias, so
+its formula is written once; each is built on first use. A graph checks
+its node map when it is made.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .trace import (DEFAULT_SCHEMA, RssiTrace, TraceSchema, normalize,
-                    open_output)
+                    read_json_lines, write_json_lines)
 
 # Largest node count for which an N x N field or per-node graph is built.
 DENSE_NODE_CAP = 1024
@@ -65,7 +66,9 @@ class TsGraph:
 
     ``weights`` is C x C for C rows, and ``weights[i, j] > 0`` is the edge
     i -> j: an edge from every node of row i to every node of row j. A
-    per-node graph has ``node_map = arange(N)``. The model reads ``rows``,
+    per-node graph has ``node_map = arange(N)``. Making a graph whose
+    ``node_map`` has an entry outside [0, C) raises GraphError, so nothing
+    that indexes by the map checks it again. The model reads ``rows``,
     ``node_map`` and the attention bias, as the dense ``logit_bias`` or as
     its ``edges``, each built once, on first use.
     """
@@ -74,6 +77,11 @@ class TsGraph:
     node_map: np.ndarray
     weights: np.ndarray
     link_id: str | None = None
+
+    def __post_init__(self) -> None:
+        node_map = self.node_map
+        if node_map.size and (node_map.min() < 0 or node_map.max() >= self.n_rows):
+            raise GraphError(f"node map entries must lie in [0, {self.n_rows})")
 
     @property
     def n_nodes(self) -> int:
@@ -95,9 +103,7 @@ class TsGraph:
     @cached_property
     def logit_bias(self) -> np.ndarray:
         """``[dst, src]``: ln(edge weight) + ln(source row size) on the edges,
-        0 on the added self loops and -inf elsewhere. GraphError if a
-        ``node_map`` entry is outside [0, C)."""
-        self._check_node_map()
+        0 on the added self loops and -inf elsewhere."""
         row_sizes = np.bincount(self.node_map, minlength=self.n_rows)
         with np.errstate(divide="ignore"):  # ln 0 = -inf off the edges
             bias = np.log(self.weights.T) + np.log(row_sizes)
@@ -107,31 +113,17 @@ class TsGraph:
 
     @cached_property
     def edges(self) -> EdgeList:
-        """The finite entries of ``logit_bias``, with the same values, read
-        from ``weights`` without building the C x C bias. GraphError if a
-        ``node_map`` entry is outside [0, C)."""
-        self._check_node_map()
-        c = self.n_rows
-        row_sizes = np.bincount(self.node_map, minlength=c)
-        edge = self.weights.T > 0
-        np.fill_diagonal(edge, True)
-        dst, src = np.nonzero(edge)
-        with np.errstate(divide="ignore"):  # ln 0 on the added self loops
-            bias = np.log(self.weights[src, dst]) + np.log(row_sizes[src])
-        bias[(dst == src) & (bias == -np.inf)] = 0.0
+        """The finite entries of ``logit_bias``, read off it."""
+        bias, c = self.logit_bias, self.n_rows
+        dst, src = np.nonzero(bias > -np.inf)
         by_src = np.argsort(src, kind="stable")
-        return EdgeList(dst, src, bias, dst * c + src,
+        return EdgeList(dst, src, bias[dst, src], dst * c + src,
                         _run_starts(np.bincount(dst, minlength=c)), by_src,
                         _run_starts(np.bincount(src, minlength=c)))
 
     @property
     def src(self) -> np.ndarray:  # the source row of each finite bias entry
         return self.edges.src
-
-    def _check_node_map(self) -> None:
-        node_map = self.node_map
-        if node_map.size and (node_map.min() < 0 or node_map.max() >= self.n_rows):
-            raise GraphError(f"node map entries must lie in [0, {self.n_rows})")
 
     # the edge list, in row-major order
     @property
@@ -151,9 +143,7 @@ class TsGraph:
         return int(np.count_nonzero(self.weights))
 
     def expand(self) -> "TsGraph":
-        """The per-node graph, whose weights are the N x N field. GraphError
-        if a ``node_map`` entry is outside [0, C)."""
-        self._check_node_map()
+        """The per-node graph, whose weights are the N x N field."""
         if self.n_nodes > DENSE_NODE_CAP:
             raise GraphError(f"per-node graph capped at {DENSE_NODE_CAP} nodes")
         return TsGraph(self.node_features, np.arange(self.n_nodes),
@@ -268,18 +258,8 @@ def graph_from_record(rec: dict) -> TsGraph:
 
 
 def write_graphs(path, graphs) -> None:
-    with open_output(path) as fh:
-        for g in graphs:
-            fh.write(json.dumps(graph_to_record(g)) + "\n")
+    write_json_lines(path, graphs, graph_to_record)
 
 
 def read_graphs(path) -> list[TsGraph]:
-    out = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    out.append(graph_from_record(json.loads(line.decode("utf-8"))))
-                except (GraphError, ValueError, RecursionError) as exc:
-                    raise GraphError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_json_lines(path, graph_from_record, GraphError)

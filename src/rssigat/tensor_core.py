@@ -7,17 +7,17 @@ inputs, by a hand-derived formula; those of parameters go into the caller's
 views when given as ``out=``. There is no tape and no graph of tensors:
 ``gat_model.model_backward`` calls the ``back`` closures of a forward pass
 in reverse order. Only the loss checks shapes: ``GatModel`` checks its
-layers once, and each ``mtf_graph.TsGraph`` makes its own (C, 1) rows and
-its attention bias, checking its node map first.
+layers once, and each ``mtf_graph.TsGraph`` checks its node map when it is
+made and makes its own (C, 1) rows and attention bias.
 
 There are three ops. ``attention_block`` is a whole block: a multi-head
 attention, projection included, plus a linear skip, then ReLU. Its bias is
 the graph's dense (C, C) logit bias, whose -inf entries are the non-edges,
-or, for a sparse graph, its E-edge list, over which the logits and their
-per-row softmax run; the aggregation and the backward's products are the
-same dense (H, C, C) ones either way. ``output_head`` is the output
-linear, a sigmoid and the gather from rows to nodes, and
-``binary_cross_entropy`` is the class-weighted loss. The class
+or, for a sparse graph, its finite entries as an E-edge list, over which
+the logits and their per-row softmax run; the aggregation and the
+backward's products are the same dense (H, C, C) ones either way.
+``output_head`` is the output linear, a sigmoid and the gather from rows to
+nodes, and ``binary_cross_entropy`` is the class-weighted loss. The class
 graphs have ~10 rows, so a step costs numpy dispatch per op far more than
 FLOPs: fewer, larger ops and fewer calls within each are what make it fast.
 """
@@ -233,8 +233,8 @@ def output_head(h: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                 node_map: np.ndarray):
     """Per-node probabilities sigmoid(h @ weight + bias)[node_map] for rows
     h (C, W), weight (W, 1) and bias (1,); the logits are checked finite.
-    ``node_map`` is not bounds-checked here: the ``TsGraph`` that made the
-    blocks' rows and bias checked it first, and a negative entry would wrap.
+    ``node_map`` is not bounds-checked here: a ``TsGraph`` checks its map
+    when it is made.
     ``back(g)`` returns the gradients of (h, weight, bias), the last two
     written into ``out``, if given; a row's gradient sums those of the
     nodes that map to it."""

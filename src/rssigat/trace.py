@@ -10,6 +10,7 @@ required but not kept. Trace files are CSV with header ``link_id,idx,rssi``.
 from __future__ import annotations
 
 import io
+import json
 import os
 import warnings
 from contextlib import contextmanager, suppress
@@ -93,12 +94,13 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
     when the last minus the first is the record count minus one: only the
     RSSI values and those two numbers are kept per link. The noise label a
     header must carry is not kept. Raises ParseError with the offending line
-    number for malformed input and SchemaError for out-of-range RSSI values.
+    number for malformed input, including a header whose link id an earlier
+    header used, kept or not, and SchemaError for out-of-range RSSI values.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     traces: list[RssiTrace] = []
-    n_links = 0
+    seen: set[str] = set()  # every link id read, one per section
     link_id, values, first, last = None, [], 0, 0
 
     def keep_if_complete():
@@ -115,9 +117,11 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
                 raise ParseError(line_no, f"malformed link header {text!r}")
             if "," in fields[1]:
                 raise ParseError(line_no, f"link id {fields[1]!r} contains a comma")
+            if fields[1] in seen:
+                raise ParseError(line_no, f"link id {fields[1]!r} repeats an earlier header")
+            seen.add(fields[1])
             keep_if_complete()
             link_id, values = fields[1], []
-            n_links += 1
             continue
         if link_id is None:
             raise ParseError(line_no, "record before any link header")
@@ -140,7 +144,7 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
         values.append(rssi)
         last = seq
     keep_if_complete()
-    return traces, n_links
+    return traces, len(seen)
 
 
 BASELINE_RANGE = (20, 60)
@@ -214,6 +218,28 @@ def open_output(path, binary: bool = False):
         os.unlink(partial)
         raise
     os.rename(partial, path)
+
+
+def write_json_lines(path, items, to_record) -> None:
+    """``to_record`` of each item as one JSON line, through ``open_output``."""
+    with open_output(path) as fh:
+        for item in items:
+            fh.write(json.dumps(to_record(item)) + "\n")
+
+
+def read_json_lines(path, from_record, error: type[Exception]) -> list:
+    """``from_record`` of each non-blank line's JSON value. A line that is
+    not UTF-8 JSON, or an ``error`` from ``from_record``, raises ``error``
+    naming ``path:line``."""
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    out.append(from_record(json.loads(line.decode("utf-8"))))
+                except (error, ValueError, RecursionError) as exc:
+                    raise error(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------

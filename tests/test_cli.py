@@ -91,6 +91,20 @@ def test_ingest_round_trip(tmp_path):
     assert [t.link_id for t in traces] == ["a"]
 
 
+def test_ingest_repeated_link_id_writes_nothing(tmp_path, capsys):
+    """The log whose headers read a, a, b: its traces.csv would give link a
+    the indices 0..29 twice, which ``inject`` rejects."""
+    raw = tmp_path / "raw.log"
+    lines = []
+    for link in "aab":
+        lines += [f"# link {link} noise=0"] + [f"{i},40" for i in range(30)]
+    raw.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "traces.csv"
+    assert _run("ingest", "-i", raw, "--length", 30, "-o", out) == 1
+    assert "line 32: link id 'a' repeats an earlier header" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [raw]
+
+
 def test_inject_counts_match_flags(tmp_path, capsys):
     traces = tmp_path / "t.csv"
     _run("synth", "--count", 20, "--length", 50, "--seed", 1, "-o", traces)
@@ -726,7 +740,7 @@ def test_out_of_range_sample_is_usage_error(tmp_path, capsys, command):
     (lambda r: {k: v for k, v in r.items() if k != "edges"},
      "lacks key 'edges'"),
     (lambda r: {**r, "node_map": [len(r["values"])] + r["node_map"][1:]},
-     "node map must cover rows"),
+     "node map entries must lie in [0, "),
     (lambda r: {**r, "node_map": [0.5] + r["node_map"][1:]},
      "row indices must be integers"),
     (lambda r: {**r, "values": [float("nan")] + r["values"][1:]},
@@ -964,8 +978,6 @@ def _fail_write(monkeypatch, nth=1):
     first write, as a full disk would."""
     import rssigat.cli
     import rssigat.gat_model
-    import rssigat.inject
-    import rssigat.mtf_graph
     import rssigat.trace
     real = rssigat.trace.open_output
     opened = []
@@ -984,8 +996,8 @@ def _fail_write(monkeypatch, nth=1):
             opened.append(path)
             yield HalfWriter(fh) if len(opened) == nth else fh
 
-    for module in (rssigat.cli, rssigat.gat_model, rssigat.inject,
-                   rssigat.mtf_graph, rssigat.trace):
+    # datasets and graphs are written by trace.write_json_lines
+    for module in (rssigat.cli, rssigat.gat_model, rssigat.trace):
         monkeypatch.setattr(module, "open_output", failing_output)
     return opened
 

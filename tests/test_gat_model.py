@@ -159,13 +159,14 @@ def test_prepare_graph_bias_is_log_weight_and_row_size_on_edges():
 @pytest.mark.parametrize("collapse", [True, False])
 @pytest.mark.parametrize("entry", [-1, 3])
 def test_prepare_graph_rejects_node_map_outside_rows(entry, collapse):
-    """The class graph's bias checks the map on first use, and ``expand``
-    before it indexes by it."""
-    graph = TsGraph(row_features=np.array([0.1, 0.2, 0.3]),
-                    node_map=np.array([0, 1, entry, 2]),
-                    weights=np.full((3, 3), 1 / 3))
+    """The graph checks its map when it is made, so no form of it is ever
+    prepared from a map that its bias, ``expand`` or the head's gather would
+    index out of range."""
     with pytest.raises(GraphError, match=re.escape("[0, 3)")):
-        prepare_graph(graph, collapse=collapse).logit_bias
+        prepare_graph(TsGraph(row_features=np.array([0.1, 0.2, 0.3]),
+                              node_map=np.array([0, 1, entry, 2]),
+                              weights=np.full((3, 3), 1 / 3)),
+                      collapse=collapse)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +343,26 @@ def test_small_graphs_run_dense_and_slowd_graphs_over_edges(length):
             assert uses_edge_list(graph) == (item.kind is AnomalyKind.SLOW_D)
             rows[uses_edge_list(graph)].append(graph.n_rows)
     assert len(rows[True]) == 3 and len(rows[False]) > 20
+
+
+@pytest.mark.parametrize("length", [100, 300], ids=["desk", "paper"])
+def test_edges_are_the_finite_bias_entries_dst_major(length):
+    """Every field of ``edges`` is byte for byte what a scan of
+    ``logit_bias`` in destination, then source, order gives."""
+    dataset, schema = _mix(length)
+    assert AnomalyKind.SLOW_D in {item.kind for item in dataset}
+    for item in dataset:
+        graph = transform(item.trace, schema)
+        bias, c = graph.logit_bias, graph.n_rows
+        dst, src = np.array([(i, j) for i in range(c) for j in range(c)
+                             if bias[i, j] > -np.inf]).T
+        by_src = np.array(sorted(range(dst.size), key=lambda e: src[e]))
+        expected = graph.edges._make((
+            dst, src, bias[dst, src], dst * c + src,
+            np.searchsorted(dst, np.arange(c)), by_src,
+            np.searchsorted(src[by_src], np.arange(c))))
+        for name, got, want in zip(expected._fields, graph.edges, expected):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
 
 
 def _union(graphs) -> TsGraph:

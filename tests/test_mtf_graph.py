@@ -296,6 +296,20 @@ def test_graph_record_duplicate_edge_rejected():
         graph_from_record(rec)
 
 
+@pytest.mark.parametrize("entry", [-1, 3])
+def test_read_graphs_rejects_node_map_outside_rows(tmp_path, entry):
+    """The graph a record makes checks its map, as every ``TsGraph`` does
+    when it is made, and the reader names the line."""
+    rec = {"format": "rssigat-graph-v2", "link_id": "x",
+           "values": [0.1, 0.2, 0.3], "node_map": [0, 1, entry, 2],
+           "edges": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0]]}
+    path = tmp_path / "graphs.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(GraphError, match=re.escape(
+            f"{path}:1: node map entries must lie in [0, 3)")):
+        read_graphs(path)
+
+
 _RECORD = graph_to_record(transform(
     RssiTrace("fuzz", np.array([40, 41, 40, 39, 12, 12, 40, 41], dtype=float)),
     TraceSchema(expected_length=8)))

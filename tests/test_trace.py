@@ -47,6 +47,16 @@ def test_ingest_rejects_link_id_with_comma():
         ingest_raw_log(text, TraceSchema(expected_length=2))
 
 
+@pytest.mark.parametrize("first_kept", [True, False])
+def test_ingest_rejects_a_repeated_link_id(first_kept):
+    """Two sections of one link would give one trace two runs of indices, a
+    trace file nothing reads; the first may have been kept or dropped."""
+    first = _raw_text("a", range(2) if first_kept else [0, 5], [40, 41])
+    text = first + _raw_text("b", range(2), [50, 51]) + _raw_text("a", range(2), [42, 43])
+    with pytest.raises(ParseError, match="^line 7: link id 'a' repeats an earlier header$"):
+        ingest_raw_log(text, TraceSchema(expected_length=2))
+
+
 def test_ingest_rejects_nonincreasing_sequence():
     with pytest.raises(ParseError):
         ingest_raw_log("# link a noise=0\n5,40\n5,41\n")
