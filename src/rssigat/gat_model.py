@@ -14,6 +14,11 @@ gather from rows to nodes (``tc.output_head``), yields one anomaly
 probability per time step. ``model_backward`` calls the ops' ``back``
 closures in reverse; there is no general autodiff engine behind them.
 
+Each block's attention vectors are stored as ``att_src`` then
+``att_dst``, side by side in the parameter vector, and reach the op as one
+(2, H, F) view of both (``ParamViews.att``); the backward writes both
+gradients through the same view of the gradient vector.
+
 The sizes are the paper's (``FILTERS``, ``HEADS``, ``LEAKY_SLOPE``). A
 ``GatModel`` checks that its layers chain when it is built or loaded, once,
 so the ops check no shapes.
@@ -83,21 +88,34 @@ class GatLayerConfig:
         return self.out_dim_per_head
 
 
-# a block's parameters, by name, in the order tc.attention_block takes them
-BLOCK_PARAMS = ("gat{}.weight", "gat{}.att_dst", "gat{}.att_src", "gat{}.bias",
-                "skip{}.weight", "skip{}.bias")
-
-
 class ParamViews(dict):
-    """Arrays by parameter name, and the same arrays as the ops take them,
-    looked up by name once, on first use: ``blocks``, each block's six for
-    ``tc.attention_block``, and ``head``, the output weight and bias for
-    ``tc.output_head``."""
+    """Views of one vector laid out as ``GatModel.vector``, by parameter
+    name, and the same memory as the ops take it, looked up once, on first
+    use: ``blocks``, each block's five arrays for ``tc.attention_block``,
+    and ``head``, the output weight and bias for ``tc.output_head``. A
+    block's ``att`` is one (2, H, F) view over its ``att_src`` and
+    ``att_dst``, which lie next to each other in the vector."""
+
+    def __init__(self, vector: np.ndarray, table: list[tuple]):
+        super().__init__()
+        self.vector, self.starts, start = vector, {}, 0
+        for name, shape, _ in table:
+            size = math.prod(shape)
+            self[name] = vector[start:start + size].reshape(shape)
+            self.starts[name] = start
+            start += size
+
+    def att(self, k: int) -> np.ndarray:
+        """Block ``k``'s ``att_src`` and ``att_dst`` as one (2, H, F) view."""
+        src = self[f"gat{k}.att_src"]
+        start = self.starts[f"gat{k}.att_src"]
+        return self.vector[start:start + 2 * src.size].reshape(2, *src.shape)
 
     @cached_property
     def blocks(self) -> list[tuple[np.ndarray, ...]]:
         n_blocks = sum(name.endswith(".att_dst") for name in self)
-        return [tuple(self[name.format(k)] for name in BLOCK_PARAMS)
+        return [(self[f"gat{k}.weight"], self.att(k), self[f"gat{k}.bias"],
+                 self[f"skip{k}.weight"], self[f"skip{k}.bias"])
                 for k in range(1, n_blocks + 1)]
 
     @cached_property
@@ -137,12 +155,7 @@ class GatModel:
     def views(self, vector: np.ndarray) -> ParamViews:
         """``vector``, laid out as ``self.vector``, cut into views named and
         shaped as ``params``."""
-        views, start = ParamViews(), 0
-        for name, shape, _ in _param_table(self.layer_configs):
-            size = math.prod(shape)
-            views[name] = vector[start:start + size].reshape(shape)
-            start += size
-        return views
+        return ParamViews(vector, _param_table(self.layer_configs))
 
     def __reduce__(self):
         # rebuilt by the constructor, so the copy's params view one vector
@@ -162,7 +175,8 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
 def _param_table(configs) -> list[tuple]:
     """(name, shape, fans) of every parameter, in creation order: a weight
     is drawn Glorot-uniform for its (fan_in, fan_out), and ``None`` marks a
-    bias, which starts at zero."""
+    bias, which starts at zero. A block's ``att_src`` comes right before its
+    ``att_dst``, so ``ParamViews.att`` can view the two as one array."""
     table = []
     for k, cfg in enumerate(configs, start=1):
         f, width = cfg.out_dim_per_head, cfg.out_width

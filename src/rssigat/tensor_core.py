@@ -11,7 +11,9 @@ layers once, and each ``mtf_graph.TsGraph`` checks its node map when it is
 made and makes its own (C, 1) rows and attention bias.
 
 There are three ops. ``attention_block`` is a whole block: a multi-head
-attention, projection included, plus a linear skip, then ReLU. Its bias is
+attention, projection included, plus a linear skip, then ReLU. Its two
+attention vectors per head are one (2, H, F) ``att``, so one product gives
+the scores of both directions and one their gradients. Its bias is
 the graph's dense (C, C) logit bias, whose -inf entries are the non-edges,
 or, for a sparse graph, its finite entries as an E-edge list, over which
 the logits and their per-row softmax run; the aggregation and the
@@ -20,6 +22,9 @@ backward's products are the same dense (H, C, C) ones either way.
 nodes, and ``binary_cross_entropy`` is the class-weighted loss. The class
 graphs have ~10 rows, so a step costs numpy dispatch per op far more than
 FLOPs: fewer, larger ops and fewer calls within each are what make it fast.
+So the ops reduce with ``np.add.reduce`` and ``np.maximum.reduce``, gather
+with ``ndarray.take`` and check with ``all_finite``: the ``.sum()``,
+``.max()``, ``np.take`` and ``.all()`` wrappers cost a Python call each.
 """
 from __future__ import annotations
 
@@ -38,8 +43,13 @@ class NonFiniteError(OpError):
     pass
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite."""
+    return np.logical_and.reduce(np.isfinite(arr), axis=None)
+
+
 def ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -59,7 +69,8 @@ def binary_cross_entropy(p: np.ndarray, pos: np.ndarray, neg: np.ndarray):
     q = 1.0 - p
     p_clamped = np.maximum(p, LOG_FLOOR)
     q_clamped = np.maximum(q, LOG_FLOOR)
-    total = (pos * np.log(p_clamped) + neg * np.log(q_clamped)).sum()
+    total = np.add.reduce(pos * np.log(p_clamped) + neg * np.log(q_clamped),
+                          axis=None)
     out = total * c
     ensure_finite(out, "binary_cross_entropy")
 
@@ -74,84 +85,89 @@ def binary_cross_entropy(p: np.ndarray, pos: np.ndarray, neg: np.ndarray):
 # ---------------------------------------------------------------------------
 # the model's two ops
 
-def _dense_alpha(s_dst, s_src, logit_bias, slope):
-    """The attention coefficients (H, C, C) of per-head scores s_dst and
-    s_src (H, C, 1) under a dense (C, C) logit bias, and ``back(g)``, which
-    maps d/d alpha (H, C, C) to the gradients (H, C, 1) of s_dst and
-    s_src."""
-    heads, n = s_dst.shape[:2]
+def _dense_alpha(s, logit_bias, slope):
+    """The attention coefficients (H, C, C) of per-head scores ``s`` (H, C,
+    2), source scores in ``s[..., 0]`` and destination scores in
+    ``s[..., 1]``, under a dense (C, C) logit bias, and ``back(g)``, which
+    maps d/d alpha (H, C, C) to d/d s (H, C, 2)."""
+    heads, n = s.shape[:2]
     # pre-activation logits, LeakyReLU, the bias and the row softmax in one
     # (H, C, C) buffer; exp(-inf) makes the non-edges' alpha exactly 0
-    logits = s_dst + s_src.reshape(heads, 1, n)
+    logits = s[:, :, 1:] + s[:, None, :, 0]
     negative = logits <= 0
     np.multiply(logits, slope, out=logits, where=negative)
     ensure_finite(logits, "graph_attention")
     logits += logit_bias
-    top = logits.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
+    top = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    if not all_finite(top):
         raise ShapeError("graph_attention needs a finite logit bias entry "
                          "in every row")
     logits -= top
     alpha = np.exp(logits, out=logits)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
+    alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
 
     def back(g_pre):
         # one (H, C, C) buffer turns from d/d alpha into d/d logits, then
-        # d/d pre-activation
+        # d/d pre-activation, summed over destinations and over sources
         g_pre *= alpha
-        g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
+        g_pre -= alpha * np.add.reduce(g_pre, axis=-1, keepdims=True)
         np.multiply(g_pre, slope, out=g_pre, where=negative)
-        return g_pre.sum(axis=2, keepdims=True), g_pre.sum(axis=1)[:, :, None]
+        g_s = np.empty((heads, n, 2))
+        np.add.reduce(g_pre, axis=1, out=g_s[:, :, 0])
+        np.add.reduce(g_pre, axis=2, out=g_s[:, :, 1])
+        return g_s
 
     return alpha, back
 
 
-def _edge_alpha(s_dst, s_src, edges, slope):
+def _edge_alpha(s, edges, slope):
     """``_dense_alpha`` over the E edges of an ``mtf_graph.EdgeList``: the
     logits, their softmax per destination row and its backward are (H, E),
     and only alpha and d/d alpha are (H, C, C), zero off the edges, so no
     -inf of the non-edges reaches ``np.exp``."""
-    heads, n = s_dst.shape[:2]
-    logits = (np.take(s_dst.reshape(heads, n), edges.dst, axis=1)
-              + np.take(s_src.reshape(heads, n), edges.src, axis=1))
+    heads, n = s.shape[:2]
+    logits = (s[:, :, 1].take(edges.dst, axis=1)
+              + s[:, :, 0].take(edges.src, axis=1))
     negative = logits <= 0
     np.multiply(logits, slope, out=logits, where=negative)
     ensure_finite(logits, "graph_attention")
     logits += edges.bias
-    logits -= np.take(np.maximum.reduceat(logits, edges.starts, axis=1),
-                      edges.dst, axis=1)
+    logits -= np.maximum.reduceat(logits, edges.starts, axis=1).take(
+        edges.dst, axis=1)
     a = np.exp(logits, out=logits)
-    a /= np.take(np.add.reduceat(a, edges.starts, axis=1), edges.dst, axis=1)
+    a /= np.add.reduceat(a, edges.starts, axis=1).take(edges.dst, axis=1)
     alpha = np.zeros((heads, n, n))
     alpha.reshape(heads, n * n)[:, edges.index] = a
 
     def back(g_alpha):
-        g_pre = np.take(g_alpha.reshape(heads, n * n), edges.index, axis=1)
+        g_pre = g_alpha.reshape(heads, n * n).take(edges.index, axis=1)
         g_pre *= a
-        g_pre -= a * np.take(np.add.reduceat(g_pre, edges.starts, axis=1),
-                             edges.dst, axis=1)
+        g_pre -= a * np.add.reduceat(g_pre, edges.starts, axis=1).take(
+            edges.dst, axis=1)
         np.multiply(g_pre, slope, out=g_pre, where=negative)
-        g_dst = np.add.reduceat(g_pre, edges.starts, axis=1)
-        g_src = np.add.reduceat(np.take(g_pre, edges.by_src, axis=1),
-                                edges.src_starts, axis=1)
-        return g_dst[:, :, None], g_src[:, :, None]
+        g_s = np.empty((heads, n, 2))
+        np.add.reduceat(g_pre.take(edges.by_src, axis=1), edges.src_starts,
+                        axis=1, out=g_s[:, :, 0])
+        np.add.reduceat(g_pre, edges.starts, axis=1, out=g_s[:, :, 1])
+        return g_s
 
     return alpha, back
 
 
-def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
-                    att_src: np.ndarray, bias: np.ndarray,
-                    skip_weight: np.ndarray, skip_bias: np.ndarray,
-                    logit_bias, slope: float, head_mode: str,
-                    block: int = 1):
+def attention_block(h: np.ndarray, weight: np.ndarray, att: np.ndarray,
+                    bias: np.ndarray, skip_weight: np.ndarray,
+                    skip_bias: np.ndarray, logit_bias, slope: float,
+                    head_mode: str, block: int = 1):
     """One block: ReLU(attention(h) + h @ skip_weight + skip_bias).
 
     The attention is multi-head graph attention over C rows. The rows
     ``h`` (C, D) are projected by ``weight`` (D, H*F) to hw = h @ weight,
-    with head h in columns h*F..(h+1)*F; ``att_dst`` and ``att_src`` are
-    (H, F); ``logit_bias[dst, src]`` is (C, C), -inf where src is not a
+    with head h in columns h*F..(h+1)*F; ``att`` (2, H, F) holds the
+    source attention vectors in ``att[0]`` and the destination ones in
+    ``att[1]``; ``logit_bias[dst, src]`` is (C, C), -inf where src is not a
     neighbour of dst, and each row needs a finite entry. Per head, with z
-    the head's (C, F) slice of hw and s = z @ att::
+    the head's (C, F) slice of hw and the scores of both directions from
+    one product, s = z @ att.transpose(1, 2, 0)::
 
         alpha = softmax(LeakyReLU(s_dst[:, None] + s_src[None, :])
                         + logit_bias)
@@ -172,22 +188,22 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
 
     The backward is derived by hand; it keeps alpha, the sign of the
     pre-activation logits and the sum. ``back(g)`` returns the gradients of
-    (h, weight, att_dst, att_src, bias, skip_weight, skip_bias), that of h
-    the skip's part plus the attention's; the logit bias is a constant of
-    the graph and gets none. With ``input_grad=False`` the first is None
-    and not computed, for the first block's constant rows, and with ``out``
-    the other six are written there.
+    (h, weight, att, bias, skip_weight, skip_bias), that of h the skip's
+    part plus the attention's; the logit bias is a constant of the graph
+    and gets none. Both directions' score gradients come from one product,
+    and so does their share of d/dz. With ``input_grad=False`` the first is
+    None and not computed, for the first block's constant rows, and with
+    ``out`` the other five are written there.
     """
-    heads, f = att_dst.shape
+    _, heads, f = att.shape
     n = h.shape[0]
     hw = h @ weight
     z = np.ascontiguousarray(hw.reshape(n, heads, f).transpose(1, 0, 2))
-    s_dst = z @ att_dst.reshape(heads, f, 1)
-    s_src = z @ att_src.reshape(heads, f, 1)
+    s = z @ att.transpose(1, 2, 0)
     if isinstance(logit_bias, np.ndarray):
-        alpha, alpha_back = _dense_alpha(s_dst, s_src, logit_bias, slope)
+        alpha, alpha_back = _dense_alpha(s, logit_bias, slope)
     else:
-        alpha, alpha_back = _edge_alpha(s_dst, s_src, logit_bias, slope)
+        alpha, alpha_back = _edge_alpha(s, logit_bias, slope)
     agg = alpha @ z
     if head_mode == "concat":
         gat = agg.transpose(1, 0, 2).reshape(n, heads * f)
@@ -196,15 +212,14 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
     gat += bias
     skip = h @ skip_weight + skip_bias
     total = gat + skip
-    if not np.isfinite(total).all():
+    if not all_finite(total):
         ensure_finite(gat, "graph_attention")
         ensure_finite(skip, "linear")
         raise NonFiniteError(f"block {block} sum produced non-finite values")
 
     def back(g, input_grad=True, out=None):
-        (g_weight, g_att_dst, g_att_src, g_bias, g_skip_weight,
-         g_skip_bias) = out or map(np.empty_like, (
-             weight, att_dst, att_src, bias, skip_weight, skip_bias))
+        g_weight, g_att, g_bias, g_skip_weight, g_skip_bias = out or map(
+            np.empty_like, (weight, att, bias, skip_weight, skip_bias))
         g = g * (total > 0)
         g_skip = g @ skip_weight.T if input_grad else None
         np.matmul(h.T, g, out=g_skip_weight)
@@ -214,17 +229,14 @@ def attention_block(h: np.ndarray, weight: np.ndarray, att_dst: np.ndarray,
             g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
         else:
             g_agg = (g / heads)[None]  # matmul broadcasts it over heads
-        zt = z.transpose(0, 2, 1)
-        g_dst, g_src = alpha_back(g_agg @ zt)
+        g_s = alpha_back(g_agg @ z.transpose(0, 2, 1))
         g_z = alpha.transpose(0, 2, 1) @ g_agg
-        g_z += g_src * att_src[:, None, :]
-        g_z += g_dst * att_dst[:, None, :]
+        g_z += g_s @ att.transpose(1, 0, 2)
         g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
-        np.matmul(zt, g_dst, out=g_att_dst[:, :, None])
-        np.matmul(zt, g_src, out=g_att_src[:, :, None])
+        np.matmul(g_s.transpose(0, 2, 1), z, out=g_att.transpose(1, 0, 2))
         return (g_skip + g_hw @ weight.T if input_grad else None,
-                np.matmul(h.T, g_hw, out=g_weight), g_att_dst, g_att_src,
-                g_bias, g_skip_weight, g_skip_bias)
+                np.matmul(h.T, g_hw, out=g_weight), g_att, g_bias,
+                g_skip_weight, g_skip_bias)
 
     return np.maximum(total, 0.0), back
 

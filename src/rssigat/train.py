@@ -136,36 +136,42 @@ class AdamOptimizer:
     """Adam (beta1 0.9, beta2 0.999, eps 1e-8) on ``model.vector``, updated
     in place. ``grads`` are views, a ``ParamViews`` of the gradient vector
     that ``step`` applies; ``step`` spends it as scratch, since the next
-    backward overwrites it. The moments, that vector and one scratch vector
-    are allocated here, once, so a step allocates none."""
+    backward overwrites it. The moments and that vector are allocated here,
+    once, so a step allocates none.
+
+    The moments are stored without their (1 - beta) factors: ``m`` holds
+    m / (1 - beta1) and ``v`` holds v / (1 - beta2), so each takes one
+    multiply and one add per step, and the factors move into the step's
+    two scalars. This is Adam in exact arithmetic, in 10 passes over the
+    vector where the textbook form takes 12."""
 
     def __init__(self, model: GatModel, lr: float):
         self.vector = model.vector
         self.lr = lr
         self.t = 0
-        self.m, self.v, self.grad, self._scratch = (
-            np.zeros_like(self.vector) for _ in range(4))
+        self.m, self.v, self.grad = (np.zeros_like(self.vector)
+                                     for _ in range(3))
         self.grads = model.views(self.grad)
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = 0.9, 0.999
-        scale = self.lr * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        p, g, m, v, s = self.vector, self.grad, self.m, self.v, self._scratch
-        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-        # p -= scale m / (sqrt(v) + eps), rounded one operation at a time;
-        # g is dead once v has it, and holds the step
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        scale = (self.lr * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
+                 * (1 - b1) / np.sqrt(1 - b2))
+        eps_scaled = eps / np.sqrt(1 - b2)
+        p, g, m, v = self.vector, self.grad, self.m, self.v
+        # m = b1 m + g, v = b2 v + g g and p -= m / (sqrt(v) + eps') scale,
+        # rounded one operation at a time; g is dead once v has it, and
+        # holds the step
         m *= b1
-        np.multiply(1 - b1, g, out=s)
-        m += s
+        m += g
         v *= b2
-        np.multiply(1 - b2, g, out=s)
-        s *= g
-        v += s
-        np.sqrt(v, out=s)
-        s += 1e-8
-        np.multiply(scale, m, out=g)
-        g /= s
+        g *= g
+        v += g
+        np.sqrt(v, out=g)
+        g += eps_scaled
+        np.divide(m, g, out=g)
+        g *= scale
         p -= g
 
 

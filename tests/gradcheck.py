@@ -66,29 +66,30 @@ def primitive_cases(rng) -> list:
     checks += block_cases(rng, 1, 2, 2, 2, "concat", ("h", "weight", "skip_bias"))
     # the same op over the edge list of a sparse graph
     checks += block_cases(rng, 6, 3, 2, 3, "concat", BLOCK_INPUTS, True)
-    checks += block_cases(rng, 6, 2, 3, 2, "average", BLOCK_INPUTS[:4], True)
+    checks += block_cases(rng, 6, 2, 3, 2, "average", BLOCK_INPUTS[:3], True)
     return checks
 
 
-def attention_preactivation(h, weight, att_dst, att_src) -> np.ndarray:
+def attention_preactivation(h, weight, att) -> np.ndarray:
     """The LeakyReLU inputs s_dst[i] + s_src[j] of ``tc.attention_block``,
-    shape (heads, dst, src)."""
-    heads, f = att_dst.shape
+    shape (heads, dst, src), the scores of both directions from one
+    product, as in the op."""
+    _, heads, f = att.shape
     z = (h @ weight).reshape(len(h), heads, f).transpose(1, 0, 2)
-    return z @ att_dst[:, :, None] + (z @ att_src[:, :, None]).transpose(0, 2, 1)
+    s = z @ att.transpose(1, 2, 0)
+    return s[:, :, 1:] + s[:, None, :, 0]
 
 
-def relu_input(h, weight, att_dst, att_src, bias, skip_weight, skip_bias,
-               logit_bias, slope, head_mode) -> np.ndarray:
+def relu_input(h, weight, att, bias, skip_weight, skip_bias, logit_bias,
+               slope, head_mode) -> np.ndarray:
     """The ReLU input of ``tc.attention_block``, attention plus skip, by the
     reference ops."""
-    gat = graph_attention_reference(h, weight, att_dst, att_src, bias,
-                                    logit_bias, slope, head_mode)[0]
+    gat = graph_attention_reference(h, weight, att, bias, logit_bias, slope,
+                                    head_mode)[0]
     return gat + (h @ skip_weight + skip_bias)
 
 
-BLOCK_INPUTS = ("h", "weight", "att_dst", "att_src", "bias", "skip_weight",
-                "skip_bias")
+BLOCK_INPUTS = ("h", "weight", "att", "bias", "skip_weight", "skip_bias")
 
 
 def block_cases(rng, n, d, heads, f, head_mode, leaves,
@@ -113,17 +114,16 @@ def block_cases(rng, n, d, heads, f, head_mode, leaves,
     while True:
         args = (rng.standard_normal((n, d)),
                 rng.standard_normal((d, heads * f)),
-                rng.standard_normal((heads, f)),
-                rng.standard_normal((heads, f)),
+                rng.standard_normal((2, heads, f)),
                 rng.standard_normal(width),
                 rng.standard_normal((d, width)),
                 rng.standard_normal(width),
                 logit_bias, 0.2, head_mode)
-        if (np.abs(attention_preactivation(*args[:4])).min() >= 0.05
+        if (np.abs(attention_preactivation(*args[:3])).min() >= 0.05
                 and np.abs(relu_input(*args)).min() >= 0.05):
             break
     r = rng.standard_normal((n, width))
-    args = (*args[:7], op_bias, *args[8:])
+    args = (*args[:6], op_bias, *args[7:])
     return [projected(tc.attention_block, args, BLOCK_INPUTS.index(name), r)
             for name in leaves]
 
@@ -169,7 +169,7 @@ def sample_is_smooth(prep, model, probs, margin: float = 0.01) -> bool:
     h = prep.rows
     edges = np.isfinite(prep.logit_bias)
     for cfg, params in zip(model.layer_configs, model.params.blocks):
-        pre = attention_preactivation(h, *params[:3])
+        pre = attention_preactivation(h, *params[:2])
         total = relu_input(h, *params, prep.logit_bias, cfg.leaky_slope,
                            cfg.head_mode)
         if min(np.abs(pre[:, edges]).min(), np.abs(total).min()) < margin:

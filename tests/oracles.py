@@ -8,13 +8,17 @@ value classes, which are those bins at one bin per sample.
 
 The ``*_reference`` functions at the end are the opposite: earlier numpy
 formulations of package ops, kept op for op, so a leaner rewrite can be
-checked bit for bit against them.
+checked bit for bit against them. ``attention_block_two_products`` keeps
+the block's earlier score products around the op's own softmax, so a test
+can hold the one-product form to it within rounding.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+import rssigat.tensor_core as tc
 
 
 def mtf_oracle(samples, rssi_min: float, rssi_max: float, n_bins: int):
@@ -231,17 +235,19 @@ def sigmoid_reference(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
-                              slope, head_mode):
+def graph_attention_reference(h, weight, att, bias, logit_bias, slope,
+                              head_mode):
     """The attention part of ``tc.attention_block``, as ``(out, back)``, with
-    ``back(g)`` the gradients of (h, weight, att_dst, att_src, bias); with
-    average-mode heads as ``agg.mean(axis=0)``, their gradient through
-    ``np.broadcast_to`` and two LeakyReLU masks taken as ``logits > 0``."""
-    heads, f = att_dst.shape
+    ``back(g)`` the gradients of (h, weight, att, bias); with average-mode
+    heads as ``agg.mean(axis=0)``, their gradient through
+    ``np.broadcast_to`` and two LeakyReLU masks taken as ``logits > 0``.
+    The scores of both directions come from one product, as in the op, and
+    so do their gradients and their share of the gradient at z."""
+    _, heads, f = att.shape
     n = h.shape[0]
     z = np.ascontiguousarray((h @ weight).reshape(n, heads, f).transpose(1, 0, 2))
-    logits = (z @ att_dst.reshape(heads, f, 1)
-              + (z @ att_src.reshape(heads, f, 1)).reshape(heads, 1, n))
+    s = z @ att.transpose(1, 2, 0)
+    logits = s[:, :, 1:] + s[:, :, 0].reshape(heads, 1, n)
     positive = logits > 0
     np.multiply(logits, slope, out=logits, where=~positive)
     logits += logit_bias
@@ -264,28 +270,26 @@ def graph_attention_reference(h, weight, att_dst, att_src, bias, logit_bias,
         g_pre *= alpha
         g_pre -= alpha * g_pre.sum(axis=-1, keepdims=True)
         np.multiply(g_pre, slope, out=g_pre, where=~positive)
-        g_dst = g_pre.sum(axis=2, keepdims=True)
-        g_src = g_pre.sum(axis=1)[:, :, None]
+        g_s = np.concatenate([g_pre.sum(axis=1)[:, :, None],
+                              g_pre.sum(axis=2, keepdims=True)], axis=2)
         g_z = alpha.transpose(0, 2, 1) @ g_agg
-        g_z += g_src * att_src[:, None, :]
-        g_z += g_dst * att_dst[:, None, :]
+        g_z += g_s @ att.transpose(1, 0, 2)
         g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
-        zt = z.transpose(0, 2, 1)
-        return (g_hw @ weight.T, h.T @ g_hw, (zt @ g_dst)[:, :, 0],
-                (zt @ g_src)[:, :, 0], g.sum(axis=0))
+        return (g_hw @ weight.T, h.T @ g_hw,
+                (g_s.transpose(0, 2, 1) @ z).transpose(1, 0, 2), g.sum(axis=0))
 
     return out, back
 
 
-def attention_block_reference(h, weight, att_dst, att_src, bias, skip_weight,
-                              skip_bias, logit_bias, slope, head_mode):
+def attention_block_reference(h, weight, att, bias, skip_weight, skip_bias,
+                              logit_bias, slope, head_mode):
     """``tc.attention_block`` composed op by op, as the model ran it before
     the block was one op: the attention of ``graph_attention_reference``, the
     skip as ``h @ w + b``, their sum and ReLU. ``back(g)`` returns the
-    gradients of the block's seven inputs, that of ``h`` the skip's part
+    gradients of the block's six inputs, that of ``h`` the skip's part
     plus the attention's."""
-    gat, gat_back = graph_attention_reference(h, weight, att_dst, att_src,
-                                              bias, logit_bias, slope, head_mode)
+    gat, gat_back = graph_attention_reference(h, weight, att, bias,
+                                              logit_bias, slope, head_mode)
     total = gat + (h @ skip_weight + skip_bias)
 
     def back(g):
@@ -293,6 +297,50 @@ def attention_block_reference(h, weight, att_dst, att_src, bias, skip_weight,
         g_skip = g @ skip_weight.T
         g_h, *g_attention = gat_back(g)
         return (g_skip + g_h, *g_attention, h.T @ g, g.sum(axis=0))
+
+    return np.maximum(total, 0.0), back
+
+
+def attention_block_two_products(h, weight, att, bias, skip_weight,
+                                 skip_bias, logit_bias, slope, head_mode):
+    """``tc.attention_block`` as it was before one product gave the scores
+    of both directions: ``z @ att_dst`` and ``z @ att_src`` apart, their
+    gradients by two products and their shares of the gradient at z by two
+    broadcast products. The softmax and its backward are the op's own
+    (``tc._dense_alpha`` or, for an edge list, ``tc._edge_alpha``). ``back(g)``
+    returns the gradients of the block's six inputs."""
+    _, heads, f = att.shape
+    att_src, att_dst = att
+    n = h.shape[0]
+    z = np.ascontiguousarray((h @ weight).reshape(n, heads, f).transpose(1, 0, 2))
+    s = np.concatenate([z @ att_src.reshape(heads, f, 1),
+                        z @ att_dst.reshape(heads, f, 1)], axis=2)
+    alpha_of = (tc._dense_alpha if isinstance(logit_bias, np.ndarray)
+                else tc._edge_alpha)
+    alpha, alpha_back = alpha_of(s, logit_bias, slope)
+    agg = alpha @ z
+    if head_mode == "concat":
+        gat = agg.transpose(1, 0, 2).reshape(n, heads * f)
+    else:
+        gat = np.add.reduce(agg, axis=0) / heads
+    total = gat + bias + (h @ skip_weight + skip_bias)
+
+    def back(g):
+        g = g * (total > 0)
+        if head_mode == "concat":
+            g_agg = g.reshape(n, heads, f).transpose(1, 0, 2)
+        else:
+            g_agg = (g / heads)[None]
+        zt = z.transpose(0, 2, 1)
+        g_s = alpha_back(g_agg @ zt)
+        g_src, g_dst = g_s[:, :, :1], g_s[:, :, 1:]
+        g_z = alpha.transpose(0, 2, 1) @ g_agg
+        g_z += g_src * att_src[:, None, :]
+        g_z += g_dst * att_dst[:, None, :]
+        g_hw = g_z.transpose(1, 0, 2).reshape(n, heads * f)
+        g_att = np.stack([(zt @ g_src)[:, :, 0], (zt @ g_dst)[:, :, 0]])
+        return (g @ skip_weight.T + g_hw @ weight.T, h.T @ g_hw, g_att,
+                g.sum(axis=0), h.T @ g, g.sum(axis=0))
 
     return np.maximum(total, 0.0), back
 
@@ -314,28 +362,40 @@ def output_head_reference(h, weight, bias, node_map):
     return probs[node_map], back
 
 
-def model_reference(prep, model):
+def model_reference(prep, model, block=attention_block_reference,
+                    logit_bias=None):
     """``gat_model.model_forward`` composed block by block from the
-    references above, each parameter looked up by name: ``(probabilities,
+    references above, each parameter looked up by name and each block's
+    ``att`` stacked from ``att_src`` and ``att_dst``: ``(probabilities,
     backward)``, where ``backward(g)`` returns the gradient of every
-    parameter by name, as ``model_backward`` writes them."""
+    parameter by name, as ``model_backward`` writes them. ``block`` is the
+    block reference, and ``logit_bias`` the bias it takes, by default
+    ``prep.logit_bias``."""
+    logit_bias = prep.logit_bias if logit_bias is None else logit_bias
     h, backs = prep.rows, []
     for k, cfg in enumerate(model.layer_configs, start=1):
-        names = [f"gat{k}.{p}" for p in ("weight", "att_dst", "att_src", "bias")]
-        names += [f"skip{k}.weight", f"skip{k}.bias"]
-        h, back = attention_block_reference(
-            h, *(model.params[name] for name in names), prep.logit_bias,
-            cfg.leaky_slope, cfg.head_mode)
-        backs.append((names, back))
+        att = np.stack([model.params[f"gat{k}.att_src"],
+                        model.params[f"gat{k}.att_dst"]])
+        h, back = block(h, model.params[f"gat{k}.weight"], att,
+                        model.params[f"gat{k}.bias"],
+                        model.params[f"skip{k}.weight"],
+                        model.params[f"skip{k}.bias"], logit_bias,
+                        cfg.leaky_slope, cfg.head_mode)
+        backs.append((k, back))
     data, head_back = output_head_reference(
         h, model.params["out.weight"], model.params["out.bias"], prep.node_map)
 
     def backward(g):
         g, *grads = head_back(g)
         named = dict(zip(("out.weight", "out.bias"), grads))
-        for names, back in reversed(backs):
-            g, *grads = back(g)
-            named.update(zip(names, grads))
+        for k, back in reversed(backs):
+            g, g_weight, g_att, g_bias, g_skip_weight, g_skip_bias = back(g)
+            named.update({f"gat{k}.weight": g_weight,
+                          f"gat{k}.att_src": g_att[0],
+                          f"gat{k}.att_dst": g_att[1],
+                          f"gat{k}.bias": g_bias,
+                          f"skip{k}.weight": g_skip_weight,
+                          f"skip{k}.bias": g_skip_bias})
         return named
 
     return data, backward

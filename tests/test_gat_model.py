@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rssigat.tensor_core as tc
 from rssigat import gat_model
-from rssigat.gat_model import (BLOCK_PARAMS, GatLayerConfig, GatModel, ModelError,
+from rssigat.gat_model import (GatLayerConfig, GatModel, ModelError,
                                _param_table, build_model, count_parameters,
                                load_checkpoint, model_backward, model_forward,
                                predict, prepare_graph, save_checkpoint,
@@ -21,7 +21,8 @@ from rssigat.gat_model import (BLOCK_PARAMS, GatLayerConfig, GatModel, ModelErro
 from rssigat.inject import AnomalyKind
 from rssigat.mtf_graph import GraphError, TsGraph, transform
 from rssigat.trace import RssiTrace, TraceSchema
-from oracles import dense_gat_oracle, model_forward_oracle, model_reference
+from oracles import (attention_block_two_products, dense_gat_oracle,
+                     model_forward_oracle, model_reference)
 from gradcheck import run_model_fd_trials, zero_model
 from test_tensor_core import attention_output
 from fuzzing import JSON_VALUES, changed_records
@@ -40,10 +41,10 @@ def _graph(n_nodes, edges, features, link_id=None):
 def _layer_forward(features, graph, cfg, params, prefix="gat1"):
     """One attention layer over per-node features (the graph is expanded)."""
     prep = prepare_graph(graph, collapse=False)
+    att = np.stack([params[f"{prefix}.att_src"], params[f"{prefix}.att_dst"]])
     return attention_output(
-        features, params[f"{prefix}.weight"], params[f"{prefix}.att_dst"],
-        params[f"{prefix}.att_src"], params[f"{prefix}.bias"], prep.logit_bias,
-        cfg.leaky_slope, cfg.head_mode)
+        features, params[f"{prefix}.weight"], att, params[f"{prefix}.bias"],
+        prep.logit_bias, cfg.leaky_slope, cfg.head_mode)
 
 
 def _layer_params(rng, cfg, prefix="gat1"):
@@ -102,17 +103,17 @@ def test_layer_matches_dense_oracle(seed, head_mode):
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
-def _attention_coefficients(h, weight, att_dst, att_src, prep, slope):
+def _attention_coefficients(h, weight, att, prep, slope):
     """Alpha (heads, dst, src) of ``attention_block`` on the rows ``h``, read
-    through the op itself: with z = I per head and the rows' s_dst, s_src as
+    through the op itself: with z = I per head and the rows' s_src, s_dst as
     attention vectors, the logits are unchanged and each head outputs
     alpha @ I, which a zero skip and ReLU leave as it is."""
-    heads, f = att_dst.shape
+    _, heads, f = att.shape
     n = prep.n_rows
     z = (h @ weight).reshape(n, heads, f).transpose(1, 0, 2)
-    s_dst, s_src = ((z @ att[:, :, None])[:, :, 0] for att in (att_dst, att_src))
+    s = z @ att.transpose(1, 2, 0)
     probe, _ = tc.attention_block(
-        np.eye(n), np.tile(np.eye(n), (1, heads)), s_dst, s_src,
+        np.eye(n), np.tile(np.eye(n), (1, heads)), s.transpose(2, 0, 1),
         np.zeros(heads * n), np.zeros((n, heads * n)), np.zeros(heads * n),
         prep.logit_bias, slope, "concat")
     return probe.reshape(n, heads, n).transpose(1, 0, 2)
@@ -127,7 +128,7 @@ def test_attention_coefficients_sum_to_one_per_destination():
     edges = np.isfinite(prep.logit_bias)
     h = prep.rows  # each block's input rows, by re-running the ops
     for cfg, params in zip(model.layer_configs, model.params.blocks):
-        alpha = _attention_coefficients(h, *params[:3], prep, cfg.leaky_slope)
+        alpha = _attention_coefficients(h, *params[:2], prep, cfg.leaky_slope)
         assert alpha.shape == (cfg.n_heads, *edges.shape)
         np.testing.assert_allclose(np.where(edges, alpha, 0.0).sum(axis=-1),
                                    1.0, atol=1e-9)
@@ -397,11 +398,67 @@ def test_param_views_group_the_arrays_as_the_ops_take_them():
     for params in (model.params, model.views(np.zeros_like(model.vector))):
         assert len(params.blocks) == 3
         for k, block in enumerate(params.blocks, start=1):
-            assert all(a is params[name.format(k)]
-                       for a, name in zip(block, BLOCK_PARAMS, strict=True))
+            weight, att, bias, skip_weight, skip_bias = block
+            assert weight is params[f"gat{k}.weight"]
+            assert att.shape == (2, *params[f"gat{k}.att_src"].shape)
+            assert np.shares_memory(att, params.vector)
+            assert bias is params[f"gat{k}.bias"]
+            assert skip_weight is params[f"skip{k}.weight"]
+            assert skip_bias is params[f"skip{k}.bias"]
         assert params.head[0] is params["out.weight"]
         assert params.head[1] is params["out.bias"]
         assert params.blocks is params.blocks  # looked up once
+
+
+def test_att_view_aliases_att_src_and_att_dst(monkeypatch):
+    """A block's ``att`` is its ``att_src`` then its ``att_dst``: a write
+    through the view shows under both names and a write under either name
+    shows in the view. The backward writes the gradient views whole, through
+    the stacked views, over the dense bias and over the edge list."""
+    model = build_model(seed=0)
+    for k, (_, att, *_) in enumerate(model.params.blocks, start=1):
+        src = model.params[f"gat{k}.att_src"]
+        dst = model.params[f"gat{k}.att_dst"]
+        att[0], att[1] = 1.5, -2.5
+        assert (src == 1.5).all() and (dst == -2.5).all()
+        src[...], dst[...] = 3.0, 4.0
+        assert (att[0] == 3.0).all() and (att[1] == 4.0).all()
+    dataset, schema = _mix(100)
+    graph = next(graph for graph in (transform(item.trace, schema)
+                                     for item in dataset)
+                 if uses_edge_list(graph))
+    g = np.random.default_rng(5).standard_normal((graph.n_nodes, 1))
+    for edge_list in (False, True):
+        _, grads = _run_form(graph, build_model(seed=1), g, monkeypatch,
+                             edge_list)
+        assert np.isfinite(grads.vector).all()
+        for k, (_, g_att, *_) in enumerate(grads.blocks, start=1):
+            assert g_att[0].tobytes() == grads[f"gat{k}.att_src"].tobytes()
+            assert g_att[1].tobytes() == grads[f"gat{k}.att_dst"].tobytes()
+
+
+@pytest.mark.parametrize("length", [100, 300], ids=["desk", "paper"])
+def test_one_score_product_matches_two_products(length, monkeypatch):
+    """Probabilities and all 20 gradients within 1e-14 of the blocks with
+    the scores of each direction, their gradients and their shares of the
+    gradient at z each from a product of their own, over the dense bias and
+    over the edge list."""
+    dataset, schema = _mix(length)
+    for k, item in enumerate(dataset):
+        graph = transform(item.trace, schema)
+        model = build_model(seed=k)
+        g = np.random.default_rng(k).standard_normal((graph.n_nodes, 1))
+        for edge_list in (False, True):
+            data, grads = _run_form(graph, model, g, monkeypatch, edge_list)
+            want, backward = model_reference(
+                graph, model, attention_block_two_products,
+                graph.edges if edge_list else graph.logit_bias)
+            np.testing.assert_allclose(data, want, rtol=0, atol=1e-14)
+            want = backward(g)
+            assert grads.keys() == want.keys()
+            for name, grad in grads.items():
+                np.testing.assert_allclose(grad, want[name], rtol=0,
+                                           atol=1e-14, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

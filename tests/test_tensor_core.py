@@ -18,8 +18,8 @@ def _linear(x, w, b):
     attention weight and bias the attention part is 0, and the block with
     (-w, -b) gives ReLU of the negated output."""
     n = len(x)
-    zero = (np.zeros((x.shape[1], w.shape[1])), np.zeros((1, w.shape[1])),
-            np.zeros((1, w.shape[1])), np.zeros(w.shape[1]))
+    zero = (np.zeros((x.shape[1], w.shape[1])), np.zeros((2, 1, w.shape[1])),
+            np.zeros(w.shape[1]))
 
     def block(sign):
         return tc.attention_block(x, *zero, sign * w, sign * b,
@@ -28,8 +28,8 @@ def _linear(x, w, b):
     return block(1.0) - block(-1.0)
 
 
-def attention_output(h, weight, att_dst, att_src, bias, logit_bias,
-                     slope=0.2, head_mode="concat"):
+def attention_output(h, weight, att, bias, logit_bias, slope=0.2,
+                     head_mode="concat"):
     """The attention part of ``attention_block`` alone: with a zero skip the
     block gives ReLU(y), and with weight, attention vectors and bias negated
     ReLU(-y), since negation is exact and leaves the logits as they are."""
@@ -37,20 +37,19 @@ def attention_output(h, weight, att_dst, att_src, bias, logit_bias,
     zero = (np.zeros((h.shape[1], width)), np.zeros(width))
 
     def block(sign):
-        return tc.attention_block(h, sign * weight, sign * att_dst,
-                                  sign * att_src, sign * bias, *zero,
-                                  logit_bias, slope, head_mode)[0]
+        return tc.attention_block(h, sign * weight, sign * att, sign * bias,
+                                  *zero, logit_bias, slope, head_mode)[0]
 
     return block(1.0) - block(-1.0)
 
 
-def attention_back(h, weight, att_dst, att_src, bias, logit_bias,
-                   slope=0.2, head_mode="concat"):
+def attention_back(h, weight, att, bias, logit_bias, slope=0.2,
+                   head_mode="concat"):
     """The ``back`` of the attention part of ``attention_block``: a zero
     skip weight passes no gradient to the rows, and a skip bias far above
     the attention output keeps every ReLU open."""
     width = len(bias)
-    return tc.attention_block(h, weight, att_dst, att_src, bias,
+    return tc.attention_block(h, weight, att, bias,
                               np.zeros((h.shape[1], width)),
                               np.full(width, 1e3), logit_bias, slope,
                               head_mode)[1]
@@ -87,13 +86,13 @@ def test_block_sum_non_finite_names_the_block():
     ones = np.ones((1, 2))
     with np.errstate(over="ignore"), pytest.raises(
             tc.NonFiniteError, match="^block 3 sum produced non-finite values$"):
-        tc.attention_block(h, ones, ones, ones, big, ones, big,
+        tc.attention_block(h, ones, np.ones((2, 1, 2)), big, ones, big,
                            np.zeros((2, 2)), 0.2, "concat", block=3)
     # the attention output alone overflows, 1e308 rows plus a 1e308 bias,
     # and is named, not the sum
     with np.errstate(over="ignore"), pytest.raises(
             tc.NonFiniteError, match="^graph_attention produced non-finite"):
-        tc.attention_block(np.ones((2, 1)), 1e308 * ones, 0 * ones, 0 * ones,
+        tc.attention_block(np.ones((2, 1)), 1e308 * ones, np.zeros((2, 1, 2)),
                            big, 0 * ones, np.zeros(2), np.zeros((2, 2)), 0.2,
                            "concat", block=3)
 
@@ -127,7 +126,7 @@ def test_linear_gives_no_gradient_to_a_constant_input():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 2))
-    zero = (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(2))
+    zero = (np.zeros((3, 2)), np.zeros((2, 1, 2)), np.zeros(2))
     out, back = tc.attention_block(x, *zero, w, np.full(2, 1e3),
                                    np.zeros((4, 4)), 0.2, "concat")
     gx, *_, gw, gb = back(np.ones_like(out), input_grad=False)
@@ -141,8 +140,7 @@ def test_linear_gives_no_gradient_to_a_constant_input():
 def _attention_inputs(rng, n, heads, f):
     return (rng.standard_normal((n, 2)),
             rng.standard_normal((2, heads * f)),
-            rng.standard_normal((heads, f)),
-            rng.standard_normal((heads, f)),
+            rng.standard_normal((2, heads, f)),
             rng.standard_normal(heads * f),
             rng.standard_normal((n, n)))
 
@@ -150,10 +148,10 @@ def _attention_inputs(rng, n, heads, f):
 def test_graph_attention_projects_rows():
     # identity rows with hw as the weight form the same hw, bit for bit
     rng = np.random.default_rng(9)
-    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, 4, 2, 3)
+    h, weight, att, bias, logit_bias = _attention_inputs(rng, 4, 2, 3)
     edges = rng.random((4, 4)) < 0.5
     np.fill_diagonal(edges, True)
-    args = (att_dst, att_src, bias, np.where(edges, logit_bias, -np.inf))
+    args = (att, bias, np.where(edges, logit_bias, -np.inf))
     out = attention_output(h, weight, *args)
     probe = attention_output(np.eye(4), h @ weight, *args)
     assert out.tobytes() == probe.tobytes()
@@ -164,11 +162,11 @@ def test_graph_attention_projection_gradients():
     # probe whose rows are the identity and whose weight is hw
     rng = np.random.default_rng(11)
     n = 4
-    h, weight, att_dst, att_src, bias, logit_bias = _attention_inputs(rng, n, 2, 3)
+    h, weight, att, bias, logit_bias = _attention_inputs(rng, n, 2, 3)
     r = rng.standard_normal((n, 6))
 
     def back_of(rows, w):
-        return attention_back(rows, w, att_dst, att_src, bias, logit_bias)
+        return attention_back(rows, w, att, bias, logit_bias)
 
     g_hw = back_of(np.eye(n), h @ weight)(r)[1]
     back = back_of(h, weight)
@@ -182,12 +180,12 @@ def test_graph_attention_projection_gradients():
 
 def test_graph_attention_non_finite_logits_trip_error():
     rng = np.random.default_rng(10)
-    _, _, _, _, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
+    _, _, _, bias, logit_bias = _attention_inputs(rng, 3, 2, 2)
     big = np.full((3, 1), 1e308)  # s_dst + s_src overflows
-    ones = np.ones((2, 2))
     with np.errstate(over="ignore"), \
             pytest.raises(tc.NonFiniteError, match="graph_attention"):
-        attention_output(big, np.ones((1, 4)), ones, ones, bias, logit_bias)
+        attention_output(big, np.ones((1, 4)), np.ones((2, 2, 2)), bias,
+                         logit_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +193,14 @@ def test_graph_attention_non_finite_logits_trip_error():
 # z = I per head, and each head's output is its alpha (heads, dst, src); a
 # zero skip adds nothing, and ReLU leaves alpha >= 0 as it is
 
-def _alpha(logit_bias, att_dst=None, att_src=None):
+def _alpha(logit_bias, att=None):
     """Alpha of ``attention_block`` on identity rows; zero attention
     vectors, the default, make the logits the bias itself."""
     n = len(logit_bias)
-    att_dst = np.zeros((1, n)) if att_dst is None else att_dst
-    att_src = np.zeros((1, n)) if att_src is None else att_src
-    heads = len(att_dst)
+    att = np.zeros((2, 1, n)) if att is None else att
+    heads = att.shape[1]
     out, _ = tc.attention_block(np.eye(n), np.tile(np.eye(n), (1, heads)),
-                                att_dst, att_src, np.zeros(heads * n),
+                                att, np.zeros(heads * n),
                                 np.zeros((n, heads * n)), np.zeros(heads * n),
                                 logit_bias, 0.2, "concat")
     return out.reshape(n, heads, n).transpose(1, 0, 2)
@@ -248,9 +245,9 @@ def test_attention_off_edges_zero_with_zero_gradient():
     edges = rng.random((n, n)) < 0.5
     np.fill_diagonal(edges, True)
     edges[0, n - 1] = False
-    att_dst, att_src = (rng.standard_normal((heads, n)) for _ in range(2))
+    att = rng.standard_normal((2, heads, n))
     logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
-    alpha = _alpha(logit_bias, att_dst, att_src)
+    alpha = _alpha(logit_bias, att)
     full = np.broadcast_to(edges, alpha.shape)
     assert np.all(alpha[~full] == 0.0)
     assert np.all(alpha[full] > 0.0)
@@ -265,10 +262,10 @@ def test_attention_sums_and_row_shift_invariance(data):
     edges = rng.random((n, n)) < 0.5
     edges[np.arange(n), rng.integers(0, n, size=n)] = True
     bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
-    att_dst, att_src = rng.standard_normal((2, 2, n))
-    out = _alpha(bias, att_dst, att_src)
+    att = rng.standard_normal((2, 2, n))
+    out = _alpha(bias, att)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
-    shifted = _alpha(bias + rng.standard_normal((n, 1)), att_dst, att_src)
+    shifted = _alpha(bias + rng.standard_normal((n, 1)), att)
     np.testing.assert_allclose(shifted, out, atol=1e-12)
 
 
@@ -290,14 +287,14 @@ ROWS = (1, 4, 9, 50)
 
 
 def _block_args(rng, n, head_mode):
-    h, weight, att_dst, att_src = (rng.standard_normal(shape) for shape in
-                                   ((n, 5), (5, 12), (3, 4), (3, 4)))
+    h, weight, att = (rng.standard_normal(shape) for shape in
+                      ((n, 5), (5, 12), (2, 3, 4)))
     width = 12 if head_mode == "concat" else 4
     bias, skip_bias = rng.standard_normal((2, width))
     edges = rng.random((n, n)) < 0.5
     np.fill_diagonal(edges, True)
     logit_bias = np.where(edges, rng.standard_normal((n, n)), -np.inf)
-    return (h, weight, att_dst, att_src, bias, rng.standard_normal((5, width)),
+    return (h, weight, att, bias, rng.standard_normal((5, width)),
             skip_bias, logit_bias, 0.2, head_mode)
 
 
@@ -319,15 +316,15 @@ def test_graph_attention_is_bitwise_the_earlier_formulas(head_mode):
 
 @pytest.mark.parametrize("head_mode", ["concat", "average"])
 def test_attention_over_edges_matches_the_dense_bias(head_mode):
-    """The op over a graph's edge list gives the output and the seven
+    """The op over a graph's edge list gives the output and the six
     gradients of the op over its dense logit bias, within rounding."""
     rng = np.random.default_rng(16)
     for n in ROWS:
         graph = sparse_graph(rng, n)
         args = _block_args(rng, n, head_mode)
-        out, back = tc.attention_block(*args[:7], graph.logit_bias, *args[8:])
-        edge_out, edge_back = tc.attention_block(*args[:7], graph.edges,
-                                                 *args[8:])
+        out, back = tc.attention_block(*args[:6], graph.logit_bias, *args[7:])
+        edge_out, edge_back = tc.attention_block(*args[:6], graph.edges,
+                                                 *args[7:])
         g = rng.standard_normal(out.shape)
         np.testing.assert_allclose(edge_out, out, rtol=0, atol=1e-12)
         for got, want in zip(edge_back(g), back(g), strict=True):
@@ -337,13 +334,12 @@ def test_attention_over_edges_matches_the_dense_bias(head_mode):
 def test_attention_over_edges_non_finite_logits_trip_the_same_error():
     rng = np.random.default_rng(17)
     graph = sparse_graph(rng, 5)
-    ones = np.ones((2, 2))
     messages = []
     for logit_bias in (graph.logit_bias, graph.edges):
         with np.errstate(over="ignore"), \
                 pytest.raises(tc.NonFiniteError) as err:
-            attention_output(np.full((5, 1), 1e308), np.ones((1, 4)), ones,
-                             ones, np.zeros(4), logit_bias)
+            attention_output(np.full((5, 1), 1e308), np.ones((1, 4)),
+                             np.ones((2, 2, 2)), np.zeros(4), logit_bias)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == \
         "graph_attention produced non-finite values"
@@ -375,7 +371,7 @@ def test_linear_back_writes_out_views(input_grad):
     # the skip's gradients, with the attention switched off by a zero weight
     rng = np.random.default_rng(15)
     x, w, b = (rng.standard_normal(shape) for shape in ((6, 3), (3, 5), (5,)))
-    zero = (np.zeros((3, 5)), np.zeros((1, 5)), np.zeros((1, 5)), np.zeros(5))
+    zero = (np.zeros((3, 5)), np.zeros((2, 1, 5)), np.zeros(5))
     args = (x, *zero, w, b, np.zeros((6, 6)), 0.2, "concat")
     out, back = tc.attention_block(*args)
     g = rng.standard_normal(out.shape)
@@ -383,7 +379,7 @@ def test_linear_back_writes_out_views(input_grad):
     assert out.tobytes() == np.maximum(x @ w + b, 0.0).tobytes()
     _check_out_views(back, g, attention_block_reference(*args)[1](g),
                      input_grad)
-    g_w, g_b = back(g)[5:]
+    g_w, g_b = back(g)[4:]
     np.testing.assert_array_equal(g_w, x.T @ gm)
     np.testing.assert_array_equal(g_b, gm.sum(axis=0))
 

@@ -17,7 +17,7 @@ from rssigat.train import (AdamOptimizer, ClassWeights, SplitError,
                            run_cross_validation, stratified_shuffle_split,
                            weighted_bce)
 from rssigat.trace import RssiTrace, TraceSchema, synthesize_clean
-from oracles import bce_targets_reference
+from oracles import bce_targets_reference, max_rel_err
 
 SCHEMA = TraceSchema(expected_length=40)
 
@@ -68,7 +68,8 @@ def test_gradients_fill_every_entry_of_the_vector():
 
 
 def test_adam_step_matches_the_per_parameter_update():
-    """One whole-vector update rounds as Adam over each parameter array."""
+    """One whole-vector update rounds as Adam over each parameter array, in
+    the form with the moments stored without their (1 - beta) factors."""
     model = build_model(seed=1)
     optimizer = AdamOptimizer(model, lr=3e-3)
     rng = np.random.default_rng(0)
@@ -76,16 +77,43 @@ def test_adam_step_matches_the_per_parameter_update():
     m = {name: np.zeros_like(p) for name, p in ref.items()}
     v = {name: np.zeros_like(p) for name, p in ref.items()}
     for t in range(1, 4):
-        scale = 3e-3 * np.sqrt(1 - 0.999 ** t) / (1 - 0.9 ** t)
+        scale = (3e-3 * np.sqrt(1 - 0.999 ** t) / (1 - 0.9 ** t)
+                 * (1 - 0.9) / np.sqrt(1 - 0.999))
+        eps = 1e-8 / np.sqrt(1 - 0.999)
         for name, p in ref.items():
             g = rng.standard_normal(p.shape)
             optimizer.grads[name][...] = g
-            m[name] = m[name] * 0.9 + (1 - 0.9) * g
-            v[name] = v[name] * 0.999 + (1 - 0.999) * g * g
-            p -= scale * m[name] / (np.sqrt(v[name]) + 1e-8)
+            m[name] = m[name] * 0.9 + g
+            v[name] = v[name] * 0.999 + g * g
+            p -= m[name] / (np.sqrt(v[name]) + eps) * scale
         optimizer.step()
         for name, p in ref.items():
             assert model.params[name].tobytes() == p.tobytes()
+
+
+def test_adam_matches_the_textbook_update():
+    """240 steps of random gradients, some entries 0 throughout as a dead
+    unit's are, give the parameters of Kingma & Ba's update with the moments
+    m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, within a relative
+    1e-13 of max(|p|, 1): the two forms are equal in exact arithmetic, and
+    each step's update, at most ~lr in size, differs by a few roundings."""
+    model = build_model(seed=2)
+    optimizer = AdamOptimizer(model, lr=3e-3)
+    rng = np.random.default_rng(1)
+    p = model.vector.copy()
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    dead = rng.random(p.size) < 0.1
+    for t in range(1, 241):
+        g = rng.standard_normal(p.size) * rng.choice([1e-3, 1.0, 30.0])
+        g[dead] = 0.0
+        optimizer.grad[:] = g
+        optimizer.step()
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        p -= (3e-3 * np.sqrt(1 - 0.999 ** t) / (1 - 0.9 ** t)
+              * m / (np.sqrt(v) + 1e-8))
+    assert max_rel_err(model.vector, p) < 1e-13
+    assert not np.array_equal(model.vector, p)  # the rounding does differ
 
 
 def test_fit_step_allocates_nothing_parameter_sized(monkeypatch):
