@@ -153,8 +153,13 @@ def report_to_csv(report: EvalReport) -> str:
 
 
 def anomalous_runs(labels: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal consecutive runs of 1s as (start index, length) intervals."""
-    padded = np.concatenate(([False], np.asarray(labels, dtype=bool), [False]))
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = changes[::2], changes[1::2]
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+    """Maximal consecutive runs of nonzero labels, an array or a list, as
+    (start index, length) pairs of Python ints, which ``json.dumps`` takes.
+    The mask of the labels is padded with False at both ends, so its
+    changes alternate between run starts and run ends."""
+    padded = np.zeros(len(labels) + 2, dtype=bool)
+    np.not_equal(labels, 0, out=padded[1:-1])
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    bounds[1::2] -= bounds[::2]
+    flat = bounds.tolist()
+    return list(zip(flat[::2], flat[1::2]))

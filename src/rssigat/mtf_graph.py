@@ -80,7 +80,8 @@ class TsGraph:
 
     def __post_init__(self) -> None:
         node_map = self.node_map
-        if node_map.size and (node_map.min() < 0 or node_map.max() >= self.n_rows):
+        if node_map.size and (np.minimum.reduce(node_map) < 0
+                              or np.maximum.reduce(node_map) >= self.n_rows):
             raise GraphError(f"node map entries must lie in [0, {self.n_rows})")
 
     @property
@@ -103,12 +104,17 @@ class TsGraph:
     @cached_property
     def logit_bias(self) -> np.ndarray:
         """``[dst, src]``: ln(edge weight) + ln(source row size) on the edges,
-        0 on the added self loops and -inf elsewhere."""
-        row_sizes = np.bincount(self.node_map, minlength=self.n_rows)
+        0 on the added self loops and -inf elsewhere, as a C-ordered array.
+        The transposed log is written into it and the row sizes' logs added
+        in place; the diagonal's -inf entries are then set to 0 through a
+        strided view of it."""
+        c = self.n_rows
+        bias = np.empty((c, c))
         with np.errstate(divide="ignore"):  # ln 0 = -inf off the edges
-            bias = np.log(self.weights.T) + np.log(row_sizes)
-        loops = np.diagonal(bias)
-        np.fill_diagonal(bias, np.where(loops == -np.inf, 0.0, loops))
+            np.log(self.weights.T, out=bias)
+            bias += np.log(np.bincount(self.node_map, minlength=c))
+        loops = bias.reshape(-1)[::c + 1]
+        loops[loops == -np.inf] = 0.0
         return bias
 
     @cached_property
@@ -177,19 +183,34 @@ def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA) -> TsGraph
     sample's value, when it occurs nowhere else) gets a self-transition of 1.
     Cost is O(N log N + C^2) for C rows; GraphError naming the trace if C is
     above ``ROW_CAP``.
+
+    The classes come from one argsort, the one ``np.unique(x,
+    return_inverse=True)`` takes, so the values and the ``intp`` node map
+    are its own, down to which zero a trace holding -0.0 and 0.0 keeps.
     """
-    values, node_map = np.unique(normalize(trace, schema), return_inverse=True)
+    x = normalize(trace, schema)
+    order = x.argsort()
+    ascending = x.take(order)
+    # opens[i]: sorted sample i starts a class. Their running count from 0
+    # is each sorted sample's class, so the first is marked only after it
+    opens = np.empty(x.size, dtype=bool)
+    opens[0] = False
+    np.not_equal(ascending[1:], ascending[:-1], out=opens[1:])
+    node_map = np.empty(x.size, dtype=np.intp)
+    node_map[order] = np.add.accumulate(opens, dtype=np.intp)
+    opens[0] = True
+    values = ascending[opens]
     c = values.size
     if c > ROW_CAP:
         raise GraphError(f"trace {trace.link_id} has {c} distinct values, "
                          f"more than the {ROW_CAP} a graph may have")
     counts = np.bincount(node_map[:-1] * c + node_map[1:],
                          minlength=c * c).reshape(c, c)
+    sums = np.add.reduce(counts, axis=1)
     last = node_map[-1]  # every other class has a step after it
-    if not counts[last].any():
-        counts[last, last] = 1
-    return TsGraph(values, node_map, counts / counts.sum(axis=1, keepdims=True),
-                   trace.link_id)
+    if sums[last] == 0:
+        counts[last, last] = sums[last] = 1
+    return TsGraph(values, node_map, counts / sums[:, None], trace.link_id)
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,15 @@ class RssiTrace:
         return int(self.samples.size)
 
     def validate(self, schema: TraceSchema) -> None:
-        if not np.isfinite(self.samples).all():
-            raise SchemaError(f"trace {self.link_id}: non-finite sample")
-        if self.samples.min() < schema.rssi_min or self.samples.max() > schema.rssi_max:
+        """SchemaError for a non-finite sample or, failing that, for one
+        outside the schema's bounds. The bounds are finite, so a NaN or an
+        infinity fails the bound test on the samples' minimum and maximum;
+        only then are the samples scanned for a non-finite one."""
+        samples = self.samples
+        if not (schema.rssi_min <= np.minimum.reduce(samples)
+                and np.maximum.reduce(samples) <= schema.rssi_max):
+            if not np.isfinite(samples).all():
+                raise SchemaError(f"trace {self.link_id}: non-finite sample")
             raise SchemaError(
                 f"trace {self.link_id}: sample outside "
                 f"[{schema.rssi_min}, {schema.rssi_max}]")

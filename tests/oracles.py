@@ -412,3 +412,38 @@ def bce_targets_reference(labels, shape, w_anomalous: float, w_normal: float):
     probabilities' ``shape`` as they were on every training step."""
     y = np.asarray(labels, dtype=np.float64).reshape(shape)
     return w_anomalous * y, w_normal * (1.0 - y)
+
+
+def class_graph_reference(samples, rssi_min: float, rssi_max: float) -> dict:
+    """The class graph as ``transform`` and ``TsGraph`` built it with
+    ``np.unique(..., return_inverse=True)``: row features, node map, the
+    bincount weights, the logit bias of ``np.log(weights.T)`` with its
+    diagonal fixed by ``np.fill_diagonal``, and the seven fields of the
+    edge list read off that bias, in ``EdgeList`` order."""
+    x = (np.asarray(samples, dtype=np.float64) - rssi_min) / (rssi_max - rssi_min)
+    values, node_map = np.unique(x, return_inverse=True)
+    c = values.size
+    counts = np.bincount(node_map[:-1] * c + node_map[1:],
+                         minlength=c * c).reshape(c, c)
+    last = node_map[-1]
+    if not counts[last].any():
+        counts[last, last] = 1
+    weights = counts / counts.sum(axis=1, keepdims=True)
+    row_sizes = np.bincount(node_map, minlength=c)
+    with np.errstate(divide="ignore"):
+        bias = np.log(weights.T) + np.log(row_sizes)
+    loops = np.diagonal(bias)
+    np.fill_diagonal(bias, np.where(loops == -np.inf, 0.0, loops))
+
+    def run_starts(run_lengths):
+        starts = np.zeros_like(run_lengths)
+        np.cumsum(run_lengths[:-1], out=starts[1:])
+        return starts
+
+    dst, src = np.nonzero(bias > -np.inf)
+    edges = (dst, src, bias[dst, src], dst * c + src,
+             run_starts(np.bincount(dst, minlength=c)),
+             np.argsort(src, kind="stable"),
+             run_starts(np.bincount(src, minlength=c)))
+    return {"row_features": values, "node_map": node_map, "weights": weights,
+            "logit_bias": bias, "edges": edges}

@@ -132,3 +132,36 @@ def test_anomalous_runs_extraction():
     assert anomalous_runs(np.zeros(5)) == []
     assert anomalous_runs(np.ones(3)) == [(0, 3)]
     assert anomalous_runs(np.array([])) == []
+
+
+def _runs_by_loop(labels) -> list[tuple[int, int]]:
+    runs, start = [], None
+    for i, label in enumerate(labels):
+        if label and start is None:
+            start = i
+        elif not label and start is not None:
+            runs.append((start, i - start))
+            start = None
+    if start is not None:
+        runs.append((start, len(labels) - start))
+    return runs
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.booleans(), min_size=0, max_size=40),
+       st.booleans(), st.booleans(),
+       st.sampled_from(["int8", "bool", "float", "list"]))
+def test_anomalous_runs_match_a_loop(flags, first, last, kind):
+    """Runs at both ends, and the starts and lengths are Python ints that
+    ``json.dumps`` takes, as ``predict`` writes them."""
+    flags = [first, *flags, last]
+    labels = {"int8": np.array(flags, dtype=np.int8),
+              "bool": np.array(flags, dtype=bool),
+              # any nonzero float is anomalous, as a cast to bool reads it
+              "float": np.array(flags, dtype=float) * 0.75,
+              "list": [int(f) for f in flags]}[kind]
+    runs = anomalous_runs(labels)
+    assert runs == _runs_by_loop(flags)
+    assert all(type(start) is int and type(length) is int
+               for start, length in runs)
+    assert json.loads(json.dumps(runs)) == [list(run) for run in runs]

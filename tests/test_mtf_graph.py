@@ -9,7 +9,7 @@ from rssigat.mtf_graph import (DENSE_NODE_CAP, ROW_CAP, GraphError, TsGraph,
                                graph_from_record, graph_to_record,
                                read_graphs, transform, write_graphs)
 from rssigat.trace import RssiTrace, TraceError, TraceSchema
-from oracles import mtf_oracle, no_outgoing_step_mask
+from oracles import class_graph_reference, mtf_oracle, no_outgoing_step_mask
 from fuzzing import JSON_VALUES, changed_records
 
 
@@ -192,6 +192,39 @@ def test_last_row_rule_is_the_diagonal_mask(values):
     counts[no_outgoing_step_mask(counts)] = 1
     want = counts / counts.sum(axis=1, keepdims=True)
     assert graph.weights.tobytes() == want.tobytes()
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+_NEAR_40 = [np.nextafter(40.0, -np.inf), 40.0, np.nextafter(40.0, np.inf),
+            np.nextafter(np.nextafter(40.0, np.inf), np.inf)]
+_SAMPLE = st.one_of(st.integers(0, 128).map(float),  # many ties
+                    st.integers(0, 512).map(lambda v: v / 4),
+                    st.floats(0.0, 128.0),
+                    st.sampled_from([-0.0, 0.0, *_NEAR_40]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_SAMPLE, min_size=2, max_size=60))
+@example([7.0, 7.0])
+@example([33.0] * 40)
+@example([0.0, -0.0])
+@example([-0.0, 0.0, 3.5, 0.0, -0.0, 0.0, 3.5, 127.25] * 5)
+@example(_NEAR_40 * 3 + [60.0])
+def test_class_graph_is_byte_identical_to_the_unique_construction(samples):
+    # one argsort gives np.unique's classes: both zeros of a trace holding
+    # -0.0 and 0.0 fall in one class, which keeps the zero the sort put first
+    graph = transform(RssiTrace("t", samples), TraceSchema())
+    want = class_graph_reference(samples, 0.0, 128.0)
+    for name in ("row_features", "node_map", "weights", "logit_bias"):
+        assert _same_bytes(getattr(graph, name), want[name]), name
+    assert graph.node_map.dtype == np.intp
+    assert graph.logit_bias.flags.c_contiguous
+    for name, got, expected in zip(graph.edges._fields, graph.edges, want["edges"]):
+        assert _same_bytes(got, expected), name
 
 
 @settings(deadline=None, max_examples=30)

@@ -393,6 +393,34 @@ def test_schema_rejects_non_finite_bounds(bounds):
         TraceSchema(30, *bounds)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("samples", [
+    [40.0, _NAN, 200.0], [-5.0, 40.0, _NAN], [_NAN, _NAN],
+    [40.0, _INF], [-_INF, 40.0], [_INF, -_INF], [_INF, 40.0, -1.0],
+])
+def test_validate_reports_a_non_finite_sample_first(samples):
+    """Any NaN or infinity gives "non-finite sample", also beside a finite
+    sample outside the bounds, wherever it sits in the trace."""
+    with pytest.raises(SchemaError, match="^trace t: non-finite sample$"):
+        RssiTrace("t", samples).validate(TraceSchema(rssi_min=10.0, rssi_max=100.0))
+
+
+@pytest.mark.parametrize("samples", [
+    [40.0, 100.5], [9.5, 40.0], [np.nextafter(10.0, 0.0), 40.0], [-1e300, 1e300],
+])
+def test_validate_reports_a_finite_sample_outside_the_bounds(samples):
+    with pytest.raises(SchemaError,
+                       match=r"^trace t: sample outside \[10\.0, 100\.0\]$"):
+        RssiTrace("t", samples).validate(TraceSchema(rssi_min=10.0, rssi_max=100.0))
+
+
+@pytest.mark.parametrize("samples", [[10.0, 100.0], [100.0, 10.0, 55.5], [10.0, 10.0]])
+def test_validate_passes_samples_on_the_bounds(samples):
+    RssiTrace("t", samples).validate(TraceSchema(rssi_min=10.0, rssi_max=100.0))
+
+
 # ---------------------------------------------------------------------------
 # garbage in: only the module's typed errors escape
 
