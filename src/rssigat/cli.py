@@ -237,7 +237,7 @@ def cmd_train(args) -> int:
     dataset, schema = _read_input(args.dataset, read_dataset)
     try:
         cfg = TrainConfig(n_splits=args.splits, epochs=args.epochs,
-                          learning_rate=args.lr, seed=args.seed)
+                          seed=args.seed)
     except (SplitError, TrainingError) as exc:
         raise UsageError(str(exc)) from None
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
@@ -348,16 +348,13 @@ def _read_prediction_input(path: Path):
 
 
 def cmd_predict(args) -> int:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise UsageError("--threshold must be in [0, 1]")
     inputs = [Path(args.input), *checkpoint_files(args.checkpoint)]
     out = _output_path(args.out, *inputs)
     model = load_checkpoint(args.checkpoint)
     traces, schema = _read_input(args.input, _read_prediction_input)
     with open_output(out) as fh:
         for trace in traces:
-            labels = predict_graph(transform(trace, schema), model,
-                                   threshold=args.threshold)
+            labels = predict_graph(transform(trace, schema), model)
             record = {
                 "link_id": trace.link_id,
                 "labels": labels.tolist(),
@@ -366,7 +363,7 @@ def cmd_predict(args) -> int:
             }
             fh.write(json.dumps(record) + "\n")
     write_manifest(_manifest_path(out), "predict",
-                   {"threshold": args.threshold, "checkpoint": str(args.checkpoint)},
+                   {"checkpoint": str(args.checkpoint)},
                    None, inputs, [out])
     print(f"predicted {len(traces)} traces -> {out}")
     return 0
@@ -423,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--splits", type=int, default=TrainConfig.n_splits)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--workers", type=int, default=1,
                    help="processes to train splits on, at most one per split "
@@ -439,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="per-point labels and anomalous runs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("report", help="re-render report files from report.json")

@@ -270,10 +270,13 @@ def model_backward(fwd: Forward, g: np.ndarray, grads: ParamViews) -> None:
         g = fwd.blocks[k](g, input_grad=k > 0, out=grads.blocks[k])[0]
 
 
-def predict(graph: TsGraph, model: GatModel,
-            threshold: float = 0.5) -> np.ndarray:
+def predict(graph: TsGraph, model: GatModel) -> np.ndarray:
+    """The int8 label of every original node: 1 where its anomaly
+    probability is at least 0.5, the one cut-off that training, ``eval`` and
+    ``predict`` share. Another operating point is read off
+    ``model_forward(graph, model).data``."""
     probs = model_forward(graph, model).data[:, 0]
-    return (probs >= threshold).astype(np.int8)
+    return (probs >= 0.5).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,8 @@ def load_checkpoint(path) -> GatModel:
                   for entry in manifest["tensors"]]
         seed = manifest["seed"]
         recorded = manifest["sha256"]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            RecursionError) as exc:
         raise ModelError(f"malformed checkpoint manifest {base}: "
                          f"{type(exc).__name__}: {exc}") from None
     if not configs:

@@ -267,7 +267,7 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
     if not np.array_equal(item.labels, labels):
         raise DatasetError("labels disagree with descriptor")
     if kind is not AnomalyKind.NONE and not labels.any():
-        raise DatasetError("kind None must mean all-zero labels")
+        raise DatasetError(f"{kind.value} descriptor marks no point")
     return item
 
 

@@ -2,15 +2,15 @@
 
 Traces are split 80:20 with per-kind stratification, one fresh model is
 trained per split (one graph per gradient step), and per-class metrics are
-pooled over each split's held-out points, then averaged across splits. A
-step is ``loss_and_grads`` (``model_forward``, ``weighted_bce`` against the
-graph's targets, built once per split, and ``model_backward`` into the
-optimizer's gradient vector) and an in-place Adam update of the model's
-parameter vector.
+pooled over each split's held-out points, labeled at ``predict``'s 0.5
+cut-off, then averaged across splits. A step is ``loss_and_grads``
+(``model_forward``, ``weighted_bce`` against the graph's targets, built once
+per split, and ``model_backward`` into the optimizer's gradient vector) and
+an in-place Adam update of the model's parameter vector, at the fixed
+learning rate ``LEARNING_RATE``.
 """
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import warnings
@@ -29,6 +29,7 @@ from .trace import DEFAULT_SCHEMA, TraceSchema
 
 
 TEST_FRACTION = 0.2  # share of each stratum held out per split
+LEARNING_RATE = 3e-3  # Adam's step size in every fit
 # the thread-count variables of OpenBLAS, OpenMP and MKL builds of numpy
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
@@ -46,7 +47,6 @@ class TrainingError(Exception):
 class TrainConfig:
     n_splits: int = 10
     epochs: int = 50
-    learning_rate: float = 3e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -54,8 +54,6 @@ class TrainConfig:
             raise SplitError("n_splits must be >= 1")
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise TrainingError("learning_rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def fit(dataset: list[LabeledTrace], model_seed: int, cfg: TrainConfig,
     weights = class_weights(dataset)
     targets = [bce_targets(item.labels, weights) for item in dataset]
     model = build_model(seed=model_seed)
-    optimizer = AdamOptimizer(model, lr=cfg.learning_rate)
+    optimizer = AdamOptimizer(model, lr=LEARNING_RATE)
     order_rng = np.random.default_rng([cfg.seed, 1162261467, model_seed])
     loss_curve: list[float] = []
     for epoch in range(cfg.epochs):

@@ -198,10 +198,9 @@ def test_predict_thresholds():
     trace = RssiTrace("t", np.arange(10, 40, dtype=float))
     graph = transform(trace, TraceSchema(expected_length=30))
     probs = model_forward(prepare_graph(graph), model).data[:, 0]
-    np.testing.assert_array_equal(predict(graph, model, threshold=0.0), np.ones(30))
-    labels = predict(graph, model, threshold=0.5)
+    labels = predict(graph, model)
+    assert labels.dtype == np.int8
     np.testing.assert_array_equal(labels, (probs >= 0.5).astype(np.int8))
-    assert set(np.unique(labels)) <= {0, 1}
 
 
 def test_forward_is_deterministic_bitwise():
@@ -749,10 +748,11 @@ def _needs(in_dim):
      "KeyError: 'shape'"),
     (lambda m: json.dumps([m]), "AttributeError"),
     (lambda m: "{not json", "JSONDecodeError"),
+    (lambda m: "[" * 100_000, "RecursionError"),
 ], ids=["no layers", "non-dict layer", "unknown layer key", "string in_dim",
         "boolean in_dim", "boolean leaky_slope", "oversized leaky_slope",
         "in_dim 2**62", "in_dim wrapping int64", "tensor without shape",
-        "list manifest", "not JSON"])
+        "list manifest", "not JSON", "too deep"])
 def test_malformed_manifest_is_model_error(saved_checkpoint, text, message):
     base, manifest = saved_checkpoint
     with pytest.raises(ModelError, match=message):

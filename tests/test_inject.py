@@ -361,7 +361,7 @@ _SLOWD = {"kind": "SlowD", "descriptor.kind": "SlowD", "descriptor.slope": 0.5}
     ({"descriptor.indices": [-1]}, "descriptor indices out of range"),
     ({"labels": [1] * 60}, "labels disagree with descriptor"),
     ({"descriptor.duration": 0, "labels": [0] * 60},
-     "kind None must mean all-zero labels"),
+     "SuddenR descriptor marks no point"),
     (_INSTAD | {"descriptor": {"kind": "InstaD", "indices": [2.7]}},
      "descriptor indices must be integers"),
     (_INSTAD | {"descriptor": {"kind": "InstaD", "indices": [True, 2]}},

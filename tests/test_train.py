@@ -10,8 +10,8 @@ from rssigat.gat_model import build_model, model_backward, model_forward, \
     save_checkpoint
 from rssigat.inject import AnomalyDescriptor, AnomalyKind, LabeledTrace, \
     build_dataset
-from rssigat.train import (AdamOptimizer, ClassWeights, SplitError,
-                           TrainConfig, TrainingError, bce_targets,
+from rssigat.train import (LEARNING_RATE, AdamOptimizer, ClassWeights,
+                           SplitError, TrainConfig, TrainingError, bce_targets,
                            class_weights, fit, loss_and_grads,
                            loss_curves_to_csv, prepare_dataset,
                            run_cross_validation, stratified_shuffle_split,
@@ -279,9 +279,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(SplitError, match="n_splits"):
         TrainConfig(n_splits=0)
-    for lr in (0.0, -1e-3, float("nan"), float("inf")):
-        with pytest.raises(TrainingError, match="learning_rate"):
-            TrainConfig(learning_rate=lr)
 
 
 def test_fit_update_count_and_determinism():
@@ -307,7 +304,7 @@ def test_fit_with_targets_built_once_matches_per_step_targets():
     result = fit(dataset, model_seed=2, cfg=cfg, prepared=prepared)
     weights = class_weights(dataset)
     model = build_model(seed=2)
-    optimizer = AdamOptimizer(model, lr=cfg.learning_rate)
+    optimizer = AdamOptimizer(model, lr=LEARNING_RATE)
     order_rng = np.random.default_rng([cfg.seed, 1162261467, 2])
     curve = []
     for _ in range(cfg.epochs):
@@ -339,9 +336,10 @@ def test_fit_empty_dataset_rejected():
         fit([], model_seed=0, cfg=TrainConfig(epochs=1), prepared=[])
 
 
-def test_fit_divergence_names_the_epoch():
+def test_fit_divergence_names_the_epoch(monkeypatch):
     dataset, schema = _desk_dataset(n_each=1, n_clean=2)
-    cfg = TrainConfig(epochs=2, learning_rate=1e300)
+    monkeypatch.setattr("rssigat.train.LEARNING_RATE", 1e300)
+    cfg = TrainConfig(epochs=2)
     with np.errstate(all="ignore"), pytest.raises(
             TrainingError, match=r"^training diverged in epoch 0: "):
         fit(dataset, model_seed=0, cfg=cfg,
