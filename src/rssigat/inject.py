@@ -6,10 +6,11 @@ gradual linear decline (SlowD). ``draw_descriptor`` draws one injection into
 an ``AnomalyDescriptor``, whose ``anomalous_indices`` are the points it marks;
 ``inject_anomaly`` applies it: drops go to the schema's ``rssi_min``, SlowD
 declines clamped to the schema's bounds. A ``LabeledTrace`` derives its kind
-and labels from its descriptor, so only records read from outside are
-checked for agreement. The ranges are the paper's 1-based ordinals ("the
-200th sample") in a 300-sample trace; ``InjectionParams`` rescales them to
-the trace's length, and draws are converted to 0-based indices.
+and labels from its descriptor, so a dataset record stores no labels, and
+reading one checks that its descriptor carries only its kind's fields. The
+ranges are the paper's 1-based ordinals ("the 200th sample") in a
+300-sample trace; ``InjectionParams`` rescales them to the trace's length,
+and draws are converted to 0-based indices.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .trace import (DEFAULT_SCHEMA, ConfigError, RssiTrace, TraceError,
-                    TraceSchema, read_json_lines, write_json_lines)
+                    TraceSchema, json_numbers, read_json_lines,
+                    write_json_lines)
 
 
 class CapacityError(Exception):
@@ -204,7 +206,20 @@ def build_dataset(clean: list[RssiTrace],
 
 
 # ---------------------------------------------------------------------------
-# dataset serialization: one JSON record per trace, bit-exact round trip
+# dataset serialization: one JSON record per trace, bit-exact round trip. A
+# record stores its trace and descriptor; the labels follow from the
+# descriptor, so they are not stored.
+
+# The descriptor fields of each kind, the ones ``labeled_to_record`` writes
+# for the descriptors ``draw_descriptor`` draws.
+DESCRIPTOR_FIELDS = {
+    AnomalyKind.SUDDEN_D: {"kind", "onset", "duration"},
+    AnomalyKind.SUDDEN_R: {"kind", "onset", "duration"},
+    AnomalyKind.INSTA_D: {"kind", "indices"},
+    AnomalyKind.SLOW_D: {"kind", "onset", "duration", "slope"},
+    AnomalyKind.NONE: {"kind"},
+}
+
 
 def labeled_to_record(item: LabeledTrace) -> dict:
     d = item.descriptor
@@ -218,14 +233,16 @@ def labeled_to_record(item: LabeledTrace) -> dict:
         "kind": item.kind.value,
         "descriptor": desc,
         "samples": item.trace.samples.tolist(),
-        "labels": item.labels.tolist(),
     }
 
 
 def labeled_from_record(rec: dict) -> LabeledTrace:
-    """A record back as a ``LabeledTrace``, or DatasetError. Its ``kind`` and
-    ``labels`` must be the ones its descriptor gives, and an anomalous
-    descriptor must mark at least one point."""
+    """A record back as a ``LabeledTrace``, or DatasetError. Its ``kind``
+    must be its descriptor's, the descriptor may carry only the fields of
+    that kind (``DESCRIPTOR_FIELDS``), and an anomalous descriptor must mark
+    at least one point. The link id must be a string and the samples JSON
+    numbers. A record that also stores ``labels``, as datasets written
+    before the labels were dropped do, must store the descriptor's."""
     try:
         desc = rec["descriptor"]
         descriptor = AnomalyDescriptor(
@@ -235,13 +252,13 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
             slope=desc.get("slope"),
             indices=tuple(desc["indices"]) if "indices" in desc else None,
         )
-        trace = RssiTrace(rec["link_id"],
-                          np.asarray(rec["samples"], dtype=np.float64))
-        labels = np.asarray(rec["labels"], dtype=np.int8)
+        link_id = rec["link_id"]
+        if not isinstance(link_id, str):
+            raise ValueError("link_id must be a string")
+        trace = RssiTrace(link_id, json_numbers(
+            rec["samples"], "samples must be a list of numbers"))
         kind = AnomalyKind(rec["kind"])
         n = trace.length
-        if labels.shape != (n,):
-            raise DatasetError("need one label per sample")
         if descriptor.kind != kind.value:
             raise DatasetError("descriptor kind disagrees with kind")
         if not all(type(v) is int and 0 <= v <= n
@@ -257,16 +274,25 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
         if kind is AnomalyKind.SLOW_D and not (
                 type(descriptor.slope) is float and math.isfinite(descriptor.slope)):
             raise DatasetError("SlowD descriptor slope must be a finite float")
+        foreign = desc.keys() - DESCRIPTOR_FIELDS[kind]
+        if foreign:
+            raise DatasetError(f"{kind.value} descriptor carries "
+                               f"{', '.join(sorted(foreign))}, which its "
+                               f"kind does not use")
         item = LabeledTrace(trace, descriptor)
+        if "labels" in rec:
+            labels = np.asarray(rec["labels"], dtype=np.int8)
+            if labels.shape != (n,):
+                raise DatasetError("need one label per sample")
+            if not np.array_equal(item.labels, labels):
+                raise DatasetError("labels disagree with descriptor")
     except KeyError as exc:
         raise DatasetError(f"record lacks key {exc}") from None
     except TraceError as exc:
         raise DatasetError(str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"malformed record: {exc}") from None
-    if not np.array_equal(item.labels, labels):
-        raise DatasetError("labels disagree with descriptor")
-    if kind is not AnomalyKind.NONE and not labels.any():
+    if kind is not AnomalyKind.NONE and not idx.size:
         raise DatasetError(f"{kind.value} descriptor marks no point")
     return item
 

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .trace import (DEFAULT_SCHEMA, RssiTrace, TraceSchema, normalize,
-                    read_json_lines, write_json_lines)
+from .trace import (DEFAULT_SCHEMA, RssiTrace, TraceSchema, json_numbers,
+                    normalize, read_json_lines, write_json_lines)
 
 # Largest node count for which an N x N field or per-node graph is built.
 DENSE_NODE_CAP = 1024
@@ -236,13 +236,6 @@ def _row_indices(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _numbers(seq) -> np.ndarray:
-    """A JSON list of ints and floats, not strings or booleans, as float64."""
-    if not (isinstance(seq, list) and {*map(type, seq)} <= {int, float}):
-        raise ValueError("values, node_map and edges must be lists of numbers")
-    return np.array(seq, dtype=np.float64)
-
-
 def graph_from_record(rec: dict) -> TsGraph:
     """A record back as a ``TsGraph``; the edge triples are checked before
     they are scattered into the weights."""
@@ -253,10 +246,12 @@ def graph_from_record(rec: dict) -> TsGraph:
         if not (isinstance(edges, list)
                 and all(isinstance(e, list) and len(e) == 3 for e in edges)):
             raise ValueError("edges must be [src, dst, weight] triples")
-        edges = _numbers([x for e in edges for x in e]).reshape(-1, 3)
+        not_numbers = "values, node_map and edges must be lists of numbers"
+        edges = json_numbers([x for e in edges for x in e],
+                             not_numbers).reshape(-1, 3)
         src, dst, w = _row_indices(edges[:, 0]), _row_indices(edges[:, 1]), edges[:, 2]
-        values = _numbers(rec["values"])
-        node_map = _row_indices(_numbers(rec["node_map"]))
+        values = json_numbers(rec["values"], not_numbers)
+        node_map = _row_indices(json_numbers(rec["node_map"], not_numbers))
         link_id = rec["link_id"]
         if not (link_id is None or isinstance(link_id, str)):
             raise ValueError("link_id must be a string or null")

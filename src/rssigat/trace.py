@@ -233,6 +233,14 @@ def write_json_lines(path, items, to_record) -> None:
             fh.write(json.dumps(to_record(item)) + "\n")
 
 
+def json_numbers(seq, message: str) -> np.ndarray:
+    """A JSON list of ints and floats, not strings or booleans, as float64;
+    ValueError(message) for anything else."""
+    if not (isinstance(seq, list) and {*map(type, seq)} <= {int, float}):
+        raise ValueError(message)
+    return np.array(seq, dtype=np.float64)
+
+
 def read_json_lines(path, from_record, error: type[Exception]) -> list:
     """``from_record`` of each non-blank line's JSON value. A line that is
     not UTF-8 JSON, or an ``error`` from ``from_record``, raises ``error``

@@ -117,6 +117,19 @@ def test_inject_counts_match_flags(tmp_path, capsys):
     assert "4 total, 4 anomalous" in capsys.readouterr().out
 
 
+def test_inject_writes_no_labels(tmp_path):
+    """Each dataset record holds its trace and descriptor; the labels follow
+    from the descriptor and are not stored."""
+    traces, out = tmp_path / "t.csv", tmp_path / "d.jsonl"
+    assert _run("synth", "--count", 10, "--length", 50, "-o", traces) == 0
+    assert _run("inject", "-i", traces, "--each", 2, "--clean", 2,
+                "-o", out) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 10
+    assert all(set(rec) == {"link_id", "kind", "descriptor", "samples"}
+               for rec in records)
+
+
 def test_inject_capacity_error(tmp_path, capsys):
     traces = tmp_path / "t.csv"
     _run("synth", "--count", 3, "--length", 50, "--seed", 1, "-o", traces)
@@ -625,9 +638,15 @@ def test_checkpoint_whose_layers_do_not_chain_is_one_line_error(
      "record lacks key 'descriptor'"),
     (lambda rec: "not json",
      "Expecting value: line 1 column 1 (char 0)"),
-    (lambda rec: json.dumps({**rec, "labels": [1] + rec["labels"][1:]}),
+    (lambda rec: json.dumps(
+        {**rec, "labels": [1] + [0] * (len(rec["samples"]) - 1)}),
      "labels disagree with descriptor"),
-], ids=["missing-key", "not-json", "labels-disagree"])
+    (lambda rec: json.dumps({**rec, "link_id": 5}),
+     "malformed record: link_id must be a string"),
+    (lambda rec: json.dumps({**rec, "samples": ["57", *rec["samples"][1:]]}),
+     "malformed record: samples must be a list of numbers"),
+], ids=["missing-key", "not-json", "labels-disagree", "link-id-not-string",
+        "sample-not-number"])
 @pytest.mark.parametrize("command", ["train", "eval", "transform", "predict"])
 def test_bad_dataset_record_is_one_line_error(tmp_path, capsys, mutate,
                                               message, command):

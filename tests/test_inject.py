@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rssigat.inject import (ANOMALOUS_KINDS, SLOWD_DURATION, SLOWD_ONSET,
                             SUDDEND_ONSET, SUDDENR_DURATION, SUDDENR_ONSET,
-                            AnomalyKind, CapacityError, DatasetError,
+                            DESCRIPTOR_FIELDS, AnomalyKind, CapacityError,
+                            DatasetError,
                             InjectionParams, build_dataset, inject_anomaly,
                             labeled_from_record, labeled_to_record,
                             read_dataset, write_dataset)
@@ -40,8 +41,8 @@ def _window_applied(base, d, schema=SCHEMA):
 
 
 def _reads_back(out):
-    """``out`` survives the record round trip, whose reader checks kind and
-    labels against the descriptor."""
+    """``out`` survives the record round trip, whose reader checks its kind
+    against the descriptor and derives the labels from it."""
     back = labeled_from_record(labeled_to_record(out))
     assert back.kind is out.kind
     np.testing.assert_array_equal(back.labels, out.labels)
@@ -314,10 +315,73 @@ def test_labeled_record_has_descriptor_fields():
     assert set(rec["descriptor"]) == {"kind", "onset", "duration", "slope"}
 
 
+def _one_of_each(n=300):
+    params = InjectionParams.scaled_to_length(n)
+    return [inject_anomaly(_flat_trace(n=n), kind, params, _rng(20 + k))
+            for k, kind in enumerate(AnomalyKind)]
+
+
+def test_labeled_record_stores_no_labels():
+    """A record holds the trace and its descriptor; the labels follow from
+    the descriptor and are not written."""
+    for item in _one_of_each():
+        rec = labeled_to_record(item)
+        assert set(rec) == {"link_id", "kind", "descriptor", "samples"}
+        assert set(rec["descriptor"]) == DESCRIPTOR_FIELDS[item.kind]
+
+
+def test_record_with_stored_labels_reads_back_equal():
+    """A record that also stores its labels, as older datasets do, reads back
+    equal to the record without them; labels that disagree are refused."""
+    for item in _one_of_each():
+        rec = labeled_to_record(item)
+        old = {**rec, "labels": item.labels.tolist()}
+        new, back = labeled_from_record(rec), labeled_from_record(old)
+        assert back.descriptor == new.descriptor == item.descriptor
+        assert back.kind is new.kind is item.kind
+        assert back.trace.link_id == new.trace.link_id
+        np.testing.assert_array_equal(back.trace.samples, new.trace.samples)
+        np.testing.assert_array_equal(back.labels, new.labels)
+        np.testing.assert_array_equal(new.labels, item.labels)
+        flipped = item.labels.tolist()
+        flipped[0] = 1 - flipped[0]
+        with pytest.raises(DatasetError, match="labels disagree with descriptor"):
+            labeled_from_record({**rec, "labels": flipped})
+
+
+@pytest.mark.parametrize("kind, extra, foreign", [
+    (AnomalyKind.NONE, {"onset": 3}, "onset"),
+    (AnomalyKind.NONE, {"onset": 3, "duration": 5}, "duration, onset"),
+    (AnomalyKind.SUDDEN_R, {"indices": [2]}, "indices"),
+    (AnomalyKind.INSTA_D, {"slope": 0.5}, "slope"),
+    (AnomalyKind.SUDDEN_D, {"shape": "step"}, "shape"),
+], ids=["None-onset", "None-onset-duration", "SuddenR-indices",
+        "InstaD-slope", "SuddenD-unknown"])
+@pytest.mark.parametrize("stored_labels", [False, True],
+                         ids=["no-labels", "labels"])
+def test_descriptor_field_its_kind_does_not_use_is_refused(
+        kind, extra, foreign, stored_labels):
+    """Each kind's descriptor carries only the fields ``labeled_to_record``
+    writes for it. A foreign field is refused whether or not the record also
+    stores labels that agree with what the descriptor marks."""
+    item = inject_anomaly(_flat_trace(n=60), kind,
+                          InjectionParams.scaled_to_length(60), _rng(5))
+    rec = labeled_to_record(item)
+    rec["descriptor"] |= extra
+    if stored_labels:  # the points the descriptor marks, by its indices if any
+        labels = np.zeros(60, dtype=np.int8)
+        labels[extra.get("indices", np.flatnonzero(item.labels))] = 1
+        rec["labels"] = labels.tolist()
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{kind.value} descriptor carries {foreign}, which its kind "
+            f"does not use")):
+        labeled_from_record(rec)
+
+
 _RECORD = labeled_to_record(inject_anomaly(
     _flat_trace(n=60), AnomalyKind.SUDDEN_R,
     InjectionParams.scaled_to_length(60), rng=_rng(4)))
-_FIELDS = sorted(_RECORD) + [
+_FIELDS = sorted({*_RECORD, "labels"}) + [
     f"descriptor.{k}" for k in ("kind", "onset", "duration", "slope", "indices")]
 
 
@@ -375,6 +439,26 @@ _SLOWD = {"kind": "SlowD", "descriptor.kind": "SlowD", "descriptor.slope": 0.5}
 ])
 def test_labeled_from_record_rejects_inconsistent_record(changes, message):
     with pytest.raises(DatasetError, match=message):
+        labeled_from_record(_mutated(changes))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"link_id": 5}, "malformed record: link_id must be a string"),
+    ({"link_id": None}, "malformed record: link_id must be a string"),
+    ({"samples": ["57"] + [80.0] * 59},
+     "malformed record: samples must be a list of numbers"),
+    ({"samples": [True] + [80.0] * 59},
+     "malformed record: samples must be a list of numbers"),
+    ({"samples": "80" * 60},
+     "malformed record: samples must be a list of numbers"),
+], ids=["link-id-int", "link-id-null", "sample-string", "sample-bool",
+        "samples-string"])
+def test_record_link_id_and_samples_must_be_json_strings_and_numbers(
+        changes, message):
+    """A numeric link id or a sample written as a string or a boolean is
+    refused, not converted: a graph file written from such a record could
+    not be read back."""
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
         labeled_from_record(_mutated(changes))
 
 

@@ -10,12 +10,12 @@ from rssigat.gat_model import build_model, model_backward, model_forward, \
     save_checkpoint
 from rssigat.inject import AnomalyDescriptor, AnomalyKind, LabeledTrace, \
     build_dataset
-from rssigat.train import (LEARNING_RATE, AdamOptimizer, ClassWeights,
-                           SplitError, TrainConfig, TrainingError, bce_targets,
-                           class_weights, fit, loss_and_grads,
-                           loss_curves_to_csv, prepare_dataset,
-                           run_cross_validation, stratified_shuffle_split,
-                           weighted_bce)
+from rssigat.train import (FLUSH_PERIOD, LEARNING_RATE, AdamOptimizer,
+                           ClassWeights, SplitError, TrainConfig,
+                           TrainingError, bce_targets, class_weights, fit,
+                           loss_and_grads, loss_curves_to_csv,
+                           prepare_dataset, run_cross_validation,
+                           stratified_shuffle_split, weighted_bce)
 from rssigat.trace import RssiTrace, TraceSchema, synthesize_clean
 from oracles import bce_targets_reference, max_rel_err
 
@@ -114,6 +114,40 @@ def test_adam_matches_the_textbook_update():
               * m / (np.sqrt(v) + 1e-8))
     assert max_rel_err(model.vector, p) < 1e-13
     assert not np.array_equal(model.vector, p)  # the rounding does differ
+
+
+def test_adam_flushes_subnormal_first_moments():
+    """Entries whose gradient is 0 decay their stored first moment by 0.9 a
+    step. Every FLUSH_PERIOD steps those below the smallest normal float64
+    are set to 0, without a parameter-sized allocation; the rest, and the
+    parameters, are left as the unflushed update gives them."""
+    tiny = np.finfo(np.float64).tiny
+    model = build_model(seed=3)
+    optimizer = AdamOptimizer(model, lr=3e-3)
+    m0 = np.zeros_like(optimizer.m)
+    m0[:4] = [4 * tiny, -4 * tiny, 1e-300, -1.0]  # 4 tiny 0.9^32 < tiny
+    optimizer.m[:] = m0
+    optimizer.v[:] = 1.0
+    p, m, v = model.vector.copy(), m0.copy(), optimizer.v.copy()
+    for t in range(1, FLUSH_PERIOD + 1):
+        optimizer.grad[:] = 0.0
+        tracemalloc.start()
+        optimizer.step()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 1024, (t, peak)
+        m *= 0.9
+        v *= 0.999
+        scale = (3e-3 * np.sqrt(1 - 0.999 ** t) / (1 - 0.9 ** t)
+                 * (1 - 0.9) / np.sqrt(1 - 0.999))
+        p -= m / (np.sqrt(v) + 1e-8 / np.sqrt(1 - 0.999)) * scale
+    assert 0 < abs(m[0]) < tiny and 0 < abs(m[1]) < tiny  # unflushed
+    subnormal = (optimizer.m != 0) & (np.abs(optimizer.m) < tiny)
+    assert not subnormal.any()
+    assert optimizer.m[0] == optimizer.m[1] == 0.0
+    np.testing.assert_array_equal(optimizer.m[2:], m[2:])
+    assert optimizer.m[2] > tiny
+    assert model.vector.tobytes() == p.tobytes()
 
 
 def test_fit_step_allocates_nothing_parameter_sized(monkeypatch):
