@@ -19,9 +19,10 @@ Each block's attention vectors are stored as ``att_src`` then
 (2, H, F) view of both (``ParamViews.att``); the backward writes both
 gradients through the same view of the gradient vector.
 
-The sizes are the paper's (``FILTERS``, ``HEADS``, ``LEAKY_SLOPE``). A
-``GatModel`` checks that its layers chain when it is built or loaded, once,
-so the ops check no shapes.
+The sizes are the paper's (``FILTERS``, ``HEADS``, ``LEAKY_SLOPE``), laid
+out as ``PAPER_LAYERS``, the one architecture ``build_model`` builds and
+``load_checkpoint`` loads. A ``GatModel`` checks that its layers chain when
+it is built, once, so the ops check no shapes.
 
 The forward pass runs on the ``rows``, ``node_map`` and ``logit_bias`` or
 ``edges`` of a ``TsGraph`` from ``transform``. In that value-class graph
@@ -36,10 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass, asdict, field
 from functools import cached_property
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
@@ -63,6 +62,10 @@ LEAKY_SLOPE = 0.2
 
 @dataclass(frozen=True)
 class GatLayerConfig:
+    """One attention block. Only the head mode is checked here: a model's
+    layers are built in this module (``PAPER_LAYERS``) or by tests, never
+    from a file, and ``GatModel`` checks that they chain."""
+
     in_dim: int
     out_dim_per_head: int = FILTERS
     n_heads: int = 4
@@ -72,14 +75,6 @@ class GatLayerConfig:
     def __post_init__(self):
         if self.head_mode not in ("concat", "average"):
             raise ModelError(f"unknown head_mode {self.head_mode!r}")
-        dims = (self.in_dim, self.out_dim_per_head, self.n_heads)
-        if not all(isinstance(d, (int, np.integer)) and type(d) is not bool
-                   and d >= 1 for d in dims):
-            raise ModelError("layer dimensions must be integers >= 1")
-        if not (isinstance(self.leaky_slope, (int, float))
-                and type(self.leaky_slope) is not bool
-                and abs(self.leaky_slope) <= sys.float_info.max):
-            raise ModelError("leaky_slope must be a finite number")
 
     @property
     def out_width(self) -> int:
@@ -193,18 +188,20 @@ def _param_table(configs) -> list[tuple]:
                     ("out.bias", (1,), None)]
 
 
+PAPER_LAYERS = tuple(
+    GatLayerConfig(FILTERS * HEADS[k - 1] if k else 1, n_heads=heads,
+                   head_mode="average" if k == len(HEADS) - 1 else "concat")
+    for k, heads in enumerate(HEADS))
+
+
 def build_model(seed: int = 0) -> GatModel:
     """The paper's model, its weights drawn Glorot-uniform from ``seed``."""
-    configs = tuple(
-        GatLayerConfig(FILTERS * HEADS[k - 1] if k else 1, n_heads=heads,
-                       head_mode="average" if k == len(HEADS) - 1 else "concat")
-        for k, heads in enumerate(HEADS))
     rng = np.random.default_rng(seed)
     vector = np.concatenate([
         np.zeros(math.prod(shape)) if fans is None
         else _glorot(rng, shape, *fans).ravel()
-        for _, shape, fans in _param_table(configs)])
-    return GatModel(configs, vector, seed)
+        for _, shape, fans in _param_table(PAPER_LAYERS)])
+    return GatModel(PAPER_LAYERS, vector, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +286,25 @@ def checkpoint_files(path) -> tuple[Path, Path]:
     return Path(path).with_suffix(".json"), Path(path).with_suffix(".bin")
 
 
+def _layout(configs) -> dict:
+    """The ``layers`` and ``tensors`` entries of the manifest of a model of
+    ``configs``."""
+    return {"layers": [asdict(cfg) for cfg in configs],
+            "tensors": [{"name": name, "shape": list(shape)}
+                        for name, shape, _ in _param_table(configs)]}
+
+
+# what a manifest's ``layers`` and ``tensors`` must be, as canonical JSON
+_PAPER_LAYOUT = json.dumps(_layout(PAPER_LAYERS), sort_keys=True)
+
+
 def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
     manifest_path, blob_path = checkpoint_files(path)
     blob = model.vector.astype("<f8", copy=False).tobytes()
     manifest = {
         "format": "rssigat-checkpoint-v1",
         "seed": model.seed,
-        "layers": [asdict(cfg) for cfg in model.layer_configs],
-        "tensors": [{"name": name, "shape": list(t.shape)}
-                    for name, t in model.params.items()],
+        **_layout(model.layer_configs),
         "sha256": hashlib.sha256(blob).hexdigest(),
     }
     with open_output(blob_path, binary=True) as fh:
@@ -308,36 +315,34 @@ def save_checkpoint(path, model: GatModel) -> tuple[Path, Path]:
 
 
 def load_checkpoint(path) -> GatModel:
-    """The model saved at ``path``; ModelError if its manifest is malformed
-    (a manifest without the blob's sha256 is) or disagrees with its blob."""
+    """The paper's model saved at ``path``; ModelError if its manifest is
+    malformed (a manifest without the blob's sha256 is), if its ``layers``
+    and ``tensors`` are not ``_PAPER_LAYOUT``, those ``save_checkpoint``
+    writes for ``PAPER_LAYERS``, compared as canonical JSON, or if it
+    disagrees with its blob."""
     base = Path(path)
     manifest_path, blob_path = checkpoint_files(base)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         if manifest.get("format") != "rssigat-checkpoint-v1":
             raise ModelError(f"unrecognized checkpoint format in {base}")
-        configs = tuple(GatLayerConfig(**cfg) for cfg in manifest["layers"])
-        listed = [(entry["name"], tuple(entry["shape"]))
-                  for entry in manifest["tensors"]]
+        layout = json.dumps({k: manifest[k] for k in ("layers", "tensors")},
+                            sort_keys=True)
         seed = manifest["seed"]
         recorded = manifest["sha256"]
     except (KeyError, TypeError, ValueError, AttributeError,
             RecursionError) as exc:
         raise ModelError(f"malformed checkpoint manifest {base}: "
                          f"{type(exc).__name__}: {exc}") from None
-    if not configs:
-        raise ModelError(f"checkpoint {base} has no layers")
-    expected = [(name, shape) for name, shape, _ in _param_table(configs)]
-    for have, want in zip_longest(listed, expected):
-        if have != want:
-            raise ModelError(f"checkpoint tensor {have} does not match "
-                             f"the layers' {want}")
-    size = sum(math.prod(shape) for _, shape in expected)
+    if layout != _PAPER_LAYOUT:
+        raise ModelError(f"checkpoint {base} does not hold the paper's model: "
+                         f"its layers or tensors differ")
+    size = sum(math.prod(shape) for _, shape, _ in _param_table(PAPER_LAYERS))
     raw = blob_path.read_bytes()
     if len(raw) != 8 * size:
         raise ModelError(f"checkpoint blob has {len(raw)} bytes, "
                          f"the manifest needs {8 * size}")
-    model = GatModel(configs, np.frombuffer(raw, dtype="<f8").copy(), seed)
+    model = GatModel(PAPER_LAYERS, np.frombuffer(raw, dtype="<f8").copy(), seed)
     for name, p in model.params.items():
         if not np.isfinite(p).all():
             raise ModelError(f"checkpoint tensor {name} has non-finite values")

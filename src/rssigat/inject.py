@@ -7,8 +7,8 @@ an ``AnomalyDescriptor``, whose ``anomalous_indices`` are the points it marks;
 ``inject_anomaly`` applies it: drops go to the schema's ``rssi_min``, SlowD
 declines clamped to the schema's bounds. A ``LabeledTrace`` derives its kind
 and labels from its descriptor, so a dataset record stores no labels, and
-reading one checks that its descriptor carries only its kind's fields. The
-ranges are the paper's 1-based ordinals ("the 200th sample") in a
+reading one checks that its descriptor carries exactly its kind's fields.
+The ranges are the paper's 1-based ordinals ("the 200th sample") in a
 300-sample trace; ``InjectionParams`` rescales them to the trace's length,
 and draws are converted to 0-based indices.
 """
@@ -103,8 +103,7 @@ class AnomalyDescriptor:
             return np.zeros(0, dtype=np.int64)
         if self.indices is not None:
             return np.asarray(self.indices, dtype=np.int64)
-        end = n if self.duration is None else self.onset + self.duration
-        return np.arange(self.onset, end, dtype=np.int64)
+        return np.arange(self.onset, self.onset + self.duration, dtype=np.int64)
 
 
 @dataclass
@@ -211,7 +210,8 @@ def build_dataset(clean: list[RssiTrace],
 # descriptor, so they are not stored.
 
 # The descriptor fields of each kind, the ones ``labeled_to_record`` writes
-# for the descriptors ``draw_descriptor`` draws.
+# for the descriptors ``draw_descriptor`` draws; a record must carry each of
+# them, none null, and no other.
 DESCRIPTOR_FIELDS = {
     AnomalyKind.SUDDEN_D: {"kind", "onset", "duration"},
     AnomalyKind.SUDDEN_R: {"kind", "onset", "duration"},
@@ -238,11 +238,12 @@ def labeled_to_record(item: LabeledTrace) -> dict:
 
 def labeled_from_record(rec: dict) -> LabeledTrace:
     """A record back as a ``LabeledTrace``, or DatasetError. Its ``kind``
-    must be its descriptor's, the descriptor may carry only the fields of
-    that kind (``DESCRIPTOR_FIELDS``), and an anomalous descriptor must mark
-    at least one point. The link id must be a string and the samples JSON
-    numbers. A record that also stores ``labels``, as datasets written
-    before the labels were dropped do, must store the descriptor's."""
+    must be its descriptor's, the descriptor must carry exactly the fields
+    of that kind (``DESCRIPTOR_FIELDS``), none of them null, and an
+    anomalous descriptor must mark at least one point. The link id must be
+    a string and the samples JSON numbers. A record that also stores
+    ``labels``, as datasets written before the labels were dropped do, must
+    store the descriptor's."""
     try:
         desc = rec["descriptor"]
         descriptor = AnomalyDescriptor(
@@ -261,6 +262,11 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
         n = trace.length
         if descriptor.kind != kind.value:
             raise DatasetError("descriptor kind disagrees with kind")
+        lacking = sorted(f for f in DESCRIPTOR_FIELDS[kind]
+                         if desc.get(f) is None)
+        if lacking:
+            raise DatasetError(f"{kind.value} descriptor lacks "
+                               f"{', '.join(lacking)}")
         if not all(type(v) is int and 0 <= v <= n
                    for v in (descriptor.onset, descriptor.duration)
                    if v is not None):

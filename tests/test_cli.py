@@ -16,7 +16,7 @@ from rssigat.metrics import EvalReport, split_metrics
 from rssigat.mtf_graph import (ROW_CAP, GraphError, read_graphs, transform,
                                write_graphs)
 from rssigat.trace import RssiTrace, TraceSchema, read_traces_csv
-from test_gat_model import save_unchained_checkpoint
+from test_gat_model import other_model_message, save_unchained_checkpoint
 
 
 def _digest(path):
@@ -628,7 +628,7 @@ def test_checkpoint_whose_layers_do_not_chain_is_one_line_error(
     capsys.readouterr()
     assert _run(*argv) == 1
     assert capsys.readouterr().err == \
-        "rssigat: error: layer 2 has in_dim 5, its input is 128 wide\n"
+        f"rssigat: error: {other_model_message(run_dir / 'checkpoint_0')}\n"
     assert not out.exists()
     assert not (pipeline_dir / "out.json.manifest.json").exists()
 

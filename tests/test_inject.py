@@ -378,6 +378,28 @@ def test_descriptor_field_its_kind_does_not_use_is_refused(
         labeled_from_record(rec)
 
 
+@pytest.mark.parametrize("kind, edit, lacking", [
+    (AnomalyKind.SUDDEN_R, lambda d: d.pop("duration"), "duration"),
+    (AnomalyKind.SUDDEN_R, lambda d: d.update(duration=None), "duration"),
+    (AnomalyKind.SLOW_D, lambda d: d.pop("duration"), "duration"),
+    (AnomalyKind.INSTA_D, lambda d: d.pop("indices"), "indices"),
+    (AnomalyKind.SUDDEN_D, lambda d: d.pop("onset"), "onset"),
+], ids=["SuddenR-no-duration", "SuddenR-null-duration", "SlowD-no-duration",
+        "InstaD-no-indices", "SuddenD-no-onset"])
+def test_descriptor_lacking_a_field_its_kind_uses_is_refused(kind, edit,
+                                                             lacking):
+    """Each kind's descriptor carries every field ``labeled_to_record``
+    writes for it, none of them null. A window without its duration is not
+    read as running to the end of the trace."""
+    item = inject_anomaly(_flat_trace(n=100), kind,
+                          InjectionParams.scaled_to_length(100), _rng(6))
+    rec = labeled_to_record(item)
+    edit(rec["descriptor"])
+    with pytest.raises(DatasetError,
+                       match=f"^{kind.value} descriptor lacks {lacking}$"):
+        labeled_from_record(rec)
+
+
 _RECORD = labeled_to_record(inject_anomaly(
     _flat_trace(n=60), AnomalyKind.SUDDEN_R,
     InjectionParams.scaled_to_length(60), rng=_rng(4)))
