@@ -14,6 +14,7 @@ and draws are converted to 0-based indices.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,8 +23,8 @@ from typing import Mapping
 import numpy as np
 
 from .trace import (DEFAULT_SCHEMA, ConfigError, RssiTrace, TraceError,
-                    TraceSchema, json_numbers, read_json_lines,
-                    write_json_lines)
+                    TraceSchema, json_list_text, json_numbers,
+                    read_json_lines, write_json_lines)
 
 
 class CapacityError(Exception):
@@ -207,9 +208,12 @@ def build_dataset(clean: list[RssiTrace],
 # ---------------------------------------------------------------------------
 # dataset serialization: one JSON record per trace, bit-exact round trip. A
 # record stores its trace and descriptor; the labels follow from the
-# descriptor, so they are not stored.
+# descriptor, so they are not stored. A dataset line is what ``json.dumps``
+# prints for the record: the other fields are dumped, and the samples, the
+# record's last field, are appended as ``json_list_text`` joins them, from a
+# table of integer strings when they are small integers.
 
-# The descriptor fields of each kind, the ones ``labeled_to_record`` writes
+# The descriptor fields of each kind, the ones a dataset line holds
 # for the descriptors ``draw_descriptor`` draws; a record must carry each of
 # them, none null, and no other.
 DESCRIPTOR_FIELDS = {
@@ -221,19 +225,18 @@ DESCRIPTOR_FIELDS = {
 }
 
 
-def labeled_to_record(item: LabeledTrace) -> dict:
+def _dataset_line(item: LabeledTrace) -> str:
+    """``item``'s record and a newline: its link id, kind, the descriptor's
+    non-null fields, and its samples."""
     d = item.descriptor
     desc = {k: v for k, v in (("kind", d.kind), ("onset", d.onset),
                               ("duration", d.duration), ("slope", d.slope),
                               ("indices", d.indices)) if v is not None}
     if "indices" in desc:
         desc["indices"] = list(desc["indices"])
-    return {
-        "link_id": item.trace.link_id,
-        "kind": item.kind.value,
-        "descriptor": desc,
-        "samples": item.trace.samples.tolist(),
-    }
+    head = json.dumps({"link_id": item.trace.link_id,
+                       "kind": item.kind.value, "descriptor": desc})
+    return f'{head[:-1]}, "samples": {json_list_text(item.trace.samples)}}}\n'
 
 
 def labeled_from_record(rec: dict) -> LabeledTrace:
@@ -304,7 +307,7 @@ def labeled_from_record(rec: dict) -> LabeledTrace:
 
 
 def write_dataset(path, items: list[LabeledTrace]) -> None:
-    write_json_lines(path, items, labeled_to_record)
+    write_json_lines(path, items, _dataset_line)
 
 
 def read_dataset(path) -> list[LabeledTrace]:

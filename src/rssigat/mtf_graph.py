@@ -21,20 +21,22 @@ its node map when it is made.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .trace import (DEFAULT_SCHEMA, RssiTrace, TraceSchema, json_numbers,
-                    normalize, read_json_lines, write_json_lines)
+from .trace import (DEFAULT_SCHEMA, ROW_CAP, RssiTrace, TraceSchema,
+                    json_list_text, json_numbers, normalize, read_json_lines,
+                    write_json_lines)
 
 # Largest node count for which an N x N field or per-node graph is built.
 DENSE_NODE_CAP = 1024
-# Most distinct values a trace may have: its C x C class graph costs about
-# 150 B x C^2 to build and run, ~200 MB at the cap.
-ROW_CAP = 1024
+# ROW_CAP, from ``trace``, is the most distinct values a trace may have: its
+# C x C class graph costs about 150 B x C^2 to build and run, ~200 MB at the
+# cap.
 GRAPH_FORMAT = "rssigat-graph-v2"
 
 
@@ -214,19 +216,24 @@ def transform(trace: RssiTrace, schema: TraceSchema = DEFAULT_SCHEMA) -> TsGraph
 
 
 # ---------------------------------------------------------------------------
-# serialization: one JSON record per line, weights at 9 significant digits
+# serialization: one JSON record per line, weights at 9 significant digits.
+# A line is built as ``json.dumps`` prints the record, so that the node map,
+# whose entries lie below ROW_CAP, is joined from ``trace``'s table of
+# integer strings instead of formatted entry by entry.
 
-def graph_to_record(graph: TsGraph) -> dict:
+def _graph_line(graph: TsGraph) -> str:
+    """The graph's JSON record and a newline, as ``json.dumps`` prints it:
+    its format, link id, row features as ``values``, node map, and the
+    edges as [src, dst, weight] in row-major order. The node map is joined
+    by ``json_list_text``; the other fields go through ``json.dumps``."""
     src, dst = np.nonzero(graph.weights)
-    return {
-        "format": GRAPH_FORMAT,
-        "link_id": graph.link_id,
-        "values": graph.row_features.tolist(),
-        "node_map": graph.node_map.tolist(),
-        "edges": [[s, d, float(f"{w:.9g}")]
-                  for s, d, w in zip(src.tolist(), dst.tolist(),
-                                     graph.weights[src, dst].tolist())],
-    }
+    edges = [[s, d, float(f"{w:.9g}")]
+             for s, d, w in zip(src.tolist(), dst.tolist(),
+                                graph.weights[src, dst].tolist())]
+    return (f'{{"format": "{GRAPH_FORMAT}", "link_id": '
+            f'{json.dumps(graph.link_id)}, "values": '
+            f'{json.dumps(graph.row_features.tolist())}, "node_map": '
+            f'{json_list_text(graph.node_map)}, "edges": {json.dumps(edges)}}}\n')
 
 
 def _row_indices(arr: np.ndarray) -> np.ndarray:
@@ -274,7 +281,7 @@ def graph_from_record(rec: dict) -> TsGraph:
 
 
 def write_graphs(path, graphs) -> None:
-    write_json_lines(path, graphs, graph_to_record)
+    write_json_lines(path, graphs, _graph_line)
 
 
 def read_graphs(path) -> list[TsGraph]:

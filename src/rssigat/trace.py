@@ -132,7 +132,7 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
         if link_id is None:
             raise ParseError(line_no, "record before any link header")
         parts = text.split(",")
-        if len(parts) != 2:
+        if len(parts) != 2 or not _plain_numbers(parts):
             raise ParseError(line_no, f"malformed record {text!r}")
         try:
             seq = int(parts[0])
@@ -151,6 +151,15 @@ def ingest_raw_log(source, schema: TraceSchema = DEFAULT_SCHEMA
         last = seq
     keep_if_complete()
     return traces, len(seen)
+
+
+def _plain_numbers(fields) -> bool:
+    """False when a field holds number syntax that Python's ``int`` and
+    ``float`` read but trace files and raw logs do not allow, nor numpy's
+    reader of trace files: a digit separator ``_``, or a non-ASCII digit such
+    as an Arabic-Indic or full-width one. Whitespace around a number, which
+    all of them strip, is allowed."""
+    return all("_" not in f and f.strip().isascii() for f in fields)
 
 
 BASELINE_RANGE = (20, 60)
@@ -226,11 +235,51 @@ def open_output(path, binary: bool = False):
     os.rename(partial, path)
 
 
-def write_json_lines(path, items, to_record) -> None:
-    """``to_record`` of each item as one JSON line, through ``open_output``."""
+def write_json_lines(path, items, to_line) -> None:
+    """``to_line`` of each item, a JSON line with its newline, through
+    ``open_output``. Each line is written as soon as it is encoded, so the
+    file's text is never held whole."""
     with open_output(path) as fh:
         for item in items:
-            fh.write(json.dumps(to_record(item)) + "\n")
+            fh.write(to_line(item))
+
+
+# Most distinct values a trace may have, and so most rows of its class graph;
+# ``mtf_graph`` enforces it. Every graph's node map lies below it.
+ROW_CAP = 1024
+
+# "0" to "1023", the decimal strings of every integer below ``ROW_CAP``: the
+# node map of any graph ``transform`` makes, and the integral samples of
+# traces in the default bounds, print by lookup. The one table for every
+# writer, an object array so that one fancy index looks a whole array up.
+_INT_TEXT = np.array([str(i) for i in range(ROW_CAP)], dtype=object)
+_INT_TEXT.flags.writeable = False
+
+
+def _int_texts(values: np.ndarray) -> list[str] | None:
+    """The decimal strings of ``values`` from ``_INT_TEXT``, or None unless
+    ``values`` is non-empty and each value an integer in [0, ROW_CAP) whose
+    sign bit is clear: -0.0, which JSON prints as ``-0.0``, is refused. The
+    range is checked before the cast to intp, which warns on a value it
+    cannot hold."""
+    if not (values.size and not np.signbit(values).any()
+            and np.maximum.reduce(values) < _INT_TEXT.size):  # False for nan
+        return None
+    ints = values.astype(np.intp)
+    return _INT_TEXT[ints].tolist() if np.equal(ints, values).all() else None
+
+
+def json_list_text(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` of a 1-D integer or float array. An
+    array of integers in [0, ROW_CAP) is joined from one table lookup, each
+    float with the ``.0`` its repr ends in; any other goes through
+    ``json.dumps``."""
+    texts = _int_texts(values)
+    if texts is None:
+        return json.dumps(values.tolist())
+    if values.dtype.kind == "f":
+        return "[" + ".0, ".join(texts) + ".0]"
+    return "[" + ", ".join(texts) + "]"
 
 
 def json_numbers(seq, message: str) -> np.ndarray:
@@ -263,15 +312,10 @@ _CSV_HEADER = "link_id,idx,rssi"
 _CSV_ROW = np.dtype([("link_id", object), ("idx", np.int64), ("rssi", np.float64)])
 
 
-# Only samples below this magnitude are cast to int64: every integral one
-# casts exactly, and no cast is out of range, whose result numpy leaves to
-# the platform (with a RuntimeWarning).
-_INT_CAST_LIMIT = 2.0 ** 62
-
-
 def write_traces_csv(path, traces: list[RssiTrace]) -> None:
-    """Write traces as CSV, one ``write`` per trace. An integral sample
-    prints as an integer, any other as its shortest round-tripping repr."""
+    """Write traces as CSV, one ``write`` per trace, as each is formatted.
+    An integral sample prints as an integer, any other as its shortest
+    round-tripping repr."""
     with open_output(path) as fh:
         fh.write(_CSV_HEADER + "\n")
         for t in traces:
@@ -279,23 +323,15 @@ def write_traces_csv(path, traces: list[RssiTrace]) -> None:
 
 
 def _csv_rows(link_id: str, samples: np.ndarray) -> str:
-    """A trace's CSV rows as one string. Each sample is cast to int64 once,
-    and an integral one prints as its cast. Only the samples the cast does
-    not equal (fractions, non-finite values, integers of magnitude 2^62 or
-    more) are formatted one by one from the float."""
-    exact = np.abs(samples) < _INT_CAST_LIMIT  # False for nan
-    ints = np.where(exact, samples, 0.0).astype(np.int64)
-    exact &= ints == samples
-    values = ints.tolist()
-    if not exact.all():
-        floats = samples.tolist()
-        for i in np.flatnonzero(~exact).tolist():
-            v = floats[i]
-            values[i] = int(v) if v.is_integer() else v
-    n = len(values)
+    """A trace's CSV rows as one string. Samples that are all integers in
+    [0, ROW_CAP) take their rssi column from one lookup in ``_INT_TEXT``;
+    any other trace's samples are formatted one by one, an integral one as
+    its int."""
+    n = samples.size
     fields = [link_id] * (4 * n)
     fields[1::4] = _index_fields(n)
-    fields[2::4] = map(repr, values)
+    fields[2::4] = _int_texts(samples) or [
+        repr(int(v) if v.is_integer() else v) for v in samples.tolist()]
     fields[3::4] = ["\n"] * n
     return "".join(fields)
 
@@ -368,7 +404,7 @@ def _read_traces_csv_by_line(path) -> list[RssiTrace]:
             if not text:
                 continue
             parts = text.split(",")
-            if len(parts) != 3:
+            if len(parts) != 3 or not _plain_numbers(parts[1:]):
                 raise ParseError(line_no, f"malformed row {text!r}")
             try:
                 idx, rssi = int(parts[1]), float(parts[2])

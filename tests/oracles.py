@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 import rssigat.tensor_core as tc
+from rssigat.mtf_graph import GRAPH_FORMAT
 
 
 def mtf_oracle(samples, rssi_min: float, rssi_max: float, n_bins: int):
@@ -192,6 +193,41 @@ def traces_csv_reference(traces) -> str:
         for i, value in enumerate(trace.samples.tolist()):
             rows.append(f"{trace.link_id},{i},{sample_text(value)}\n")
     return "".join(rows)
+
+
+def labeled_to_record(item) -> dict:
+    """The JSON record of a labeled trace, whose ``json.dumps`` and a newline
+    is the line ``inject.write_dataset`` writes: the descriptor's fields
+    that are not None, and the samples as Python floats."""
+    d = item.descriptor
+    desc = {"kind": d.kind}
+    for name in ("onset", "duration", "slope"):
+        if getattr(d, name) is not None:
+            desc[name] = getattr(d, name)
+    if d.indices is not None:
+        desc["indices"] = list(d.indices)
+    return {
+        "link_id": item.trace.link_id,
+        "kind": item.kind.value,
+        "descriptor": desc,
+        "samples": [float(v) for v in item.trace.samples],
+    }
+
+
+def graph_to_record(graph) -> dict:
+    """The JSON record of a graph, whose ``json.dumps`` and a newline is the
+    line ``mtf_graph.write_graphs`` writes: edges in row-major order, each
+    weight at 9 significant digits."""
+    src, dst = np.nonzero(graph.weights)
+    return {
+        "format": GRAPH_FORMAT,
+        "link_id": graph.link_id,
+        "values": graph.row_features.tolist(),
+        "node_map": graph.node_map.tolist(),
+        "edges": [[s, d, float(f"{w:.9g}")]
+                  for s, d, w in zip(src.tolist(), dst.tolist(),
+                                     graph.weights[src, dst].tolist())],
+    }
 
 
 def write_raw_logs(logs) -> str:

@@ -3,17 +3,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rssigat.inject import (ANOMALOUS_KINDS, SLOWD_DURATION, SLOWD_ONSET,
                             SUDDEND_ONSET, SUDDENR_DURATION, SUDDENR_ONSET,
-                            DESCRIPTOR_FIELDS, AnomalyKind, CapacityError,
-                            DatasetError,
-                            InjectionParams, build_dataset, inject_anomaly,
-                            labeled_from_record, labeled_to_record,
-                            read_dataset, write_dataset)
+                            DESCRIPTOR_FIELDS, AnomalyDescriptor, AnomalyKind,
+                            CapacityError, DatasetError, InjectionParams,
+                            LabeledTrace, build_dataset, inject_anomaly,
+                            labeled_from_record, read_dataset, write_dataset)
 from rssigat.trace import ConfigError, RssiTrace, TraceSchema, synthesize_clean
-from fuzzing import JSON_VALUES
+from fuzzing import JSON_VALUES, LINK_IDS, SAMPLE_LISTS
+from oracles import labeled_to_record
 
 SCHEMA = TraceSchema(expected_length=300)
 
@@ -306,6 +306,38 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "again.jsonl"
     write_dataset(path2, loaded)
     assert path2.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def _labeled_traces(draw):
+    """A trace of any samples and link id, with a descriptor of each kind
+    that fits its length; the SlowD slope is any float."""
+    samples = np.array(draw(SAMPLE_LISTS))
+    n = samples.size
+    descriptor = draw(st.sampled_from([
+        AnomalyDescriptor("None"),
+        AnomalyDescriptor("SuddenD", onset=n - 1, duration=1),
+        AnomalyDescriptor("SuddenR", onset=0, duration=n),
+        AnomalyDescriptor("InstaD", indices=(0, n - 1)),
+    ]) | st.floats().map(lambda slope: AnomalyDescriptor(
+        "SlowD", onset=1, duration=n - 1, slope=slope)))
+    return LabeledTrace(RssiTrace(draw(LINK_IDS), samples), descriptor)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_labeled_traces(), max_size=3))
+@example([LabeledTrace(RssiTrace(link_id, np.array(samples)),
+                       AnomalyDescriptor("None"))
+          for link_id, samples in [("a", [0.0, 1023.0]), ("b", [1023.0, 1024.0]),
+                                   ("c", [-0.0, 5.0]), ("d", [2.0**53, 1e16]),
+                                   ("e", [62.0, 62.5]), ("f", [3.0, -3.0])]])
+def test_dataset_lines_are_json_dumps_of_records(tmp_path_factory, items):
+    """Each line ``write_dataset`` writes is ``json.dumps`` of the item's
+    record, whether or not its samples fit the writers' table."""
+    path = tmp_path_factory.mktemp("dataset") / "dataset.jsonl"
+    write_dataset(path, items)
+    assert path.read_bytes() == "".join(
+        json.dumps(labeled_to_record(item)) + "\n" for item in items).encode()
 
 
 def test_labeled_record_has_descriptor_fields():

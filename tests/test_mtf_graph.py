@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rssigat.mtf_graph import (DENSE_NODE_CAP, ROW_CAP, GraphError, TsGraph,
-                               graph_from_record, graph_to_record,
-                               read_graphs, transform, write_graphs)
+                               graph_from_record, read_graphs, transform,
+                               write_graphs)
 from rssigat.trace import RssiTrace, TraceError, TraceSchema
-from oracles import class_graph_reference, mtf_oracle, no_outgoing_step_mask
-from fuzzing import JSON_VALUES, changed_records
+from oracles import (class_graph_reference, graph_to_record, mtf_oracle,
+                     no_outgoing_step_mask)
+from fuzzing import EDGE_NUMBERS, JSON_VALUES, LINK_IDS, changed_records
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +313,47 @@ def test_graph_round_trip_preserves_printed_precision(tmp_path):
     assert path3.stat().st_size < 8 * 1024
 
 
-def test_graph_record_weight_precision():
+def test_graph_record_weight_precision(tmp_path):
     graph = TsGraph(row_features=np.array([0.1, 0.9]), node_map=np.arange(2),
                     weights=np.array([[0.0, 0.123456789123], [0.0, 0.0]]),
                     link_id="x")
-    rec = graph_to_record(graph)
+    write_graphs(tmp_path / "graphs.jsonl", [graph])
+    rec = json.loads((tmp_path / "graphs.jsonl").read_text())
     assert rec["edges"][0][2] == float("0.123456789")  # 9 significant digits
     back = graph_from_record(rec)
     assert list(zip(back.edge_src, back.edge_dst)) == [(0, 1)]
+
+
+_NUMBERS = st.floats() | st.sampled_from(EDGE_NUMBERS)
+
+
+@st.composite
+def _graphs(draw):
+    """A graph of C rows, up to 1025 so that node map entries reach 1023 and
+    1024, with any row features, link id (or none) and a few edges of any
+    weight."""
+    c = draw(st.integers(1, 6) | st.sampled_from([1023, 1024, 1025]))
+    values = np.resize(draw(st.lists(_NUMBERS, min_size=1, max_size=6)), c)
+    node_map = np.array(draw(st.lists(
+        st.integers(0, c - 1) | st.just(c - 1), max_size=40)), dtype=np.intp)
+    weights = np.zeros((c, c))
+    for i, j, w in draw(st.lists(st.tuples(st.integers(0, c - 1),
+                                           st.integers(0, c - 1), _NUMBERS),
+                                 max_size=6)):
+        weights[i, j] = w
+    return TsGraph(values, node_map, weights, draw(LINK_IDS | st.none()))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_graphs(), max_size=3))
+def test_graph_lines_are_json_dumps_of_records(tmp_path_factory, graphs):
+    """Each line ``write_graphs`` writes is ``json.dumps`` of the graph's
+    record as the oracle builds it, whether or not its node map fits the
+    writers' table."""
+    path = tmp_path_factory.mktemp("graphs") / "graphs.jsonl"
+    write_graphs(path, graphs)
+    assert path.read_bytes() == "".join(
+        json.dumps(graph_to_record(g)) + "\n" for g in graphs).encode()
 
 
 def test_graph_record_duplicate_edge_rejected():
